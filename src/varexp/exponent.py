@@ -162,7 +162,7 @@ def log_holder_constant(p: ExponentField, pair_budget: int = 2_000_000, seed: in
     convenience field p_scale_bound = (p+)^2 c_log bounds the constant of
     the exponent itself rather than of 1/p.
     """
-    d, mod, _, subsampled = _pair_samples(p, pair_budget, seed)
+    d, mod, minnorm, subsampled = _pair_samples(p, pair_budget, seed)
     c_local = float(mod.max()) if mod.size else 0.0
 
     coords = p.grid.node_coords
@@ -172,7 +172,7 @@ def log_holder_constant(p: ExponentField, pair_budget: int = 2_000_000, seed: in
     c_decay = float(dec.max()) if dec.size else 0.0
 
     c_log = max(c_local, c_decay)
-    profile = vanishing_profile(p, epsilons, pair_budget=pair_budget, seed=seed)
+    profile = _vanishing_profile(p, epsilons, d, mod, minnorm)
     return LogHolderReport(
         c_log=c_log,
         c_log_local=c_local,
@@ -276,6 +276,13 @@ def vanishing_profile(p: ExponentField, epsilons: Sequence[float],
     at grid resolution.
     """
     d, mod, minnorm, _ = _pair_samples(p, pair_budget, seed)
+    return _vanishing_profile(p, epsilons, d, mod, minnorm)
+
+
+def _vanishing_profile(p: ExponentField, epsilons: Sequence[float], d: np.ndarray,
+                       mod: np.ndarray, minnorm: np.ndarray,
+                       ) -> list[tuple[float, float | None, float | None]]:
+    """vanishing_profile on a pair sample already drawn by _pair_samples."""
     coords = p.grid.node_coords
     norms = np.linalg.norm(coords, axis=1)
     dec = np.abs(1.0 / p.values - 1.0 / p.p_infinity_effective) * np.log(_E + norms)

@@ -71,6 +71,16 @@ def test_log_holder_subsampling_flag():
     assert rep.c_log >= 0.0
 
 
+@pytest.mark.parametrize("budget", [500, 100_000])  # subsampled, all pairs
+def test_report_profile_matches_separate_call(budget):
+    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (16, 16))
+    p = ExponentField.from_function(
+        g, lambda x: 2.0 + 0.3 * np.sin(3.0 * x[0]) * x[1], p_infinity=2.0)
+    eps = (0.5, 0.2, 0.1, 0.05)
+    rep = log_holder_constant(p, pair_budget=budget, seed=3, epsilons=eps)
+    assert rep.vanishing_profile == vanishing_profile(p, eps, pair_budget=budget, seed=3)
+
+
 def test_select_comparison_exponent_farthest_point():
     g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (8, 8))
     p = ExponentField.from_function(g, lambda x: 2.0 + 0.1 * x[0])

@@ -1,15 +1,21 @@
 """Energy minimization: the variable-exponent solve, the constant-exponent
 comparison solve on doubled cubes, and the manufactured instances."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import sparse
 
+from varexp import solver
 from varexp.exponent import ExponentField
 from varexp.grid import Box, CellField, Grid, GridFunction, gradient
-from varexp.operator import FluxParams, flux
+from varexp.operator import FluxParams, energy_gradient, energy_hessian, flux
 from varexp.estimates import energy_density
 from varexp.solver import (
     SolveOptions,
+    _dissection,
+    _free_solve,
     comparison_distance,
     manufactured_instance,
     solve_comparison,
@@ -67,6 +73,99 @@ def test_p2_matches_independent_linear_solve():
     sol[free] = np.linalg.solve(
         K[np.ix_(free, free)], rhs[free] - K[np.ix_(free, fixed)] @ ub[fixed])
     assert np.abs(res.u.values[:, 0] - sol).max() <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (2,), (9,), (16,), (1, 1), (2, 2), (1, 7), (5, 2), (9, 13),
+    (1, 1, 1), (2, 2, 2), (3, 1, 5), (7, 6, 5),
+])
+def test_dissection_is_a_permutation(shape):
+    order = _dissection(shape)
+    assert np.array_equal(np.sort(order), np.arange(math.prod(shape)))
+
+
+def test_dissection_puts_the_separator_last():
+    # 5 x 9 nodes: the first cut is the middle column across the long axis
+    col = np.arange(5 * 9).reshape(5, 9)[:, 4]
+    assert np.array_equal(_dissection((5, 9))[-5:], col)
+
+
+def _free_dofs(grid: Grid, N: int) -> np.ndarray:
+    return np.repeat(~grid.boundary_node_mask, N)
+
+
+def test_newton_step_matches_dense_solve_vector_3d():
+    # one full Newton step of a vector-valued (N = 2) field on a 3-D box:
+    # the step on the free dofs, in their natural order, is the dense solve
+    # of the free-dof Hessian, so the ordering and dof interleaving cancel
+    g = Grid(3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (5, 4, 3))
+    p = ExponentField.from_function(
+        g, lambda x: 2.0 + 0.5 * np.sin(2 * np.pi * x[0]) * np.cos(np.pi * x[2]))
+    rng = np.random.default_rng(5)
+    G = CellField(g, rng.normal(size=(g.num_cells, 2, 3)))
+    u0 = GridFunction(g, np.where(g.boundary_node_mask[:, None],
+                                  rng.normal(size=(g.num_nodes, 2)), 0.0))
+    res = solve_pxlaplace(G, p, u0, g,
+                          SolveOptions(gamma_schedule=(1.0,), max_iterations=1))
+    assert res.iterations == 1
+
+    params = FluxParams(1.0, "squared")
+    free = _free_dofs(g, 2)
+    H = energy_hessian(u0, p, params).toarray()[np.ix_(free, free)]
+    grad = energy_gradient(u0, G, p, params, bc_mask=g.boundary_node_mask).values.reshape(-1)
+    want = np.linalg.solve(H, -grad[free])
+    step = (res.u.values - u0.values).reshape(-1)
+    np.testing.assert_array_equal(step[~free], 0.0)
+    np.testing.assert_allclose(step[free], want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
+    # all-ones blocks pass the diagonal checks but leave a zero pivot after
+    # the first elimination step: SuperLU refuses, and the step runs along
+    # the negative gradient
+    assert _free_solve(sparse.csc_matrix(np.ones((3, 3))), np.ones(3), 1e12) is None
+
+    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
+    p = ExponentField.constant(g, 2.0)
+    _, G, bnd = manufactured_instance("linear", g, p)
+    n = g.num_nodes
+    monkeypatch.setattr(solver, "energy_hessian",
+                        lambda u, p, params: sparse.csr_matrix(np.ones((n, n))))
+    res = solve_pxlaplace(G, p, bnd, g,
+                          SolveOptions(gamma_schedule=(1.0,), max_iterations=1))
+    assert res.iterations == 1
+
+    free = _free_dofs(g, 1)
+    grad = energy_gradient(bnd, G, p, FluxParams(1.0, "squared"),
+                           bc_mask=g.boundary_node_mask).values.reshape(-1)[free]
+    step = (res.u.values - bnd.values).reshape(-1)[free]
+    t = -float(step @ grad) / float(grad @ grad)
+    assert 0.0 < t <= 1.0
+    np.testing.assert_allclose(step, -t * grad, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim, lo, side, p_range, p_fn", [
+    (2, -2.0, 4.0, (1.3, 3.0),
+     lambda x: 2.15 + 0.85 * np.sin(0.5 * np.pi * x[0]) * np.sin(0.5 * np.pi * x[1])),
+    (3, 0.0, 1.0, (1.5, 2.5),
+     lambda x: 2.0 + 0.5 * np.sin(2 * np.pi * x[0]) * np.sin(np.pi * x[1]) * np.sin(np.pi * x[2])),
+], ids=["2d", "3d"])
+def test_cold_start_recovery(dim, lo, side, p_range, p_fn):
+    # zero interior, boundary data only.  The finer grid has h = 1/8, the
+    # resolution at which test_matched_recovery bounds the error by 0.05;
+    # between the two grids the order must be >= 1, as in the recovery gate.
+    errs = []
+    for h in (1 / 4, 1 / 8):
+        g = Grid(dim, (lo,) * dim, (side,) * dim, (round(side / h),) * dim)
+        p = ExponentField.from_function(g, p_fn)
+        assert (p.p_minus, p.p_plus) == pytest.approx(p_range, abs=1e-12)
+        u_star, G, bnd = manufactured_instance("matched", g, p)
+        cold = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, 0.0))
+        res = solve_pxlaplace(G, p, cold, g, SolveOptions())
+        assert res.converged and res.residual <= 1e-8, res.message
+        errs.append(float(np.abs(res.u.values - u_star.values).max()))
+    assert errs[1] < 0.05
+    assert math.log2(errs[0] / errs[1]) >= 1.0
 
 
 def test_solve_validation():
