@@ -1,7 +1,7 @@
 """Command-line front end: configs, field-file I/O, reports, denoising.
 
 Usage:
-    varexp <command> --config <path> [--out <dir>] [--seed <int>] [--threads <int>]
+    varexp <command> --config <path> [--out <dir>] [--seed <int>]
 
 Commands:
     solve       solve the configured instance, emit solution/exponent fields
@@ -61,7 +61,6 @@ import argparse
 import configparser
 import csv
 import hashlib
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -856,14 +855,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--config", required=True, help="experiment config file")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="random seed override")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="BLAS/OpenMP thread hint (sets *_NUM_THREADS)")
     ns = ap.parse_args(argv)
-
-    if ns.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(ns.threads)
-
     try:
         cfg = load_config(ns.command, ns.config, out=ns.out, seed=ns.seed)
         run(cfg)

@@ -13,6 +13,12 @@ and zero outside the root.  The lattice is truncated at a maximal level
 (default: cubes no smaller than 2 grid cells per axis), which is the
 resolution floor of every covering statement here.
 
+Means of one field over the lattice cubes, whether over Q, (3/2)Q or 2Q,
+come from one kernel, ``lattice_means``: the mean over scale*Q ∩ domain of
+a cell array for every cube of one level at once.  The maximal function,
+the covering and its threshold lam0, and the Gehring scan in
+``varexp.estimates`` all read their cube means from it.
+
 A covering at height lam >= lam0 = mean_{2 root} F collects the maximal
 lattice cubes whose doubled-cube average exceeds lam; each carries the
 sandwich lam < mean_{2Q} F <= 2^n lam, obtained from the predecessor cube
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Box, CellField, Grid, integrate, overlap_measure
+from .grid import Box, CellField, Grid, _interval_overlaps
 
 __all__ = [
     "DyadicCube",
@@ -37,6 +43,7 @@ __all__ = [
     "CZCover",
     "GoodLambdaResult",
     "dyadic_lattice",
+    "lattice_means",
     "predecessor",
     "default_max_level",
     "default_kappa",
@@ -115,45 +122,28 @@ def _require_root(grid: Grid, root: Box) -> None:
         raise ValueError("doubled root exits the grid domain")
 
 
-def _level_axis_weights(grid: Grid, root: Box, level: int) -> list[np.ndarray]:
-    """Per-axis overlap matrices W_k[(cube index, cell index)] between the
-    doubled cubes 2Q at this level and the grid cells."""
+def lattice_means(values: np.ndarray, grid: Grid, root: Box, level: int,
+                  scale: float) -> np.ndarray:
+    """Mean of a scalar cell array over scale*Q ∩ domain for every lattice
+    cube Q of one level; shape (2^level,)*dim, indexed like ``DyadicCube``.
+
+    Cells count by overlap volume, as in ``grid.integrate``.  The overlap
+    weights factor per axis, so the cube sums are one ``tensordot`` per
+    axis.
+    """
     n_side = 2**level
     sides = root.sides / n_side
-    h = grid.cell_size
-    out = []
+    F = np.asarray(values, dtype=float).reshape(grid.cells)
+    den = np.ones(())
     for k in range(grid.dim):
         centers = root.lo[k] + sides[k] * (np.arange(n_side) + 0.5)
-        lo2, hi2 = centers - sides[k], centers + sides[k]  # doubled interval
-        left = grid.origin[k] + h[k] * np.arange(grid.cells[k])
-        right = left + h[k]
-        o = np.minimum(right[None, :], hi2[:, None]) - np.maximum(left[None, :], lo2[:, None])
-        out.append(np.clip(o, 0.0, h[k]))
-    return out
-
-
-def _lattice_power_means(f: CellField, root: Box, s: float, max_level: int) -> list[np.ndarray]:
-    """(mean over 2Q of |f|^s)^{1/s} for every lattice cube, per level.
-
-    Returns a list indexed by level; entry L has shape (2^L,)*dim.
-    """
-    g = f.grid
-    power = np.abs(f.values) ** s
-    F = power.reshape(g.cells)
-    means = []
-    for lev in range(max_level + 1):
-        W = _level_axis_weights(g, root, lev)
-        if g.dim == 1:
-            num = np.einsum("ac,c->a", W[0], F)
-            den = W[0].sum(axis=1)
-        elif g.dim == 2:
-            num = np.einsum("ac,bd,cd->ab", W[0], W[1], F)
-            den = np.multiply.outer(W[0].sum(axis=1), W[1].sum(axis=1))
-        else:
-            num = np.einsum("ac,bd,ef,cdf->abe", W[0], W[1], W[2], F)
-            den = np.einsum("a,b,e->abe", W[0].sum(axis=1), W[1].sum(axis=1), W[2].sum(axis=1))
-        means.append((num / den) ** (1.0 / s))
-    return means
+        half = sides[k] * (scale / 2.0)
+        W = _interval_overlaps(grid, k, centers - half, centers + half)
+        F = np.tensordot(F, W, axes=([0], [1]))  # cube axis k moves last
+        den = np.multiply.outer(den, W.sum(axis=1))
+    if np.any(den <= 0.0):
+        raise ValueError("region outside domain")
+    return F / den
 
 
 def maximal_function(f: CellField, root: Box, s: float = 1.0,
@@ -172,15 +162,14 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
         raise ValueError("maximal_function expects a scalar cell field")
     if max_level is None:
         max_level = default_max_level(root, g)
-    means = _lattice_power_means(f, root, s, max_level)
+    power = np.abs(f.values) ** s
+    means = [lattice_means(power, g, root, lev, 2.0) ** (1.0 / s)
+             for lev in range(max_level + 1)]
 
-    centers = g.cell_centers
     tol = 1e-12 * max(root.side, 1.0)
-    in_root = np.all(centers >= np.asarray(root.lo) - tol, axis=1) & np.all(
-        centers <= np.asarray(root.hi) + tol, axis=1
-    )
+    in_root = root.contains_points(g.cell_centers, tol)
     out = np.zeros(g.num_cells)
-    pts = centers[in_root]
+    pts = g.cell_centers[in_root]
     best = np.zeros(pts.shape[0])
     for lev in range(max_level + 1):
         n_side = 2**lev
@@ -265,7 +254,7 @@ def cz_cover(F: CellField, root: Box, lam: float, lambda0: float | None = None,
     Walks the lattice top-down, descending only through cubes whose doubled
     average is <= lam, so every returned cube is a proper sub-cube whose
     predecessor average is <= lam.  Each cube's average then satisfies the
-    sandwich lam < mean_{2Q} F <= 2^n lam, which is asserted.
+    sandwich lam < mean_{2Q} F <= 2^n lam, which is checked (RuntimeError).
     """
     g = F.grid
     _require_root(g, root)
@@ -273,26 +262,21 @@ def cz_cover(F: CellField, root: Box, lam: float, lambda0: float | None = None,
         raise ValueError("covering needs a nonnegative scalar cell field")
     if max_level is None:
         max_level = default_max_level(root, g)
+    tables = [lattice_means(F.values, g, root, lev, 2.0) for lev in range(max_level + 1)]
     if lambda0 is None:
-        root2 = root.scaled(2.0)
-        lambda0 = integrate(F, root2) / overlap_measure(g, root2)
+        lambda0 = float(tables[0].flat[0])
     if lam < lambda0 * (1.0 - 1e-12):
         raise ValueError("below covering threshold")
 
-    def mean2(q: DyadicCube) -> float:
-        b2 = q.box.scaled(2.0)
-        return integrate(F, b2) / overlap_measure(g, b2)
-
     cubes: list[DyadicCube] = []
     means: list[float] = []
-    truncated = False
     stack = [DyadicCube(root, 0, (0,) * root.dim)]
     while stack:
         q = stack.pop()
         if q.level >= max_level:
             continue
         for child in q.children():
-            m = mean2(child)
+            m = float(tables[child.level][child.index])
             if m > lam:
                 cubes.append(child)
                 means.append(m)
@@ -300,11 +284,10 @@ def cz_cover(F: CellField, root: Box, lam: float, lambda0: float | None = None,
                 stack.append(child)
 
     bound = 2.0**g.dim * lam
-    for q, m in zip(cubes, means):
-        assert m > lam * (1.0 - 1e-12), f"covering cube mean {m} not above {lam}"
-        assert m <= bound * (1.0 + 1e-12), f"covering cube mean {m} exceeds 2^n lam = {bound}"
-        if q.level == max_level:
-            truncated = True
+    for m in means:
+        if not lam * (1.0 - 1e-12) < m <= bound * (1.0 + 1e-12):
+            raise RuntimeError(f"covering cube mean {m} outside (lam, 2^n lam] = ({lam}, {bound}]")
+    truncated = any(q.level == max_level for q in cubes)
     return CZCover(float(lam), float(lambda0), cubes, means, max_level, truncated)
 
 
@@ -338,15 +321,16 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
         max_level = default_max_level(root, g)
     mf = maximal_function(F, root, 1.0, max_level).values
     mg = maximal_function(Gh, root, m0, max_level).values
-    root2 = root.scaled(2.0)
-    lam0 = integrate(F, root2) / overlap_measure(g, root2)
+    lam0 = float(lattice_means(F.values, g, root, 0, 2.0).flat[0])
 
     lambdas = [float(l) for l in lambdas]
     if any(l < lam0 * (1.0 - 1e-12) for l in lambdas):
         raise ValueError("below covering threshold")
 
-    covers = {lam: cz_cover(F, root, lam, max_level=max_level) for lam in lambdas}
-    centers = g.cell_centers
+    # covering cubes with their cell-center masks, shared by every epsilon
+    covers = {lam: [(q, q.box.contains_points(g.cell_centers))
+                    for q in cz_cover(F, root, lam, lam0, max_level).cubes]
+              for lam in lambdas}
     vol = g.cell_volume
 
     rows = []
@@ -357,11 +341,7 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
             delta = ls.u_measure / ls.o_measure if ls.o_measure > 0 else 0.0
             rows.append((eps, lam, delta))
             entries = []
-            for q in covers[lam].cubes:
-                b = q.box
-                inside = np.all(centers >= np.asarray(b.lo) - 1e-12, axis=1) & np.all(
-                    centers <= np.asarray(b.hi) + 1e-12, axis=1
-                )
+            for q, inside in covers[lam]:
                 denom = inside.sum() * vol
                 num = (inside & ls.u_mask).sum() * vol
                 entries.append((q, num / denom if denom > 0 else 0.0))

@@ -14,12 +14,13 @@ which is the strongest internal consistency test in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import default_max_level, dyadic_lattice, maximal_function
+from .dyadic import DyadicCube, default_max_level, lattice_means, maximal_function
 from .exponent import ExponentField
 from .grid import (Box, CellField, GridFunction, gradient, integrate,
                    mean_over, overlap_measure, region_weights)
@@ -151,39 +152,42 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
 
     if levels is None:
         levels = tuple(range(1, max(2, default_max_level(root, g)) + 1))
-    cubes = [q.box for q in dyadic_lattice(root, max(levels))
-             if q.level in levels and root.contains_box(q.box.scaled(2.0))]
-    if not cubes:
+    # 2Q spans lattice indices (i - 1/2, i + 3/2) per axis, so it lies in
+    # the root exactly for 1 <= i <= 2^L - 2; cubes in lattice order.
+    levels = [lev for lev in sorted(set(levels)) if 2**lev >= 3]
+    index = [(lev, idx) for lev in levels
+             for idx in itertools.product(range(1, 2**lev - 1), repeat=n)]
+    if not index:
         raise ValueError("no dyadic cubes with 2Q inside the root")
 
+    def means(values: np.ndarray, scale: float) -> np.ndarray:
+        return np.concatenate([lattice_means(values, g, root, lev, scale)[(slice(1, -1),) * n]
+                               .reshape(-1) for lev in levels])
+
     mu_grid = list(np.linspace(1.0, mu_max, steps))
-    energy_field = CellField(g, mag**pc)
+    rhs1 = means(mag**pc, 2.0)
     table: list[tuple[float, float, float, float]] = []
     records: list[EstimateRecord] = []
     m0 = 1.0
     for mu in mu_grid:
-        lhs_field = CellField(g, mag ** (pc * mu))
-        data_field = CellField(g, gmag ** (pc * mu) + h**mu)
-        worst, worst_rec = -1.0, None
-        for qb in cubes:
-            q2 = qb.scaled(2.0)
-            lhs = mean_over(lhs_field, qb) ** (1.0 / mu)
-            rhs1 = mean_over(energy_field, q2)
-            rhs2 = mean_over(data_field, q2) ** (1.0 / mu)
-            rec = EstimateRecord.build(
-                f"gehring-mu={mu:g}", lhs, {"energy": rhs1, "data": rhs2},
-                cube=qb, resolution=g.cells,
-            )
-            if rec.empirical_constant > worst:
-                worst, worst_rec = rec.empirical_constant, rec
-        table.append((float(mu), worst_rec.lhs, worst_rec.rhs_sum, worst))
-        records.append(worst_rec)
+        lhs = means(mag ** (pc * mu), 1.0) ** (1.0 / mu)
+        rhs2 = means(gmag ** (pc * mu) + h**mu, 2.0) ** (1.0 / mu)
+        # rhs2 > 0 because h > 0; argmax takes the first of equal maxima
+        i = int(np.argmax(lhs / (rhs1 + rhs2)))
+        lev, idx = index[i]
+        rec = EstimateRecord.build(
+            f"gehring-mu={mu:g}", lhs[i], {"energy": rhs1[i], "data": rhs2[i]},
+            cube=DyadicCube(root, lev, idx).box, resolution=g.cells,
+        )
+        worst = rec.empirical_constant
+        table.append((float(mu), rec.lhs, rec.rhs_sum, worst))
+        records.append(rec)
         if worst <= cap:
             m0 = max(m0, float(mu))
     m1 = float(m1) if m1 is not None else m0
     sigma = min(m0, m1) ** 0.25
     return GehringResult(m0, m1, sigma, [float(x) for x in mu_grid], table,
-                         cap, len(cubes), records)
+                         cap, len(index), records)
 
 
 def integrability_triplet(u: GridFunction, w: GridFunction, Qj: Box,
@@ -275,7 +279,9 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     The left side is computed twice: directly by quadrature, and through
     the level-set reconstruction split at kappa * lambda0 (below: superlevel
     sets of F; above: of the maximal function M*F).  Their relative gap and
-    the head/tail split are recorded as flags.  epsilon and m0 are carried
+    the head/tail split are recorded as flags.  When M*F stays at or below
+    kappa * lambda0, the maximal-function route measures only empty sets
+    and the flag level-set-tail-unused says so.  epsilon and m0 are carried
     for provenance of the good-lambda configuration that motivated kappa.
     """
     if q < 1.0:
@@ -309,6 +315,8 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     ]
     if rel_gap > 0.05:
         flags.append("level-set-route-mismatch")
+    if mstar.max() <= kappa * lam0:
+        flags.append("level-set-tail-unused")
     return EstimateRecord.build(
         f"higher-integrability-q={q:g}", lhs_direct,
         {"mean_energy": rhs1, "data_term": rhs2},

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dyadic import dyadic_lattice
 from .grid import Box, CellField, Grid, GridFunction, mean_over
 from .records import EstimateRecord
 
@@ -185,17 +186,6 @@ def log_holder_constant(p: ExponentField, pair_budget: int = 2_000_000, seed: in
     )
 
 
-def _dyadic_boxes(root: Box, level: int) -> list[Box]:
-    # local splitter; the full lattice machinery lives in the dyadic module
-    sides = root.sides / 2**level
-    lo = np.asarray(root.lo)
-    boxes = []
-    for idx in np.ndindex(*([2**level] * root.dim)):
-        a = lo + np.asarray(idx) * sides
-        boxes.append(Box(tuple(a), tuple(a + sides)))
-    return boxes
-
-
 def _vmo_oscillation(p: ExponentField, levels: int) -> float:
     """Oscillation quotient over a small dyadic family of the domain:
     max over cubes of  (mean over 2Q of |p - p_j|) * log(e + max{1/l, l, |c|}).
@@ -205,13 +195,12 @@ def _vmo_oscillation(p: ExponentField, levels: int) -> float:
     """
     domain = p.grid.domain
     worst = 0.0
-    for lev in range(1, levels + 1):
-        for q in _dyadic_boxes(domain, lev):
-            _, p_j = select_comparison_exponent(q, p)
-            osc = _oscillation(q, p, 1.0, p_j)
-            ell = q.side
-            scale = math.log(_E + max(ell, 1.0 / ell, float(np.linalg.norm(q.center))))
-            worst = max(worst, osc * scale)
+    for q in (c.box for c in dyadic_lattice(domain, levels) if c.level >= 1):
+        _, p_j = select_comparison_exponent(q, p)
+        osc = _oscillation(q, p, 1.0, p_j)
+        ell = q.side
+        scale = math.log(_E + max(ell, 1.0 / ell, float(np.linalg.norm(q.center))))
+        worst = max(worst, osc * scale)
     return worst
 
 
@@ -225,11 +214,7 @@ def select_comparison_exponent(Q: Box, p: ExponentField) -> tuple[np.ndarray, fl
     if region is None:
         raise ValueError("cube does not intersect the grid domain")
     coords = p.grid.node_coords
-    tol = 1e-12 * max(region.side, 1.0)
-    inside = np.all(coords >= np.asarray(region.lo) - tol, axis=1) & np.all(
-        coords <= np.asarray(region.hi) + tol, axis=1
-    )
-    idx = np.nonzero(inside)[0]
+    idx = np.nonzero(region.contains_points(coords))[0]
     if idx.size == 0:
         raise ValueError("no grid nodes inside 2Q ∩ domain")
     local = _farthest_node(coords[idx])

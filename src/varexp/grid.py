@@ -97,12 +97,17 @@ class Box:
             return None
         return Box(tuple(lo), tuple(hi))
 
-    def contains_point(self, x, tol: float | None = None) -> bool:
-        """Closure membership, with a relative tolerance on each face."""
-        x = np.asarray(x, dtype=float)
+    def contains_points(self, points, tol: float | None = None) -> np.ndarray:
+        """Closure membership of each row of ``points`` (shape (..., dim)),
+        with a tolerance on each face, relative to the longest edge."""
+        x = np.asarray(points, dtype=float)
         if tol is None:
             tol = _GEOM_RTOL * max(self.side, 1.0)
-        return bool(np.all(x >= np.asarray(self.lo) - tol) and np.all(x <= np.asarray(self.hi) + tol))
+        return np.all((x >= np.asarray(self.lo) - tol) & (x <= np.asarray(self.hi) + tol), axis=-1)
+
+    def contains_point(self, x, tol: float | None = None) -> bool:
+        """Closure membership of one point; see ``contains_points``."""
+        return bool(self.contains_points(x, tol))
 
     def contains_box(self, other: "Box", tol: float | None = None) -> bool:
         if tol is None:
@@ -378,18 +383,23 @@ def gradient(u: GridFunction) -> CellField:
     return CellField(g, np.einsum("cbn,bk->cnk", corner_vals, g.grad_coefs))
 
 
+def _interval_overlaps(grid: Grid, k: int, lo, hi) -> np.ndarray:
+    """Overlap lengths of the cells along axis ``k`` with the intervals
+    [lo, hi]; shape (*shape(lo), cells[k])."""
+    h = grid.cell_size[k]
+    left = grid.origin[k] + h * np.arange(grid.cells[k])
+    o = np.minimum(left + h, np.asarray(hi)[..., None]) - np.maximum(left, np.asarray(lo)[..., None])
+    return np.clip(o, 0.0, h)
+
+
 def _axis_overlaps(grid: Grid, region: Box) -> tuple[list[np.ndarray], list[slice]]:
     """Per-axis overlap lengths of grid cells with ``region`` plus the
     slices of cells with nonzero overlap."""
     if region.dim != grid.dim:
         raise ValueError("region dimension does not match grid")
-    h = grid.cell_size
     overlaps, slices = [], []
     for k in range(grid.dim):
-        left = grid.origin[k] + h[k] * np.arange(grid.cells[k])
-        right = left + h[k]
-        o = np.minimum(right, region.hi[k]) - np.maximum(left, region.lo[k])
-        np.clip(o, 0.0, h[k], out=o)
+        o = _interval_overlaps(grid, k, region.lo[k], region.hi[k])
         nz = np.nonzero(o)[0]
         if nz.size == 0:
             return [], []

@@ -256,12 +256,7 @@ def uhlenbeck_check(w: SolverResult, Qj: Box, p_j: float) -> tuple[float, float,
     """
     sub = w.u.grid
     dw = gradient(w.u).magnitude()
-    inner = Qj.scaled(1.5)
-    centers = sub.cell_centers
-    tol = 1e-12 * max(inner.side, 1.0)
-    mask = np.all(centers >= np.asarray(inner.lo) - tol, axis=1) & np.all(
-        centers <= np.asarray(inner.hi) + tol, axis=1
-    )
+    mask = Qj.scaled(1.5).contains_points(sub.cell_centers)
     if not mask.any():
         raise ValueError("no cells inside (3/2)Qj")
     sup_inner = float(dw[mask].max())

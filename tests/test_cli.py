@@ -231,8 +231,12 @@ def test_denoise_smooths_constant_image(tmp_path):
     assert "residual" in metrics
 
 
-def test_threads_flag_accepted(tmp_path):
+def test_threads_flag_rejected(tmp_path):
+    # --threads set the BLAS thread variables only after NumPy had loaded
+    # them, so it did nothing and was removed; it is now a usage error.
     f = cfg_file(tmp_path, BASE)
-    rc = main(["solve", "--config", str(f), "--out", str(tmp_path / "t"),
-               "--threads", "1"])
-    assert rc == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(f), "--out", str(tmp_path / "t"),
+              "--threads", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "t").exists()

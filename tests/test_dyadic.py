@@ -8,7 +8,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varexp import dyadic
 from varexp.dyadic import (
     DyadicCube,
     cz_cover,
@@ -16,6 +19,7 @@ from varexp.dyadic import (
     default_max_level,
     dyadic_lattice,
     good_lambda_measure,
+    lattice_means,
     level_sets,
     maximal_function,
     predecessor,
@@ -91,6 +95,47 @@ def test_maximal_function_equals_brute_force():
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_lattice_means_match_mean_over():
+    # roots off the cell lattice, so every cube edge cuts cells; at scale 2
+    # some doubled cubes leave the domain and are averaged over the overlap
+    rng = np.random.default_rng(5)
+    for dim, cells, levels in ((1, (19,), 4), (2, (12, 10), 3), (3, (7, 6, 5), 2)):
+        g = Grid(dim, (-1.0,) * dim, (2.0,) * dim, cells)
+        root = Box((-0.93,) + (-0.71,) * (dim - 1), (0.61,) + (0.83,) * (dim - 1))
+        f = CellField(g, rng.uniform(0.0, 3.0, g.num_cells))
+        for scale in (1.0, 1.5, 2.0):
+            for lev in range(levels + 1):
+                got = lattice_means(f.values, g, root, lev, scale)
+                assert got.shape == (2**lev,) * dim
+                want = [mean_over(f, DyadicCube(root, lev, idx).box.scaled(scale))
+                        for idx in np.ndindex(got.shape)]
+                np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="outside domain"):
+        lattice_means(f.values, g, Box((5.0,) * 3, (6.0,) * 3), 0, 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_maximal_function_matches_brute_force_on_random_grids(dim, data):
+    top = {1: 12, 2: 7, 3: 4}[dim]
+    cells = tuple(data.draw(st.integers(2, top)) for _ in range(dim))
+    origin = tuple(data.draw(st.floats(-3.0, 3.0)) for _ in range(dim))
+    extent = tuple(data.draw(st.floats(0.5, 4.0)) for _ in range(dim))
+    g = Grid(dim, origin, extent, cells)
+    # a cube root whose double fits the domain: side <= half the shortest edge
+    side = data.draw(st.floats(0.05, 1.0)) * min(extent) / 2.0
+    lo = tuple(o + side / 2.0 + data.draw(st.floats(0.0, 1.0)) * (e - 2.0 * side)
+               for o, e in zip(origin, extent))
+    root = Box(lo, tuple(a + side for a in lo))
+    s = data.draw(st.sampled_from((1.0, 1.5, 2.0)))
+    max_level = data.draw(st.integers(0, 3 if dim < 3 else 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = CellField(g, rng.uniform(-2.0, 5.0, g.num_cells))
+    got = maximal_function(f, root, s, max_level).values
+    want = brute_maximal(f, root, s, max_level)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_maximal_function_zero_off_root():
     g = Grid(1, (-2.0,), (4.0,), (16,))
     root = g.domain.scaled(0.25)
@@ -136,6 +181,23 @@ def test_cz_cover_sandwich_disjoint_and_covers():
         for i in hot:
             x = g.cell_centers[i]
             assert any(q.box.scaled(1.0 + 1e-12).contains_point(x) for q in cover.cubes)
+
+
+def test_cz_cover_sandwich_violation_raises(monkeypatch):
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
+    f = CellField(g, np.ones(g.num_cells))
+    root = g.domain.scaled(0.5)
+    real = dyadic.lattice_means
+
+    def broken(values, grid, root, level, scale):
+        out = real(values, grid, root, level, scale)
+        if level == 1:
+            out[0, 0] = 5.0  # above 2^n lam = 4 for lam = lam0 = 1
+        return out
+
+    monkeypatch.setattr(dyadic, "lattice_means", broken)
+    with pytest.raises(RuntimeError, match="2\\^n lam"):
+        cz_cover(f, root, 1.0)
 
 
 def test_cz_cover_below_threshold_raises():

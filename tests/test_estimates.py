@@ -5,7 +5,7 @@ norm-form proxy."""
 import numpy as np
 import pytest
 
-from varexp.dyadic import default_kappa
+from varexp.dyadic import default_kappa, default_max_level, dyadic_lattice
 from varexp.estimates import (
     caccioppoli_check,
     data_density,
@@ -17,7 +17,7 @@ from varexp.estimates import (
 )
 from varexp.estimates import reverse_holder_check
 from varexp.exponent import ExponentField
-from varexp.grid import Box, CellField, Grid, GridFunction, region_weights
+from varexp.grid import Box, CellField, Grid, GridFunction, gradient, mean_over, region_weights
 from varexp.operator import FluxParams, structure_fit
 from varexp.solver import SolveOptions, manufactured_instance, solve_comparison, solve_pxlaplace
 from varexp.varlp import decay_weight
@@ -127,6 +127,56 @@ def test_gehring_table_monotone_without_data(affine32):
     assert all(b >= a - 1e-9 for a, b in zip(consts, consts[1:]))
 
 
+def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None, levels=None):
+    """Reference scan: one mean_over per cube, mu and term; the worst cube
+    is the first whose constant strictly exceeds every earlier one."""
+    g = u.grid
+    m = 2.0 * g.dim if m is None else m
+    pc, mag, gmag = p.cell_values, gradient(u).magnitude(), G.magnitude()
+    h = decay_weight(g, m).values
+    if levels is None:
+        levels = tuple(range(1, max(2, default_max_level(root, g)) + 1))
+    cubes = [q.box for q in dyadic_lattice(root, max(levels))
+             if q.level in levels and root.contains_box(q.box.scaled(2.0))]
+    energy = CellField(g, mag**pc)
+    table, worst_cubes = [], []
+    for mu in np.linspace(1.0, mu_max, steps):
+        lhs_f = CellField(g, mag ** (pc * mu))
+        data_f = CellField(g, gmag ** (pc * mu) + h**mu)
+        worst, row, cube = -1.0, None, None
+        for qb in cubes:
+            lhs = mean_over(lhs_f, qb) ** (1.0 / mu)
+            rhs = mean_over(energy, qb.scaled(2.0)) + mean_over(data_f, qb.scaled(2.0)) ** (1.0 / mu)
+            if lhs / rhs > worst:
+                worst, row, cube = lhs / rhs, (float(mu), lhs, rhs, lhs / rhs), qb
+        table.append(row)
+        worst_cubes.append(cube)
+    return table, worst_cubes, len(cubes)
+
+
+def test_gehring_scan_matches_per_cube_oracle(matched32):
+    rng = np.random.default_rng(41)
+    g3 = Grid(3, (-1.0,) * 3, (2.0,) * 3, (8, 8, 8))
+    p3 = ExponentField.from_function(g3, lambda x: 1.8 + 0.3 * x[0] * x[1])
+    u3 = GridFunction(g3, rng.normal(size=g3.num_nodes))
+    G3 = CellField(g3, rng.normal(size=(g3.num_cells, 1, 3)))
+    # roots off the symmetry axes of the instances: symmetric cubes tie
+    # in exact arithmetic, and rounding would pick the worst one
+    cases = [
+        (matched32["result"].u, matched32["G"], matched32["p"],
+         Box((-0.83, -0.61), (1.17, 1.39)), {}),
+        (u3, G3, p3, Box((-0.45,) * 3, (0.55,) * 3), {"levels": (3, 2), "steps": 4}),
+    ]
+    for u, G, p, root, kw in cases:
+        res = gehring_scan(u, G, p, root, cap=1.5, **kw)
+        table, worst_cubes, count = brute_gehring(u, G, p, root, **kw)
+        np.testing.assert_allclose(res.ratio_table, table, rtol=1e-12, atol=0)
+        assert [r.cube for r in res.records] == worst_cubes
+        assert res.cubes_tested == count
+        m0 = max([1.0] + [mu for mu, _, _, c in table if c <= 1.5])
+        assert res.m0 == m0
+
+
 def test_integrability_triplet_affine(affine32):
     # constant |Du| = |Dw| = sqrt(13) collapses every power mean:
     # the p_j-means give 13^{3/2} and the p(.)-mean gives 13 (p = 2).
@@ -159,6 +209,22 @@ def test_higher_integrability_level_set_route(matched32):
         higher_integrability_check(
             matched32["result"].u, matched32["G"], matched32["p"], 0.5,
             matched32["grid"].domain.scaled(0.5), kappa, 0.1, 1.5)
+
+
+def test_higher_integrability_flags_unused_tail():
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (64, 64))
+    p = ExponentField.constant(g, 1.7)
+    _, G, bnd = manufactured_instance("bump", g, p)
+    res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
+    assert res.converged
+    root = g.domain.scaled(0.5)
+    auto = default_kappa(structure_fit(p, FluxParams(), seed=0).c4, 2)
+    rec = higher_integrability_check(res.u, G, p, 2.0, root, auto, 0.4, 1.5)
+    assert "level-set-tail-unused" in rec.flags  # kappa*lambda0 above the peak of M*F
+    rec = higher_integrability_check(res.u, G, p, 2.0, root, 10.0, 0.4, 1.5)
+    assert flag_value(rec, "tail") > 0.0
+    assert "level-set-tail-unused" not in rec.flags
+    assert "level-set-route-mismatch" not in rec.flags
 
 
 def test_global_proxy_bounded_constants():

@@ -47,6 +47,18 @@ def test_box_contains_and_intersect():
     assert b.intersect(Box((5.0, 5.0), (6.0, 6.0))) is None
 
 
+def test_box_contains_points_matches_contains_point():
+    b = Box((0.0, -1.0), (4.0, 1.0))
+    tol = 1e-12 * 4.0  # relative to the longest edge
+    pts = np.array([[0.0, 0.0], [4.0 + 0.5 * tol, 1.0], [4.0 + 2 * tol, 0.0],
+                    [2.0, -1.0 - 0.5 * tol], [2.0, 1.5], [-1e-9, 0.0]])
+    mask = b.contains_points(pts)
+    assert mask.tolist() == [True, True, False, True, False, False]
+    assert mask.tolist() == [b.contains_point(x) for x in pts]
+    assert b.contains_points(pts, tol=1e-8).tolist() == [True, True, True, True, False, True]
+    assert b.contains_points(np.zeros((0, 2))).shape == (0,)
+
+
 def test_box_degenerate_raises():
     with pytest.raises(ValueError):
         Box((0.0,), (0.0,))
