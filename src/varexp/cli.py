@@ -15,26 +15,10 @@ Exit codes: 0 success, 1 configuration or input error, 2 solver
 non-convergence.
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
-Unknown sections or keys are errors.  All keys, with defaults:
+Unknown sections or keys are errors.  All keys, with defaults, kinds and
+per-key rules (rendered from the ExperimentConfig fields at import):
 
-    [run]       seed = 0; out = varexp-out
-    [grid]      dim = 2; origin = -1 -1; extent = 2 2; cells = 32 32
-    [exponent]  kind = constant | table | file; value = 2.0 (constant);
-                path = <vxf file> (table: nodal scalar on its own grid,
-                interpolated; file: nodal scalar on the exact grid);
-                p_infinity = <float> (optional)
-    [data]      instance = matched | linear | bump | files;
-                g = <vxf cell field> and boundary = <vxf nodal field>
-                (files only)
-    [solver]    tolerance = 1e-8; max_iterations = 200;
-                variant = squared | power | shifted; gamma = 1.0
-    [estimates] q = 2.0; kappa = auto | <float>; epsilons = 0.4 0.2 0.1 0.05;
-                lambda_factors = 1 2 4; lambda_count = 64; m = auto | <float>;
-                m0 = 1.5; mu_max = 2.0; steps = 8; cap = 1e3; root_scale = 0.5
-    [sweep]     refinements = 1; sizes = 0.5 1 (absolute root side lengths,
-                doubled roots must fit in the domain); amplitudes = 1 0.5
-    [denoise]   image = <pgm>; strength = 3.0; p_min = 1.4; p_max = 2.0;
-                iterations = 100
+    {config keys}
 
 Field files ("VXF1") are text: a header line
 
@@ -62,14 +46,14 @@ import configparser
 import csv
 import hashlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dyadic import default_kappa, good_lambda_measure
+from .dyadic import covering_threshold, default_kappa, good_lambda_measure
 from .estimates import (EstimateRecord, caccioppoli_check, data_density,
                         energy_density, gehring_scan,
                         higher_integrability_check, reverse_holder_check)
@@ -95,8 +79,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 
-_COMMANDS = ("solve", "verify", "gehring", "goodlambda", "sweep", "denoise")
-
 
 class ConfigError(Exception):
     """Invalid configuration or unreadable input, named by field."""
@@ -111,19 +93,36 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: each key is one ExperimentConfig field declared by ``_key``.
+# Parsing, the allowed sections and keys, path resolution and the key listing
+# in the module docstring all walk ``_config_keys()``.
 
-_SCHEMA = {
-    "run": {"seed", "out"},
-    "grid": {"dim", "origin", "extent", "cells"},
-    "exponent": {"kind", "value", "path", "p_infinity"},
-    "data": {"instance", "g", "boundary"},
-    "solver": {"tolerance", "max_iterations", "variant", "gamma"},
-    "estimates": {"q", "kappa", "epsilons", "lambda_factors", "lambda_count",
-                  "m", "m0", "mu_max", "steps", "cap", "root_scale"},
-    "sweep": {"refinements", "sizes", "amplitudes"},
-    "denoise": {"image", "strength", "p_min", "p_max", "iterations"},
+# kind -> (what a value of that kind is, parser of the value text); every
+# number read must also be finite and every list non-empty
+_KINDS = {
+    "int": ("an integer", int),
+    "float": ("a finite number", float),
+    "str": ("a word", str),
+    "path": ("a file path, relative to the config file", str),
+    "floats": ("a non-empty list of finite numbers", lambda v: tuple(map(float, v.split()))),
+    "ints": ("a non-empty list of integers", lambda v: tuple(map(int, v.split()))),
+    "auto": ("'auto' or a finite number", lambda v: None if v == "auto" else float(v)),
 }
+
+
+def _key(section: str, kind: str, default, doc: str, rule=None, key: str | None = None):
+    """A config key.  ``rule`` is a (test, message) pair that each value read
+    from a file (each entry of a list) must pass; ``key`` overrides the name."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "kind": kind, "doc": doc, "rule": rule})
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, "one of " + " | ".join(map(str, choices)))
+
+
+def _at_least(bound: float):
+    return (lambda v: v >= bound, f"must be >= {bound:g}")
 
 
 @dataclass
@@ -131,136 +130,84 @@ class ExperimentConfig:
     command: str
     config_path: Path
     config_hash: str
-    seed: int = 0
-    out: Path = Path("varexp-out")
-    # grid
-    dim: int = 2
-    origin: tuple[float, ...] = (-1.0, -1.0)
-    extent: tuple[float, ...] = (2.0, 2.0)
-    cells: tuple[int, ...] = (32, 32)
-    # exponent
-    exponent_kind: str = "constant"
-    exponent_value: float = 2.0
-    exponent_path: str | None = None
-    p_infinity: float | None = None
-    # data
-    instance: str = "matched"
-    g_path: str | None = None
-    boundary_path: str | None = None
-    # solver
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-    variant: str = "squared"
-    gamma: float = 1.0
-    # estimates
-    q: float = 2.0
-    kappa: float | None = None  # None = auto (2^{n+1} c4 from the structure fit)
-    epsilons: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
-    lambda_factors: tuple[float, ...] = (1.0, 2.0, 4.0)
-    lambda_count: int = 64
-    m: float | None = None  # None = auto (2n)
-    m0: float = 1.5
-    mu_max: float = 2.0
-    steps: int = 8
-    cap: float = 1e3
-    root_scale: float = 0.5
-    # sweep
-    refinements: int = 1
-    sizes: tuple[float, ...] = (0.5, 1.0)
-    amplitudes: tuple[float, ...] = (1.0, 0.5)
-    # denoise
-    image: str | None = None
-    strength: float = 3.0
-    p_min: float = 1.4
-    p_max: float = 2.0
-    iterations: int = 100
-
-    def flux_params(self) -> FluxParams:
-        return FluxParams(self.gamma, self.variant)
+    seed: int = _key("run", "int", 0, "structure-fit and sampling seed; --seed overrides")
+    out: Path = _key("run", "str", Path("varexp-out"), "output directory; --out overrides")
+    dim: int = _key("grid", "int", 2, "space dimension", _one_of(1, 2, 3))
+    # the grid defaults are 2-D; other dims repeat the first entry per axis
+    origin: tuple[float, ...] = _key("grid", "floats", (-1.0, -1.0), "lower domain corner")
+    extent: tuple[float, ...] = _key("grid", "floats", (2.0, 2.0), "domain side lengths",
+                                     (lambda v: v > 0, "must be positive"))
+    cells: tuple[int, ...] = _key("grid", "ints", (32, 32), "cells per axis (8 in 3-D)",
+                                  _at_least(2))
+    exponent_kind: str = _key("exponent", "str", "constant", "p = value, a VXF table or a VXF file",
+                              _one_of("constant", "table", "file"), key="kind")
+    exponent_value: float = _key("exponent", "float", 2.0, "p for kind = constant", key="value")
+    exponent_path: str | None = _key("exponent", "path", None,
+                                     "VXF nodal p: any grid for table, [grid] for file", key="path")
+    p_infinity: float | None = _key("exponent", "float", None,
+                                    "far-field exponent; unset: p at the node of largest |x|")
+    instance: str = _key("data", "str", "matched", "closed-form instance, or VXF files",
+                         _one_of("matched", "linear", "bump", "files"))
+    g_path: str | None = _key("data", "path", None, "VXF cell field G (files)", key="g")
+    boundary_path: str | None = _key("data", "path", None, "VXF nodal boundary values (files)",
+                                     key="boundary")
+    tolerance: float = _key("solver", "float", 1e-8, "residual at which Newton stops")
+    max_iterations: int = _key("solver", "int", 200, "Newton step cap (not for denoise)")
+    variant: str = _key("solver", "str", "squared", "flux variant",
+                        _one_of("squared", "power", "shifted"))
+    gamma: float = _key("solver", "float", 1.0, "flux regularization of the structure fit behind "
+                        "auto kappa only; the solver's gamma-continuation does not read it",
+                        _at_least(0))
+    q: float = _key("estimates", "float", 2.0, "higher-integrability exponent", _at_least(1))
+    kappa: float | None = _key("estimates", "auto", None, "good-lambda factor; auto: 2^(n+1) c4")
+    epsilons: tuple[float, ...] = _key("estimates", "floats", (0.4, 0.2, 0.1, 0.05),
+                                       "good-lambda epsilons; verify and sweep use the first")
+    lambda_factors: tuple[float, ...] = _key("estimates", "floats", (1.0, 2.0, 4.0),
+                                             "good-lambda lambdas over lambda0; sweep: the first",
+                                             _at_least(1))
+    lambda_count: int = _key("estimates", "int", 64, "level-set sweep points", _at_least(1))
+    m: float | None = _key("estimates", "auto", None, "decay power of (e+|x|)^-m; auto = 2n")
+    m0: float = _key("estimates", "float", 1.5, "power of the data maximal function")
+    mu_max: float = _key("estimates", "float", 2.0, "largest Gehring exponent scanned")
+    steps: int = _key("estimates", "int", 8, "Gehring exponents scanned")
+    cap: float = _key("estimates", "float", 1e3, "largest Gehring constant counted toward m0")
+    root_scale: float = _key("estimates", "float", 0.5, "root side over domain side",
+                             (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5] so the "
+                              "doubled root stays inside the domain"))
+    refinements: int = _key("sweep", "int", 1, "grid doublings after the base grid")
+    sizes: tuple[float, ...] = _key("sweep", "floats", (0.5, 1.0),
+                                    "absolute root side lengths; doubled roots must fit the domain")
+    amplitudes: tuple[float, ...] = _key("sweep", "floats", (1.0, 0.5), "t in mean p + t (p - mean p)")
+    image: str | None = _key("denoise", "path", None, "input PGM; required by denoise")
+    strength: float = _key("denoise", "float", 3.0, "smoothing strength; 0 keeps the input")
+    p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges")
+    p_max: float = _key("denoise", "float", 2.0, "exponent on flat regions")
+    iterations: int = _key("denoise", "int", 100, "Newton step cap of denoise")
 
     def solve_options(self) -> SolveOptions:
-        return SolveOptions(tolerance=self.tolerance,
-                            max_iterations=self.max_iterations,
-                            variant=self.variant)
+        cap = self.iterations if self.command == "denoise" else self.max_iterations
+        return SolveOptions(tolerance=self.tolerance, max_iterations=cap, variant=self.variant)
 
 
-class _Parsed:
-    """Typed access to one config file with field-named errors."""
+def _config_keys() -> dict[tuple[str, str], Field]:
+    """(section, key) -> field, in declaration order."""
+    return {(f.metadata["section"], f.metadata["key"] or f.name): f
+            for f in fields(ExperimentConfig) if f.metadata}
 
-    def __init__(self, path: Path):
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
-                                       comment_prefixes=("#",),
-                                       inline_comment_prefixes=("#",))
-        cp.optionxform = str  # keys are case-sensitive
-        try:
-            with open(path, encoding="utf-8") as fh:
-                cp.read_file(fh)
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        for sec in cp.sections():
-            if sec not in _SCHEMA:
-                raise ConfigError(f"unknown section [{sec}]")
-            for key in cp[sec]:
-                if key not in _SCHEMA[sec]:
-                    raise ConfigError(f"unknown key [{sec}] {key}")
-        self.cp = cp
 
-    def _raw(self, sec: str, key: str) -> str | None:
-        if self.cp.has_option(sec, key):
-            return self.cp.get(sec, key).strip()
-        return None
+def _key_listing() -> str:
+    lines = []
+    for (section, key), f in _config_keys().items():
+        meta, d = f.metadata, f.default
+        shown = " ".join(map(str, d)) if isinstance(d, tuple) else "-" if d is None else str(d)
+        rule = f"; {meta['rule'][1]}" if meta["rule"] else ""
+        lines.append(f"    [{section}] {key} = {'auto' if meta['kind'] == 'auto' else shown}  "
+                     f"({meta['kind']}{rule})\n        {meta['doc']}")
+    return "\n".join(lines + [""] + [f"    {k:<7} {what}" for k, (what, _) in _KINDS.items()])
 
-    def str_(self, sec: str, key: str, default: str | None) -> str | None:
-        v = self._raw(sec, key)
-        return default if v is None else v
 
-    def float_(self, sec: str, key: str, default: float | None) -> float | None:
-        v = self._raw(sec, key)
-        if v is None:
-            return default
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"[{sec}] {key}: not a number: {v!r}") from exc
-
-    def int_(self, sec: str, key: str, default: int) -> int:
-        v = self._raw(sec, key)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError as exc:
-            raise ConfigError(f"[{sec}] {key}: not an integer: {v!r}") from exc
-
-    def floats(self, sec: str, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        v = self._raw(sec, key)
-        if v is None:
-            return default
-        try:
-            return tuple(float(t) for t in v.split())
-        except ValueError as exc:
-            raise ConfigError(f"[{sec}] {key}: not a number list: {v!r}") from exc
-
-    def ints(self, sec: str, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        v = self._raw(sec, key)
-        if v is None:
-            return default
-        try:
-            return tuple(int(t) for t in v.split())
-        except ValueError as exc:
-            raise ConfigError(f"[{sec}] {key}: not an integer list: {v!r}") from exc
-
-    def auto_float(self, sec: str, key: str) -> float | None:
-        """A float or the literal 'auto' (returned as None)."""
-        v = self._raw(sec, key)
-        if v is None or v == "auto":
-            return None
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"[{sec}] {key}: expected a number or 'auto': {v!r}") from exc
+if __doc__:
+    __doc__ = __doc__.replace("    {config keys}", _key_listing())
 
 
 def load_config(command: str, path: str | Path, out: str | None = None,
@@ -269,83 +216,57 @@ def load_config(command: str, path: str | Path, out: str | None = None,
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {_COMMANDS}")
     path = Path(path)
-    pc = _Parsed(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    cfg = ExperimentConfig(command=command, config_path=path, config_hash=digest)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    # default_section="": [DEFAULT] is an ordinary (and so unknown) section
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="",
+                                   comment_prefixes=("#",), inline_comment_prefixes=("#",))
+    cp.optionxform = str  # keys are case-sensitive
+    try:
+        cp.read_string(path.read_text(encoding="utf-8"), str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    cfg.seed = pc.int_("run", "seed", cfg.seed) if seed is None else int(seed)
-    cfg.out = Path(pc.str_("run", "out", str(cfg.out)) if out is None else out)
+    table = _config_keys()
+    values = {}
+    for sec in cp.sections():
+        if sec not in {s for s, _ in table}:
+            raise ConfigError(f"unknown section [{sec}]")
+        for key, raw in cp[sec].items():
+            if (sec, key) not in table:
+                raise ConfigError(f"unknown key [{sec}] {key}")
+            f = table[sec, key]
+            kind, rule = f.metadata["kind"], f.metadata["rule"]
+            what, parse = _KINDS[kind]
+            try:
+                value = parse(raw)
+                items = value if isinstance(value, tuple) else [value]
+                if not items or not all(np.isfinite(x) for x in items if isinstance(x, float)):
+                    raise ValueError(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{sec}] {key}: expected {what}, got {raw!r}") from exc
+            if rule and not all(map(rule[0], items)):
+                raise ConfigError(f"[{sec}] {key}: {rule[1]}, got {raw!r}")
+            if kind == "path" and not Path(value).is_absolute():
+                value = str(path.parent / value)  # not relative to the process cwd
+            values[f.name] = value
+    cfg = ExperimentConfig(command, path, hashlib.sha256(path.read_bytes()).hexdigest(),
+                           **values)
 
-    cfg.dim = pc.int_("grid", "dim", cfg.dim)
-    if cfg.dim not in (1, 2, 3):
-        raise ConfigError(f"[grid] dim: must be 1, 2 or 3, got {cfg.dim}")
-    dflt = {1: ((-1.0,), (2.0,), (32,)), 2: (cfg.origin, cfg.extent, cfg.cells),
-            3: ((-1.0,) * 3, (2.0,) * 3, (8,) * 3)}[cfg.dim]
-    cfg.origin = pc.floats("grid", "origin", dflt[0])
-    cfg.extent = pc.floats("grid", "extent", dflt[1])
-    cfg.cells = pc.ints("grid", "cells", dflt[2])
-    for key, val in (("origin", cfg.origin), ("extent", cfg.extent), ("cells", cfg.cells)):
-        if len(val) != cfg.dim:
-            raise ConfigError(f"[grid] {key}: expected {cfg.dim} entries, got {len(val)}")
-    if any(e <= 0 for e in cfg.extent):
-        raise ConfigError("[grid] extent: entries must be positive")
-    if any(c < 2 for c in cfg.cells):
-        raise ConfigError("[grid] cells: at least 2 cells per axis")
-
-    cfg.exponent_kind = pc.str_("exponent", "kind", cfg.exponent_kind)
-    if cfg.exponent_kind not in ("constant", "table", "file"):
-        raise ConfigError(f"[exponent] kind: unknown kind {cfg.exponent_kind!r}")
-    cfg.exponent_value = pc.float_("exponent", "value", cfg.exponent_value)
-    cfg.exponent_path = pc.str_("exponent", "path", None)
-    cfg.p_infinity = pc.float_("exponent", "p_infinity", None)
+    # rules that involve more than one key, or a CLI flag
+    if seed is not None:
+        cfg.seed = int(seed)
+    cfg.out = Path(cfg.out if out is None else out)
+    for name in ("origin", "extent", "cells"):
+        given = getattr(cfg, name)
+        if name not in values:
+            setattr(cfg, name, (8 if name == "cells" and cfg.dim == 3 else given[0],) * cfg.dim)
+        elif len(given) != cfg.dim:
+            raise ConfigError(f"[grid] {name}: expected {cfg.dim} entries, got {len(given)}")
     if cfg.exponent_kind != "constant" and cfg.exponent_path is None:
         raise ConfigError(f"[exponent] path: required for kind = {cfg.exponent_kind}")
-
-    cfg.instance = pc.str_("data", "instance", cfg.instance)
-    if cfg.instance not in ("matched", "linear", "bump", "files"):
-        raise ConfigError(f"[data] instance: unknown instance {cfg.instance!r}")
-    cfg.g_path = pc.str_("data", "g", None)
-    cfg.boundary_path = pc.str_("data", "boundary", None)
     if cfg.instance == "files" and (cfg.g_path is None or cfg.boundary_path is None):
         raise ConfigError("[data] g and boundary: required for instance = files")
-
-    cfg.tolerance = pc.float_("solver", "tolerance", cfg.tolerance)
-    cfg.max_iterations = pc.int_("solver", "max_iterations", cfg.max_iterations)
-    cfg.variant = pc.str_("solver", "variant", cfg.variant)
-    if cfg.variant not in ("power", "shifted", "squared"):
-        raise ConfigError(f"[solver] variant: unknown variant {cfg.variant!r}")
-    cfg.gamma = pc.float_("solver", "gamma", cfg.gamma)
-    if cfg.gamma < 0:
-        raise ConfigError("[solver] gamma: must be nonnegative")
-
-    cfg.q = pc.float_("estimates", "q", cfg.q)
-    if cfg.q < 1:
-        raise ConfigError("[estimates] q: must be >= 1")
-    cfg.kappa = pc.auto_float("estimates", "kappa")
-    cfg.epsilons = pc.floats("estimates", "epsilons", cfg.epsilons)
-    cfg.lambda_factors = pc.floats("estimates", "lambda_factors", cfg.lambda_factors)
-    if any(f < 1 for f in cfg.lambda_factors):
-        raise ConfigError("[estimates] lambda_factors: factors must be >= 1")
-    cfg.lambda_count = pc.int_("estimates", "lambda_count", cfg.lambda_count)
-    cfg.m = pc.auto_float("estimates", "m")
-    cfg.m0 = pc.float_("estimates", "m0", cfg.m0)
-    cfg.mu_max = pc.float_("estimates", "mu_max", cfg.mu_max)
-    cfg.steps = pc.int_("estimates", "steps", cfg.steps)
-    cfg.cap = pc.float_("estimates", "cap", cfg.cap)
-    cfg.root_scale = pc.float_("estimates", "root_scale", cfg.root_scale)
-    if not 0 < cfg.root_scale <= 0.5:
-        raise ConfigError("[estimates] root_scale: must lie in (0, 0.5] so the "
-                          "doubled root stays inside the domain")
-
-    cfg.refinements = pc.int_("sweep", "refinements", cfg.refinements)
-    cfg.sizes = pc.floats("sweep", "sizes", cfg.sizes)
-    cfg.amplitudes = pc.floats("sweep", "amplitudes", cfg.amplitudes)
-
-    cfg.image = pc.str_("denoise", "image", None)
-    cfg.strength = pc.float_("denoise", "strength", cfg.strength)
-    cfg.p_min = pc.float_("denoise", "p_min", cfg.p_min)
-    cfg.p_max = pc.float_("denoise", "p_max", cfg.p_max)
-    cfg.iterations = pc.int_("denoise", "iterations", cfg.iterations)
     if cfg.command == "denoise":
         if cfg.image is None:
             raise ConfigError("[denoise] image: required for the denoise command")
@@ -355,13 +276,6 @@ def load_config(command: str, path: str | Path, out: str | None = None,
             raise ConfigError("[denoise] p_max: must be >= p_min")
         if cfg.strength < 0:
             raise ConfigError("[denoise] strength: must be nonnegative")
-
-    # file references are relative to the config file, not the process cwd
-    base = path.parent
-    for attr in ("exponent_path", "g_path", "boundary_path", "image"):
-        val = getattr(cfg, attr)
-        if val is not None and not Path(val).is_absolute():
-            setattr(cfg, attr, str(base / val))
     return cfg
 
 
@@ -566,10 +480,6 @@ def _provenance(cfg: ExperimentConfig) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # instance construction
 
-def _build_grid(cfg: ExperimentConfig) -> Grid:
-    return Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
-
-
 def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
     if cfg.exponent_kind == "constant":
         pf = GridFunction(grid, np.full(grid.num_nodes, float(cfg.exponent_value)))
@@ -611,18 +521,23 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
     return manufactured_instance(cfg.instance, grid, p)
 
 
-def _solve(cfg: ExperimentConfig, grid: Grid, p: ExponentField,
-           G: CellField, boundary: GridFunction) -> SolverResult:
+def _solve(cfg: ExperimentConfig, grid: Grid | None = None, p: ExponentField | None = None):
+    """Solve the configured instance, on the configured grid and exponent
+    unless given; returns (grid, p, u_star or None, G, result)."""
+    if grid is None:
+        grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
+        p = _build_exponent(cfg, grid)
+    u_star, G, boundary = _build_instance(cfg, grid, p)
     result = solve_pxlaplace(G, p, boundary, grid, cfg.solve_options())
     if not result.converged:
         raise NonConvergence(result.message or "solver did not converge")
-    return result
+    return grid, p, u_star, G, result
 
 
 def _resolve_kappa(cfg: ExperimentConfig, p: ExponentField) -> float:
     if cfg.kappa is not None:
         return cfg.kappa
-    fit = structure_fit(p, cfg.flux_params(), seed=cfg.seed)
+    fit = structure_fit(p, FluxParams(cfg.gamma, cfg.variant), seed=cfg.seed)
     return default_kappa(fit.c4, p.grid.dim)
 
 
@@ -634,10 +549,7 @@ def _root(cfg: ExperimentConfig, grid: Grid) -> Box:
 # commands
 
 def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
-    grid = _build_grid(cfg)
-    p = _build_exponent(cfg, grid)
-    u_star, G, boundary = _build_instance(cfg, grid, p)
-    res = _solve(cfg, grid, p, G, boundary)
+    grid, p, u_star, G, res = _solve(cfg)
     write_field(cfg.out / "solution.vxf", res.u)
     write_field(cfg.out / "exponent.vxf", p.field)
     ed = energy_density(res.u, p)
@@ -652,10 +564,7 @@ def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
-    grid = _build_grid(cfg)
-    p = _build_exponent(cfg, grid)
-    _, G, boundary = _build_instance(cfg, grid, p)
-    res = _solve(cfg, grid, p, G, boundary)
+    grid, p, _, G, res = _solve(cfg)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
 
@@ -676,10 +585,7 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
-    grid = _build_grid(cfg)
-    p = _build_exponent(cfg, grid)
-    _, G, boundary = _build_instance(cfg, grid, p)
-    res = _solve(cfg, grid, p, G, boundary)
+    grid, p, _, G, res = _solve(cfg)
     root = _root(cfg, grid)
     gr = gehring_scan(res.u, G, p, root, mu_max=cfg.mu_max, steps=cfg.steps,
                       cap=cfg.cap, m=cfg.m)
@@ -692,17 +598,13 @@ def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
-    grid = _build_grid(cfg)
-    p = _build_exponent(cfg, grid)
-    _, G, boundary = _build_instance(cfg, grid, p)
-    res = _solve(cfg, grid, p, G, boundary)
+    grid, p, _, G, res = _solve(cfg)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
     F = energy_density(res.u, p)
-    Gh = data_density(G, p, cfg.m)
-    lam0 = mean_over(F, root.scaled(2.0))
-    lambdas = [f * lam0 for f in cfg.lambda_factors]
-    gl = good_lambda_measure(F, Gh, root, kappa, cfg.epsilons, lambdas, cfg.m0)
+    lam0 = covering_threshold(F, root)
+    gl = good_lambda_measure(F, data_density(G, p, cfg.m), root, kappa, cfg.epsilons,
+                             [f * lam0 for f in cfg.lambda_factors], cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
     rep.lines = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}"
                  for e, l, d in gl.rows]
@@ -710,25 +612,27 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 
 
-def _sweep_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField,
-                    root: Box, kappa: float) -> list[EstimateRecord]:
-    _, G, boundary = _build_instance(cfg, grid, p)
-    res = _solve(cfg, grid, p, G, boundary)
-    return [
-        caccioppoli_check(res.u, G, p, root),
-        higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
-                                   cfg.epsilons[0], cfg.m0,
-                                   sweep_points=cfg.lambda_count, m=cfg.m),
-    ]
-
-
 def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
-    base = _build_grid(cfg)
+    base = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
     p0 = _build_exponent(cfg, base)
     kappa = _resolve_kappa(cfg, p0)
     rows: list[list[str]] = []
+    solved: dict[tuple[Grid, bytes], tuple[CellField, SolverResult]] = {}
 
-    def add(axis: str, setting: str, recs: list[EstimateRecord]) -> None:
+    def solve(grid: Grid, p: ExponentField) -> tuple[CellField, SolverResult]:
+        # refinement 0, every root size and often amplitude 1 are one
+        # instance: solve each distinct grid and p (by its bytes) once
+        key = (grid, p.values.tobytes())
+        if key not in solved:
+            solved[key] = _solve(cfg, grid, p)[3:]
+        return solved[key]
+
+    def add(axis: str, setting: str, grid: Grid, p: ExponentField, root: Box) -> None:
+        G, res = solve(grid, p)
+        recs = [caccioppoli_check(res.u, G, p, root),
+                higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
+                                           cfg.epsilons[0], cfg.m0,
+                                           sweep_points=cfg.lambda_count, m=cfg.m)]
         for r in recs:
             rows.append([axis, setting, r.name, _fmt(r.lhs), _fmt(r.rhs_sum),
                          _fmt(r.empirical_constant)])
@@ -737,30 +641,25 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     for level in range(cfg.refinements + 1):
         cells = tuple(c * 2**level for c in cfg.cells)
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cells)
-        p = _build_exponent(cfg, grid)
-        add("refinement", "x".join(str(c) for c in cells),
-            _sweep_instance(cfg, grid, p, _root(cfg, grid), kappa))
+        add("refinement", "x".join(str(c) for c in cells), grid,
+            _build_exponent(cfg, grid), _root(cfg, grid))
 
     for size in cfg.sizes:
         root = Box(tuple(c - size / 2 for c in base.domain.center),
                    tuple(c + size / 2 for c in base.domain.center))
-        add("size", _fmt(size), _sweep_instance(cfg, base, p0, root, kappa))
+        add("size", _fmt(size), base, p0, root)
 
     mean_p = float(p0.values.mean())
+    root = _root(cfg, base)
     for t in cfg.amplitudes:
-        vals = mean_p + t * (p0.values - mean_p)
-        pt = ExponentField(GridFunction(base, vals), cfg.p_infinity)
-        _, G, boundary = _build_instance(cfg, base, pt)
-        res = _solve(cfg, base, pt, G, boundary)
+        pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)), cfg.p_infinity)
+        G, res = solve(base, pt)
         F = energy_density(res.u, pt)
-        Gh = data_density(G, pt, cfg.m)
-        root = _root(cfg, base)
-        lam0 = mean_over(F, root.scaled(2.0))
-        gl = good_lambda_measure(F, Gh, root, kappa,
-                                 cfg.epsilons, [cfg.lambda_factors[0] * lam0], cfg.m0)
-        for e, lam, d in gl.rows:
-            rows.append(["amplitude", _fmt(t), f"delta(eps={_fmt(e)})",
-                         _fmt(d), "", ""])
+        lam = cfg.lambda_factors[0] * covering_threshold(F, root)
+        gl = good_lambda_measure(F, data_density(G, pt, cfg.m), root, kappa,
+                                 cfg.epsilons, [lam], cfg.m0)
+        for e, _, d in gl.rows:
+            rows.append(["amplitude", _fmt(t), f"delta(eps={_fmt(e)})", _fmt(d), "", ""])
 
     _write_csv(cfg.out / "sweep.csv",
                ["axis", "setting", "name", "lhs", "rhs_sum", "constant"], rows)
@@ -792,9 +691,7 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     else:
         target = u0.values[:, 0].copy()
     G = gradient(GridFunction(grid, target))
-    opts = SolveOptions(tolerance=cfg.tolerance, max_iterations=cfg.iterations,
-                        variant=cfg.variant)
-    res = solve_pxlaplace(G, p, u0, grid, opts)
+    res = solve_pxlaplace(G, p, u0, grid, cfg.solve_options())
     if not res.converged:
         raise NonConvergence(res.message or "denoise solve did not converge")
 
@@ -820,6 +717,7 @@ _RUNNERS = {
     "sweep": _cmd_sweep,
     "denoise": _cmd_denoise,
 }
+_COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig) -> Report:

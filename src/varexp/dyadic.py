@@ -49,6 +49,7 @@ __all__ = [
     "default_kappa",
     "maximal_function",
     "level_sets",
+    "covering_threshold",
     "cz_cover",
     "good_lambda_measure",
 ]
@@ -247,6 +248,11 @@ class CZCover:
         return [q.box for q in self.cubes]
 
 
+def covering_threshold(F: CellField, root: Box) -> float:
+    """lam0 = mean over 2*root of F, the lowest height a covering admits."""
+    return float(lattice_means(F.values, F.grid, root, 0, 2.0).flat[0])
+
+
 def cz_cover(F: CellField, root: Box, lam: float, lambda0: float | None = None,
              max_level: int | None = None) -> CZCover:
     """Maximal lattice cubes Q with mean_{2Q} F > lam, for lam >= lam0.
@@ -321,7 +327,7 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
         max_level = default_max_level(root, g)
     mf = maximal_function(F, root, 1.0, max_level).values
     mg = maximal_function(Gh, root, m0, max_level).values
-    lam0 = float(lattice_means(F.values, g, root, 0, 2.0).flat[0])
+    lam0 = covering_threshold(F, root)
 
     lambdas = [float(l) for l in lambdas]
     if any(l < lam0 * (1.0 - 1e-12) for l in lambdas):

@@ -188,7 +188,8 @@ def log_holder_constant(p: ExponentField, pair_budget: int = 2_000_000, seed: in
 
 def _vmo_oscillation(p: ExponentField, levels: int) -> float:
     """Oscillation quotient over a small dyadic family of the domain:
-    max over cubes of  (mean over 2Q of |p - p_j|) * log(e + max{1/l, l, |c|}).
+    max over cubes of  (mean over Q of |p - p_j|) * log(e + max{1/l, l, |c|}),
+    with p_j from the 2Q selection rule of ``select_comparison_exponent``.
 
     Stays comparable to (p+)^2 c_log for log-Holder exponents regardless of
     cube size or position.

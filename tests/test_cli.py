@@ -240,3 +240,49 @@ def test_threads_flag_rejected(tmp_path):
               "--threads", "1"])
     assert exc.value.code == EXIT_CONFIG
     assert not (tmp_path / "t").exists()
+
+
+def test_goodlambda_first_lambda_is_lambda0(tmp_path):
+    # with lambda_factors starting at 1 the first lambda of the table is
+    # lambda0 itself: the table and the report must read the same constant
+    text = BASE.replace("instance = matched", "instance = bump").replace(
+        "origin = -2 -2", "origin = -2.1 -1.85")
+    f = cfg_file(tmp_path, text + "[estimates]\nlambda_factors = 1 2\n")
+    out = tmp_path / "gl"
+    assert main(["goodlambda", "--config", str(f), "--out", str(out)]) == EXIT_OK
+    first = (out / "goodlambda.csv").read_text().splitlines()[1].split(",")[1]
+    report = dict(ln.split(" = ", 1) for ln in (out / "report.txt").read_text().splitlines()
+                  if " = " in ln and not ln.startswith("delta"))
+    assert float(first) == float(report["lambda0"])
+
+
+def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
+    import varexp.cli as cli
+
+    solved = []
+
+    def counting(G, p, boundary, grid, opts):
+        solved.append((grid, p.values.tobytes()))
+        return solve(G, p, boundary, grid, opts)
+
+    solve = cli.solve_pxlaplace
+    monkeypatch.setattr(cli, "solve_pxlaplace", counting)
+    sweep = "\n[sweep]\nrefinements = 1\nsizes = 1 2\namplitudes = 1 0.5\n"
+    out = tmp_path / "s"
+    f = cfg_file(tmp_path, BASE + sweep)
+    assert main(["sweep", "--config", str(f), "--out", str(out)]) == EXIT_OK
+    # constant p: every size and amplitude reuses the base-grid solve
+    assert len(solved) == 2
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[0] for r in rows} == {"refinement", "size", "amplitude"}
+    assert len(rows) == 2 * 2 + 2 * 2 + 2 * 4
+
+    # varying p: amplitude 0.5 is a new instance, and no solve repeats
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4))
+    table = GridFunction(g, 2.0 + 0.3 * np.sin(g.node_coords[:, 0]))
+    write_field(tmp_path / "p.vxf", table)
+    solved.clear()
+    text = BASE.replace("kind = constant", "kind = table\npath = p.vxf")
+    f = cfg_file(tmp_path, text + sweep, name="table.cfg")
+    assert main(["sweep", "--config", str(f), "--out", str(out)]) == EXIT_OK
+    assert len(solved) == len(set(solved)) >= 3
