@@ -141,7 +141,8 @@ class ExperimentConfig:
                                   _at_least(2))
     exponent_kind: str = _key("exponent", "str", "constant", "p = value, a VXF table or a VXF file",
                               _one_of("constant", "table", "file"), key="kind")
-    exponent_value: float = _key("exponent", "float", 2.0, "p for kind = constant", key="value")
+    exponent_value: float = _key("exponent", "float", 2.0, "p for kind = constant",
+                                 (lambda v: v > 1, "must exceed 1"), key="value")
     exponent_path: str | None = _key("exponent", "path", None,
                                      "VXF nodal p: any grid for table, [grid] for file", key="path")
     p_infinity: float | None = _key("exponent", "float", None,
@@ -312,10 +313,10 @@ def read_field(path: str | Path) -> GridFunction | CellField:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"field file not found: {path}")
-    with open(path, encoding="ascii") as fh:
-        head = fh.readline().split()
-        body = fh.read().split()
     try:
+        with open(path, encoding="ascii") as fh:
+            head = fh.readline().split()
+            body = fh.read().split()
         if head[0] != "VXF1":
             raise ValueError(f"bad magic {head[0]!r}")
         dim, codomain = int(head[1]), int(head[2])
@@ -368,6 +369,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int, str]:
         if magic not in ("P2", "P5"):
             raise ValueError(f"unsupported magic {magic!r}")
         cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        if rows <= 0 or cols <= 0:
+            raise ValueError(f"image size {cols} x {rows} is not positive")
         if not (0 < maxval <= 255):
             raise ValueError(f"maxval {maxval} outside 8-bit range")
         if magic == "P5":
@@ -379,9 +382,9 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int, str]:
             raster = np.asarray([int(t) for t in data[i:].split()], dtype=np.int64)
             if raster.size != rows * cols:
                 raise ValueError(f"expected {rows * cols} pixels, found {raster.size}")
-        if raster.max(initial=0) > maxval:
-            raise ValueError("pixel above maxval")
-    except (ValueError, IndexError, UnicodeDecodeError) as exc:
+        if raster.min() < 0 or raster.max() > maxval:
+            raise ValueError("pixel outside [0, maxval]")
+    except (ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"invalid PGM file {path}: {exc}") from exc
     return raster.reshape(rows, cols).astype(np.uint8), maxval, magic
 

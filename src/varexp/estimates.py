@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, default_max_level, lattice_means, maximal_function
+from .dyadic import (DyadicCube, covering_threshold, default_max_level, lattice_means,
+                     maximal_function)
 from .exponent import ExponentField
 from .grid import (Box, CellField, GridFunction, gradient, integrate,
                    mean_over, overlap_measure, region_weights)
@@ -233,7 +234,9 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
     raw density peaks higher), with D(lam) = |{F > lam} ∩ root| at and below
     the threshold kappa*lam0 and D(lam) = |{M*F > lam}| above it.  The
     threshold itself is a grid point.  Returns (mean moment, head, tail,
-    lambda grid), head being the contribution of [0, kappa*lam0].
+    lambda grid): head integrates [0, kappa*lam0] on the route of F, tail
+    integrates from kappa*lam0 upward on the route of M*F, its left end
+    included, and the moment is their sum.
     """
     g = F.grid
     w = region_weights(g, root)
@@ -257,13 +260,15 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
 
     dvals = np.asarray([D(lam) for lam in lams])
     gvals = q * lams ** (q - 1.0) * dvals
-    below = lams[0] ** q * dvals[0]  # D is treated as constant below lam0/10
-    total = below + float(np.trapezoid(gvals, lams))
     head_mask = lams <= thresh
-    head = below
-    if head_mask.sum() > 1:
-        head += float(np.trapezoid(gvals[head_mask], lams[head_mask]))
-    return total / measure, head / measure, (total - head) / measure, lams
+    # D is treated as constant below lam0/10
+    head = lams[0] ** q * dvals[0] + float(np.trapezoid(gvals[head_mask], lams[head_mask]))
+    # the tail starts at the threshold itself, measured on the maximal-function
+    # route, so it is exactly 0 when M*F never exceeds kappa*lam0
+    tl = lams[lams >= thresh]
+    dt = np.asarray([float((mstar > lam).sum()) * vol for lam in tl])
+    tail = float(np.trapezoid(q * tl ** (q - 1.0) * dt, tl))
+    return (head + tail) / measure, head / measure, tail / measure, lams
 
 
 def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
@@ -290,7 +295,7 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     p.require_superlinear("higher_integrability_check")
     F = energy_density(u, p)
     root2 = root.scaled(2.0)
-    lam0 = mean_over(F, root2)
+    lam0 = covering_threshold(F, root)
     lhs_direct = mean_over(CellField(g, F.values**q), root) ** (1.0 / q)
 
     if max_level is None:

@@ -7,14 +7,15 @@ of 1/p: the smallest c with
     |1/p(x) - 1/p(y)| <= c / log(e + 1/|x - y|)
 
 together with the decay part |1/p(x) - 1/p_inf| <= c / log(e + |x|).
-This module measures that constant on the sampled grid, selects the
-comparison exponent p_j = p(y_j) at the farthest point y_j of a cube,
-quantifies exponent oscillation over cubes, and reports the vanishing
-log-Holder profile (which epsilon is attained at which scales).
+This module measures that constant exactly over all node pairs of the
+grid, selects the comparison exponent p_j = p(y_j) at the farthest point
+y_j of a cube, quantifies exponent oscillation over cubes, and reports the
+vanishing log-Holder profile (which epsilon is attained at which scales).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -113,7 +114,6 @@ class LogHolderReport:
     vanishing_profile: list[tuple[float, float | None, float | None]]
     vmo_oscillation: float
     pair_count: int = 0
-    subsampled: bool = False
 
 
 def _farthest_node(coords: np.ndarray) -> int:
@@ -127,63 +127,80 @@ def _farthest_node(coords: np.ndarray) -> int:
     return int(cand[order[0]])
 
 
-def _pair_samples(p: ExponentField, pair_budget: int, seed: int):
-    """Sampled node pairs: (distance, local modulus, min endpoint norm).
+def _offset_sweep(p: ExponentField, epsilons: Sequence[float],
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node pair visited once, grouped by lattice offset.
 
-    Takes all pairs when their count fits the budget, otherwise a fixed-seed
-    random subsample of ``pair_budget`` pairs.
+    Walks the offsets delta whose first nonzero component is positive.  On a
+    uniform grid the log factor log(e + 1/|x - y|) depends only on the offset,
+    so the moduli of all pairs (x, x + delta) are one difference of two
+    strided views of 1/p times one constant, and memory stays O(nodes).
+    Returns, per offset, its length |delta h| and the largest modulus over
+    its pairs, and per epsilon the largest min(|x|, |y|) over all pairs
+    whose modulus exceeds it (-inf when none does).
     """
-    coords = p.grid.node_coords
-    alpha = 1.0 / p.values
-    n = coords.shape[0]
-    total = n * (n - 1) // 2
-    norms = np.linalg.norm(coords, axis=1)
-    if total <= pair_budget:
-        ii, jj = np.triu_indices(n, k=1)
-        subsampled = False
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=pair_budget)
-        jj = rng.integers(0, n - 1, size=pair_budget)
-        jj = np.where(jj >= ii, jj + 1, jj)  # exclude the diagonal
-        subsampled = True
-    d = np.linalg.norm(coords[ii] - coords[jj], axis=1)
-    mod = np.abs(alpha[ii] - alpha[jj]) * np.log(_E + 1.0 / d)
-    minnorm = np.minimum(norms[ii], norms[jj])
-    return d, mod, minnorm, subsampled
+    g = p.grid
+    shape = g.nodes_per_axis
+    alpha = (1.0 / p.values).reshape(shape)
+    norms = np.linalg.norm(g.node_coords, axis=1).reshape(shape)
+    h = g.cell_size
+    eps = np.asarray(epsilons, dtype=float)
+    reach = np.full(eps.size, -np.inf)
+    dist, top = [], []
+    for delta in itertools.product(*(range(1 - n, n) for n in shape)):
+        if next((d for d in delta if d), 0) <= 0:
+            continue  # delta = 0, or its mirror -delta covers these pairs
+        lo = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, shape))
+        hi = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(delta, shape))
+        length = math.hypot(*(d * hk for d, hk in zip(delta, h)))
+        factor = math.log(_E + 1.0 / length)
+        diff = np.abs(alpha[hi] - alpha[lo]).ravel()
+        dist.append(length)
+        top.append(float(diff.max()) * factor)  # = max(diff * factor): rounding is monotone
+        live = eps < top[-1]
+        if live.any():
+            minnorm = np.minimum(norms[lo], norms[hi]).ravel()
+            live &= reach < minnorm.max()  # otherwise no pair here can raise reach
+            if live.any():
+                hit = diff * factor > eps[live, None]
+                reach[live] = np.maximum(reach[live], np.where(hit, minnorm, -np.inf).max(axis=1))
+    return np.asarray(dist), np.asarray(top), reach
 
 
-def log_holder_constant(p: ExponentField, pair_budget: int = 2_000_000, seed: int = 0,
+def log_holder_constant(p: ExponentField, seed: int = 0,
                         epsilons: Sequence[float] = (0.5, 0.2, 0.1, 0.05),
                         vmo_levels: int = 2) -> LogHolderReport:
-    """Measure the log-Holder constant of 1/p on the sampled grid.
+    """Measure the log-Holder constant of 1/p, exact over all node pairs.
 
     c_log_local is the pairwise maximum of |1/p(x)-1/p(y)| log(e + 1/|x-y|);
     the decay part is measured against p_infinity (or its default).  The
     convenience field p_scale_bound = (p+)^2 c_log bounds the constant of
-    the exponent itself rather than of 1/p.
+    the exponent itself rather than of 1/p.  ``seed`` is accepted and
+    ignored, since nothing is sampled; callers that pass it (the benchmark's
+    library workload among them) keep working.
     """
-    d, mod, minnorm, subsampled = _pair_samples(p, pair_budget, seed)
-    c_local = float(mod.max()) if mod.size else 0.0
-
-    coords = p.grid.node_coords
-    norms = np.linalg.norm(coords, axis=1)
-    a_inf = 1.0 / p.p_infinity_effective
-    dec = np.abs(1.0 / p.values - a_inf) * np.log(_E + norms)
-    c_decay = float(dec.max()) if dec.size else 0.0
+    sweep = _offset_sweep(p, epsilons)
+    c_local = float(sweep[1].max())
+    dec = _decay_moduli(p)
+    c_decay = float(dec.max())
 
     c_log = max(c_local, c_decay)
-    profile = _vanishing_profile(p, epsilons, d, mod, minnorm)
+    n = p.grid.num_nodes
     return LogHolderReport(
         c_log=c_log,
         c_log_local=c_local,
         c_log_decay=c_decay if p.p_infinity is not None else None,
         p_scale_bound=p.p_plus**2 * c_log,
-        vanishing_profile=profile,
+        vanishing_profile=_vanishing_profile(p, epsilons, sweep, dec),
         vmo_oscillation=_vmo_oscillation(p, vmo_levels),
-        pair_count=int(d.size),
-        subsampled=subsampled,
+        pair_count=n * (n - 1) // 2,
     )
+
+
+def _decay_moduli(p: ExponentField) -> np.ndarray:
+    """|1/p(x) - 1/p_inf| log(e + |x|) at every node."""
+    norms = np.linalg.norm(p.grid.node_coords, axis=1)
+    return np.abs(1.0 / p.values - 1.0 / p.p_infinity_effective) * np.log(_E + norms)
 
 
 def _vmo_oscillation(p: ExponentField, levels: int) -> float:
@@ -249,64 +266,51 @@ def oscillation_record(Q: Box, p: ExponentField, s: float, c_log: float) -> Esti
 
 
 def vanishing_profile(p: ExponentField, epsilons: Sequence[float],
-                      pair_budget: int = 2_000_000, seed: int = 0,
                       ) -> list[tuple[float, float | None, float | None]]:
     """For each epsilon, the largest radius r and smallest far-field radius R
     (both grid-quantized) at which the two vanishing log-Holder conditions
-    hold for all sampled node pairs.
+    hold, exact over all node pairs.
 
-    r: every pair with |x-y| <= r has modulus <= eps; constant exponents
-    attain r = domain diameter.  R: every pair with both endpoints beyond R
-    has modulus <= eps and every node beyond R has decay modulus <= eps;
-    constant exponents attain R = 0.  ``None`` marks an epsilon unattainable
-    at grid resolution.
+    r: every pair with |x-y| <= r has modulus <= eps; it is the longest
+    pair distance strictly below the shortest distance of a pair whose
+    modulus exceeds eps, and constant exponents attain r = domain diameter.
+    R: every pair with min(|x|, |y|) >= R has modulus <= eps and every node
+    with |x| >= R has decay modulus <= eps; it is the larger of the smallest
+    pair min-norm and the smallest node norm strictly above those of every
+    violating pair and node, and constant exponents attain R = 0.  ``None``
+    marks an epsilon unattainable at grid resolution.
     """
-    d, mod, minnorm, _ = _pair_samples(p, pair_budget, seed)
-    return _vanishing_profile(p, epsilons, d, mod, minnorm)
+    return _vanishing_profile(p, epsilons, _offset_sweep(p, epsilons), _decay_moduli(p))
 
 
-def _vanishing_profile(p: ExponentField, epsilons: Sequence[float], d: np.ndarray,
-                       mod: np.ndarray, minnorm: np.ndarray,
-                       ) -> list[tuple[float, float | None, float | None]]:
-    """vanishing_profile on a pair sample already drawn by _pair_samples."""
-    coords = p.grid.node_coords
-    norms = np.linalg.norm(coords, axis=1)
-    dec = np.abs(1.0 / p.values - 1.0 / p.p_infinity_effective) * np.log(_E + norms)
+def _vanishing_profile(p: ExponentField, epsilons: Sequence[float], sweep: tuple,
+                       dec: np.ndarray) -> list[tuple[float, float | None, float | None]]:
+    """vanishing_profile from a finished offset sweep and the decay moduli."""
+    dist, top, reaches = sweep
+    norms = np.linalg.norm(p.grid.node_coords, axis=1)
+    # every node but the farthest has a partner at least as far out, so the
+    # pair min-norms are exactly the sorted node norms without the largest
+    pair_norms = np.sort(norms)[:-1]
     diameter = float(np.linalg.norm(p.grid.domain.sides))
 
-    order_d = np.argsort(d, kind="stable")
-    d_sorted, mod_by_d = d[order_d], np.maximum.accumulate(mod[order_d])
-
-    # suffix maxima: the far-field conditions apply to nodes/pairs beyond R
-    order_n = np.argsort(norms, kind="stable")
-    norms_sorted = norms[order_n]
-    dec_suffix = np.maximum.accumulate(dec[order_n][::-1])[::-1]
-    order_m = np.argsort(minnorm, kind="stable")
-    minnorm_sorted = minnorm[order_m]
-    mod_suffix = np.maximum.accumulate(mod[order_m][::-1])[::-1]
-
-    def first_true(cond: np.ndarray) -> int | None:
-        if cond.size == 0:
-            return 0
-        k = int(np.argmax(cond))
-        return k if cond[k] else None
+    def above(values: np.ndarray, bound: float) -> float | None:
+        """Smallest value strictly above bound; 0 when nothing violates."""
+        if bound == -np.inf:
+            return 0.0
+        rest = values[values > bound]
+        return float(rest.min()) if rest.size else None
 
     out: list[tuple[float, float | None, float | None]] = []
-    for eps in epsilons:
-        viol = first_true(mod_by_d > eps)  # prefix maxima ascend: first violation
-        if viol is None or viol >= d_sorted.size:
+    for eps, reach in zip(epsilons, reaches):
+        viol = dist[top > eps]
+        if viol.size == 0:
             r: float | None = diameter
         else:
-            below = d_sorted[d_sorted < d_sorted[viol]]
-            r = float(below[-1]) if below.size else None
+            below = dist[dist < viol.min()]
+            r = float(below.max()) if below.size else None
 
-        k_node = first_true(dec_suffix <= eps)  # suffix maxima descend: first all-clear
-        k_pair = first_true(mod_suffix <= eps)
-        if k_node is None or k_pair is None:
-            R: float | None = None
-        else:
-            R_node = 0.0 if k_node == 0 else float(norms_sorted[k_node])
-            R_pair = 0.0 if k_pair == 0 else float(minnorm_sorted[k_pair])
-            R = max(R_node, R_pair)
+        R_node = above(norms, float(norms[dec > eps].max(initial=-np.inf)))
+        R_pair = above(pair_norms, float(reach))
+        R = None if R_node is None or R_pair is None else max(R_node, R_pair)
         out.append((float(eps), r, R))
     return out

@@ -87,20 +87,25 @@ def _dissection(shape: tuple[int, ...]) -> np.ndarray:
     and the separator plane last, so eliminating in this order keeps the
     fill of a nearest-neighbour operator within the separators.
     """
+    index = np.arange(math.prod(shape)).reshape(shape)
     out: list[np.ndarray] = []
 
-    def split(block: np.ndarray) -> None:
-        if block.size <= _LEAF:
-            out.append(block.reshape(-1))
+    def split(lo: list[int], hi: list[int]) -> None:
+        sides = [b - a for a, b in zip(lo, hi)]
+        if math.prod(sides) <= _LEAF:
+            out.append(index[tuple(map(slice, lo, hi))].reshape(-1))
             return
-        k = int(np.argmax(block.shape))
-        m = block.shape[k] // 2
-        halves = np.moveaxis(block, k, 0)
-        split(np.moveaxis(halves[:m], 0, k))
-        split(np.moveaxis(halves[m + 1:], 0, k))
-        out.append(halves[m].reshape(-1))
+        k = sides.index(max(sides))
+        m = lo[k] + sides[k] // 2
 
-    split(np.arange(math.prod(shape)).reshape(shape))
+        def cut(bounds: list[int], at: int) -> list[int]:
+            return bounds[:k] + [at] + bounds[k + 1:]
+
+        split(lo, cut(hi, m))
+        split(cut(lo, m + 1), hi)
+        out.append(index[tuple(map(slice, cut(lo, m), cut(hi, m + 1)))].reshape(-1))
+
+    split([0] * len(shape), list(shape))
     return np.concatenate(out)
 
 

@@ -307,7 +307,7 @@ def test_acceptance_gehring_exponent(matched32):
 
     # smooth variable exponent with measured c_log at most 0.1
     p = matched32["p"]
-    rep = log_holder_constant(p, pair_budget=400_000, seed=0)
+    rep = log_holder_constant(p)
     assert rep.c_log <= 0.1
     scan_var = gehring_scan(matched32["result"].u, matched32["G"], p,
                             g.domain.scaled(0.5))

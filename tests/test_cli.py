@@ -3,6 +3,8 @@ output determinism, and the denoise pipeline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varexp.cli import (
     EXIT_CONFIG,
@@ -147,6 +149,137 @@ def test_pgm_round_trips(tmp_path):
     bad.write_text("P3\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ConfigError):
         read_pgm(bad)
+
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def fields(draw):
+    """A random 1-D to 3-D nodal or cell field with finite values."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.integers(2, 4)) for _ in range(dim))
+    origin = tuple(draw(st.floats(-1e6, 1e6)) for _ in range(dim))
+    extent = tuple(draw(st.floats(1e-6, 1e6)) for _ in range(dim))
+    g = Grid(dim, origin, extent, cells)
+    nodal = draw(st.booleans())
+    count = g.num_nodes if nodal else g.num_cells
+    codomain = draw(st.integers(1, 3))
+    values = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=count * codomain, max_size=count * codomain)))
+    values = values.reshape(count, codomain)
+    return GridFunction(g, values) if nodal else CellField(g, values)
+
+
+@FUZZ
+@given(field=fields())
+def test_vxf_round_trip_bits(tmp_path_factory, field):
+    path = tmp_path_factory.getbasetemp() / "rt.vxf"
+    write_field(path, field)
+    back = read_field(path)
+    assert type(back) is type(field) and back.grid == field.grid
+    assert back.values.shape == field.values.shape
+    assert back.values.tobytes() == field.values.tobytes()  # -0.0 and subnormals too
+
+
+def _edits(draw, tokens: list[bytes], separators: list[bytes]) -> bytes:
+    """The tokens of a valid file with a few replaced, dropped or added,
+    joined by separators drawn from ``separators``."""
+    tokens = list(tokens)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        action = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if action == "insert" or not tokens:
+            tokens.insert(i, draw(GARBAGE))
+        elif action == "drop":
+            del tokens[i]
+        else:
+            tokens[i] = draw(GARBAGE)
+    return b"".join(tok + draw(st.sampled_from(separators)) for tok in tokens)
+
+
+def _truncated(draw, text: bytes) -> bytes:
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 4)) == 0 else text
+
+
+NUMBERS = (st.integers(-3, 6) | st.integers(-2**70, 2**70)).map(lambda v: str(v).encode())
+GARBAGE = (NUMBERS | st.sampled_from([b"nan", b"inf", b"-0", b"1e999", b"1.5", b"VXF1", b"P2",
+                                      b"P5", b"nodes", b"cells", b"#", b"\xff\xfe", b""])
+           | st.binary(max_size=4))
+
+
+@st.composite
+def malformed_vxf(draw):
+    """A valid VXF text with a few header tokens and values edited."""
+    dim = draw(st.integers(1, 3))
+    counts = [draw(st.integers(2, 4)) for _ in range(dim)]
+    kind = draw(st.sampled_from([b"nodes", b"cells"]))
+    codomain = draw(st.integers(1, 2))
+    size = int(np.prod(counts)) * codomain
+    head = ([b"VXF1", str(dim).encode(), str(codomain).encode(), kind]
+            + [str(c).encode() for c in counts] + [b"0"] * dim + [b"1"] * dim)
+    values = [b"%r" % draw(st.floats(-10, 10)) for _ in range(size)]
+    text = (_edits(draw, head, [b" ", b"\t"]).rstrip() + b"\n"
+            + _edits(draw, values, [b"\n", b" ", b"\r\n"]))
+    return _truncated(draw, text)
+
+
+@FUZZ
+@given(data=malformed_vxf() | st.binary(max_size=64))
+def test_vxf_fuzz_raises_only_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.vxf"
+    path.write_bytes(data)
+    try:
+        field = read_field(path)
+    except ConfigError:
+        return
+    assert np.all(np.isfinite(field.values))
+
+
+@st.composite
+def pgm_files(draw):
+    """A PGM image (P2 or P5) with its header tokens and pixels drawn around
+    the valid ranges, so some files are valid and most are not."""
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.integers(1, 255))
+    header = [magic, str(cols).encode(), str(rows).encode(), str(maxval).encode()]
+    pixels = draw(st.lists(st.integers(0, maxval), min_size=rows * cols, max_size=rows * cols))
+    if magic == b"P5":
+        return _truncated(draw, _edits(draw, header, [b" ", b"\n"]) + bytes(pixels))
+    return _truncated(draw, _edits(draw, header + [str(v).encode() for v in pixels],
+                                   [b" ", b"\n", b"\t", b" # note\n"]))
+
+
+@FUZZ
+@given(data=pgm_files() | st.binary(max_size=64))
+def test_pgm_fuzz_raises_only_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        img, maxval, magic = read_pgm(path)
+    except ConfigError:
+        return
+    assert img.ndim == 2 and img.size > 0 and img.dtype == np.uint8
+    assert 0 < maxval <= 255 and img.max() <= maxval and magic in ("P2", "P5")
+
+
+@FUZZ
+@given(rows=st.integers(-3, 4), cols=st.integers(-3, 4), maxval=st.integers(-1, 300),
+       pixels=st.lists(st.integers(-300, 300), max_size=16))
+def test_p2_reads_declared_pixels_or_raises(tmp_path_factory, rows, cols, maxval, pixels):
+    """A P2 file is read exactly as declared, or rejected."""
+    path = tmp_path_factory.getbasetemp() / "p2.pgm"
+    path.write_text(f"P2\n{cols} {rows}\n{maxval}\n" + " ".join(map(str, pixels)) + "\n")
+    valid = (rows > 0 and cols > 0 and 0 < maxval <= 255 and len(pixels) == rows * cols
+             and all(0 <= v <= maxval for v in pixels))
+    if not valid:
+        with pytest.raises(ConfigError):
+            read_pgm(path)
+        return
+    img, got_maxval, magic = read_pgm(path)
+    assert img.tolist() == np.reshape(pixels, (rows, cols)).tolist()
+    assert (got_maxval, magic) == (maxval, "P2")
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

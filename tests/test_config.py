@@ -43,12 +43,15 @@ def with_key(text, section, line):
 # Each of these was accepted at the parent of the table refactor and then
 # ended in a traceback (IndexError) or in a wrong result: a nan tolerance made
 # every solve "fail to converge"; nan epsilons and kappa gave nan records.
+# A constant p <= 1 was accepted and failed later without naming the key.
 @pytest.mark.parametrize("section, line", [
     ("estimates", "epsilons ="),
     ("estimates", "lambda_count = 0"),
     ("solver", "tolerance = nan"),
     ("estimates", "epsilons = 0.4 nan"),
     ("estimates", "kappa = nan"),
+    ("exponent", "value = 0.9"),
+    ("exponent", "value = 1"),
 ])
 def test_invalid_value_names_section_and_key(tmp_path, capsys, section, line):
     key = line.split("=")[0].strip()

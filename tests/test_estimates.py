@@ -5,7 +5,7 @@ norm-form proxy."""
 import numpy as np
 import pytest
 
-from varexp.dyadic import default_kappa, default_max_level, dyadic_lattice
+from varexp.dyadic import covering_threshold, default_kappa, default_max_level, dyadic_lattice
 from varexp.estimates import (
     caccioppoli_check,
     data_density,
@@ -221,10 +221,30 @@ def test_higher_integrability_flags_unused_tail():
     auto = default_kappa(structure_fit(p, FluxParams(), seed=0).c4, 2)
     rec = higher_integrability_check(res.u, G, p, 2.0, root, auto, 0.4, 1.5)
     assert "level-set-tail-unused" in rec.flags  # kappa*lambda0 above the peak of M*F
+    # the tail starts at kappa*lambda0 on the M*F route, so it is exactly 0
+    # here; summing it as total - head left 1.6e-7 and -1.1e-19
+    for kappa, points in ((14.0, 64), (15.0, 256)):
+        rec = higher_integrability_check(res.u, G, p, 2.0, root, kappa, 0.4, 1.5,
+                                         sweep_points=points)
+        assert "level-set-tail-unused" in rec.flags
+        assert "tail=0" in rec.flags
     rec = higher_integrability_check(res.u, G, p, 2.0, root, 10.0, 0.4, 1.5)
     assert flag_value(rec, "tail") > 0.0
     assert "level-set-tail-unused" not in rec.flags
     assert "level-set-route-mismatch" not in rec.flags
+
+
+def test_higher_integrability_lambda0_is_covering_threshold():
+    # one route for lambda0: records.csv and goodlambda must agree bit for bit
+    g = Grid(2, (-1.7, -2.3), (4.0, 4.0), (32, 32))
+    p = ExponentField.from_function(g, lambda x: 1.8 + 0.2 * np.sin(x[0]) * np.cos(x[1]))
+    u = GridFunction.from_function(g, lambda x: np.sin(2.0 * x[0]) * np.exp(-x[1] ** 2))
+    G = CellField(g, np.zeros((g.num_cells, 1, 2)))
+    root = g.domain.scaled(0.5)
+    lam0 = covering_threshold(energy_density(u, p), root)
+    rec = higher_integrability_check(u, G, p, 2.0, root, 10.0, 0.4, 1.5)
+    assert rec.rhs_components["mean_energy"] == lam0
+    assert f"lambda0={lam0:.12g}" in rec.flags
 
 
 def test_global_proxy_bounded_constants():

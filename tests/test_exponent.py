@@ -1,9 +1,12 @@
 """Exponent fields and the log-Holder machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varexp.exponent import (
     ExponentField,
@@ -24,7 +27,7 @@ def test_constant_field_basics():
     assert p.p_minus == p.p_plus == 2.5
     assert p.p_infinity_effective == 2.5
     np.testing.assert_allclose(p.cell_values, 2.5)
-    rep = log_holder_constant(p, pair_budget=5000, seed=0)
+    rep = log_holder_constant(p)
     assert rep.c_log == 0.0
 
 
@@ -54,31 +57,112 @@ def test_three_node_log_holder_oracle():
     # of node 1 gives the same value.
     g = Grid(1, (0.0,), (2.0,), (2,))
     p = ExponentField(GridFunction(g, 1.0 / np.array([0.5, 0.4, 0.45])), 2.0)
-    rep = log_holder_constant(p, pair_budget=10_000, seed=0)
+    rep = log_holder_constant(p)
     want = 0.1 * math.log(E + 1.0)
     assert rep.c_log_local == pytest.approx(want, rel=1e-12)
     assert rep.c_log_decay == pytest.approx(want, rel=1e-12)
     assert rep.c_log == pytest.approx(want, rel=1e-12)
     assert rep.p_scale_bound == pytest.approx(2.5**2 * want, rel=1e-12)
-    assert rep.pair_count == 3 and not rep.subsampled
+    assert rep.pair_count == 3
 
 
-def test_log_holder_subsampling_flag():
-    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (16, 16))
-    p = ExponentField.from_function(g, lambda x: 2.0 + 0.1 * x[0])
-    rep = log_holder_constant(p, pair_budget=500, seed=1)
-    assert rep.subsampled and rep.pair_count <= 500
-    assert rep.c_log >= 0.0
-
-
-@pytest.mark.parametrize("budget", [500, 100_000])  # subsampled, all pairs
-def test_report_profile_matches_separate_call(budget):
+def test_report_profile_matches_separate_call():
     g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (16, 16))
     p = ExponentField.from_function(
         g, lambda x: 2.0 + 0.3 * np.sin(3.0 * x[0]) * x[1], p_infinity=2.0)
     eps = (0.5, 0.2, 0.1, 0.05)
-    rep = log_holder_constant(p, pair_budget=budget, seed=3, epsilons=eps)
-    assert rep.vanishing_profile == vanishing_profile(p, eps, pair_budget=budget, seed=3)
+    rep = log_holder_constant(p, epsilons=eps)
+    assert rep.vanishing_profile == vanishing_profile(p, eps)
+
+
+def brute_log_holder(p, epsilons):
+    """c_log_local and the vanishing profile from their definitions, over
+    every node pair (np.triu_indices).  A pair's distance is its lattice
+    offset times h, as in the definitions: coordinate differences round
+    differently for pairs of one offset."""
+    g = p.grid
+    lattice = np.indices(g.nodes_per_axis).reshape(g.dim, -1).T
+    ii, jj = np.triu_indices(g.num_nodes, k=1)
+    d = np.array([math.hypot(*row) for row in (lattice[jj] - lattice[ii]) * g.cell_size])
+    a = 1.0 / p.values
+    mod = np.abs(a[ii] - a[jj]) * np.log(E + 1.0 / d)
+    norms = np.linalg.norm(g.node_coords, axis=1)
+    minnorm = np.minimum(norms[ii], norms[jj])
+    dec = np.abs(a - 1.0 / p.p_infinity_effective) * np.log(E + norms)
+
+    def smallest_above(values, violators):
+        if violators.size == 0:
+            return 0.0
+        rest = values[values > violators.max()]
+        return float(rest.min()) if rest.size else None
+
+    profile = []
+    for eps in epsilons:
+        viol = d[mod > eps]
+        if viol.size == 0:
+            r = float(np.linalg.norm(g.extent))
+        else:
+            below = d[d < viol.min()]
+            r = float(below.max()) if below.size else None
+        R_node = smallest_above(norms, norms[dec > eps])
+        R_pair = smallest_above(minnorm, minnorm[mod > eps])
+        R = None if R_node is None or R_pair is None else max(R_node, R_pair)
+        profile.append((eps, r, R))
+    return float(mod.max()), profile
+
+
+def _close(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0))
+
+
+@st.composite
+def exponents(draw):
+    dim = draw(st.integers(1, 3))
+    top = {1: 40, 2: 9, 3: 4}[dim]
+    cells = tuple(draw(st.integers(2, top)) for _ in range(dim))
+    origin = tuple(draw(st.floats(-3.0, 1.0)) for _ in range(dim))
+    extent = tuple(draw(st.floats(0.5, 4.0)) for _ in range(dim))
+    g = Grid(dim, origin, extent, cells)
+    amp, noise = draw(st.floats(0.0, 0.8)), draw(st.floats(0.0, 0.15))
+    freq = np.array([draw(st.floats(0.0, 6.0)) for _ in range(dim)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = g.node_coords
+    values = 2.0 + amp * np.sin(x @ freq) + noise * rng.uniform(-1.0, 1.0, g.num_nodes)
+    p_inf = draw(st.none() | st.floats(1.5, 3.0))
+    return ExponentField(GridFunction(g, values), p_inf)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(p=exponents(), fractions=st.lists(st.floats(0.02, 1.2), max_size=5))
+def test_log_holder_exact_over_all_pairs(p, fractions):
+    # epsilons as fractions of the largest modulus reach every regime of r
+    # and R: unattainable, grid-quantized, diameter and 0
+    c_local = brute_log_holder(p, [])[0]
+    epsilons = [f * c_local for f in fractions]
+    profile = brute_log_holder(p, epsilons)[1]
+    rep = log_holder_constant(p, epsilons=epsilons)
+    assert math.isclose(rep.c_log_local, c_local, rel_tol=1e-12, abs_tol=0.0)
+    n = p.grid.num_nodes
+    assert rep.pair_count == n * (n - 1) // 2
+    assert len(rep.vanishing_profile) == len(profile)
+    for (eps, r, R), (_, r_want, R_want) in zip(rep.vanishing_profile, profile):
+        assert _close(r, r_want), (eps, r, r_want)
+        assert _close(R, R_want), (eps, R, R_want)
+
+
+def test_log_holder_memory_is_o_nodes():
+    # sampling 2M pairs took the process from about 38 MB to about 250 MB
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (64, 64))
+    p = ExponentField.from_function(
+        g, lambda x: 2.15 + 0.85 * np.sin(2.0 * x[0]) * np.cos(1.5 * x[1]))
+    tracemalloc.start()
+    try:
+        log_holder_constant(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_select_comparison_exponent_farthest_point():
@@ -116,7 +200,7 @@ def test_oscillation_average():
 def test_oscillation_record_scale_bound():
     g = Grid(1, (0.0,), (1.0,), (8,))
     p = ExponentField.from_function(g, lambda x: 2.0 + 0.1 * x[0])
-    c_log = log_holder_constant(p, pair_budget=10_000, seed=0).c_log
+    c_log = log_holder_constant(p).c_log
     rec = oscillation_record(Box((0.25,), (0.75,)), p, 1.0, c_log)
     assert rec.lhs == pytest.approx(oscillation_average(Box((0.25,), (0.75,)), p))
     R = 0.5
@@ -128,7 +212,7 @@ def test_oscillation_record_scale_bound():
 def test_vanishing_profile_constant_exponent():
     g = Grid(1, (0.0,), (1.0,), (8,))
     p = ExponentField.constant(g, 2.0)
-    prof = vanishing_profile(p, (0.5, 0.05), pair_budget=5000, seed=1)
+    prof = vanishing_profile(p, (0.5, 0.05))
     # constant exponents satisfy both conditions at every scale:
     # r = domain diameter, R = 0
     assert prof == [(0.5, 1.0, 0.0), (0.05, 1.0, 0.0)]
@@ -137,6 +221,6 @@ def test_vanishing_profile_constant_exponent():
 def test_vanishing_profile_unattainable_epsilon():
     g = Grid(1, (0.0,), (2.0,), (2,))
     p = ExponentField(GridFunction(g, 1.0 / np.array([0.5, 0.4, 0.45])), 2.0)
-    prof = vanishing_profile(p, (0.5, 0.05), pair_budget=5000, seed=0)
+    prof = vanishing_profile(p, (0.5, 0.05))
     eps, r, R = prof[1]
     assert eps == 0.05 and r is None  # neighbour pairs already exceed 0.05

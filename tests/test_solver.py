@@ -90,6 +90,31 @@ def test_dissection_puts_the_separator_last():
     assert np.array_equal(_dissection((5, 9))[-5:], col)
 
 
+def _dissection_by_views(shape):
+    """The recursive order over moveaxis views that _dissection replaced."""
+    out = []
+
+    def split(block):
+        if block.size <= solver._LEAF:
+            out.append(block.reshape(-1))
+            return
+        k = int(np.argmax(block.shape))
+        m = block.shape[k] // 2
+        halves = np.moveaxis(block, k, 0)
+        split(np.moveaxis(halves[:m], 0, k))
+        split(np.moveaxis(halves[m + 1:], 0, k))
+        out.append(halves[m].reshape(-1))
+
+    split(np.arange(math.prod(shape)).reshape(shape))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("shape", [(127, 127), (23, 23, 23), (5, 9), (1,), (2, 3, 4)])
+def test_dissection_matches_view_recursion(shape):
+    # the same permutation, so every Newton solve is unchanged
+    assert np.array_equal(_dissection(shape), _dissection_by_views(shape))
+
+
 def _free_dofs(grid: Grid, N: int) -> np.ndarray:
     return np.repeat(~grid.boundary_node_mask, N)
 
