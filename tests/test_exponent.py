@@ -66,13 +66,15 @@ def test_three_node_log_holder_oracle():
     assert rep.pair_count == 3
 
 
-def test_report_profile_matches_separate_call():
+@pytest.mark.parametrize("seed", [500, 100_000])  # nothing is sampled: seed is ignored
+def test_report_profile_matches_separate_call(seed):
     g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (16, 16))
     p = ExponentField.from_function(
         g, lambda x: 2.0 + 0.3 * np.sin(3.0 * x[0]) * x[1], p_infinity=2.0)
     eps = (0.5, 0.2, 0.1, 0.05)
-    rep = log_holder_constant(p, epsilons=eps)
+    rep = log_holder_constant(p, seed=seed, epsilons=eps)
     assert rep.vanishing_profile == vanishing_profile(p, eps)
+    assert rep == log_holder_constant(p, epsilons=eps)
 
 
 def brute_log_holder(p, epsilons):
