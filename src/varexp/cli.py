@@ -29,7 +29,8 @@ printed with 17 significant digits so reads reproduce writes exactly.
 Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 
 CSV reports are deterministic for a fixed config and seed (no timestamps;
-provenance lives in report.txt).  Columns per command:
+provenance lives in report.txt, which for solve and denoise ends with one
+line per gamma stage of the solver).  Columns per command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -152,8 +153,10 @@ class ExperimentConfig:
     g_path: str | None = _key("data", "path", None, "VXF cell field G (files)", key="g")
     boundary_path: str | None = _key("data", "path", None, "VXF nodal boundary values (files)",
                                      key="boundary")
-    tolerance: float = _key("solver", "float", 1e-8, "residual at which Newton stops")
-    max_iterations: int = _key("solver", "int", 200, "Newton step cap (not for denoise)")
+    tolerance: float = _key("solver", "float", 1e-8,
+                            "residual at which the final gamma stage stops")
+    max_iterations: int = _key("solver", "int", 200,
+                               "Newton step cap per gamma stage (not for denoise)")
     variant: str = _key("solver", "str", "squared", "flux variant",
                         _one_of("squared", "power", "shifted"))
     gamma: float = _key("solver", "float", 1.0, "flux regularization of the structure fit behind "
@@ -183,7 +186,7 @@ class ExperimentConfig:
     strength: float = _key("denoise", "float", 3.0, "smoothing strength; 0 keeps the input")
     p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges")
     p_max: float = _key("denoise", "float", 2.0, "exponent on flat regions")
-    iterations: int = _key("denoise", "int", 100, "Newton step cap of denoise")
+    iterations: int = _key("denoise", "int", 100, "Newton step cap per gamma stage of denoise")
 
     def solve_options(self) -> SolveOptions:
         cap = self.iterations if self.command == "denoise" else self.max_iterations
@@ -433,6 +436,13 @@ class Report:
                 fh.write(line + "\n")
 
 
+def _stage_lines(res: SolverResult) -> list[str]:
+    """One report line per gamma stage; no ' = ', so the scalar block parses alone."""
+    return [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
+            f"{s.backtracks} backtracks, {s.guarded} guarded, "
+            f"residual {_fmt(s.residual)}, stop {s.reason}" for s in res.stages]
+
+
 def _record_text(rec: EstimateRecord) -> str:
     comps = ", ".join(f"{k} = {_fmt(v)}" for k, v in rec.rhs_components.items())
     flags = f"  flags: {'; '.join(rec.flags)}\n" if rec.flags else ""
@@ -564,6 +574,7 @@ def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
                             float(np.abs(res.u.values - u_star.values).max())))
     _write_csv(cfg.out / "solve.csv", ["metric", "value"],
                [[k, _fmt(v)] for k, v in rep.scalars])
+    rep.lines += _stage_lines(res)
 
 
 def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
@@ -710,6 +721,7 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     ]
     _write_csv(cfg.out / "denoise.csv", ["metric", "value"],
                [[k, _fmt(v)] for k, v in rep.scalars])
+    rep.lines += _stage_lines(res)
 
 
 _RUNNERS = {

@@ -7,17 +7,27 @@ solve_pxlaplace minimizes the convex energy
 over nodal fields with Dirichlet values on the topological boundary, by
 damped Newton iteration (exact sparse Hessian, backtracking line search)
 inside a continuation loop over the regularization gamma of the squared
-flux variant.  Each stage warm-starts from the previous one; the final
-stage runs at gamma = 0 when p- >= 2, else at a small positive floor.
+flux variant.  The final stage runs at gamma = 0 when p- >= 2, else at a
+small positive floor.  Only its answer is used, so each earlier stage is
+solved inexactly (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+ch. 5): it stops once its residual, the sup-norm of the free-node energy
+gradient, is at most max(tolerance, _STAGE_REDUCTION * its starting
+residual), and warm-starts the next.
+
 The free-dof Hessian is symmetric positive definite (squared variant with
 gamma > 0, or p >= 2) and couples only neighbouring nodes of a box lattice,
 so each Newton system is factored by SuperLU with diagonal pivots in a
 geometric nested-dissection order of the interior nodes (George, SIAM J.
-Numer. Anal. 10, 1973).  When the Newton
-direction is unusable (singular factor, indefinite numerics, extreme
-diagonal spread) the step falls back to gradient descent.  Convergence
-means the sup-norm of the free-node energy gradient is at or below the
-tolerance at the final stage; non-convergence is reported, never raised.
+Numer. Anal. 10, 1973).  When the Newton direction is unusable (singular
+factor, indefinite numerics, extreme diagonal spread) the step falls back
+to gradient descent.  Near J's rounding floor J + c t slope rounds to J and
+the Armijo test cannot tell a decrease from noise, so a trial within
+_ROUNDING_ULPS ulps of J is accepted only if it lowers the residual by the
+factor 1 - c t (J may then rise by those few ulps); without this guard
+the search backtracks to steps that change nothing.  Each stage's steps,
+fallbacks, backtracks, guard acceptances and stop reason are reported in
+StageStats.  Convergence means the final stage's residual is at or below
+the tolerance; non-convergence is reported, never raised.
 
 solve_comparison freezes the exponent at the comparison value p_j and
 re-solves on the sub-grid of a doubled cube with the ambient solution as
@@ -28,7 +38,7 @@ between the two gradients, the quantity every transfer estimate runs on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +49,7 @@ from .operator import FluxParams, energy, energy_gradient, energy_hessian
 __all__ = [
     "SolveOptions",
     "SolverResult",
+    "StageStats",
     "solve_pxlaplace",
     "solve_comparison",
     "comparison_distance",
@@ -50,7 +61,7 @@ __all__ = [
 @dataclass
 class SolveOptions:
     tolerance: float = 1e-8
-    max_iterations: int = 200
+    max_iterations: int = 200  # Newton steps per gamma stage
     gamma_schedule: tuple[float, ...] | None = None  # default (1, 1e-1, 1e-2, 1e-4, 0)
     gamma_floor: float = 1e-8
     backtrack_shrink: float = 0.5
@@ -65,17 +76,49 @@ class SolveOptions:
 
 
 @dataclass
+class StageStats:
+    """What one gamma stage did and why it stopped.
+
+    ``reason`` is ``tolerance``, ``reduction`` (a non-final stage reached
+    ``_STAGE_REDUCTION`` times its starting residual), ``stall`` (no
+    line-search trial accepted) or ``cap`` (``max_iterations`` steps).
+    ``guarded`` counts steps accepted on their residual because J could not
+    resolve them.
+    """
+    gamma: float
+    steps: int = 0
+    fallbacks: int = 0
+    backtracks: int = 0
+    guarded: int = 0
+    residual: float = math.inf
+    reason: str = ""
+
+
+@dataclass
 class SolverResult:
     u: GridFunction
     converged: bool
-    iterations: int
-    residual: float
-    energy_history: list[tuple[float, float]] = field(default_factory=list)  # (gamma, J)
-    gamma_final: float = 0.0
+    energy_history: list[tuple[float, float]]  # (gamma, J)
+    stages: list[StageStats]  # one per gamma of the schedule
     message: str = ""
+
+    @property
+    def iterations(self) -> int:
+        """Newton steps over all stages."""
+        return sum(s.steps for s in self.stages)
+
+    @property
+    def residual(self) -> float:
+        return self.stages[-1].residual
+
+    @property
+    def gamma_final(self) -> float:
+        return self.stages[-1].gamma
 
 
 _LEAF = 8  # nodes below which a lattice block is not split further
+_STAGE_REDUCTION = 0.5  # residual factor that ends a non-final gamma stage
+_ROUNDING_ULPS = 4  # |J(trial) - J| within this many ulps of J is unresolved
 
 
 def _dissection(shape: tuple[int, ...]) -> np.ndarray:
@@ -144,54 +187,70 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
     sel = np.flatnonzero(np.repeat(~boundary_mask, N))[order]
     u = u0.values.copy()
     history: list[tuple[float, float]] = []
-    iterations = 0
+    stages: list[StageStats] = []
     message = ""
     schedule = opts.schedule(p.p_minus)
 
-    for gam in schedule:
+    def free_gradient(values: np.ndarray, params: FluxParams) -> tuple[np.ndarray, float]:
+        """Energy gradient on the free dofs in elimination order, and its sup-norm."""
+        g = energy_gradient(GridFunction(grid, values), G, p, params,
+                            bc_mask=boundary_mask).values.reshape(-1)[sel]
+        return g, float(np.abs(g).max()) if g.size else 0.0
+
+    for k, gam in enumerate(schedule):
         params = FluxParams(gam, opts.variant)
-        uf = GridFunction(grid, u)
-        J = energy(uf, G, p, params)
+        J = energy(GridFunction(grid, u), G, p, params)
         history.append((gam, J))
-        for _ in range(opts.max_iterations):
-            g = energy_gradient(uf, G, p, params, bc_mask=boundary_mask).values.reshape(-1)
-            g_free = g[sel]
-            res = float(np.abs(g_free).max()) if g_free.size else 0.0
-            if res <= opts.tolerance:
+        g_free, res = free_gradient(u, params)
+        last = k == len(schedule) - 1
+        target = opts.tolerance if last else max(opts.tolerance, _STAGE_REDUCTION * res)
+        stage = StageStats(gam)
+        stages.append(stage)
+        while True:
+            if res <= target:
+                stage.reason = "tolerance" if res <= opts.tolerance else "reduction"
                 break
-            H = energy_hessian(uf, p, params)[sel][:, sel].tocsc()
+            if stage.steps >= opts.max_iterations:
+                stage.reason = "cap"
+                break
+            H = energy_hessian(GridFunction(grid, u), p, params)[sel][:, sel].tocsc()
             d = _free_solve(H, g_free, opts.condition_cap)
             slope = float(g_free @ d) if d is not None else 0.0
             if d is None or slope >= 0.0:
+                stage.fallbacks += 1
                 d = -g_free
                 slope = -float(g_free @ g_free)
+            stage.steps += 1
             t = 1.0
-            accepted = False
+            step = None
             while t > 1e-14:
                 trial = u.copy()
                 trial.reshape(-1)[sel] += t * d
                 Jt = energy(GridFunction(grid, trial), G, p, params)
                 if Jt <= J + opts.backtrack_slope * t * slope:
-                    u, J = trial, Jt
-                    accepted = True
+                    step = trial, Jt, free_gradient(trial, params)
                     break
+                if abs(Jt - J) <= _ROUNDING_ULPS * np.spacing(abs(J)):
+                    # J cannot resolve this trial: demand a residual decrease
+                    grad = free_gradient(trial, params)
+                    if grad[1] < (1.0 - opts.backtrack_slope * t) * res:
+                        stage.guarded += 1
+                        step = trial, Jt, grad
+                        break
+                stage.backtracks += 1
                 t *= opts.backtrack_shrink
-            iterations += 1
-            if not accepted:
+            if step is None:
+                stage.reason = "stall"
                 message = f"line search stalled at gamma={gam:g}"
                 break
-            uf = GridFunction(grid, u)
+            u, J, (g_free, res) = step
             history.append((gam, J))
+        stage.residual = res
 
-    uf = GridFunction(grid, u)
-    params = FluxParams(schedule[-1], opts.variant)
-    g = energy_gradient(uf, G, p, params, bc_mask=boundary_mask).values.reshape(-1)
-    g_free = g[sel]
-    residual = float(np.abs(g_free).max()) if g_free.size else 0.0
-    converged = residual <= opts.tolerance
+    converged = res <= opts.tolerance
     if not converged and not message:
-        message = f"residual {residual:.3e} above tolerance {opts.tolerance:g}"
-    return SolverResult(uf, converged, iterations, residual, history, schedule[-1], message)
+        message = f"residual {res:.3e} above tolerance {opts.tolerance:g}"
+    return SolverResult(GridFunction(grid, u), converged, history, stages, message)
 
 
 def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,

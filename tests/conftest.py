@@ -21,11 +21,32 @@ def smooth_exponent(grid: Grid, amp: float = 0.12) -> ExponentField:
     )
 
 
+def cold_start(boundary: GridFunction) -> GridFunction:
+    """The boundary values with a zero interior, so no solve starts at the answer."""
+    mask = boundary.grid.boundary_node_mask[:, None]
+    return GridFunction(boundary.grid, np.where(mask, boundary.values, 0.0))
+
+
+def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction, Grid]:
+    """1D low-exponent strip: the minimizer's flux constancy concentrates
+    the gradient inside the strip, an interior energy spike with zero data.
+
+    Returns (G, p, boundary, grid), the arguments of solve_pxlaplace.  J is
+    about 1e6 at the minimizer, so the last steps run at J's rounding floor.
+    """
+    g = Grid(1, (-2.0,), (4.0,), (512,))
+    w = 0.04
+    p = ExponentField.from_function(g, lambda x: 2.0 - amp * np.exp(-x[0] ** 2 / w**2))
+    bnd = GridFunction(g, 2394.0 * np.tanh(g.node_coords[:, 0] * 5.0))
+    G = CellField(g, np.zeros((g.num_cells, 1, 1)))
+    return G, p, bnd, g
+
+
 def solved_matched(n: int) -> dict:
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (n, n))
     p = smooth_exponent(grid)
     u_star, G, boundary = manufactured_instance("matched", grid, p)
-    result = solve_pxlaplace(G, p, boundary, grid, SolveOptions())
+    result = solve_pxlaplace(G, p, cold_start(boundary), grid, SolveOptions())
     assert result.converged, result.message
     return {"grid": grid, "p": p, "u_star": u_star, "G": G,
             "boundary": boundary, "result": result}

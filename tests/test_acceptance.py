@@ -46,7 +46,7 @@ from varexp.operator import FluxParams, energy, energy_gradient, flux, structure
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
-from conftest import smooth_exponent, solved_matched
+from conftest import cold_start, constriction, smooth_exponent, solved_matched
 
 
 @contextmanager
@@ -153,7 +153,7 @@ def test_acceptance_solver_recovery(matched32, matched64):
         g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
         p = ExponentField.constant(g, 2.0)
         u_star, G, boundary = manufactured_instance("linear", g, p)
-        res = solve_pxlaplace(G, p, boundary, g, SolveOptions())
+        res = solve_pxlaplace(G, p, cold_start(boundary), g, SolveOptions())
         assert res.converged
         B = np.zeros((g.num_cells, g.dim, g.num_nodes))
         coefs = g.grad_coefs
@@ -259,14 +259,8 @@ def test_acceptance_level_set_moments(matched32):
 
 # -- 8: good-lambda occupancy decay -----------------------------------------
 
-def constriction(amp):
-    """1D low-exponent strip: the minimizer's flux constancy concentrates
-    the gradient inside the strip, an interior energy spike with zero data."""
-    g = Grid(1, (-2.0,), (4.0,), (512,))
-    w = 0.04
-    p = ExponentField.from_function(g, lambda x: 2.0 - amp * np.exp(-x[0] ** 2 / w**2))
-    bnd = GridFunction(g, 2394.0 * np.tanh(g.node_coords[:, 0] * 5.0))
-    G = CellField(g, np.zeros((g.num_cells, 1, 1)))
+def solved_constriction(amp):
+    G, p, bnd, g = constriction(amp)
     res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
     assert res.converged
     return g, p, res, G
@@ -276,7 +270,7 @@ def test_acceptance_good_lambda_trend():
     epsilons = (0.4, 0.2, 0.1, 0.05)  # decreasing 4-point sweep
     deltas = {}
     for amp in (0.5, 0.25):
-        g, p, res, G = constriction(amp)
+        g, p, res, G = solved_constriction(amp)
         F = energy_density(res.u, p)
         Gh = data_density(G, p)
         root = g.domain.scaled(0.5)

@@ -103,6 +103,16 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert outs[0] == outs[1]  # identical config + seed -> identical bytes
     assert b"residual" in outs[0]
 
+    # one report line per gamma stage, none of which reads as a scalar; the
+    # stage steps add up to the iterations scalar
+    lines = (tmp_path / "a" / "report.txt").read_text().splitlines()
+    stages = [ln for ln in lines if ln.startswith("stage gamma ")]
+    assert stages and all(" = " not in ln for ln in stages)
+    assert stages[-1].endswith("stop tolerance")
+    scalars = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
+    steps = sum(int(ln.split(": ", 1)[1].split(" steps")[0]) for ln in stages)
+    assert steps == int(float(scalars["iterations"]))
+
 
 def test_vxf_round_trip_exact(tmp_path):
     g = Grid(2, (-1.0, 0.5), (2.0, 1.5), (5, 3))

@@ -24,6 +24,8 @@ from varexp.solver import (
 )
 from varexp.varlp import mean_over
 
+from conftest import cold_start, constriction
+
 
 def test_schedule_floor_below_two():
     opts = SolveOptions()
@@ -185,12 +187,35 @@ def test_cold_start_recovery(dim, lo, side, p_range, p_fn):
         p = ExponentField.from_function(g, p_fn)
         assert (p.p_minus, p.p_plus) == pytest.approx(p_range, abs=1e-12)
         u_star, G, bnd = manufactured_instance("matched", g, p)
-        cold = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, 0.0))
-        res = solve_pxlaplace(G, p, cold, g, SolveOptions())
+        res = solve_pxlaplace(G, p, cold_start(bnd), g, SolveOptions())
         assert res.converged and res.residual <= 1e-8, res.message
         errs.append(float(np.abs(res.u.values - u_star.values).max()))
     assert errs[1] < 0.05
     assert math.log2(errs[0] / errs[1]) >= 1.0
+
+
+def test_rounding_floor_stall_is_resolved():
+    # J is about 1e6 here, so near the minimizer J + c t slope rounds to J
+    # and the Armijo test cannot see a decrease; without the residual guard
+    # the final stage backtracks to steps that change nothing until its cap
+    res = solve_pxlaplace(*constriction(0.5), SolveOptions())
+    assert res.converged and res.iterations <= 8, res.stages
+    assert any(s.guarded for s in res.stages), res.stages
+
+
+@pytest.mark.parametrize("p_value, budget", [(1.7, 7), (1.3, 21)])
+def test_intermediate_stages_are_inexact(p_value, budget):
+    # zero data on the boundary, a cold start; only the last stage runs to
+    # the tolerance, the earlier ones stop at a residual reduction
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
+    p = ExponentField.constant(g, p_value)
+    _, G, bnd = manufactured_instance("bump", g, p)
+    res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
+    assert res.converged and res.residual <= 1e-8, res.message
+    assert res.iterations <= budget, res.stages
+    assert [s.gamma for s in res.stages] == list(SolveOptions().schedule(p_value))
+    assert all(s.reason in ("reduction", "tolerance") for s in res.stages[:-1]), res.stages
+    assert res.stages[-1].reason == "tolerance"
 
 
 def test_solve_validation():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varexp.exponent import ExponentField
 from varexp.grid import Box, CellField, Grid, GridFunction, region_weights
@@ -87,6 +89,33 @@ def test_luxemburg_homogeneity_and_monotonicity():
         # |f| <= |g| pointwise implies norm(f) <= norm(g)
         bigger = CellField(g, vals * rng.uniform(1.0, 2.0, g.num_cells))
         assert n1 <= luxemburg_norm(bigger, p, g.domain).norm + 1e-12
+
+
+@st.composite
+def luxemburg_cases(draw):
+    """A 1-D or 2-D grid, an exponent in [1.05, 4] and a field with zeros."""
+    dim = draw(st.integers(1, 2))
+    cells = tuple(draw(st.integers(2, {1: 30, 2: 8}[dim])) for _ in range(dim))
+    g = Grid(dim, (0.0,) * dim, tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim)), cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = ExponentField(GridFunction(g, rng.uniform(1.05, draw(st.floats(1.05, 4.0)), g.num_nodes)))
+    vals = rng.normal(size=g.num_cells) * draw(st.floats(1e-3, 1e3))
+    vals[rng.uniform(size=g.num_cells) < draw(st.floats(0.0, 0.5))] = 0.0
+    return g, p, vals, rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=luxemburg_cases(), c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+def test_luxemburg_homogeneity_and_monotonicity_fuzzed(case, c):
+    # the norm is the upper end of a bisection bracket of relative width
+    # 1e-10 around the root, so each comparison allows that width twice
+    g, p, vals, rng = case
+    n1 = luxemburg_norm(CellField(g, vals), p, g.domain).norm
+    nc = luxemburg_norm(CellField(g, c * vals), p, g.domain).norm
+    assert math.isclose(nc, abs(c) * n1, rel_tol=2e-10, abs_tol=0.0)
+    bigger = luxemburg_norm(CellField(g, vals * rng.uniform(1.0, 2.0, g.num_cells)),
+                            p, g.domain).norm
+    assert n1 <= bigger * (1.0 + 2e-10)
 
 
 def test_luxemburg_region_outside_domain_raises():
