@@ -8,6 +8,10 @@ Cells that only partially overlap a region count by volume fraction, so
 integrals are exactly additive over disjoint regions and monotone under
 region inclusion for nonnegative integrands.
 
+The cell-center gradient is one cached sparse matrix B = Grid.gradient_matrix:
+``gradient`` applies B, the operator module's energy gradient applies B^T,
+and its Hessian is B^T (D B) for a block-diagonal D.
+
 Conventions: dimension is 1, 2, or 3; all per-axis data is ordered
 row-major (first axis slowest); node and cell arrays are flat with that
 ordering.
@@ -222,6 +226,20 @@ class Grid:
         return signs / (2.0 ** (self.dim - 1) * self.cell_size[None, :])
 
     @cached_property
+    def gradient_matrix(self):
+        """(num_cells * dim, num_nodes) sparse CSR matrix B of the Q1
+        cell-center gradient: row ``c * dim + k`` holds ``grad_coefs[:, k]``
+        at the corners of cell c."""
+        from scipy import sparse
+
+        nc, nb = self.cell_corner_indices.shape
+        shape = (nc, self.dim, nb)
+        data = np.broadcast_to(self.grad_coefs.T, shape).reshape(-1)
+        cols = np.broadcast_to(self.cell_corner_indices[:, None, :], shape).reshape(-1)
+        indptr = np.arange(0, data.size + 1, nb)
+        return sparse.csr_matrix((data, cols, indptr), shape=(nc * self.dim, self.num_nodes))
+
+    @cached_property
     def boundary_node_mask(self) -> np.ndarray:
         """(num_nodes,) bool; True on the topological boundary."""
         mask = np.zeros(self.nodes_per_axis, dtype=bool)
@@ -379,8 +397,8 @@ def gradient(u: GridFunction) -> CellField:
     at the center (the mixed terms average out there).
     """
     g = u.grid
-    corner_vals = u.values[g.cell_corner_indices]  # (nc, 2^d, N)
-    return CellField(g, np.einsum("cbn,bk->cnk", corner_vals, g.grad_coefs))
+    du = (g.gradient_matrix @ u.values).reshape(g.num_cells, g.dim, u.codomain_dim)
+    return CellField(g, np.ascontiguousarray(du.transpose(0, 2, 1)))
 
 
 def _interval_overlaps(grid: Grid, k: int, lo, hi) -> np.ndarray:

@@ -15,6 +15,10 @@ is smooth and convex for gamma > 0 (and for gamma = 0 when p >= 2), with
 exact analytic gradient and Hessian with respect to the nodal values.
 Minimizers satisfy the discrete weak form div A(x, Du) = div A(x, G).
 
+D is the grid's sparse gradient matrix B = Grid.gradient_matrix: the energy
+gradient is B^T applied to the weighted flux residual, and the Hessian is
+B^T (D B) with D block diagonal, one block dA/dz per cell.
+
 structure_fit measures the growth/coercivity/continuity constants of the
 flux by seeded random sampling with log-uniform magnitudes, reporting the
 sup-residual offsets h1, h2 rather than assuming them zero for the
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import Box, CellField, GridFunction, gradient, region_weights
+from .grid import CellField, GridFunction, gradient
 
 __all__ = [
     "FluxParams",
@@ -128,83 +132,61 @@ def _potential(params: FluxParams, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r**q / q
 
 
-def energy(u: GridFunction, G: CellField, p: ExponentField,
-           params: FluxParams, region: Box | None = None) -> float:
-    """J(u) = integral over the region of phi_{p(x)}(|Du|) - A(x, G) : Du."""
-    grid = u.grid
-    w = region_weights(grid, region)
+def energy(u: GridFunction, G: CellField, p: ExponentField, params: FluxParams) -> float:
+    """J(u) = integral of phi_{p(x)}(|Du|) - A(x, G) : Du."""
     du = gradient(u).values
     q = p.cell_values
     pot = _potential(params, _magnitude(du), q)
     ag = _flux_batch(G.values, q, params)
     cross = np.einsum("cnd,cnd->c", ag, du)
-    return float(np.sum(w * (pot - cross)))
+    return float(np.sum(u.grid.cell_volume * (pot - cross)))
 
 
 def energy_gradient(u: GridFunction, G: CellField, p: ExponentField,
-                    params: FluxParams, region: Box | None = None,
-                    bc_mask: np.ndarray | None = None) -> GridFunction:
-    """Exact gradient of J with respect to the nodal values.
+                    params: FluxParams) -> GridFunction:
+    """Exact gradient of J with respect to all nodal values, B^T applied to
+    the weighted flux residual.
 
-    Rows of Dirichlet nodes (bc_mask True) are zeroed: those values are
-    not unknowns.  The residual of the discrete weak form is this gradient
-    restricted to the free nodes.
+    The residual of the discrete weak form is this gradient restricted to
+    the free (non-Dirichlet) nodes.
     """
     grid = u.grid
-    w = region_weights(grid, region)
     du = gradient(u).values
     q = p.cell_values
     res = _flux_batch(du, q, params) - _flux_batch(G.values, q, params)
-    res *= w[:, None, None]
-    out = np.zeros_like(u.values)
-    corners = grid.cell_corner_indices
-    coefs = grid.grad_coefs
-    for j in range(coefs.shape[0]):
-        np.add.at(out, corners[:, j], res @ coefs[j])
-    if bc_mask is not None:
-        out[np.asarray(bc_mask, dtype=bool)] = 0.0
-    return GridFunction(grid, out)
+    res *= grid.cell_volume
+    flat = res.transpose(0, 2, 1).reshape(-1, u.codomain_dim)  # rows c * dim + k
+    return GridFunction(grid, grid.gradient_matrix.T @ flat)
 
 
-def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams,
-                   region: Box | None = None):
-    """Sparse Hessian of J over all nodal dofs (dof = node * N + component).
+def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
+    """Sparse CSR Hessian B^T (D B) of J over all nodal dofs
+    (dof = node * N + component); the data term is linear and drops out.
 
-    The data term is linear in u and drops out.  For the squared variant
-    with gamma > 0 (or p >= 2) the per-cell blocks
-    a(r) I + (a'(r)/r) z (x) z are positive semidefinite, so the assembled
-    matrix is as well.
+    D is block diagonal with one (dim N)^2 block a(r) I + (a'(r)/r) z (x) z
+    per cell, z = Du there; for N > 1, B acts as kron(B, I_N).  For the
+    squared variant with gamma > 0 (or p >= 2) the blocks are positive
+    semidefinite, so the assembled matrix is as well.
     """
     from scipy import sparse
 
     grid = u.grid
     N = u.codomain_dim
-    w = region_weights(grid, region)
     du = gradient(u).values  # (nc, N, d)
     q = p.cell_values
     r = _magnitude(du)
-    s1 = _radial(params, r, q) * w
-    s2 = _radial_slope(params, r, q) * w
+    s1 = _radial(params, r, q) * grid.cell_volume
+    s2 = _radial_slope(params, r, q) * grid.cell_volume
 
-    coefs = grid.grad_coefs  # (2^d, d)
-    g0 = coefs @ coefs.T  # (2^d, 2^d)
-    wz = np.einsum("cnd,jd->cjn", du, coefs)  # (nc, 2^d, N)
-    nb = coefs.shape[0]
-    eye = np.eye(N)
-    blocks = (
-        s1[:, None, None, None, None] * g0[None, :, None, :, None] * eye[None, None, :, None, :]
-        + s2[:, None, None, None, None] * wz[:, :, :, None, None] * wz[:, None, None, :, :]
-    )  # (nc, 2^d, N, 2^d, N)
-
-    corners = grid.cell_corner_indices  # (nc, 2^d)
-    dof = corners[:, :, None] * N + np.arange(N)[None, None, :]  # (nc, 2^d, N)
-    rows = np.broadcast_to(dof[:, :, :, None, None], blocks.shape).reshape(-1)
-    cols = np.broadcast_to(dof[:, None, None, :, :], blocks.shape).reshape(-1)
-    mat = sparse.coo_matrix(
-        (blocks.reshape(-1), (rows, cols)),
-        shape=(grid.num_nodes * N, grid.num_nodes * N),
-    )
-    return mat.tocsr()
+    m = grid.dim * N
+    z = du.transpose(0, 2, 1).reshape(-1, m)  # (k, n) order of kron(B, I_N) rows
+    blocks = s1[:, None, None] * np.eye(m) + s2[:, None, None] * z[:, :, None] * z[:, None, :]
+    nc = grid.num_cells
+    D = sparse.bsr_matrix((blocks, np.arange(nc), np.arange(nc + 1)), shape=(nc * m, nc * m))
+    B = grid.gradient_matrix
+    if N > 1:
+        B = sparse.kron(B, sparse.identity(N), format="csr")
+    return B.T.tocsr() @ (D @ B)
 
 
 @dataclass

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import Box, CellField, Grid, GridFunction, gradient, region_weights
-from .operator import FluxParams, energy, energy_gradient, energy_hessian
+from .grid import Box, CellField, Grid, GridFunction, gradient
+from .operator import FluxParams, _flux_batch, energy, energy_gradient, energy_hessian
 
 __all__ = [
     "SolveOptions",
@@ -181,10 +181,9 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
     are the interior lattice, which _dissection orders."""
     grid = u0.grid
     N = u0.codomain_dim
-    boundary_mask = grid.boundary_node_mask
     interior = tuple(n - 2 for n in grid.nodes_per_axis)
     order = (_dissection(interior)[:, None] * N + np.arange(N)).reshape(-1)
-    sel = np.flatnonzero(np.repeat(~boundary_mask, N))[order]
+    sel = np.flatnonzero(np.repeat(~grid.boundary_node_mask, N))[order]
     u = u0.values.copy()
     history: list[tuple[float, float]] = []
     stages: list[StageStats] = []
@@ -193,8 +192,7 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
 
     def free_gradient(values: np.ndarray, params: FluxParams) -> tuple[np.ndarray, float]:
         """Energy gradient on the free dofs in elimination order, and its sup-norm."""
-        g = energy_gradient(GridFunction(grid, values), G, p, params,
-                            bc_mask=boundary_mask).values.reshape(-1)[sel]
+        g = energy_gradient(GridFunction(grid, values), G, p, params).values.reshape(-1)[sel]
         return g, float(np.abs(g).max()) if g.size else 0.0
 
     for k, gam in enumerate(schedule):
@@ -305,8 +303,6 @@ def comparison_distance(u: GridFunction, w: GridFunction, Qj: Box,
     du = gradient(u).values[cell_idx]
     dw = gradient(w).values
     q = p.cell_values[cell_idx]
-    from .operator import _flux_batch  # radial flux on gradient batches
-
     diff = _flux_batch(du, q, params) - _flux_batch(dw, q, params)
     pairing = np.einsum("cnd,cnd->c", diff, du - dw)
     return float(pairing.mean())

@@ -51,17 +51,13 @@ class LuxemburgResult:
     bisection_iterations: int
 
 
-def _region_weights(f: CellField, region: Box) -> np.ndarray:
-    return region_weights(f.grid, region)
-
-
 def modular(f: CellField, p: ExponentField, region: Box) -> float:
     """Integral of |f(x)|^{p(x)} over region ∩ domain (midpoint quadrature)."""
     if f.values.ndim != 1:
         raise ValueError("modular expects a scalar cell field")
     if f.grid != p.grid:
         raise ValueError("field and exponent live on different grids")
-    w = _region_weights(f, region)
+    w = region_weights(f.grid, region)
     if w.sum() <= 0.0:
         raise ValueError("region outside domain")
     nz = w > 0
@@ -75,9 +71,11 @@ def luxemburg_norm(f: CellField, p: ExponentField, region: Box,
     The map is continuous and strictly decreasing where f is nonzero, so
     the gauge is the unique root of modular(f/lam) = 1 (or 0 for the zero
     field).  The returned norm is the upper bracket end, which keeps the
-    modular at the norm on the <= 1 side of the unit sphere.
+    modular at the norm on the <= 1 side of the unit sphere.  Bisection
+    stops at relative width ``rel_tol``, or sooner once the bracket ends
+    are adjacent floats.
     """
-    w = _region_weights(f, region)
+    w = region_weights(f.grid, region)
     if w.sum() <= 0.0:
         raise ValueError("region outside domain")
     nz = (w > 0) & (np.abs(f.values) > 0)
@@ -104,6 +102,8 @@ def luxemburg_norm(f: CellField, p: ExponentField, region: Box,
             return LuxemburgResult(0.0, rho(hi), it)
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: rel_tol is below one ulp
+            break
         if rho(mid) <= 1.0:
             hi = mid
         else:
@@ -123,7 +123,7 @@ def marcinkiewicz_norm(f: CellField, s: float, region: Box) -> float:
         raise ValueError("s must be positive")
     if f.values.ndim != 1:
         raise ValueError("marcinkiewicz_norm expects a scalar cell field")
-    w = _region_weights(f, region)
+    w = region_weights(f.grid, region)
     if w.sum() <= 0.0:
         raise ValueError("region outside domain")
     nz = w > 0
@@ -170,7 +170,7 @@ def jensen_check(f: CellField, Q: Box, p: ExponentField, m: float,
 
     flags = []
     centers = f.grid.cell_centers
-    w = _region_weights(f, Q)
+    w = region_weights(f.grid, Q)
     sup_norm = float(np.linalg.norm(centers[w > 0], axis=1).max())
     if np.linalg.norm(x_eval) >= sup_norm - 1e-12 * max(1.0, sup_norm):
         flags.append("pointwise-term-removable")
@@ -197,7 +197,7 @@ def sobolev_poincare_check(f: GridFunction, Q: Box, p: ExponentField,
         m = 2.0 * n
     if m <= n:
         raise ValueError("decay power m must exceed the dimension")
-    w = _region_weights(CellField(g, np.zeros(g.num_cells)), Q)
+    w = region_weights(g, Q)
     if w.sum() <= 0:
         raise ValueError("region outside domain")
     pc = p.cell_values

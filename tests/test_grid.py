@@ -135,6 +135,20 @@ def test_gradient_vector_codomain():
     np.testing.assert_allclose(du[:, 1, 0], 2.0)
 
 
+@pytest.mark.parametrize("grid", [
+    Grid(1, (0.5,), (1.5,), (3,)),
+    Grid(2, (-1.0, 0.0), (2.0, 0.6), (3, 4)),
+    Grid(3, (0.0, -1.0, 0.0), (1.0, 0.5, 2.0), (2, 3, 4)),
+])
+def test_gradient_matrix_matches_loop_built_oracle(grid):
+    # the dense B the p = 2 linear-solve oracles assemble cell by cell
+    B = np.zeros((grid.num_cells, grid.dim, grid.num_nodes))
+    for c, corners in enumerate(grid.cell_corner_indices):
+        B[c][:, corners] = grid.grad_coefs.T
+    np.testing.assert_array_equal(
+        grid.gradient_matrix.toarray(), B.reshape(-1, grid.num_nodes))
+
+
 def test_region_weights_clip_partial_cells():
     g = Grid(1, (0.0,), (1.0,), (4,))
     w = region_weights(g, Box((0.125,), (0.5,)))

@@ -82,21 +82,23 @@ def test_gradient_matches_finite_differences():
             assert abs(grad @ v - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def test_hessian_matches_gradient_differences():
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hessian_matches_gradient_differences(dim, N):
     rng = np.random.default_rng(5)
-    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
+    g = Grid(dim, (0.0,) * dim, (1.0, 0.7, 1.3)[:dim], (4, 3, 2)[:dim])
     p = ExponentField(GridFunction(g, 2.0 + rng.uniform(0, 1, g.num_nodes)))
-    u = GridFunction(g, rng.normal(size=g.num_nodes))
+    u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
     params = FluxParams(1e-1, "squared")
     H = energy_hessian(u, p, params)
-    v = rng.normal(size=g.num_nodes)
+    v = rng.normal(size=(g.num_nodes, N))
     v /= np.linalg.norm(v)
     eps = 1e-6
-    G0 = CellField(g, np.zeros((g.num_cells, 1, 2)))
-    gp = energy_gradient(GridFunction(g, u.values[:, 0] + eps * v), G0, p, params)
-    gm = energy_gradient(GridFunction(g, u.values[:, 0] - eps * v), G0, p, params)
+    G0 = CellField(g, np.zeros((g.num_cells, N, dim)))
+    gp = energy_gradient(GridFunction(g, u.values + eps * v), G0, p, params)
+    gm = energy_gradient(GridFunction(g, u.values - eps * v), G0, p, params)
     fd = (gp.values.ravel() - gm.values.ravel()) / (2 * eps)
-    np.testing.assert_allclose(H @ v, fd, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(H @ v.ravel(), fd, rtol=1e-5, atol=1e-8)
 
 
 def test_hessian_positive_semidefinite():

@@ -139,7 +139,7 @@ def test_newton_step_matches_dense_solve_vector_3d():
     params = FluxParams(1.0, "squared")
     free = _free_dofs(g, 2)
     H = energy_hessian(u0, p, params).toarray()[np.ix_(free, free)]
-    grad = energy_gradient(u0, G, p, params, bc_mask=g.boundary_node_mask).values.reshape(-1)
+    grad = energy_gradient(u0, G, p, params).values.reshape(-1)
     want = np.linalg.solve(H, -grad[free])
     step = (res.u.values - u0.values).reshape(-1)
     np.testing.assert_array_equal(step[~free], 0.0)
@@ -163,8 +163,7 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
     assert res.iterations == 1
 
     free = _free_dofs(g, 1)
-    grad = energy_gradient(bnd, G, p, FluxParams(1.0, "squared"),
-                           bc_mask=g.boundary_node_mask).values.reshape(-1)[free]
+    grad = energy_gradient(bnd, G, p, FluxParams(1.0, "squared")).values.reshape(-1)[free]
     step = (res.u.values - bnd.values).reshape(-1)[free]
     t = -float(step @ grad) / float(grad @ grad)
     assert 0.0 < t <= 1.0

@@ -1,6 +1,9 @@
 """Source-level rules for the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import varexp
@@ -14,3 +17,14 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/varexp: {found}"
+
+
+def test_import_loads_no_scipy():
+    # scipy costs every command its import time: the package and the CLI
+    # import it only inside the functions that use it
+    code = ("import sys, varexp, varexp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(varexp.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -68,6 +68,18 @@ def test_luxemburg_two_exponent_hand_case():
     assert res.norm == pytest.approx((1.0 + math.sqrt(17.0)) / 4.0, abs=1e-8)
 
 
+def test_luxemburg_tolerance_below_one_ulp_terminates():
+    # below one ulp the width test alone never ends: the bisection stops
+    # once its bracket ends are adjacent floats
+    g = Grid(1, (0.0,), (1.0,), (4,))
+    p = ExponentField(GridFunction(g, np.array([1.0, 1.0, 1.0, 2.0, 2.0])))
+    f = CellField(g, np.array([0.0, 2.0, 0.0, 2.0]))
+    fine = luxemburg_norm(f, p, g.domain, rel_tol=1e-17)
+    ref = luxemburg_norm(f, p, g.domain, rel_tol=1e-15)
+    assert abs(fine.norm - ref.norm) <= np.spacing(ref.norm)
+    assert fine.modular_at_norm <= 1.0
+
+
 def test_luxemburg_zero_field():
     g = Grid(1, (0.0,), (1.0,), (4,))
     p = ExponentField.constant(g, 2.0)
