@@ -5,7 +5,7 @@ the estimate chain from Caccioppoli through good-lambda to higher
 integrability."""
 
 from . import dyadic, estimates, exponent, grid, operator, solver, varlp
-from .grid import Box, CellField, Grid, GridFunction, gradient, integrate, make_grid
+from .grid import Box, CellField, Grid, GridFunction, gradient, integrate
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,6 @@ __all__ = [
     "GridFunction",
     "gradient",
     "integrate",
-    "make_grid",
     "grid",
     "exponent",
     "varlp",

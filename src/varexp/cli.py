@@ -126,6 +126,10 @@ def _at_least(bound: float):
     return (lambda v: v >= bound, f"must be >= {bound:g}")
 
 
+def _above(bound: float):
+    return (lambda v: v > bound, f"must exceed {bound:g}")
+
+
 @dataclass
 class ExperimentConfig:
     command: str
@@ -137,13 +141,13 @@ class ExperimentConfig:
     # the grid defaults are 2-D; other dims repeat the first entry per axis
     origin: tuple[float, ...] = _key("grid", "floats", (-1.0, -1.0), "lower domain corner")
     extent: tuple[float, ...] = _key("grid", "floats", (2.0, 2.0), "domain side lengths",
-                                     (lambda v: v > 0, "must be positive"))
+                                     _above(0))
     cells: tuple[int, ...] = _key("grid", "ints", (32, 32), "cells per axis (8 in 3-D)",
                                   _at_least(2))
     exponent_kind: str = _key("exponent", "str", "constant", "p = value, a VXF table or a VXF file",
                               _one_of("constant", "table", "file"), key="kind")
     exponent_value: float = _key("exponent", "float", 2.0, "p for kind = constant",
-                                 (lambda v: v > 1, "must exceed 1"), key="value")
+                                 _above(1), key="value")
     exponent_path: str | None = _key("exponent", "path", None,
                                      "VXF nodal p: any grid for table, [grid] for file", key="path")
     p_infinity: float | None = _key("exponent", "float", None,
@@ -154,43 +158,43 @@ class ExperimentConfig:
     boundary_path: str | None = _key("data", "path", None, "VXF nodal boundary values (files)",
                                      key="boundary")
     tolerance: float = _key("solver", "float", 1e-8,
-                            "residual at which the final gamma stage stops")
+                            "residual at which the final gamma stage stops", _above(0))
     max_iterations: int = _key("solver", "int", 200,
-                               "Newton step cap per gamma stage (not for denoise)")
-    variant: str = _key("solver", "str", "squared", "flux variant",
-                        _one_of("squared", "power", "shifted"))
-    gamma: float = _key("solver", "float", 1.0, "flux regularization of the structure fit behind "
-                        "auto kappa only; the solver's gamma-continuation does not read it",
-                        _at_least(0))
+                               "Newton step cap per gamma stage (not for denoise)", _at_least(0))
     q: float = _key("estimates", "float", 2.0, "higher-integrability exponent", _at_least(1))
-    kappa: float | None = _key("estimates", "auto", None, "good-lambda factor; auto: 2^(n+1) c4")
+    kappa: float | None = _key("estimates", "auto", None,
+                               "good-lambda factor, at least 2^dim; auto: 2^(n+1) c4")
     epsilons: tuple[float, ...] = _key("estimates", "floats", (0.4, 0.2, 0.1, 0.05),
                                        "good-lambda epsilons; verify and sweep use the first")
     lambda_factors: tuple[float, ...] = _key("estimates", "floats", (1.0, 2.0, 4.0),
                                              "good-lambda lambdas over lambda0; sweep: the first",
                                              _at_least(1))
     lambda_count: int = _key("estimates", "int", 64, "level-set sweep points", _at_least(1))
-    m: float | None = _key("estimates", "auto", None, "decay power of (e+|x|)^-m; auto = 2n")
-    m0: float = _key("estimates", "float", 1.5, "power of the data maximal function")
-    mu_max: float = _key("estimates", "float", 2.0, "largest Gehring exponent scanned")
-    steps: int = _key("estimates", "int", 8, "Gehring exponents scanned")
+    m: float | None = _key("estimates", "auto", None,
+                           "decay power of (e+|x|)^-m, above dim; auto = 2n")
+    m0: float = _key("estimates", "float", 1.5, "power of the data maximal function", _above(0))
+    mu_max: float = _key("estimates", "float", 2.0, "largest Gehring exponent scanned", _above(1))
+    steps: int = _key("estimates", "int", 8, "Gehring exponents scanned", _at_least(2))
     cap: float = _key("estimates", "float", 1e3, "largest Gehring constant counted toward m0")
     root_scale: float = _key("estimates", "float", 0.5, "root side over domain side",
                              (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5] so the "
                               "doubled root stays inside the domain"))
-    refinements: int = _key("sweep", "int", 1, "grid doublings after the base grid")
+    refinements: int = _key("sweep", "int", 1, "grid doublings after the base grid",
+                            _at_least(0))
     sizes: tuple[float, ...] = _key("sweep", "floats", (0.5, 1.0),
-                                    "absolute root side lengths; doubled roots must fit the domain")
+                                    "absolute root side lengths; doubled roots must fit the domain",
+                                    _above(0))
     amplitudes: tuple[float, ...] = _key("sweep", "floats", (1.0, 0.5), "t in mean p + t (p - mean p)")
     image: str | None = _key("denoise", "path", None, "input PGM; required by denoise")
     strength: float = _key("denoise", "float", 3.0, "smoothing strength; 0 keeps the input")
     p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges")
     p_max: float = _key("denoise", "float", 2.0, "exponent on flat regions")
-    iterations: int = _key("denoise", "int", 100, "Newton step cap per gamma stage of denoise")
+    iterations: int = _key("denoise", "int", 100, "Newton step cap per gamma stage of denoise",
+                           _at_least(0))
 
     def solve_options(self) -> SolveOptions:
         cap = self.iterations if self.command == "denoise" else self.max_iterations
-        return SolveOptions(tolerance=self.tolerance, max_iterations=cap, variant=self.variant)
+        return SolveOptions(tolerance=self.tolerance, max_iterations=cap)
 
 
 def _config_keys() -> dict[tuple[str, str], Field]:
@@ -267,6 +271,10 @@ def load_config(command: str, path: str | Path, out: str | None = None,
             setattr(cfg, name, (8 if name == "cells" and cfg.dim == 3 else given[0],) * cfg.dim)
         elif len(given) != cfg.dim:
             raise ConfigError(f"[grid] {name}: expected {cfg.dim} entries, got {len(given)}")
+    if cfg.m is not None and cfg.m <= cfg.dim:
+        raise ConfigError(f"[estimates] m: must exceed dim = {cfg.dim}, got {cfg.m:g}")
+    if cfg.kappa is not None and cfg.kappa < 2**cfg.dim:
+        raise ConfigError(f"[estimates] kappa: must be >= 2^dim = {2**cfg.dim}, got {cfg.kappa:g}")
     if cfg.exponent_kind != "constant" and cfg.exponent_path is None:
         raise ConfigError(f"[exponent] path: required for kind = {cfg.exponent_kind}")
     if cfg.instance == "files" and (cfg.g_path is None or cfg.boundary_path is None):
@@ -550,7 +558,7 @@ def _solve(cfg: ExperimentConfig, grid: Grid | None = None, p: ExponentField | N
 def _resolve_kappa(cfg: ExperimentConfig, p: ExponentField) -> float:
     if cfg.kappa is not None:
         return cfg.kappa
-    fit = structure_fit(p, FluxParams(cfg.gamma, cfg.variant), seed=cfg.seed)
+    fit = structure_fit(p, FluxParams(1.0), seed=cfg.seed)
     return default_kappa(fit.c4, p.grid.dim)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,7 +303,6 @@ class GoodLambdaResult:
     m0: float
     lambda0: float
     rows: list[tuple[float, float, float]]  # (epsilon, lam, delta)
-    per_cube: dict[tuple[float, float], list[tuple[DyadicCube, float]]] = field(default_factory=dict)
 
     def delta(self, epsilon: float) -> float:
         vals = [d for (e, _, d) in self.rows if e == epsilon]
@@ -317,12 +316,13 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
 
     O_lam = {M*F > lam} and U = {M*F > kappa lam, M*_{m0}(Gh) <= eps lam}.
     kappa must be at least 2^n.  Rows with empty O_lam report delta = 0.
-    Per covering cube the local occupancy |Q_j ∩ U| / |Q_j| is recorded.
     """
     g = F.grid
     _require_root(g, root)
     if kappa < 2.0**g.dim:
         raise ValueError(f"kappa must be >= 2^n = {2.0**g.dim}")
+    if F.values.min() < 0:
+        raise ValueError("good-lambda needs a nonnegative density F")
     if max_level is None:
         max_level = default_max_level(root, g)
     mf = maximal_function(F, root, 1.0, max_level).values
@@ -333,23 +333,10 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     if any(l < lam0 * (1.0 - 1e-12) for l in lambdas):
         raise ValueError("below covering threshold")
 
-    # covering cubes with their cell-center masks, shared by every epsilon
-    covers = {lam: [(q, q.box.contains_points(g.cell_centers))
-                    for q in cz_cover(F, root, lam, lam0, max_level).cubes]
-              for lam in lambdas}
-    vol = g.cell_volume
-
     rows = []
-    per_cube: dict[tuple[float, float], list[tuple[DyadicCube, float]]] = {}
     for eps in (float(e) for e in epsilons):
         for lam in lambdas:
             ls = _build_level_sets(g, mf, mg, lam, kappa, eps)
             delta = ls.u_measure / ls.o_measure if ls.o_measure > 0 else 0.0
             rows.append((eps, lam, delta))
-            entries = []
-            for q, inside in covers[lam]:
-                denom = inside.sum() * vol
-                num = (inside & ls.u_mask).sum() * vol
-                entries.append((q, num / denom if denom > 0 else 0.0))
-            per_cube[(eps, lam)] = entries
-    return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows, per_cube)
+    return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows)

@@ -51,8 +51,6 @@ def energy_density(u: GridFunction, p: ExponentField) -> CellField:
 def data_density(G: CellField, p: ExponentField, m: float | None = None) -> CellField:
     """|G(x)|^{p(x)} + h(x) with the decay weight h = (e+|x|)^{-m}, m = 2n
     by default."""
-    if m is None:
-        m = 2.0 * G.grid.dim
     mag = G.magnitude()
     h = decay_weight(G.grid, m)
     return CellField(G.grid, mag ** p.cell_values + h.values)
@@ -92,8 +90,6 @@ def reverse_holder_check(u: GridFunction, G: CellField, p: ExponentField,
     """
     g = u.grid
     n = g.dim
-    if m is None:
-        m = 2.0 * n
     pc = p.cell_values
     Q2 = Q.scaled(2.0)
     w2 = region_weights(g, Q2)
@@ -142,8 +138,6 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
     """
     g = u.grid
     n = g.dim
-    if m is None:
-        m = 2.0 * n
     if mu_max <= 1.0:
         raise ValueError("mu_max must exceed 1")
     pc = p.cell_values
@@ -226,17 +220,17 @@ def integrability_triplet(u: GridFunction, w: GridFunction, Qj: Box,
 
 
 def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
-                  mstar: np.ndarray, points: int) -> tuple[float, float, float, np.ndarray]:
+                  mstar: np.ndarray, points: int) -> tuple[float, float, float]:
     """q-th moment mean of F over the root via the level-set route.
 
     Integrates q lam^{q-1} D(lam) over a geometric grid of lambdas running
     from lam0/10 to twice the peak of the maximal function (extended if the
     raw density peaks higher), with D(lam) = |{F > lam} ∩ root| at and below
     the threshold kappa*lam0 and D(lam) = |{M*F > lam}| above it.  The
-    threshold itself is a grid point.  Returns (mean moment, head, tail,
-    lambda grid): head integrates [0, kappa*lam0] on the route of F, tail
-    integrates from kappa*lam0 upward on the route of M*F, its left end
-    included, and the moment is their sum.
+    threshold itself is a grid point.  Returns (mean moment, head, tail):
+    head integrates [0, kappa*lam0] on the route of F, tail integrates from
+    kappa*lam0 upward on the route of M*F, its left end included, and the
+    moment is their sum.
     """
     g = F.grid
     w = region_weights(g, root)
@@ -245,7 +239,7 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
     vol = g.cell_volume
     fmax = float(fv[w > 0].max())
     if lam0 <= 0.0 or fmax <= 0.0:
-        return 0.0, 0.0, 0.0, np.zeros(0)
+        return 0.0, 0.0, 0.0
 
     thresh = kappa * lam0
     top = 2.0 * max(float(mstar.max()), fmax / 2.0, thresh / 2.0)
@@ -268,7 +262,7 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
     tl = lams[lams >= thresh]
     dt = np.asarray([float((mstar > lam).sum()) * vol for lam in tl])
     tail = float(np.trapezoid(q * tl ** (q - 1.0) * dt, tl))
-    return (head + tail) / measure, head / measure, tail / measure, lams
+    return (head + tail) / measure, head / measure, tail / measure
 
 
 def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
@@ -301,7 +295,7 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     if max_level is None:
         max_level = default_max_level(root, g)
     mstar = maximal_function(F, root, 1.0, max_level).values
-    moment, head, tail, _ = _sweep_moment(F, root, q, lam0, kappa, mstar, sweep_points)
+    moment, head, tail = _sweep_moment(F, root, q, lam0, kappa, mstar, sweep_points)
     lhs_sweep = moment ** (1.0 / q)
     rel_gap = abs(lhs_sweep - lhs_direct) / lhs_direct if lhs_direct > 0 else 0.0
 

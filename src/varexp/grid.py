@@ -30,7 +30,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "CellField",
-    "make_grid",
     "gradient",
     "integrate",
     "mean_over",
@@ -381,12 +380,6 @@ class CellField:
 
 
 # -- module operations -----------------------------------------------------
-
-
-def make_grid(dim: int, origin, extent, cells_per_axis) -> Grid:
-    """Build a uniform grid; validates dimension, extents, and cell counts."""
-    return Grid(dim, tuple(np.atleast_1d(origin)), tuple(np.atleast_1d(extent)),
-                tuple(np.atleast_1d(cells_per_axis)))
 
 
 def gradient(u: GridFunction) -> CellField:

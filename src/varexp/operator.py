@@ -1,18 +1,16 @@
-"""The nonlinearity A(x, z) = |z|^{p(x)-2} z and its regularizations.
+"""The nonlinearity A(x, z) = |z|^{p(x)-2} z and its regularization.
 
-Three flux variants share the radial form A(z) = a(|z|) z:
+The flux has the radial form A(z) = a(|z|) z with
 
-    power    a(r) = r^{q-2}                  (the bare operator, A(0) = 0)
-    shifted  a(r) = (gamma + r)^{q-2}
-    squared  a(r) = (gamma^2 + r^2)^{(q-2)/2}
+    a(r) = (gamma^2 + r^2)^{(q-2)/2},   q = p(x),
 
-with q = p(x).  Each has an explicit radial potential phi_q with
-phi_q'(r) = a(r) r, so the Dirichlet energy
+which at gamma = 0 is the bare power flux r^{q-2} (with A(0) = 0).  Its
+radial potential phi_q, with phi_q'(r) = a(r) r, gives the Dirichlet energy
 
     J(u) = integral of phi_{p(x)}(|Du|) - A(x, G) : Du
 
-is smooth and convex for gamma > 0 (and for gamma = 0 when p >= 2), with
-exact analytic gradient and Hessian with respect to the nodal values.
+which is smooth and convex for gamma > 0 (and for gamma = 0 when p >= 2),
+with exact analytic gradient and Hessian with respect to the nodal values.
 Minimizers satisfy the discrete weak form div A(x, Du) = div A(x, G).
 
 D is the grid's sparse gradient matrix B = Grid.gradient_matrix: the energy
@@ -21,8 +19,7 @@ B^T (D B) with D block diagonal, one block dA/dz per cell.
 
 structure_fit measures the growth/coercivity/continuity constants of the
 flux by seeded random sampling with log-uniform magnitudes, reporting the
-sup-residual offsets h1, h2 rather than assuming them zero for the
-regularized variants.
+sup-residual offsets h1, h2 rather than assuming them zero for gamma > 0.
 """
 
 from __future__ import annotations
@@ -44,33 +41,24 @@ __all__ = [
     "energy_hessian",
 ]
 
-_VARIANTS = ("power", "shifted", "squared")
-
 
 @dataclass(frozen=True)
 class FluxParams:
+    """Regularization gamma >= 0 of A(z) = (gamma^2 + |z|^2)^{(p-2)/2} z."""
     gamma: float = 0.0
-    variant: str = "power"
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-
-    def with_gamma(self, gamma: float) -> "FluxParams":
-        return FluxParams(gamma, self.variant)
 
 
 def _radial(params: FluxParams, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     """a(r) such that A(z) = a(|z|) z."""
     g = params.gamma
     q = np.broadcast_to(np.asarray(q, dtype=float), r.shape)
-    if params.variant == "shifted":
-        return (g + r) ** (q - 2.0)
-    if params.variant == "squared" and g > 0.0:
+    if g > 0.0:
         return (g * g + r * r) ** ((q - 2.0) / 2.0)
-    # power, and squared at gamma = 0: r^{q-2}, with A(0) = 0 by convention
+    # gamma = 0: r^{q-2}, with A(0) = 0 by convention
     out = np.zeros_like(r)
     nz = r > 0.0
     out[nz] = r[nz] ** (q[nz] - 2.0)
@@ -82,12 +70,7 @@ def _radial_slope(params: FluxParams, r: np.ndarray, q: np.ndarray) -> np.ndarra
     """a'(r)/r, the coefficient of z (x) z in dA/dz."""
     g = params.gamma
     q = np.broadcast_to(np.asarray(q, dtype=float), r.shape)
-    if params.variant == "shifted":
-        out = np.zeros_like(r)
-        nz = r > 0.0
-        out[nz] = (q[nz] - 2.0) * (g + r[nz]) ** (q[nz] - 3.0) / r[nz]
-        return out
-    if params.variant == "squared" and g > 0.0:
+    if g > 0.0:
         return (q - 2.0) * (g * g + r * r) ** ((q - 4.0) / 2.0)
     out = np.zeros_like(r)
     nz = r > 0.0
@@ -109,7 +92,7 @@ def flux(x, z, p: ExponentField, params: FluxParams) -> np.ndarray:
     """Pointwise flux A(x, z) with q = p(x) interpolated at x.
 
     z may be a (d,) vector or an (N, d) matrix; the result has z's shape.
-    The power variant returns exactly 0 at z = 0.
+    The flux is exactly 0 at z = 0, also at gamma = 0 with p < 2.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
@@ -124,10 +107,7 @@ def flux(x, z, p: ExponentField, params: FluxParams) -> np.ndarray:
 def _potential(params: FluxParams, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     """phi_q(r) with phi_q'(r) = a(r) r and phi_q(0) = 0."""
     g = params.gamma
-    if params.variant == "shifted" and g > 0.0:
-        u = g + r
-        return (u**q - g**q) / q - g * (u ** (q - 1.0) - g ** (q - 1.0)) / (q - 1.0)
-    if params.variant == "squared" and g > 0.0:
+    if g > 0.0:
         return ((g * g + r * r) ** (q / 2.0) - g**q) / q
     return r**q / q
 
@@ -164,9 +144,9 @@ def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
     (dof = node * N + component); the data term is linear and drops out.
 
     D is block diagonal with one (dim N)^2 block a(r) I + (a'(r)/r) z (x) z
-    per cell, z = Du there; for N > 1, B acts as kron(B, I_N).  For the
-    squared variant with gamma > 0 (or p >= 2) the blocks are positive
-    semidefinite, so the assembled matrix is as well.
+    per cell, z = Du there; for N > 1, B acts as kron(B, I_N).  For
+    gamma > 0 (or p >= 2) the blocks are positive semidefinite, so the
+    assembled matrix is as well.
     """
     from scipy import sparse
 
@@ -222,8 +202,8 @@ def structure_fit(p: ExponentField, params: FluxParams,
                         + c4 (A(x,z)-A(x,xi)).(z-xi)
 
     h1, h2 are the sup-residuals of the fitted inequalities over all
-    samples (identically 0 for the bare power flux).  Degenerate fits (no
-    admissible sample, e.g. c3 for constant exponents) report 0.
+    samples (identically 0 for the bare power flux, gamma = 0).  Degenerate
+    fits (no admissible sample, e.g. c3 for constant exponents) report 0.
     """
     rng = np.random.default_rng(seed)
     M = int(sample_budget)

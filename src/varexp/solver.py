@@ -6,17 +6,18 @@ solve_pxlaplace minimizes the convex energy
 
 over nodal fields with Dirichlet values on the topological boundary, by
 damped Newton iteration (exact sparse Hessian, backtracking line search)
-inside a continuation loop over the regularization gamma of the squared
-flux variant.  The final stage runs at gamma = 0 when p- >= 2, else at a
-small positive floor.  Only its answer is used, so each earlier stage is
-solved inexactly (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
-ch. 5): it stops once its residual, the sup-norm of the free-node energy
-gradient, is at most max(tolerance, _STAGE_REDUCTION * its starting
-residual), and warm-starts the next.
+inside a continuation loop over the regularization gamma of the flux, one
+stage per entry of _GAMMA_SCHEDULE.  The final stage runs at gamma = 0
+when p- >= 2, else at the small positive floor _GAMMA_FLOOR.  Only its
+answer is used, so each earlier stage is solved inexactly (Deuflhard,
+Newton Methods for Nonlinear Problems, 2004, ch. 5): it stops once its
+residual, the sup-norm of the free-node energy gradient, is at most
+max(tolerance, _STAGE_REDUCTION * its starting residual), and warm-starts
+the next.
 
-The free-dof Hessian is symmetric positive definite (squared variant with
-gamma > 0, or p >= 2) and couples only neighbouring nodes of a box lattice,
-so each Newton system is factored by SuperLU with diagonal pivots in a
+The free-dof Hessian is symmetric positive definite (gamma > 0, or
+p >= 2) and couples only neighbouring nodes of a box lattice, so each
+Newton system is factored by SuperLU with diagonal pivots in a
 geometric nested-dissection order of the interior nodes (George, SIAM J.
 Numer. Anal. 10, 1973).  When the Newton direction is unusable (singular
 factor, indefinite numerics, extreme diagonal spread) the step falls back
@@ -62,17 +63,6 @@ __all__ = [
 class SolveOptions:
     tolerance: float = 1e-8
     max_iterations: int = 200  # Newton steps per gamma stage
-    gamma_schedule: tuple[float, ...] | None = None  # default (1, 1e-1, 1e-2, 1e-4, 0)
-    gamma_floor: float = 1e-8
-    backtrack_shrink: float = 0.5
-    backtrack_slope: float = 1e-4
-    variant: str = "squared"
-    condition_cap: float = 1e12
-
-    def schedule(self, p_minus: float) -> tuple[float, ...]:
-        base = self.gamma_schedule if self.gamma_schedule is not None else (1.0, 1e-1, 1e-2, 1e-4, 0.0)
-        floor = self.gamma_floor if p_minus < 2.0 else 0.0
-        return tuple(max(g, floor) for g in base)
 
 
 @dataclass
@@ -117,8 +107,19 @@ class SolverResult:
 
 
 _LEAF = 8  # nodes below which a lattice block is not split further
+_GAMMA_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-4, 0.0)  # continuation stages
+_GAMMA_FLOOR = 1e-8  # least gamma of a stage when p- < 2
 _STAGE_REDUCTION = 0.5  # residual factor that ends a non-final gamma stage
+_BACKTRACK_SHRINK = 0.5  # line-search step factor per rejected trial
+_BACKTRACK_SLOPE = 1e-4  # Armijo sufficient-decrease constant c
+_CONDITION_CAP = 1e12  # Hessian diagonal spread above which Newton is not tried
 _ROUNDING_ULPS = 4  # |J(trial) - J| within this many ulps of J is unresolved
+
+
+def _schedule(p_minus: float) -> tuple[float, ...]:
+    """The gamma of each stage, floored at _GAMMA_FLOOR when p- < 2."""
+    floor = _GAMMA_FLOOR if p_minus < 2.0 else 0.0
+    return tuple(max(g, floor) for g in _GAMMA_SCHEDULE)
 
 
 def _dissection(shape: tuple[int, ...]) -> np.ndarray:
@@ -152,7 +153,7 @@ def _dissection(shape: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _free_solve(H, g_free: np.ndarray, cap: float) -> np.ndarray | None:
+def _free_solve(H, g_free: np.ndarray) -> np.ndarray | None:
     """Newton direction; None when the factorization is not trustworthy.
 
     ``H`` is the free-dof Hessian (CSC) already in elimination order, so
@@ -162,7 +163,7 @@ def _free_solve(H, g_free: np.ndarray, cap: float) -> np.ndarray | None:
     from scipy.sparse.linalg import splu
 
     diag = H.diagonal()
-    if diag.min() <= 0.0 or diag.max() / diag.min() > cap:
+    if diag.min() <= 0.0 or diag.max() / diag.min() > _CONDITION_CAP:
         return None
     try:
         lu = splu(H, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -188,7 +189,7 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
     history: list[tuple[float, float]] = []
     stages: list[StageStats] = []
     message = ""
-    schedule = opts.schedule(p.p_minus)
+    schedule = _schedule(p.p_minus)
 
     def free_gradient(values: np.ndarray, params: FluxParams) -> tuple[np.ndarray, float]:
         """Energy gradient on the free dofs in elimination order, and its sup-norm."""
@@ -196,7 +197,7 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
         return g, float(np.abs(g).max()) if g.size else 0.0
 
     for k, gam in enumerate(schedule):
-        params = FluxParams(gam, opts.variant)
+        params = FluxParams(gam)
         J = energy(GridFunction(grid, u), G, p, params)
         history.append((gam, J))
         g_free, res = free_gradient(u, params)
@@ -212,7 +213,7 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
                 stage.reason = "cap"
                 break
             H = energy_hessian(GridFunction(grid, u), p, params)[sel][:, sel].tocsc()
-            d = _free_solve(H, g_free, opts.condition_cap)
+            d = _free_solve(H, g_free)
             slope = float(g_free @ d) if d is not None else 0.0
             if d is None or slope >= 0.0:
                 stage.fallbacks += 1
@@ -225,18 +226,18 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
                 trial = u.copy()
                 trial.reshape(-1)[sel] += t * d
                 Jt = energy(GridFunction(grid, trial), G, p, params)
-                if Jt <= J + opts.backtrack_slope * t * slope:
+                if Jt <= J + _BACKTRACK_SLOPE * t * slope:
                     step = trial, Jt, free_gradient(trial, params)
                     break
                 if abs(Jt - J) <= _ROUNDING_ULPS * np.spacing(abs(J)):
                     # J cannot resolve this trial: demand a residual decrease
                     grad = free_gradient(trial, params)
-                    if grad[1] < (1.0 - opts.backtrack_slope * t) * res:
+                    if grad[1] < (1.0 - _BACKTRACK_SLOPE * t) * res:
                         stage.guarded += 1
                         step = trial, Jt, grad
                         break
                 stage.backtracks += 1
-                t *= opts.backtrack_shrink
+                t *= _BACKTRACK_SHRINK
             if step is None:
                 stage.reason = "stall"
                 message = f"line search stalled at gamma={gam:g}"

@@ -193,10 +193,6 @@ def sobolev_poincare_check(f: GridFunction, Q: Box, p: ExponentField,
     """
     g = f.grid
     n = g.dim
-    if m is None:
-        m = 2.0 * n
-    if m <= n:
-        raise ValueError("decay power m must exceed the dimension")
     w = region_weights(g, Q)
     if w.sum() <= 0:
         raise ValueError("region outside domain")
@@ -238,8 +234,11 @@ def log_mean_check(f: CellField, Q: Box, s: float) -> EstimateRecord:
     )
 
 
-def decay_weight(grid, m: float) -> CellField:
-    """Cell field h(x) = (e + |x|)^{-m}; integrable over R^n for m > n."""
+def decay_weight(grid, m: float | None = None) -> CellField:
+    """Cell field h(x) = (e + |x|)^{-m}; integrable over R^n for m > n
+    (default m = 2n)."""
+    if m is None:
+        m = 2.0 * grid.dim
     if m <= grid.dim:
         raise ValueError("decay power m must exceed the dimension")
     r = np.linalg.norm(grid.cell_centers, axis=1)

@@ -184,7 +184,7 @@ def test_acceptance_energy_gradient_fd():
                         GridFunction(g, p_lo + rng.uniform(0, 0.4, g.num_nodes)))
                     u = GridFunction(g, rng.normal(size=g.num_nodes))
                     G = CellField(g, rng.normal(size=(g.num_cells, 1, dim)))
-                    params = FluxParams(gamma, "squared")
+                    params = FluxParams(gamma)
                     grad = energy_gradient(u, G, p, params).values.ravel()
                     v = rng.normal(size=g.num_nodes)
                     v /= np.linalg.norm(v)
@@ -211,7 +211,7 @@ def test_acceptance_monotonicity_and_c4():
         w = rng.normal(size=(100_000, 2))
         gap = np.einsum(
             "nd,nd->n",
-            flux(x, z, p, FluxParams(0.0, "power")) - flux(x, w, p, FluxParams(0.0, "power")),
+            flux(x, z, p, FluxParams(0.0)) - flux(x, w, p, FluxParams(0.0)),
             z - w)
         worst = min(worst, float(gap.min()))
         total += z.shape[0]
@@ -219,7 +219,7 @@ def test_acceptance_monotonicity_and_c4():
     assert worst >= -1e-12
 
     p2 = ExponentField.constant(g, 2.0)
-    fit = structure_fit(p2, FluxParams(0.0, "power"), sample_budget=30_000, seed=0)
+    fit = structure_fit(p2, FluxParams(0.0), sample_budget=30_000, seed=0)
     assert fit.c4 <= 2.0 + 1e-6
 
 
@@ -275,7 +275,7 @@ def test_acceptance_good_lambda_trend():
         Gh = data_density(G, p)
         root = g.domain.scaled(0.5)
         lam0 = mean_over(F, root.scaled(2.0))
-        fit = structure_fit(p, FluxParams(0.0, "power"), sample_budget=20_000, seed=0)
+        fit = structure_fit(p, FluxParams(0.0), sample_budget=20_000, seed=0)
         kappa = fit.kappa(g.dim)  # 2^{n+1} c4
         gl = good_lambda_measure(F, Gh, root, kappa, epsilons, [lam0, 2 * lam0], 1.5)
         ds = [gl.delta(e) for e in epsilons]

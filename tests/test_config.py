@@ -44,6 +44,10 @@ def with_key(text, section, line):
 # ended in a traceback (IndexError) or in a wrong result: a nan tolerance made
 # every solve "fail to converge"; nan epsilons and kappa gave nan records.
 # A constant p <= 1 was accepted and failed later without naming the key.
+# Of the out-of-range values below, some ran to a vacuous result (steps = 0,
+# refinements = -1, m0 = 0, kappa = 0.5), a negative tolerance ran every
+# stage to its cap and exited 2, and the rest failed in a library call whose
+# message named no key.
 @pytest.mark.parametrize("section, line", [
     ("estimates", "epsilons ="),
     ("estimates", "lambda_count = 0"),
@@ -52,6 +56,21 @@ def with_key(text, section, line):
     ("estimates", "kappa = nan"),
     ("exponent", "value = 0.9"),
     ("exponent", "value = 1"),
+    ("solver", "tolerance = -1"),
+    ("solver", "tolerance = 0"),
+    ("solver", "max_iterations = -1"),
+    ("denoise", "iterations = -1"),
+    ("estimates", "mu_max = 0.5"),
+    ("estimates", "mu_max = 1"),
+    ("estimates", "steps = 0"),
+    ("estimates", "steps = -2"),
+    ("estimates", "m0 = 0"),
+    ("sweep", "refinements = -1"),
+    ("sweep", "sizes = 1 -1"),
+    ("estimates", "m = 1.5"),
+    ("estimates", "m = 2"),
+    ("estimates", "kappa = 0.5"),
+    ("estimates", "kappa = 3.9"),
 ])
 def test_invalid_value_names_section_and_key(tmp_path, capsys, section, line):
     key = line.split("=")[0].strip()
@@ -92,8 +111,6 @@ def test_every_key_parsed(tmp_path):
         "boundary_path": (absolute, absolute),
         "tolerance": ("1e-6", 1e-6),
         "max_iterations": ("17", 17),
-        "variant": ("power", "power"),
-        "gamma": ("0.5", 0.5),
         "q": ("3", 3.0),
         "kappa": ("20", 20.0),
         "epsilons": ("0.3 0.1", (0.3, 0.1)),
@@ -132,7 +149,7 @@ PARENT_DEFAULTS = {
     "seed": 0, "out": Path("varexp-out"),
     "exponent_kind": "constant", "exponent_value": 2.0, "exponent_path": None,
     "p_infinity": None, "instance": "matched", "g_path": None, "boundary_path": None,
-    "tolerance": 1e-8, "max_iterations": 200, "variant": "squared", "gamma": 1.0,
+    "tolerance": 1e-8, "max_iterations": 200,
     "q": 2.0, "kappa": None, "epsilons": (0.4, 0.2, 0.1, 0.05),
     "lambda_factors": (1.0, 2.0, 4.0), "lambda_count": 64, "m": None, "m0": 1.5,
     "mu_max": 2.0, "steps": 8, "cap": 1e3, "root_scale": 0.5,
@@ -180,7 +197,6 @@ def test_list_rules_check_every_entry(tmp_path, line, key):
 def test_key_listing_covers_every_key():
     for section, key in KEYS.values():
         assert f"[{section}] {key} = " in cli.__doc__
-    assert "gamma-continuation does not read it" in cli.__doc__
     assert "{config keys}" not in cli.__doc__
 
 

@@ -258,6 +258,8 @@ def test_good_lambda_kappa_guard():
     F = CellField(g, np.ones(g.num_cells))
     with pytest.raises(ValueError, match="2\\^n"):
         good_lambda_measure(F, F, root, 2.0, (0.1,), [1.0], 1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        good_lambda_measure(CellField(g, -F.values), F, root, 4.0, (0.1,), [1.0], 1.5)
 
 
 def test_default_kappa_formula():

@@ -12,7 +12,6 @@ from varexp.grid import (
     GridFunction,
     gradient,
     integrate,
-    make_grid,
     mean_over,
     overlap_measure,
     region_weights,
@@ -72,7 +71,7 @@ def test_grid_counts_and_cells():
     assert np.allclose(g.cell_size, [0.5, 1.0])
     assert g.cell_volume == pytest.approx(0.5)
     assert g.domain.lo == (-2.0, -2.0) and g.domain.hi == (2.0, 2.0)
-    assert make_grid(2, (-2, -2), (4, 4), (8, 4)) == g
+    assert Grid(2, (-2, -2), (4, 4), (8, 4)) == g  # integer arguments
 
 
 def test_grid_validation():

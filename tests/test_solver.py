@@ -27,12 +27,11 @@ from varexp.varlp import mean_over
 from conftest import cold_start, constriction
 
 
-def test_schedule_floor_below_two():
-    opts = SolveOptions()
-    assert opts.schedule(2.5)[-1] == 0.0
-    assert opts.schedule(1.5)[-1] == opts.gamma_floor
-    custom = SolveOptions(gamma_schedule=(1.0, 0.0))
-    assert custom.schedule(3.0) == (1.0, 0.0)
+def test_schedule_floor_below_two(monkeypatch):
+    assert solver._schedule(2.5)[-1] == 0.0
+    assert solver._schedule(1.5)[-1] == solver._GAMMA_FLOOR
+    monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0, 0.0))
+    assert solver._schedule(3.0) == (1.0, 0.0)
 
 
 def test_matched_recovery(matched32):
@@ -121,7 +120,7 @@ def _free_dofs(grid: Grid, N: int) -> np.ndarray:
     return np.repeat(~grid.boundary_node_mask, N)
 
 
-def test_newton_step_matches_dense_solve_vector_3d():
+def test_newton_step_matches_dense_solve_vector_3d(monkeypatch):
     # one full Newton step of a vector-valued (N = 2) field on a 3-D box:
     # the step on the free dofs, in their natural order, is the dense solve
     # of the free-dof Hessian, so the ordering and dof interleaving cancel
@@ -132,11 +131,11 @@ def test_newton_step_matches_dense_solve_vector_3d():
     G = CellField(g, rng.normal(size=(g.num_cells, 2, 3)))
     u0 = GridFunction(g, np.where(g.boundary_node_mask[:, None],
                                   rng.normal(size=(g.num_nodes, 2)), 0.0))
-    res = solve_pxlaplace(G, p, u0, g,
-                          SolveOptions(gamma_schedule=(1.0,), max_iterations=1))
+    monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
+    res = solve_pxlaplace(G, p, u0, g, SolveOptions(max_iterations=1))
     assert res.iterations == 1
 
-    params = FluxParams(1.0, "squared")
+    params = FluxParams(1.0)
     free = _free_dofs(g, 2)
     H = energy_hessian(u0, p, params).toarray()[np.ix_(free, free)]
     grad = energy_gradient(u0, G, p, params).values.reshape(-1)
@@ -150,7 +149,7 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
     # all-ones blocks pass the diagonal checks but leave a zero pivot after
     # the first elimination step: SuperLU refuses, and the step runs along
     # the negative gradient
-    assert _free_solve(sparse.csc_matrix(np.ones((3, 3))), np.ones(3), 1e12) is None
+    assert _free_solve(sparse.csc_matrix(np.ones((3, 3))), np.ones(3)) is None
 
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
     p = ExponentField.constant(g, 2.0)
@@ -158,12 +157,12 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
     n = g.num_nodes
     monkeypatch.setattr(solver, "energy_hessian",
                         lambda u, p, params: sparse.csr_matrix(np.ones((n, n))))
-    res = solve_pxlaplace(G, p, bnd, g,
-                          SolveOptions(gamma_schedule=(1.0,), max_iterations=1))
+    monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
+    res = solve_pxlaplace(G, p, bnd, g, SolveOptions(max_iterations=1))
     assert res.iterations == 1
 
     free = _free_dofs(g, 1)
-    grad = energy_gradient(bnd, G, p, FluxParams(1.0, "squared")).values.reshape(-1)[free]
+    grad = energy_gradient(bnd, G, p, FluxParams(1.0)).values.reshape(-1)[free]
     step = (res.u.values - bnd.values).reshape(-1)[free]
     t = -float(step @ grad) / float(grad @ grad)
     assert 0.0 < t <= 1.0
@@ -212,7 +211,7 @@ def test_intermediate_stages_are_inexact(p_value, budget):
     res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
     assert res.converged and res.residual <= 1e-8, res.message
     assert res.iterations <= budget, res.stages
-    assert [s.gamma for s in res.stages] == list(SolveOptions().schedule(p_value))
+    assert [s.gamma for s in res.stages] == list(solver._schedule(p_value))
     assert all(s.reason in ("reduction", "tolerance") for s in res.stages[:-1]), res.stages
     assert res.stages[-1].reason == "tolerance"
 
@@ -255,7 +254,7 @@ def test_affine_comparison_is_exact(affine32):
     sub, node_idx, _ = u.grid.subgrid(Qj.scaled(2.0))
     np.testing.assert_allclose(
         w.u.values, u.values[node_idx], rtol=0, atol=1e-10)
-    assert comparison_distance(u, w.u, Qj, p, FluxParams(0.0, "power")) == (
+    assert comparison_distance(u, w.u, Qj, p, FluxParams(0.0)) == (
         pytest.approx(0.0, abs=1e-12))
     sup, mean, ratio = uhlenbeck_check(w, Qj, 3.0)
     assert sup == pytest.approx(np.sqrt(13.0), rel=1e-12)
@@ -270,7 +269,7 @@ def test_comparison_on_matched_solution(matched32):
     _, pj = np.array([0.0]), float(p.at(np.array([[-1.75, -1.75]]))[0])
     w = solve_comparison(Qj, u, pj)
     assert w.converged
-    dist = comparison_distance(u, w.u, Qj, p, FluxParams(0.0, "power"))
+    dist = comparison_distance(u, w.u, Qj, p, FluxParams(0.0))
     assert dist >= -1e-10  # monotone pairing
     # freezing the exponent perturbs the minimizer only mildly: the pairing
     # stays below the local energy scale
@@ -287,7 +286,7 @@ def test_comparison_validation(affine32):
         solve_comparison(Qj, u, 1.0)  # p_j must exceed 1
     w = solve_comparison(Qj, u, 2.0)
     with pytest.raises(ValueError, match="sub-grid"):
-        comparison_distance(u, u, Qj, affine32["p"], FluxParams(0.0, "power"))
+        comparison_distance(u, u, Qj, affine32["p"], FluxParams(0.0))
 
 
 def test_manufactured_matched_consistency(grid32, p_smooth):
