@@ -1,7 +1,7 @@
 """Command-line front end: configs, field-file I/O, reports, denoising.
 
 Usage:
-    varexp <command> --config <path> [--out <dir>] [--seed <int>]
+    varexp <command> --config <path> [--out <dir>]
 
 Commands:
     solve       solve the configured instance, emit solution/exponent fields
@@ -28,7 +28,7 @@ followed by one value per line, row-major over samples then components,
 printed with 17 significant digits so reads reproduce writes exactly.
 Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 
-CSV reports are deterministic for a fixed config and seed (no timestamps;
+CSV reports are deterministic for a fixed config (no timestamps;
 provenance lives in report.txt, which for solve and denoise ends with one
 line per gamma stage of the solver).  Columns per command:
 
@@ -60,7 +60,7 @@ from .estimates import (EstimateRecord, caccioppoli_check, data_density,
                         higher_integrability_check, reverse_holder_check)
 from .exponent import ExponentField
 from .grid import Box, CellField, Grid, GridFunction, gradient, mean_over
-from .operator import FluxParams, structure_fit
+from .operator import coercivity_constant
 from .solver import SolveOptions, SolverResult, manufactured_instance, solve_pxlaplace
 
 __all__ = [
@@ -135,7 +135,7 @@ class ExperimentConfig:
     command: str
     config_path: Path
     config_hash: str
-    seed: int = _key("run", "int", 0, "structure-fit and sampling seed; --seed overrides")
+    seed: int = _key("run", "int", 0, "recorded in report.txt; nothing in varexp is random")
     out: Path = _key("run", "str", Path("varexp-out"), "output directory; --out overrides")
     dim: int = _key("grid", "int", 2, "space dimension", _one_of(1, 2, 3))
     # the grid defaults are 2-D; other dims repeat the first entry per axis
@@ -163,9 +163,11 @@ class ExperimentConfig:
                                "Newton step cap per gamma stage (not for denoise)", _at_least(0))
     q: float = _key("estimates", "float", 2.0, "higher-integrability exponent", _at_least(1))
     kappa: float | None = _key("estimates", "auto", None,
-                               "good-lambda factor, at least 2^dim; auto: 2^(n+1) c4")
+                               "good-lambda factor, at least 2^dim; auto: 2^(n+1) c4, with c4 "
+                               "the exact coercivity constant of the power flux over p- and p+")
     epsilons: tuple[float, ...] = _key("estimates", "floats", (0.4, 0.2, 0.1, 0.05),
-                                       "good-lambda epsilons; verify and sweep use the first")
+                                       "good-lambda epsilons; verify and sweep use the first",
+                                       _above(0))
     lambda_factors: tuple[float, ...] = _key("estimates", "floats", (1.0, 2.0, 4.0),
                                              "good-lambda lambdas over lambda0; sweep: the first",
                                              _at_least(1))
@@ -186,8 +188,9 @@ class ExperimentConfig:
                                     _above(0))
     amplitudes: tuple[float, ...] = _key("sweep", "floats", (1.0, 0.5), "t in mean p + t (p - mean p)")
     image: str | None = _key("denoise", "path", None, "input PGM; required by denoise")
-    strength: float = _key("denoise", "float", 3.0, "smoothing strength; 0 keeps the input")
-    p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges")
+    strength: float = _key("denoise", "float", 3.0, "smoothing strength; 0 keeps the input",
+                           _at_least(0))
+    p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges", _above(1))
     p_max: float = _key("denoise", "float", 2.0, "exponent on flat regions")
     iterations: int = _key("denoise", "int", 100, "Newton step cap per gamma stage of denoise",
                            _at_least(0))
@@ -218,8 +221,7 @@ if __doc__:
     __doc__ = __doc__.replace("    {config keys}", _key_listing())
 
 
-def load_config(command: str, path: str | Path, out: str | None = None,
-                seed: int | None = None) -> ExperimentConfig:
+def load_config(command: str, path: str | Path, out: str | None = None) -> ExperimentConfig:
     """Parse and validate a config file; CLI flags override file values."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {_COMMANDS}")
@@ -262,8 +264,6 @@ def load_config(command: str, path: str | Path, out: str | None = None,
                            **values)
 
     # rules that involve more than one key, or a CLI flag
-    if seed is not None:
-        cfg.seed = int(seed)
     cfg.out = Path(cfg.out if out is None else out)
     for name in ("origin", "extent", "cells"):
         given = getattr(cfg, name)
@@ -282,12 +282,8 @@ def load_config(command: str, path: str | Path, out: str | None = None,
     if cfg.command == "denoise":
         if cfg.image is None:
             raise ConfigError("[denoise] image: required for the denoise command")
-        if cfg.p_min <= 1:
-            raise ConfigError("[denoise] p_min: must exceed 1")
         if cfg.p_max < cfg.p_min:
             raise ConfigError("[denoise] p_max: must be >= p_min")
-        if cfg.strength < 0:
-            raise ConfigError("[denoise] strength: must be nonnegative")
     return cfg
 
 
@@ -558,8 +554,7 @@ def _solve(cfg: ExperimentConfig, grid: Grid | None = None, p: ExponentField | N
 def _resolve_kappa(cfg: ExperimentConfig, p: ExponentField) -> float:
     if cfg.kappa is not None:
         return cfg.kappa
-    fit = structure_fit(p, FluxParams(1.0), seed=cfg.seed)
-    return default_kappa(fit.c4, p.grid.dim)
+    return default_kappa(coercivity_constant(p), p.grid.dim)
 
 
 def _root(cfg: ExperimentConfig, grid: Grid) -> Box:
@@ -775,10 +770,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("command", choices=_COMMANDS)
     ap.add_argument("--config", required=True, help="experiment config file")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--seed", type=int, default=None, help="random seed override")
     ns = ap.parse_args(argv)
     try:
-        cfg = load_config(ns.command, ns.config, out=ns.out, seed=ns.seed)
+        cfg = load_config(ns.command, ns.config, out=ns.out)
         run(cfg)
     except ConfigError as exc:
         print(f"varexp: config error: {exc}", file=sys.stderr)

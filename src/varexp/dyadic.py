@@ -315,7 +315,8 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     """Measure delta(eps, lam) = |U| / |O_lam| over an (eps, lam) table.
 
     O_lam = {M*F > lam} and U = {M*F > kappa lam, M*_{m0}(Gh) <= eps lam}.
-    kappa must be at least 2^n.  Rows with empty O_lam report delta = 0.
+    kappa must be at least 2^n and every epsilon positive.  Rows with
+    empty O_lam report delta = 0.
     """
     g = F.grid
     _require_root(g, root)
@@ -323,6 +324,9 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
         raise ValueError(f"kappa must be >= 2^n = {2.0**g.dim}")
     if F.values.min() < 0:
         raise ValueError("good-lambda needs a nonnegative density F")
+    epsilons = [float(e) for e in epsilons]
+    if any(e <= 0 for e in epsilons):
+        raise ValueError("need epsilon > 0")
     if max_level is None:
         max_level = default_max_level(root, g)
     mf = maximal_function(F, root, 1.0, max_level).values
@@ -334,7 +338,7 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
         raise ValueError("below covering threshold")
 
     rows = []
-    for eps in (float(e) for e in epsilons):
+    for eps in epsilons:
         for lam in lambdas:
             ls = _build_level_sets(g, mf, mg, lam, kappa, eps)
             delta = ls.u_measure / ls.o_measure if ls.o_measure > 0 else 0.0

@@ -17,14 +17,14 @@ D is the grid's sparse gradient matrix B = Grid.gradient_matrix: the energy
 gradient is B^T applied to the weighted flux residual, and the Hessian is
 B^T (D B) with D block diagonal, one block dA/dz per cell.
 
-structure_fit measures the growth/coercivity/continuity constants of the
-flux by seeded random sampling with log-uniform magnitudes, reporting the
-sup-residual offsets h1, h2 rather than assuming them zero for gamma > 0.
+coercivity_constant gives the V-coercivity constant c4 of the power flux
+exactly, from a 1-D minimization at p- and p+; the good-lambda threshold
+kappa = 2^{n+1} c4 is built from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,8 @@ from .grid import CellField, GridFunction, gradient
 
 __all__ = [
     "FluxParams",
-    "StructureFit",
+    "coercivity_constant",
     "flux",
-    "structure_fit",
     "energy",
     "energy_gradient",
     "energy_hessian",
@@ -169,106 +168,38 @@ def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
     return B.T.tocsr() @ (D @ B)
 
 
-@dataclass
-class StructureFit:
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    h1_sup: float
-    h2_sup: float
-    samples: int
-    worst_case: dict[str, dict] = field(default_factory=dict)
-
-    def kappa(self, dim: int) -> float:
-        """Good-lambda threshold factor 2^{n+1} c4."""
-        return 2.0 ** (dim + 1) * self.c4
+# golden-section search on (0, 1): the step ratio and a fixed step count
+# that shrinks the bracket below one ulp of 1
+_GOLDEN = (5.0**0.5 - 1.0) / 2.0
+_GOLDEN_STEPS = 80
 
 
-def structure_fit(p: ExponentField, params: FluxParams,
-                  sample_budget: int = 20_000, seed: int = 0,
-                  codomain_dim: int = 1) -> StructureFit:
-    """Fit the structure constants of the flux by random sampling.
+def coercivity_constant(p: ExponentField) -> float:
+    """V-coercivity constant c4 of the power flux A(z) = |z|^{p-2} z: the
+    smallest c4 with |z|^q <= c4 |xi|^q + c4 (A(z) - A(xi)).(z - xi) for all
+    z, xi and every value q of p.
 
-    Magnitudes |z|, |xi| are log-uniform in [1e-6, 1e6], directions uniform,
-    positions x uniform over the grid domain (paired with positions y for
-    the x-continuity constant).  Fitted quantities:
-
-      c1  growth      |A(x,z)| <= c1 |z|^{p(x)-1} + h1       (ratio over |z| >= 1)
-      c2  coercivity  A(x,z).z >= c2 |z|^{p(x)}  - h2        (ratio over |z| >= 1)
-      c3  x-modulus   |A(x,z)-A(y,z)| <= c3 |p(x)-p(y)| |log|z||
-                        (|z|^{p(x)-1} + |z|^{p(y)-1})
-      c4  V-coercivity |z|^{p(x)} <= c4 |xi|^{p(x)}
-                        + c4 (A(x,z)-A(x,xi)).(z-xi)
-
-    h1, h2 are the sup-residuals of the fitted inequalities over all
-    samples (identically 0 for the bare power flux, gamma = 0).  Degenerate
-    fits (no admissible sample, e.g. c3 for constant exponents) report 0.
+    The ratio is homogeneous and rotation invariant, and its sup is taken at
+    xi = s z with s in (0, 1), so c4(q) = 1 / min over s of
+    g(s) = s^q + (1 - s^{q-1})(1 - s).  c4 decreases on (1, 2] and increases
+    on [2, inf), so the max over p is max(c4(p-), c4(p+)).  g has one
+    interior minimum; one vectorized golden-section search of fixed length
+    finds both.
     """
-    rng = np.random.default_rng(seed)
-    M = int(sample_budget)
-    d = p.grid.dim
-    N = int(codomain_dim)
+    p.require_superlinear("coercivity_constant")
+    q = np.array([p.p_minus, p.p_plus])
 
-    lo = np.asarray(p.grid.domain.lo)
-    sides = p.grid.domain.sides
-    xs = lo + rng.random((M, d)) * sides
-    ys = lo + rng.random((M, d)) * sides
-    px, py = p.at(xs), p.at(ys)
+    def g(s):
+        return s**q + (1.0 - s ** (q - 1.0)) * (1.0 - s)
 
-    def sample_field() -> np.ndarray:
-        v = rng.normal(size=(M, N, d))
-        v /= np.maximum(_magnitude(v), 1e-300)[:, None, None]
-        return v * 10.0 ** rng.uniform(-6.0, 6.0, size=M)[:, None, None]
+    a, b = np.zeros(2), np.ones(2)
+    for _ in range(_GOLDEN_STEPS):
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        left = g(c) < g(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    return float((1.0 / g(0.5 * (a + b))).max())
 
-    z = sample_field()
-    xi = sample_field()
-    rz, rxi = _magnitude(z), _magnitude(xi)
-    Az = _flux_batch(z, px, params)
-    Axi = _flux_batch(xi, px, params)
-    Ayz = _flux_batch(z, py, params)
 
-    def witness(ratios: np.ndarray, mask: np.ndarray) -> dict:
-        if not mask.any():
-            return {}
-        idx = int(np.flatnonzero(mask)[np.argmax(ratios[mask])])
-        return {"x": xs[idx].tolist(), "p(x)": float(px[idx]),
-                "|z|": float(rz[idx]), "|xi|": float(rxi[idx]),
-                "ratio": float(ratios[idx])}
-
-    big = rz >= 1.0
-    mag_az = _magnitude(Az)
-    out: dict[str, dict] = {}
-
-    ratios1 = np.zeros(M)
-    ratios1[big] = mag_az[big] / rz[big] ** (px[big] - 1.0)
-    c1 = float(ratios1[big].max()) if big.any() else 0.0
-    out["c1"] = witness(ratios1, big)
-    h1 = float(np.maximum(mag_az - c1 * np.where(rz > 0, rz, 1.0) ** (px - 1.0), 0.0).max())
-
-    inner_zz = np.einsum("cnd,cnd->c", Az, z)
-    ratios2 = np.full(M, np.inf)
-    ratios2[big] = inner_zz[big] / rz[big] ** px[big]
-    c2 = float(ratios2[big].min()) if big.any() else 0.0
-    out["c2"] = witness(np.where(big, -ratios2, -np.inf), big)
-    h2 = float(np.maximum(c2 * np.where(rz > 0, rz, 1.0) ** px - inner_zz, 0.0).max())
-
-    denom3 = np.abs(px - py) * np.abs(np.log(np.where(rz > 0, rz, 1.0))) * (
-        rz ** (px - 1.0) + rz ** (py - 1.0)
-    )
-    mask3 = denom3 > 1e-300
-    ratios3 = np.zeros(M)
-    if mask3.any():
-        ratios3[mask3] = _magnitude(Az - Ayz)[mask3] / denom3[mask3]
-    c3 = float(ratios3.max())
-    out["c3"] = witness(ratios3, mask3)
-
-    inner_v = np.einsum("cnd,cnd->c", Az - Axi, z - xi)
-    denom4 = rxi**px + inner_v
-    mask4 = denom4 > 1e-300
-    ratios4 = np.zeros(M)
-    ratios4[mask4] = rz[mask4] ** px[mask4] / denom4[mask4]
-    c4 = float(ratios4.max()) if mask4.any() else 0.0
-    out["c4"] = witness(ratios4, mask4)
-
-    return StructureFit(c1, c2, c3, c4, h1, h2, M, out)
+# the old name, kept only because perfbench/tracing.py wraps it by name; no
+# program code calls it
+structure_fit = coercivity_constant

@@ -151,8 +151,7 @@ def jensen_check(f: CellField, Q: Box, p: ExponentField, m: float,
     pointwise decay term is dominated by the averaged one and is flagged
     as removable.
     """
-    if m <= p.grid.dim:
-        raise ValueError("decay power m must exceed the dimension")
+    h = decay_weight(f.grid, m)  # raises unless m > dim, before the precondition
     absf = CellField(f.grid, np.abs(f.values))
     mean_abs = mean_over(absf, Q)
     q_measure = overlap_measure(f.grid, Q)
@@ -165,7 +164,6 @@ def jensen_check(f: CellField, Q: Box, p: ExponentField, m: float,
     pc = p.cell_values
     mean_modular = mean_over(CellField(f.grid, np.abs(f.values) ** pc), Q)
     point_decay = (_E + float(np.linalg.norm(x_eval))) ** (-m)
-    h = decay_weight(f.grid, m)
     mean_decay = mean_over(h, Q)
 
     flags = []

@@ -83,8 +83,8 @@ def test_usage_errors_exit_with_config_code(tmp_path):
 
 def test_load_config_overrides(tmp_path):
     f = cfg_file(tmp_path, BASE)
-    cfg = load_config("solve", f, out=str(tmp_path / "x"), seed=99)
-    assert cfg.seed == 99
+    cfg = load_config("solve", f, out=str(tmp_path / "x"))
+    assert cfg.seed == 7
     assert cfg.out.name == "x"
     assert cfg.cells == (8, 8)
     assert len(cfg.config_hash) == 64
@@ -100,7 +100,7 @@ def test_solve_outputs_and_determinism(tmp_path):
         assert (out / "solution.vxf").exists()
         assert (out / "exponent.vxf").exists()
         outs.append((out / "solve.csv").read_bytes())
-    assert outs[0] == outs[1]  # identical config + seed -> identical bytes
+    assert outs[0] == outs[1]  # identical config -> identical bytes
     assert b"residual" in outs[0]
 
     # one report line per gamma stage, none of which reads as a scalar; the
@@ -334,6 +334,24 @@ def test_goodlambda_command(tmp_path):
     assert lines[0] == "epsilon,lambda,delta"
     deltas = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert all(0.0 <= d <= 1.0 for d in deltas)
+
+
+def test_seed_changes_no_output_bytes(tmp_path):
+    # nothing in varexp is random: [run] seed only lands in report.txt, so
+    # configs that differ in it alone give the same CSV bytes, auto-kappa
+    # (2^3 c4(1.7) = 8 * 2.0308) included
+    blobs = []
+    for name, seed in (("a", 7), ("b", 8), ("c", 7)):
+        text = BASE.replace("seed = 7", f"seed = {seed}").replace("value = 2.0", "value = 1.7")
+        f = cfg_file(tmp_path, text, name=f"{name}.cfg")
+        out = tmp_path / name
+        for cmd in ("verify", "goodlambda"):
+            assert main([cmd, "--config", str(f), "--out", str(out / cmd)]) == EXIT_OK
+        assert f"seed = {seed}\n" in (out / "verify" / "report.txt").read_text()
+        blobs.append((out / "verify" / "records.csv").read_bytes()
+                     + (out / "goodlambda" / "goodlambda.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert b"kappa=16.2467" in blobs[0]
 
 
 def test_sweep_command(tmp_path):

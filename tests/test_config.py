@@ -47,7 +47,8 @@ def with_key(text, section, line):
 # Of the out-of-range values below, some ran to a vacuous result (steps = 0,
 # refinements = -1, m0 = 0, kappa = 0.5), a negative tolerance ran every
 # stage to its cap and exited 2, and the rest failed in a library call whose
-# message named no key.
+# message named no key.  Epsilons <= 0 gave delta = 0 on every row, and the
+# [denoise] p_min and strength ranges were checked for denoise alone.
 @pytest.mark.parametrize("section, line", [
     ("estimates", "epsilons ="),
     ("estimates", "lambda_count = 0"),
@@ -71,6 +72,10 @@ def with_key(text, section, line):
     ("estimates", "m = 2"),
     ("estimates", "kappa = 0.5"),
     ("estimates", "kappa = 3.9"),
+    ("estimates", "epsilons = -0.4 0"),
+    ("estimates", "epsilons = 0.1 0"),
+    ("denoise", "p_min = 1"),
+    ("denoise", "strength = -1"),
 ])
 def test_invalid_value_names_section_and_key(tmp_path, capsys, section, line):
     key = line.split("=")[0].strip()

@@ -262,6 +262,15 @@ def test_good_lambda_kappa_guard():
         good_lambda_measure(CellField(g, -F.values), F, root, 4.0, (0.1,), [1.0], 1.5)
 
 
+@pytest.mark.parametrize("epsilons", [(-0.4, 0.0), (0.1, 0.0), (-0.1,)])
+def test_good_lambda_rejects_nonpositive_epsilon(epsilons):
+    # the same check as level_sets: eps <= 0 made every U empty, delta = 0
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
+    F = CellField(g, np.ones(g.num_cells))
+    with pytest.raises(ValueError, match="epsilon > 0"):
+        good_lambda_measure(F, F, g.domain.scaled(0.5), 4.0, epsilons, [1.0], 1.5)
+
+
 def test_default_kappa_formula():
     assert default_kappa(1.0, 2) == 8.0
     assert default_kappa(2.5, 1) == 10.0

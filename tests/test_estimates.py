@@ -18,7 +18,7 @@ from varexp.estimates import (
 from varexp.estimates import reverse_holder_check
 from varexp.exponent import ExponentField
 from varexp.grid import Box, CellField, Grid, GridFunction, gradient, mean_over, region_weights
-from varexp.operator import FluxParams, structure_fit
+from varexp.operator import coercivity_constant
 from varexp.solver import SolveOptions, manufactured_instance, solve_comparison, solve_pxlaplace
 from varexp.varlp import decay_weight
 
@@ -218,7 +218,7 @@ def test_higher_integrability_flags_unused_tail():
     res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
     assert res.converged
     root = g.domain.scaled(0.5)
-    auto = default_kappa(structure_fit(p, FluxParams(), seed=0).c4, 2)
+    auto = default_kappa(coercivity_constant(p), 2)  # 16.25
     rec = higher_integrability_check(res.u, G, p, 2.0, root, auto, 0.4, 1.5)
     assert "level-set-tail-unused" in rec.flags  # kappa*lambda0 above the peak of M*F
     # the tail starts at kappa*lambda0 on the M*F route, so it is exactly 0

@@ -8,11 +8,11 @@ from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction, region_weights
 from varexp.operator import (
     FluxParams,
+    coercivity_constant,
     energy,
     energy_gradient,
     energy_hessian,
     flux,
-    structure_fit,
 )
 
 
@@ -135,22 +135,75 @@ def test_monotonicity_large_magnitudes_relative():
     assert (gap >= -1e-12 * np.maximum(scale, 1.0)).all()
 
 
-def test_structure_fit_p2_constants():
-    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
-    p = ExponentField.constant(g, 2.0)
-    fit = structure_fit(p, FluxParams(0.0), sample_budget=30_000, seed=0)
-    # A(x, z) = z: growth and coercivity ratios are exactly 1
-    assert fit.c1 == pytest.approx(1.0, abs=1e-9)
-    assert fit.c2 == pytest.approx(1.0, abs=1e-9)
-    assert fit.c4 <= 2.0 + 1e-6
-    assert fit.kappa(2) == pytest.approx(8.0 * fit.c4)
-    assert fit.samples == 30_000
-    assert set(fit.worst_case) >= {"c1", "c2", "c3", "c4"}  # witnesses recorded
+def c4(q: float) -> float:
+    g = Grid(1, (0.0,), (1.0,), (2,))
+    return coercivity_constant(ExponentField.constant(g, q))
 
 
-def test_structure_fit_reproducible():
-    g = Grid(1, (-1.0,), (2.0,), (8,))
-    p = ExponentField.from_function(g, lambda x: 2.0 + 0.3 * x[0] ** 2)
-    a = structure_fit(p, FluxParams(0.0), sample_budget=5000, seed=42)
-    b = structure_fit(p, FluxParams(0.0), sample_budget=5000, seed=42)
-    assert (a.c1, a.c2, a.c3, a.c4) == (b.c1, b.c2, b.c3, b.c4)
+def test_coercivity_constant_p2_closed_form():
+    # p = 2: g(s) = s^2 + (1 - s)^2 has its minimum 1/2 at s = 1/2
+    assert c4(2.0) == pytest.approx(2.0, rel=1e-14)
+    with pytest.raises(ValueError, match="p- > 1"):
+        c4(1.0)
+
+
+@pytest.mark.parametrize("q", [1.05, 1.3, 1.7, 2.5, 4.0, 9.0])
+def test_coercivity_constant_conjugate_symmetry(q):
+    assert c4(q) == pytest.approx(c4(q / (q - 1.0)), rel=1e-10)
+
+
+def test_coercivity_constant_matches_dense_brute_force():
+    # sup of |z|^q / (|xi|^q + (A(z) - A(xi)).(z - xi)) over a dense polar
+    # grid of xi at |z| = 1 (the ratio is homogeneous and rotation
+    # invariant), with A the library's gamma = 0 flux
+    rng = np.random.default_rng(11)
+    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (2, 2))
+    x = np.zeros(2)
+    t = np.linspace(1e-4, 1.5, 15_000)
+    theta = np.linspace(0.0, np.pi, 91)
+    tt, th = (a.ravel() for a in np.meshgrid(t, theta))
+    xi = np.stack([tt * np.cos(th), tt * np.sin(th)], axis=1)
+    z = np.tile([1.0, 0.0], (xi.shape[0], 1))
+    for q in rng.uniform(1.2, 6.0, 4):
+        p = ExponentField.constant(g, q)
+        gap = np.einsum("nd,nd->n", flux(x, z, p, FluxParams(0.0)) - flux(x, xi, p, FluxParams(0.0)),
+                        z - xi)
+        brute = float((1.0 / (tt**q + gap)).max())
+        exact = coercivity_constant(p)
+        assert brute <= exact * (1.0 + 1e-12)
+        assert brute == pytest.approx(exact, rel=1e-5), q
+
+
+def test_coercivity_constant_is_max_over_nodal_values():
+    rng = np.random.default_rng(12)
+    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (6, 6))
+    for lo, hi in ((1.2, 1.9), (2.1, 5.0), (1.1, 4.0)):
+        p = ExponentField(GridFunction(g, rng.uniform(lo, hi, g.num_nodes)))
+        every = max(c4(v) for v in np.unique(p.values))
+        assert coercivity_constant(p) == pytest.approx(every, rel=1e-12)
+
+
+def test_monte_carlo_sampler_never_exceeds_coercivity_constant():
+    # the c4 part of the sampler that auto-kappa used before the exact
+    # constant, at gamma = 0: log-uniform magnitudes in [1e-6, 1e6], uniform
+    # directions and positions; a sampled ratio is a lower bound of the sup
+    rng = np.random.default_rng(13)
+    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (8, 8))
+    p = ExponentField(GridFunction(g, 1.3 + rng.uniform(0.0, 2.5, g.num_nodes)))
+    M = 20_000
+    xs = -1.0 + 2.0 * rng.random((M, 2))
+    px = p.at(xs)
+
+    def sample():
+        v = rng.normal(size=(M, 2))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        return v * 10.0 ** rng.uniform(-6.0, 6.0, M)[:, None]
+
+    z, xi = sample(), sample()
+    rz, rxi = np.linalg.norm(z, axis=1), np.linalg.norm(xi, axis=1)
+    Az, Axi = (rz ** (px - 2.0))[:, None] * z, (rxi ** (px - 2.0))[:, None] * xi
+    denom = rxi**px + np.einsum("nd,nd->n", Az - Axi, z - xi)
+    ok = denom > 1e-300
+    sampled = float((rz[ok] ** px[ok] / denom[ok]).max())
+    exact = coercivity_constant(p)
+    assert 1.0 < sampled <= exact * (1.0 + 1e-9)

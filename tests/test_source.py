@@ -21,6 +21,33 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src/varexp: {found}"
 
 
+_RANDOM = {"random", "default_rng", "numpy.random"}
+
+
+def _uses_random(node: ast.AST) -> bool:
+    """np.random / default_rng / rng.random, or an import of random,
+    numpy.random or one of their names."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _RANDOM
+    if isinstance(node, ast.Name):
+        return node.id == "default_rng"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "random" or a.name in _RANDOM for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module in _RANDOM
+                or node.module == "numpy" and any(a.name in _RANDOM for a in node.names))
+    return False
+
+
+def test_nothing_random_in_package():
+    # nothing is sampled, so a fixed config alone fixes the output bytes
+    found = []
+    for path in sorted(Path(varexp.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _uses_random(node)]
+    assert not found, f"random sampling in src/varexp: {found}"
+
+
 def test_import_loads_no_scipy():
     # scipy costs every command its import time: the package and the CLI
     # import it only inside the functions that use it

@@ -184,6 +184,17 @@ def test_jensen_side_condition_enforced():
         jensen_check(big, g.domain, p, 4.0, (0.0, 0.0), K1=1.0, beta=1.0)
 
 
+@pytest.mark.parametrize("m", [1.0, 2.0])
+def test_jensen_decay_power_checked_before_precondition(m):
+    # m <= dim is an argument error, reported even when f also fails the
+    # side condition
+    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (4, 4))
+    p = ExponentField.constant(g, 2.0)
+    big = CellField(g, np.full(g.num_cells, 100.0))
+    with pytest.raises(ValueError, match="decay power m must exceed"):
+        jensen_check(big, g.domain, p, m, (0.0, 0.0), K1=1.0, beta=1.0)
+
+
 def test_sobolev_poincare_affine_oracle():
     # f = x on the unit interval with p = 2, s = 1: the gradient term is
     # exactly 1 and the oscillation term is the midpoint-rule variance
