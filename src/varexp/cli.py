@@ -29,8 +29,11 @@ printed with 17 significant digits so reads reproduce writes exactly.
 Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 
 CSV reports are deterministic for a fixed config (no timestamps;
-provenance lives in report.txt, which for solve and denoise ends with one
-line per gamma stage of the solver).  Columns per command:
+provenance lives in report.txt, which for every command ends with one line
+per gamma stage of each solve: Newton steps, fallbacks, backtracks, guarded
+steps, factorization seconds and fill, residual and stop reason; sweep
+heads each distinct solve with a line naming its grid and whether it
+started cold or warm from the coarser level).  Columns per command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -444,6 +447,7 @@ def _stage_lines(res: SolverResult) -> list[str]:
     """One report line per gamma stage; no ' = ', so the scalar block parses alone."""
     return [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
             f"{s.backtracks} backtracks, {s.guarded} guarded, "
+            f"factor {s.factor_s:.3g} s, fill {s.fill}, "
             f"residual {_fmt(s.residual)}, stop {s.reason}" for s in res.stages]
 
 
@@ -454,6 +458,10 @@ def _record_text(rec: EstimateRecord) -> str:
             f"  lhs = {_fmt(rec.lhs)}  rhs = {_fmt(rec.rhs_sum)}  "
             f"constant = {_fmt(rec.empirical_constant)}\n"
             f"  rhs components: {comps}\n{flags}")
+
+
+def _cells_str(grid: Grid) -> str:
+    return "x".join(str(c) for c in grid.cells)
 
 
 def _cube_str(cube: Box | None) -> str:
@@ -538,14 +546,26 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
     return manufactured_instance(cfg.instance, grid, p)
 
 
-def _solve(cfg: ExperimentConfig, grid: Grid | None = None, p: ExponentField | None = None):
+def _solve(cfg: ExperimentConfig, grid: Grid | None = None, p: ExponentField | None = None,
+           coarse: GridFunction | None = None):
     """Solve the configured instance, on the configured grid and exponent
-    unless given; returns (grid, p, u_star or None, G, result)."""
+    unless given; returns (grid, p, u_star or None, G, result).
+
+    Given the solution on a coarser nested grid, the solve warm-starts from
+    its Q1 prolongation (exact on nested grids) with the instance's own
+    boundary values, and runs the final gamma stage only.
+    """
     if grid is None:
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
         p = _build_exponent(cfg, grid)
     u_star, G, boundary = _build_instance(cfg, grid, p)
-    result = solve_pxlaplace(G, p, boundary, grid, cfg.solve_options())
+    if coarse is not None:
+        guess = coarse.grid.interpolate(coarse.values, grid.node_coords)
+        mask = grid.boundary_node_mask
+        guess[mask] = boundary.values[mask]
+        boundary = GridFunction(grid, guess)
+    result = solve_pxlaplace(G, p, boundary, grid, cfg.solve_options(),
+                             warm_start=coarse is not None)
     if not result.converged:
         raise NonConvergence(result.message or "solver did not converge")
     return grid, p, u_star, G, result
@@ -599,6 +619,7 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
     rep.scalars = [("kappa", kappa), ("s", s), ("residual", res.residual)]
     _write_csv(cfg.out / "records.csv", _RECORD_COLUMNS,
                [_record_row(r) for r in rep.records])
+    rep.lines += _stage_lines(res)
 
 
 def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
@@ -612,6 +633,7 @@ def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
     _write_csv(cfg.out / "gehring.csv", ["mu", "lhs", "rhs", "constant"],
                [[_fmt(mu), _fmt(lhs), _fmt(rhs), _fmt(c)]
                 for mu, lhs, rhs, c in gr.ratio_table])
+    rep.lines += _stage_lines(res)
 
 
 def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
@@ -624,7 +646,7 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
                              [f * lam0 for f in cfg.lambda_factors], cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
     rep.lines = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}"
-                 for e, l, d in gl.rows]
+                 for e, l, d in gl.rows] + _stage_lines(res)
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 
@@ -636,16 +658,22 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     rows: list[list[str]] = []
     solved: dict[tuple[Grid, bytes], tuple[CellField, SolverResult]] = {}
 
-    def solve(grid: Grid, p: ExponentField) -> tuple[CellField, SolverResult]:
+    def solve(grid: Grid, p: ExponentField, what: str,
+              coarse: GridFunction | None = None) -> tuple[CellField, SolverResult]:
         # refinement 0, every root size and often amplitude 1 are one
         # instance: solve each distinct grid and p (by its bytes) once
         key = (grid, p.values.tobytes())
         if key not in solved:
-            solved[key] = _solve(cfg, grid, p)[3:]
+            _, res = solved[key] = _solve(cfg, grid, p, coarse)[3:]
+            start = "cold" if coarse is None else f"warm from {_cells_str(coarse.grid)}"
+            rep.lines.append(f"solve {what}, {start}: {res.iterations} steps, "
+                             f"residual {_fmt(res.residual)}")
+            rep.lines.extend(_stage_lines(res))
         return solved[key]
 
-    def add(axis: str, setting: str, grid: Grid, p: ExponentField, root: Box) -> None:
-        G, res = solve(grid, p)
+    def add(axis: str, setting: str, grid: Grid, p: ExponentField, root: Box,
+            coarse: GridFunction | None = None) -> GridFunction:
+        G, res = solve(grid, p, _cells_str(grid), coarse)
         recs = [caccioppoli_check(res.u, G, p, root),
                 higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
                                            cfg.epsilons[0], cfg.m0,
@@ -654,12 +682,14 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
             rows.append([axis, setting, r.name, _fmt(r.lhs), _fmt(r.rhs_sum),
                          _fmt(r.empirical_constant)])
         rep.records.extend(recs)
+        return res.u
 
+    # nested iteration: each finer level warm-starts from the one before
+    coarse = None
     for level in range(cfg.refinements + 1):
-        cells = tuple(c * 2**level for c in cfg.cells)
-        grid = Grid(cfg.dim, cfg.origin, cfg.extent, cells)
-        add("refinement", "x".join(str(c) for c in cells), grid,
-            _build_exponent(cfg, grid), _root(cfg, grid))
+        grid = Grid(cfg.dim, cfg.origin, cfg.extent, tuple(c * 2**level for c in cfg.cells))
+        coarse = add("refinement", _cells_str(grid), grid, _build_exponent(cfg, grid),
+                     _root(cfg, grid), coarse)
 
     for size in cfg.sizes:
         root = Box(tuple(c - size / 2 for c in base.domain.center),
@@ -670,7 +700,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     root = _root(cfg, base)
     for t in cfg.amplitudes:
         pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)), cfg.p_infinity)
-        G, res = solve(base, pt)
+        G, res = solve(base, pt, f"{_cells_str(base)} at amplitude {_fmt(t)}")
         F = energy_density(res.u, pt)
         lam = cfg.lambda_factors[0] * covering_threshold(F, root)
         gl = good_lambda_measure(F, data_density(G, pt, cfg.m), root, kappa,

@@ -420,11 +420,12 @@ def test_goodlambda_first_lambda_is_lambda0(tmp_path):
 def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
     import varexp.cli as cli
 
-    solved = []
+    solved, warm = [], []
 
-    def counting(G, p, boundary, grid, opts):
+    def counting(G, p, boundary, grid, opts, **kwargs):
         solved.append((grid, p.values.tobytes()))
-        return solve(G, p, boundary, grid, opts)
+        warm.append(kwargs.get("warm_start", False))
+        return solve(G, p, boundary, grid, opts, **kwargs)
 
     solve = cli.solve_pxlaplace
     monkeypatch.setattr(cli, "solve_pxlaplace", counting)
@@ -434,6 +435,7 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(f), "--out", str(out)]) == EXIT_OK
     # constant p: every size and amplitude reuses the base-grid solve
     assert len(solved) == 2
+    assert warm == [False, True]  # refinement level 1 starts from level 0
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert {r.split(",")[0] for r in rows} == {"refinement", "size", "amplitude"}
     assert len(rows) == 2 * 2 + 2 * 2 + 2 * 4
@@ -443,7 +445,53 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
     table = GridFunction(g, 2.0 + 0.3 * np.sin(g.node_coords[:, 0]))
     write_field(tmp_path / "p.vxf", table)
     solved.clear()
+    warm.clear()
     text = BASE.replace("kind = constant", "kind = table\npath = p.vxf")
     f = cfg_file(tmp_path, text + sweep, name="table.cfg")
     assert main(["sweep", "--config", str(f), "--out", str(out)]) == EXIT_OK
     assert len(solved) == len(set(solved)) >= 3
+    # only the refined grid is warm; the base grid at every amplitude is cold
+    assert warm == [grid.cells != (8, 8) for grid, _ in solved]
+
+
+def _table_bump_config(tmp_path, refinements: int):
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4))
+    table = GridFunction(g, 2.15 + 0.85 * np.sin(0.5 * np.pi * g.node_coords[:, 0]))
+    write_field(tmp_path / "p.vxf", table)
+    text = (BASE.replace("kind = constant", "kind = table\npath = p.vxf")
+            .replace("instance = matched", "instance = bump"))
+    return cfg_file(tmp_path, text + f"\n[sweep]\nrefinements = {refinements}\n"
+                    "sizes = 1 2\namplitudes = 1 0.5\n", name=f"r{refinements}.cfg")
+
+
+def test_sweep_refinement_leaves_base_rows_unchanged(tmp_path):
+    # the refined levels warm-start from the coarser solution; the base
+    # instance behind the size and amplitude rows must stay cold, so its
+    # rows do not depend on how many levels are refined
+    rows, reports = {}, {}
+    for r in (0, 1):
+        out = tmp_path / f"s{r}"
+        assert main(["sweep", "--config", str(_table_bump_config(tmp_path, r)),
+                     "--out", str(out)]) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()[1:]
+        rows[r] = [ln for ln in lines if not ln.startswith("refinement,")]
+        reports[r] = (out / "report.txt").read_text().splitlines()
+    assert rows[0] == rows[1] and len(rows[0]) == 2 * 2 + 2 * 4
+    heads = [ln for ln in reports[1] if ln.startswith("solve ")]
+    assert [h.split(":")[0] for h in heads] == [
+        "solve 8x8, cold", "solve 16x16, warm from 8x8", "solve 8x8 at amplitude 0.5, cold"]
+    warm = reports[1].index(heads[1])
+    assert reports[1][warm + 1].startswith("stage gamma 1e-08: ")
+    assert reports[1][warm + 2] == heads[2]  # the warm solve ran one stage
+    assert not any(" = " in ln for ln in reports[1] if ln.startswith(("solve ", "stage ")))
+
+
+@pytest.mark.parametrize("command", ["verify", "gehring", "goodlambda"])
+def test_reports_end_with_stage_lines(tmp_path, command):
+    text = BASE.replace("instance = matched", "instance = bump")
+    out = tmp_path / command
+    assert main([command, "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    stages = [ln for ln in lines if ln.startswith("stage gamma ")]
+    assert lines[-len(stages):] == stages and len(stages) == 5  # p = 2: every gamma
+    assert all(" = " not in ln and "factor " in ln and "fill " in ln for ln in stages)

@@ -324,3 +324,61 @@ def test_manufactured_bump_shape(grid32, p_smooth):
     np.testing.assert_allclose(bnd.values[grid32.boundary_node_mask], 0.0)
     with pytest.raises(ValueError):
         manufactured_instance("mystery", grid32, p_smooth)
+
+
+def _bump_solve(cells, p_of, start=None, warm_start=False):
+    """The bump instance on [-2, 2]^d with p = p_of(grid); from a zero
+    interior, or from the Q1 prolongation of the solved coarser ``start``."""
+    d = len(cells)
+    g = Grid(d, (-2.0,) * d, (4.0,) * d, cells)
+    p = p_of(g)
+    _, G, bnd = manufactured_instance("bump", g, p)
+    if start is not None:
+        guess = start.u.grid.interpolate(start.u.values, g.node_coords)
+        bnd = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, guess))
+    return solve_pxlaplace(G, p, bnd, g, SolveOptions(), warm_start=warm_start), p
+
+
+# a nodal exponent table in [1.3, 3] on a 4 x 4-cell grid, read by Q1
+# interpolation as [exponent] kind = table does
+_P_TABLE = GridFunction.from_function(
+    Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4)),
+    lambda x: 2.15 + 0.85 * np.sin(0.5 * np.pi * x[0]) * np.cos(0.25 * np.pi * x[1]))
+
+
+@pytest.mark.parametrize("cells, p_of", [
+    ((16, 16), lambda g: ExponentField.constant(g, 1.7)),
+    ((16, 16), lambda g: ExponentField.constant(g, 3.0)),
+    ((16, 16), lambda g: ExponentField(GridFunction(g, _P_TABLE.at(g.node_coords)[:, 0]))),
+    ((8, 8, 8), lambda g: ExponentField.constant(g, 1.5)),
+], ids=["p1.7", "p3-gamma0", "table", "3d-p1.5"])
+def test_warm_start_runs_final_stage_to_the_cold_answer(cells, p_of):
+    # nested iteration: the coarse grid is solved cold, its solution is
+    # prolonged onto the doubled grid, and the fine solve runs the final
+    # gamma stage only.  The zero interior of the bump instance is far from
+    # its solution, so neither fine solve starts at the answer.
+    coarse, _ = _bump_solve(cells, p_of)
+    fine = tuple(2 * c for c in cells)
+    cold, p = _bump_solve(fine, p_of)
+    warm, _ = _bump_solve(fine, p_of, start=coarse, warm_start=True)
+    assert coarse.converged and cold.converged, (coarse.message, cold.message)
+    assert warm.converged and warm.residual <= 1e-8, warm.message
+    assert [s.gamma for s in warm.stages] == [solver._schedule(p.p_minus)[-1]]
+    assert warm.stages[0].reason == "tolerance"
+    scale = np.abs(cold.u.values).max()
+    assert np.abs(warm.u.values - cold.u.values).max() <= 1e-6 * scale
+    assert warm.iterations < cold.iterations, (warm.stages, cold.stages)
+
+    # without warm_start the same start runs the whole schedule
+    full, _ = _bump_solve(fine, p_of, start=coarse)
+    assert [s.gamma for s in full.stages] == list(solver._schedule(p.p_minus))
+    assert full.converged
+
+
+def test_stage_reports_factorization_time_and_fill(matched32):
+    for s in matched32["result"].stages:
+        if s.steps > s.fallbacks:  # a stage that factored
+            assert s.factor_s > 0.0
+            # the factors of the 31^2 free nodes hold at least their
+            # diagonal, and nested dissection keeps them far from dense
+            assert 31**2 <= s.fill < 31**4 // 10
