@@ -1,8 +1,7 @@
 """Numerical laboratory for variable-exponent function spaces and the
-p(x)-Laplacian: grids and quadrature, Luxemburg/Marcinkiewicz norms,
-dyadic maximal operators and coverings, energy-minimization solvers, and
-the estimate chain from Caccioppoli through good-lambda to higher
-integrability."""
+p(x)-Laplacian: grids and quadrature, Luxemburg norms, dyadic maximal
+operators and coverings, energy-minimization solvers, and the estimate
+chain from Caccioppoli through good-lambda to higher integrability."""
 
 from . import dyadic, estimates, exponent, grid, operator, solver, varlp
 from .grid import Box, CellField, Grid, GridFunction, gradient, integrate

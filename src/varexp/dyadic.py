@@ -39,16 +39,13 @@ from .grid import Box, CellField, Grid, _interval_overlaps
 
 __all__ = [
     "DyadicCube",
-    "LevelSets",
     "CZCover",
     "GoodLambdaResult",
     "dyadic_lattice",
     "lattice_means",
-    "predecessor",
     "default_max_level",
     "default_kappa",
     "maximal_function",
-    "level_sets",
     "covering_threshold",
     "cz_cover",
     "good_lambda_measure",
@@ -81,13 +78,6 @@ class DyadicCube:
             idx = tuple(2 * i + b for i, b in zip(self.index, bits))
             out.append(DyadicCube(self.root, self.level + 1, idx))
         return out
-
-
-def predecessor(Q: DyadicCube) -> DyadicCube:
-    """Parent cube one level up; the root has no predecessor."""
-    if Q.level == 0:
-        raise ValueError("root cube has no predecessor")
-    return DyadicCube(Q.root, Q.level - 1, tuple(i // 2 for i in Q.index))
 
 
 def dyadic_lattice(root: Box, max_level: int) -> list[DyadicCube]:
@@ -198,44 +188,6 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
 
 
 @dataclass
-class LevelSets:
-    """Cell-center masks of the two good-lambda level sets."""
-
-    lam: float
-    kappa: float
-    epsilon: float
-    o_mask: np.ndarray  # {M* F > lam}
-    u_mask: np.ndarray  # {M* F > kappa lam} ∩ {M*_{m0}(Gh) <= eps lam}
-    cell_volume: float
-
-    @property
-    def o_measure(self) -> float:
-        return float(self.o_mask.sum()) * self.cell_volume
-
-    @property
-    def u_measure(self) -> float:
-        return float(self.u_mask.sum()) * self.cell_volume
-
-
-def level_sets(F: CellField, Gh: CellField, lam: float, kappa: float,
-               epsilon: float, m0: float, root: Box,
-               max_level: int | None = None) -> LevelSets:
-    """Build the super-level set of M*F and the data-smallness set."""
-    if lam <= 0 or kappa < 1.0 or epsilon <= 0:
-        raise ValueError("need lam > 0, kappa >= 1, epsilon > 0")
-    mf = maximal_function(F, root, 1.0, max_level).values
-    mg = maximal_function(Gh, root, m0, max_level).values
-    return _build_level_sets(F.grid, mf, mg, lam, kappa, epsilon)
-
-
-def _build_level_sets(grid: Grid, mf: np.ndarray, mg: np.ndarray,
-                      lam: float, kappa: float, epsilon: float) -> LevelSets:
-    o_mask = mf > lam
-    u_mask = (mf > kappa * lam) & (mg <= epsilon * lam) & o_mask
-    return LevelSets(lam, kappa, epsilon, o_mask, u_mask, grid.cell_volume)
-
-
-@dataclass
 class CZCover:
     lam: float
     lambda0: float
@@ -314,7 +266,7 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
                         max_level: int | None = None) -> GoodLambdaResult:
     """Measure delta(eps, lam) = |U| / |O_lam| over an (eps, lam) table.
 
-    O_lam = {M*F > lam} and U = {M*F > kappa lam, M*_{m0}(Gh) <= eps lam}.
+    O_lam = {M*F > lam} and U = O_lam ∩ {M*F > kappa lam} ∩ {M*_{m0}(Gh) <= eps lam}.
     kappa must be at least 2^n and every epsilon positive.  Rows with
     empty O_lam report delta = 0.
     """
@@ -337,10 +289,13 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     if any(l < lam0 * (1.0 - 1e-12) for l in lambdas):
         raise ValueError("below covering threshold")
 
+    vol = g.cell_volume
     rows = []
     for eps in epsilons:
         for lam in lambdas:
-            ls = _build_level_sets(g, mf, mg, lam, kappa, eps)
-            delta = ls.u_measure / ls.o_measure if ls.o_measure > 0 else 0.0
+            o_mask = mf > lam
+            u_mask = o_mask & (mf > kappa * lam) & (mg <= eps * lam)
+            o_measure = float(o_mask.sum()) * vol
+            delta = float(u_mask.sum()) * vol / o_measure if o_measure > 0 else 0.0
             rows.append((eps, lam, delta))
     return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows)

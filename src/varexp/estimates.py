@@ -23,8 +23,8 @@ import numpy as np
 from .dyadic import (DyadicCube, covering_threshold, default_max_level, lattice_means,
                      maximal_function)
 from .exponent import ExponentField
-from .grid import (Box, CellField, GridFunction, gradient, integrate,
-                   mean_over, overlap_measure, region_weights)
+from .grid import (Box, CellField, GridFunction, gradient, integrate, mean_over,
+                   region_weights)
 from .records import EstimateRecord
 from .varlp import decay_weight
 
@@ -38,7 +38,6 @@ __all__ = [
     "gehring_scan",
     "integrability_triplet",
     "higher_integrability_check",
-    "global_proxy",
 ]
 
 
@@ -247,21 +246,20 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
     if lams[0] < thresh < lams[-1]:
         lams = np.unique(np.append(lams, thresh))
 
-    def D(lam: float) -> float:
-        if lam <= thresh:
-            return float(w[fv > lam].sum())
-        return float((mstar > lam).sum()) * vol
-
-    dvals = np.asarray([D(lam) for lam in lams])
-    gvals = q * lams ** (q - 1.0) * dvals
+    # |{M*F > lam}| for every lam, from one sort: searchsorted(side="right")
+    # counts the values <= lam
+    above = (mstar.size - np.searchsorted(np.sort(mstar), lams, side="right")) * vol
     head_mask = lams <= thresh
+    dvals = above.copy()
+    dvals[head_mask] = [float(w[fv > lam].sum()) for lam in lams[head_mask]]
+    gvals = q * lams ** (q - 1.0) * dvals
     # D is treated as constant below lam0/10
     head = lams[0] ** q * dvals[0] + float(np.trapezoid(gvals[head_mask], lams[head_mask]))
     # the tail starts at the threshold itself, measured on the maximal-function
     # route, so it is exactly 0 when M*F never exceeds kappa*lam0
-    tl = lams[lams >= thresh]
-    dt = np.asarray([float((mstar > lam).sum()) * vol for lam in tl])
-    tail = float(np.trapezoid(q * tl ** (q - 1.0) * dt, tl))
+    tail_mask = lams >= thresh
+    tl = lams[tail_mask]
+    tail = float(np.trapezoid(q * tl ** (q - 1.0) * above[tail_mask], tl))
     return (head + tail) / measure, head / measure, tail / measure
 
 
@@ -322,36 +320,3 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
         cube=root, resolution=g.cells, flags=flags,
     )
 
-
-def global_proxy(u: GridFunction, G: CellField, p: ExponentField, q: float,
-                 box_sizes, kappa: float = 8.0, epsilon: float = 0.1,
-                 m0: float = 1.5, m: float | None = None) -> list[EstimateRecord]:
-    """Norm-form estimate on nested boxes Omega_R = (-R, R)^n:
-
-    (integral_{Omega} |Du|^{pq})^{1/q}  vs
-        |Omega|^{1/q} mean_{2 Omega} |Du|^p
-        + (integral_{2 Omega} (|G|^p + h)^q)^{1/q}.
-
-    Checks boundedness of the empirical constants across R (not a limit
-    statement).  The instance must be defined on the largest doubled box.
-    """
-    g = u.grid
-    n = g.dim
-    records = []
-    F = energy_density(u, p)
-    gh = data_density(G, p, m)
-    for R in box_sizes:
-        omega = Box((-float(R),) * n, (float(R),) * n)
-        if not g.domain.contains_box(omega.scaled(2.0)):
-            raise ValueError("instance is not defined on the largest doubled box")
-        vol = overlap_measure(g, omega)
-        lhs = (mean_over(CellField(g, F.values**q), omega) * vol) ** (1.0 / q)
-        rhs1 = vol ** (1.0 / q) * mean_over(F, omega.scaled(2.0))
-        rhs2 = integrate(CellField(g, gh.values**q), omega.scaled(2.0)) ** (1.0 / q)
-        records.append(EstimateRecord.build(
-            f"global-proxy-R={R:g}", lhs,
-            {"scaled_mean_energy": rhs1, "data_norm": rhs2},
-            cube=omega, resolution=g.cells,
-            flags=[f"kappa={kappa:g}", f"epsilon={epsilon:g}", f"m0={m0:g}"],
-        ))
-    return records

@@ -9,30 +9,28 @@ of 1/p: the smallest c with
 together with the decay part |1/p(x) - 1/p_inf| <= c / log(e + |x|).
 This module measures that constant exactly over all node pairs of the
 grid, selects the comparison exponent p_j = p(y_j) at the farthest point
-y_j of a cube, quantifies exponent oscillation over cubes, and reports the
-vanishing log-Holder profile (which epsilon is attained at which scales).
+y_j of a cube, and reports the VMO oscillation quotient over a dyadic
+family of cubes and the vanishing log-Holder profile (which epsilon is
+attained at which scales).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dyadic import dyadic_lattice
 from .grid import Box, CellField, Grid, GridFunction, mean_over
-from .records import EstimateRecord
 
 __all__ = [
     "ExponentField",
     "LogHolderReport",
     "log_holder_constant",
     "select_comparison_exponent",
-    "oscillation_average",
-    "oscillation_record",
     "vanishing_profile",
 ]
 
@@ -215,7 +213,7 @@ def _vmo_oscillation(p: ExponentField, levels: int) -> float:
     worst = 0.0
     for q in (c.box for c in dyadic_lattice(domain, levels) if c.level >= 1):
         _, p_j = select_comparison_exponent(q, p)
-        osc = _oscillation(q, p, 1.0, p_j)
+        osc = _oscillation(q, p, p_j)
         ell = q.side
         scale = math.log(_E + max(ell, 1.0 / ell, float(np.linalg.norm(q.center))))
         worst = max(worst, osc * scale)
@@ -240,29 +238,9 @@ def select_comparison_exponent(Q: Box, p: ExponentField) -> tuple[np.ndarray, fl
     return coords[node].copy(), float(p.values[node])
 
 
-def _oscillation(Q: Box, p: ExponentField, s: float, p_j: float) -> float:
-    dev = CellField(p.grid, np.abs(p.cell_values - p_j) ** s)
-    return mean_over(dev, Q) ** (1.0 / s)
-
-
-def oscillation_average(Q: Box, p: ExponentField, s: float = 1.0) -> float:
-    """(mean over Q of |p - p_j|^s)^(1/s) with p_j from the 2Q selection rule."""
-    if s < 1.0:
-        raise ValueError("s must be >= 1")
-    _, p_j = select_comparison_exponent(Q, p)
-    return _oscillation(Q, p, s, p_j)
-
-
-def oscillation_record(Q: Box, p: ExponentField, s: float, c_log: float) -> EstimateRecord:
-    """Oscillation vs. the scale bound (p+)^2 c_log / log(e + max{R, 1/R, |c|})."""
-    osc = oscillation_average(Q, p, s)
-    R = Q.side
-    denom = math.log(_E + max(R, 1.0 / R, float(np.linalg.norm(Q.center))))
-    bound = p.p_plus**2 * c_log / denom
-    return EstimateRecord.build(
-        "exponent-oscillation", osc, {"scale_bound": bound},
-        cube=Q, resolution=p.grid.cells,
-    )
+def _oscillation(Q: Box, p: ExponentField, p_j: float) -> float:
+    """Mean over Q of |p - p_j|."""
+    return mean_over(CellField(p.grid, np.abs(p.cell_values - p_j)), Q)
 
 
 def vanishing_profile(p: ExponentField, epsilons: Sequence[float],

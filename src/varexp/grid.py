@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class Box:
         if tol is None:
             tol = _GEOM_RTOL * max(self.side, 1.0)
         return np.all((x >= np.asarray(self.lo) - tol) & (x <= np.asarray(self.hi) + tol), axis=-1)
-
-    def contains_point(self, x, tol: float | None = None) -> bool:
-        """Closure membership of one point; see ``contains_points``."""
-        return bool(self.contains_points(x, tol))
 
     def contains_box(self, other: "Box", tol: float | None = None) -> bool:
         if tol is None:

@@ -4,8 +4,6 @@ The maximal/covering oracles here are independent brute-force loops over
 all lattice cubes, compared against the production implementations.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +18,7 @@ from varexp.dyadic import (
     dyadic_lattice,
     good_lambda_measure,
     lattice_means,
-    level_sets,
     maximal_function,
-    predecessor,
 )
 from varexp.grid import Box, CellField, Grid, integrate, mean_over, overlap_measure
 
@@ -64,15 +60,13 @@ def test_cube_geometry_and_children():
     assert len(kids) == 4
     assert sum(k.box.measure for k in kids) == pytest.approx(q.box.measure)
     for k in kids:
-        assert predecessor(k).box == q.box
+        assert k.level == 2 and tuple(i // 2 for i in k.index) == q.index
 
 
-def test_cube_validation_and_root_predecessor():
+def test_cube_validation():
     root = Box((0.0,), (1.0,))
     with pytest.raises(ValueError):
         DyadicCube(root, 1, (2,))  # index out of range
-    with pytest.raises(ValueError):
-        predecessor(DyadicCube(root, 0, (0,)))
 
 
 def test_default_max_level_resolves_to_cell_pairs():
@@ -180,7 +174,7 @@ def test_cz_cover_sandwich_disjoint_and_covers():
         hot = np.flatnonzero(mf > lam * (1 + 1e-9))
         for i in hot:
             x = g.cell_centers[i]
-            assert any(q.box.scaled(1.0 + 1e-12).contains_point(x) for q in cover.cubes)
+            assert any(q.box.scaled(1.0 + 1e-12).contains_points(x) for q in cover.cubes)
 
 
 def test_cz_cover_sandwich_violation_raises(monkeypatch):
@@ -207,22 +201,6 @@ def test_cz_cover_below_threshold_raises():
     lam0 = mean_over(f, root.scaled(2.0))
     with pytest.raises(ValueError, match="covering threshold"):
         cz_cover(f, root, 0.5 * lam0)
-
-
-def test_level_sets_nesting_and_validation():
-    rng = np.random.default_rng(13)
-    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
-    root = g.domain.scaled(0.5)
-    F = CellField(g, rng.uniform(0, 2, g.num_cells))
-    Gh = CellField(g, rng.uniform(0, 2, g.num_cells))
-    lam = mean_over(F, root.scaled(2.0))
-    ls = level_sets(F, Gh, lam, 4.0, 0.1, 1.5, root)
-    # U lives inside the lambda superlevel set (kappa >= 1)
-    assert np.all(ls.u_mask <= ls.o_mask)
-    assert ls.u_measure <= overlap_measure(g, root) + 1e-12
-    for bad in ((0.0, 4.0, 0.1), (lam, 0.5, 0.1), (lam, 4.0, 0.0)):
-        with pytest.raises(ValueError):
-            level_sets(F, Gh, bad[0], bad[1], bad[2], 1.5, root)
 
 
 def test_good_lambda_epsilon_monotone_and_bounds():
@@ -264,7 +242,7 @@ def test_good_lambda_kappa_guard():
 
 @pytest.mark.parametrize("epsilons", [(-0.4, 0.0), (0.1, 0.0), (-0.1,)])
 def test_good_lambda_rejects_nonpositive_epsilon(epsilons):
-    # the same check as level_sets: eps <= 0 made every U empty, delta = 0
+    # eps <= 0 would make every U empty and report delta = 0
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
     F = CellField(g, np.ones(g.num_cells))
     with pytest.raises(ValueError, match="epsilon > 0"):

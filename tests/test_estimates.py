@@ -1,6 +1,5 @@
 """Estimate chain: Caccioppoli, reverse Holder, the Gehring scan, transfer
-exponents, the level-set route to higher integrability, and the global
-norm-form proxy."""
+exponents, and the level-set route to higher integrability."""
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from varexp.estimates import (
     data_density,
     energy_density,
     gehring_scan,
-    global_proxy,
     higher_integrability_check,
     integrability_triplet,
 )
@@ -245,19 +243,3 @@ def test_higher_integrability_lambda0_is_covering_threshold():
     rec = higher_integrability_check(u, G, p, 2.0, root, 10.0, 0.4, 1.5)
     assert rec.rhs_components["mean_energy"] == lam0
     assert f"lambda0={lam0:.12g}" in rec.flags
-
-
-def test_global_proxy_bounded_constants():
-    g = Grid(2, (-8.0, -8.0), (16.0, 16.0), (32, 32))
-    p = ExponentField.from_function(
-        g, lambda x: 2.0 + 0.12 * np.sin(0.5 * np.pi * x[0]) * np.sin(0.5 * np.pi * x[1]),
-        p_infinity=2.0)
-    _, G, bnd = manufactured_instance("bump", g, p)
-    res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
-    assert res.converged
-    recs = global_proxy(res.u, G, p, 2.0, (1.0, 2.0, 4.0))
-    consts = [r.empirical_constant for r in recs]
-    assert all(np.isfinite(c) and c > 0 for c in consts)
-    assert max(consts) / min(consts) < 2.0
-    with pytest.raises(ValueError):
-        global_proxy(res.u, G, p, 2.0, (16.0,))  # doubled box exits the domain

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from varexp.exponent import (
     ExponentField,
     log_holder_constant,
-    oscillation_average,
-    oscillation_record,
     select_comparison_exponent,
     vanishing_profile,
 )
@@ -189,26 +187,17 @@ def test_select_comparison_requires_overlap():
         select_comparison_exponent(Box((10.0,), (11.0,)), p)
 
 
-def test_oscillation_average():
+def test_vmo_oscillation_hand_case():
+    # p = 2 + x on [0, 1], level-1 cubes [0, 1/2] and [1/2, 1]: p_j is p at
+    # the far end of 2Q ∩ [0, 1] (2.75 and 3), the cell means of |p - p_j|
+    # are 1/2 and 1/4, and both cubes have scale log(e + max{l, 1/l, |c|})
+    # = log(e + 2)
     g = Grid(1, (0.0,), (1.0,), (8,))
+    p = ExponentField.from_function(g, lambda x: 2.0 + x[0])
+    assert log_holder_constant(p, vmo_levels=1).vmo_oscillation == pytest.approx(
+        0.5 * math.log(E + 2.0), rel=1e-14)
     const = ExponentField.constant(g, 2.0)
-    assert oscillation_average(g.domain, const) == 0.0
-    lin = ExponentField.from_function(g, lambda x: 2.0 + x[0])
-    assert oscillation_average(g.domain, lin) > 0.0
-    with pytest.raises(ValueError):
-        oscillation_average(g.domain, lin, s=0.5)
-
-
-def test_oscillation_record_scale_bound():
-    g = Grid(1, (0.0,), (1.0,), (8,))
-    p = ExponentField.from_function(g, lambda x: 2.0 + 0.1 * x[0])
-    c_log = log_holder_constant(p).c_log
-    rec = oscillation_record(Box((0.25,), (0.75,)), p, 1.0, c_log)
-    assert rec.lhs == pytest.approx(oscillation_average(Box((0.25,), (0.75,)), p))
-    R = 0.5
-    denom = math.log(E + max(R, 1.0 / R, 0.5))
-    assert rec.rhs_components["scale_bound"] == pytest.approx(
-        p.p_plus**2 * c_log / denom)
+    assert log_holder_constant(const, vmo_levels=1).vmo_oscillation == 0.0
 
 
 def test_vanishing_profile_constant_exponent():

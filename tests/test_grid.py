@@ -1,7 +1,5 @@
 """Geometry layer: boxes, grids, interpolation, gradients, quadrature."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -39,22 +37,28 @@ def test_box_contains_and_intersect():
     assert b.contains_box(Box((1.0, 1.0), (2.0, 2.0)))
     assert b.contains_box(b)  # closure containment
     assert not b.contains_box(Box((3.0, 3.0), (5.0, 5.0)))
-    assert b.contains_point((0.0, 0.0))
-    assert not b.contains_point((4.1, 0.0))
+    assert b.contains_points((0.0, 0.0))
+    assert not b.contains_points((4.1, 0.0))
     cut = b.intersect(Box((3.0, -1.0), (5.0, 1.0)))
     assert cut.lo == (3.0, 0.0) and cut.hi == (4.0, 1.0)
     assert b.intersect(Box((5.0, 5.0), (6.0, 6.0))) is None
 
 
-def test_box_contains_points_matches_contains_point():
+def test_box_contains_points_matches_per_axis_check():
     b = Box((0.0, -1.0), (4.0, 1.0))
     tol = 1e-12 * 4.0  # relative to the longest edge
     pts = np.array([[0.0, 0.0], [4.0 + 0.5 * tol, 1.0], [4.0 + 2 * tol, 0.0],
                     [2.0, -1.0 - 0.5 * tol], [2.0, 1.5], [-1e-9, 0.0]])
+
+    def inside(x, t):  # closure of each axis interval, widened by t
+        return all(lo - t <= xk <= hi + t for xk, lo, hi in zip(x, b.lo, b.hi))
+
     mask = b.contains_points(pts)
     assert mask.tolist() == [True, True, False, True, False, False]
-    assert mask.tolist() == [b.contains_point(x) for x in pts]
-    assert b.contains_points(pts, tol=1e-8).tolist() == [True, True, True, True, False, True]
+    assert mask.tolist() == [inside(x, tol) for x in pts]
+    wide = b.contains_points(pts, tol=1e-8)
+    assert wide.tolist() == [True, True, True, True, False, True]
+    assert wide.tolist() == [inside(x, 1e-8) for x in pts]
     assert b.contains_points(np.zeros((0, 2))).shape == (0,)
 
 

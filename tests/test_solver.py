@@ -9,7 +9,7 @@ from scipy import sparse
 
 from varexp import solver
 from varexp.exponent import ExponentField
-from varexp.grid import Box, CellField, Grid, GridFunction, gradient
+from varexp.grid import Box, CellField, Grid, GridFunction, gradient, mean_over
 from varexp.operator import FluxParams, energy_gradient, energy_hessian, flux
 from varexp.estimates import energy_density
 from varexp.solver import (
@@ -22,7 +22,6 @@ from varexp.solver import (
     solve_pxlaplace,
     uhlenbeck_check,
 )
-from varexp.varlp import mean_over
 
 from conftest import cold_start, constriction
 

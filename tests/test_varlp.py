@@ -1,5 +1,5 @@
-"""Variable-exponent Lebesgue machinery: modular, Luxemburg gauge, weak
-norms, and the pointwise/cube estimates built on them."""
+"""Variable-exponent Lebesgue machinery: modular, Luxemburg gauge and the
+decay weight."""
 
 import math
 
@@ -10,15 +10,7 @@ from hypothesis import strategies as st
 
 from varexp.exponent import ExponentField
 from varexp.grid import Box, CellField, Grid, GridFunction, region_weights
-from varexp.varlp import (
-    decay_weight,
-    jensen_check,
-    log_mean_check,
-    luxemburg_norm,
-    marcinkiewicz_norm,
-    modular,
-    sobolev_poincare_check,
-)
+from varexp.varlp import decay_weight, luxemburg_norm, modular
 
 E = math.e
 
@@ -135,114 +127,6 @@ def test_luxemburg_region_outside_domain_raises():
     p = ExponentField.constant(g, 2.0)
     with pytest.raises(ValueError):
         luxemburg_norm(CellField(g, np.ones(4)), p, Box((5.0,), (6.0,)))
-
-
-def test_marcinkiewicz_oracle():
-    # f takes value 3 on measure 1/4 and 1 on measure 1/2: at s = 2 the sup
-    # over the value jumps is 3 * (1/4)^{1/2} = 1.5.
-    g = Grid(1, (0.0,), (1.0,), (8,))
-    f = CellField(g, np.array([3.0, 3.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
-    assert marcinkiewicz_norm(f, 2.0, g.domain) == pytest.approx(1.5, rel=1e-13)
-
-
-def test_marcinkiewicz_below_strong_norm():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        g = random_grid(rng)
-        f = CellField(g, rng.normal(size=g.num_cells))
-        s = rng.uniform(1.0, 3.0)
-        w = region_weights(g, g.domain)
-        strong = float(np.sum(w * np.abs(f.values) ** s)) ** (1.0 / s)
-        assert marcinkiewicz_norm(f, s, g.domain) <= strong * (1 + 1e-12)
-
-
-def test_marcinkiewicz_validation():
-    g = Grid(1, (0.0,), (1.0,), (4,))
-    with pytest.raises(ValueError):
-        marcinkiewicz_norm(CellField(g, np.ones(4)), 0.0, g.domain)
-    with pytest.raises(ValueError):
-        marcinkiewicz_norm(CellField(g, np.ones((4, 1, 1))), 2.0, g.domain)
-
-
-def test_jensen_constant_exponent_is_convexity():
-    # with p constant the decay terms only help: the empirical constant of
-    # (mean |f|)^p vs mean |f|^p + decay stays at or below 1.
-    rng = np.random.default_rng(31)
-    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (8, 8))
-    p = ExponentField.constant(g, 2.5)
-    for _ in range(20):
-        f = CellField(g, rng.uniform(0.0, 1.0, g.num_cells))
-        rec = jensen_check(f, g.domain, p, 4.0, (0.0, 0.0))
-        assert rec.empirical_constant <= 1.0 + 1e-12
-
-
-def test_jensen_side_condition_enforced():
-    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (4, 4))
-    p = ExponentField.constant(g, 2.0)
-    big = CellField(g, np.full(g.num_cells, 100.0))
-    with pytest.raises(ValueError, match="precondition"):
-        jensen_check(big, g.domain, p, 4.0, (0.0, 0.0), K1=1.0, beta=1.0)
-
-
-@pytest.mark.parametrize("m", [1.0, 2.0])
-def test_jensen_decay_power_checked_before_precondition(m):
-    # m <= dim is an argument error, reported even when f also fails the
-    # side condition
-    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (4, 4))
-    p = ExponentField.constant(g, 2.0)
-    big = CellField(g, np.full(g.num_cells, 100.0))
-    with pytest.raises(ValueError, match="decay power m must exceed"):
-        jensen_check(big, g.domain, p, m, (0.0, 0.0), K1=1.0, beta=1.0)
-
-
-def test_sobolev_poincare_affine_oracle():
-    # f = x on the unit interval with p = 2, s = 1: the gradient term is
-    # exactly 1 and the oscillation term is the midpoint-rule variance
-    # (1 - 1/N^2)/12.
-    N = 8
-    g = Grid(1, (0.0,), (1.0,), (N,))
-    f = GridFunction.from_function(g, lambda x: x[0])
-    p = ExponentField.constant(g, 2.0)
-    rec = sobolev_poincare_check(f, g.domain, p, 1.0)
-    assert rec.lhs == pytest.approx((1.0 - 1.0 / N**2) / 12.0, rel=1e-12)
-    assert rec.rhs_components["gradient_term"] == pytest.approx(1.0, rel=1e-12)
-    assert rec.empirical_constant < 1.0
-
-
-def test_sobolev_poincare_s_range():
-    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-    f = GridFunction.from_function(g, lambda x: x[0])
-    p = ExponentField.constant(g, 2.0)
-    for bad_s in (0.5, 2.0):  # cap is min{n/(n-1), p^-} = 2 in 2D
-        with pytest.raises(ValueError):
-            sobolev_poincare_check(f, g.domain, p, bad_s)
-
-
-def test_log_mean_constant_field_oracle():
-    g = Grid(1, (0.0,), (1.0,), (8,))
-    f = CellField(g, np.full(8, 3.0))
-    rec = log_mean_check(f, g.domain, 2.0)
-    assert rec.lhs == pytest.approx(math.log(E + 1.0) ** 2, rel=1e-13)
-
-
-def test_log_mean_uniform_bound_in_f():
-    # the cube average of log(e + |f|/mean)^s admits an f-independent bound;
-    # spot-check it stays below c(s) = (s/log 2)^s * log(e+1)^s-ish envelope
-    rng = np.random.default_rng(41)
-    g = Grid(1, (0.0,), (1.0,), (64,))
-    worst = 0.0
-    for _ in range(30):
-        f = CellField(g, np.abs(rng.normal(size=64)) ** rng.uniform(0.5, 4))
-        worst = max(worst, log_mean_check(f, g.domain, 2.0).lhs)
-    assert worst < 60.0  # generous but finite and f-independent
-
-
-def test_log_mean_validation():
-    g = Grid(1, (0.0,), (1.0,), (4,))
-    with pytest.raises(ValueError):
-        log_mean_check(CellField(g, np.zeros(4)), g.domain, 2.0)
-    with pytest.raises(ValueError):
-        log_mean_check(CellField(g, np.ones(4)), g.domain, 0.0)
 
 
 def test_decay_weight_oracle():
