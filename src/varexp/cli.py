@@ -169,7 +169,8 @@ class ExperimentConfig:
                                "good-lambda factor, at least 2^dim; auto: 2^(n+1) c4, with c4 "
                                "the exact coercivity constant of the power flux over p- and p+")
     epsilons: tuple[float, ...] = _key("estimates", "floats", (0.4, 0.2, 0.1, 0.05),
-                                       "good-lambda epsilons; verify and sweep use the first",
+                                       "good-lambda epsilons, all used by goodlambda and by "
+                                       "each sweep amplitude row",
                                        _above(0))
     lambda_factors: tuple[float, ...] = _key("estimates", "floats", (1.0, 2.0, 4.0),
                                              "good-lambda lambdas over lambda0; sweep: the first",
@@ -613,7 +614,6 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
         caccioppoli_check(res.u, G, p, root),
         reverse_holder_check(res.u, G, p, root, s, m=cfg.m),
         higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
-                                   cfg.epsilons[0], cfg.m0,
                                    sweep_points=cfg.lambda_count, m=cfg.m),
     ]
     rep.scalars = [("kappa", kappa), ("s", s), ("residual", res.residual)]
@@ -676,7 +676,6 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
         G, res = solve(grid, p, _cells_str(grid), coarse)
         recs = [caccioppoli_check(res.u, G, p, root),
                 higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
-                                           cfg.epsilons[0], cfg.m0,
                                            sweep_points=cfg.lambda_count, m=cfg.m)]
         for r in recs:
             rows.append([axis, setting, r.name, _fmt(r.lhs), _fmt(r.rhs_sum),

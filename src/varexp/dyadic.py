@@ -11,7 +11,10 @@ The localized maximal operator of a cell field f at a cell center x is
 
 and zero outside the root.  The lattice is truncated at a maximal level
 (default: cubes no smaller than 2 grid cells per axis), which is the
-resolution floor of every covering statement here.
+resolution floor of every covering statement here.  The cubes of one level
+whose closure holds x form a product over the axes (the cube holding x,
+and on each axis its neighbour across a face that x lies on: ties count
+on both sides), so the supremum is a per-axis max over the level's table.
 
 Means of one field over the lattice cubes, whether over Q, (3/2)Q or 2Q,
 come from one kernel, ``lattice_means``: the mean over scale*Q ∩ domain of
@@ -143,7 +146,9 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
 
     For each cell center the supremum runs over all lattice cubes whose
     closure contains it (ties on shared faces considered on both sides),
-    of the s-power mean of |f| over the doubled cube.
+    of the s-power mean of |f| over the doubled cube.  Those cubes form a
+    product over the axes, so each level's ``lattice_means`` table is maxed
+    one axis at a time.
     """
     g = f.grid
     _require_root(g, root)
@@ -154,37 +159,29 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
     if max_level is None:
         max_level = default_max_level(root, g)
     power = np.abs(f.values) ** s
-    means = [lattice_means(power, g, root, lev, 2.0) ** (1.0 / s)
-             for lev in range(max_level + 1)]
 
     tol = 1e-12 * max(root.side, 1.0)
-    in_root = root.contains_points(g.cell_centers, tol)
-    out = np.zeros(g.num_cells)
-    pts = g.cell_centers[in_root]
-    best = np.zeros(pts.shape[0])
+    centers = [g.origin[k] + g.cell_size[k] * (np.arange(g.cells[k]) + 0.5)
+               for k in range(g.dim)]
+    inside = [np.flatnonzero((x >= root.lo[k] - tol) & (x <= root.hi[k] + tol))
+              for k, x in enumerate(centers)]
+    best = np.zeros([i.size for i in inside])
     for lev in range(max_level + 1):
         n_side = 2**lev
         sides = root.sides / n_side
-        rel = (pts - np.asarray(root.lo)) / sides
-        base = np.clip(np.floor(rel).astype(int), 0, n_side - 1)
-        frac = rel - base
-        ftol = tol / sides  # face tolerance in fraction units, per axis
-        m = means[lev]
-        for off in itertools.product((-1, 0, 1), repeat=g.dim):
-            offs = np.asarray(off)
-            cand = base + offs
-            ok = np.ones(pts.shape[0], dtype=bool)
-            for k in range(g.dim):
-                if off[k] == -1:
-                    ok &= (frac[:, k] <= ftol[k]) & (cand[:, k] >= 0)
-                elif off[k] == 1:
-                    ok &= (frac[:, k] >= 1.0 - ftol[k]) & (cand[:, k] <= n_side - 1)
-            if not ok.any():
-                continue
-            vals = m[tuple(cand[ok].T)] if g.dim > 1 else m[cand[ok, 0]]
-            best[ok] = np.maximum(best[ok], vals)
-    out[in_root] = best
-    return CellField(g, out)
+        m = lattice_means(power, g, root, lev, 2.0) ** (1.0 / s)
+        for k in range(g.dim):
+            rel = (centers[k][inside[k]] - root.lo[k]) / sides[k]
+            base = np.clip(np.floor(rel).astype(int), 0, n_side - 1)
+            frac = rel - base
+            ftol = tol / sides[k]  # face tolerance in fraction units
+            below = np.where((frac <= ftol) & (base > 0), base - 1, base)
+            above = np.where((frac >= 1.0 - ftol) & (base < n_side - 1), base + 1, base)
+            m = np.maximum.reduce([np.take(m, i, axis=k) for i in (base, below, above)])
+        best = np.maximum(best, m)
+    out = np.zeros(g.cells)
+    out[np.ix_(*inside)] = best
+    return CellField(g, out.reshape(-1))
 
 
 @dataclass

@@ -123,8 +123,7 @@ class GehringResult:
 
 def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
                  mu_max: float = 2.0, steps: int = 8, cap: float = 1e3,
-                 m1: float | None = None, m: float | None = None,
-                 levels: tuple[int, ...] | None = None) -> GehringResult:
+                 m: float | None = None, levels: tuple[int, ...] | None = None) -> GehringResult:
     """Scan the self-improved reverse Holder inequality over mu in (1, mu_max]:
 
     (mean_Q |Du|^{p mu})^{1/mu}  vs  mean_{2Q} |Du|^p
@@ -132,8 +131,8 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
 
     over the dyadic cubes of the root with 2Q inside the root.  m0 is the
     largest sampled mu whose worst-cube constant stays at or below the cap;
-    sigma = (min{m0, m1})^{1/4} is the integrability-transfer exponent
-    (m1 defaults to m0).
+    sigma = m0^{1/4} is the integrability-transfer exponent (the result's
+    m1, the paper's second Gehring exponent, is m0 here).
     """
     g = u.grid
     n = g.dim
@@ -178,9 +177,7 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
         records.append(rec)
         if worst <= cap:
             m0 = max(m0, float(mu))
-    m1 = float(m1) if m1 is not None else m0
-    sigma = min(m0, m1) ** 0.25
-    return GehringResult(m0, m1, sigma, [float(x) for x in mu_grid], table,
+    return GehringResult(m0, m0, m0 ** 0.25, [float(x) for x in mu_grid], table,
                          cap, len(index), records)
 
 
@@ -264,8 +261,7 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
 
 
 def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
-                               q: float, root: Box, kappa: float, epsilon: float,
-                               m0: float, sweep_points: int = 64,
+                               q: float, root: Box, kappa: float, sweep_points: int = 64,
                                max_level: int | None = None,
                                m: float | None = None) -> EstimateRecord:
     """Measured higher integrability of the energy density F = |Du|^{p(.)}:
@@ -278,8 +274,7 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     sets of F; above: of the maximal function M*F).  Their relative gap and
     the head/tail split are recorded as flags.  When M*F stays at or below
     kappa * lambda0, the maximal-function route measures only empty sets
-    and the flag level-set-tail-unused says so.  epsilon and m0 are carried
-    for provenance of the good-lambda configuration that motivated kappa.
+    and the flag level-set-tail-unused says so.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
@@ -307,8 +302,6 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
         f"tail={tail:.12g}",
         f"lambda0={lam0:.12g}",
         f"kappa={kappa:g}",
-        f"epsilon={epsilon:g}",
-        f"m0={m0:g}",
     ]
     if rel_gap > 0.05:
         flags.append("level-set-route-mismatch")

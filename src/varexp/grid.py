@@ -6,7 +6,9 @@ multilinear (Q1) interpolants, per-cell gradients evaluated at cell
 centers, and midpoint quadrature against arbitrary axis-parallel regions.
 Cells that only partially overlap a region count by volume fraction, so
 integrals are exactly additive over disjoint regions and monotone under
-region inclusion for nonnegative integrands.
+region inclusion for nonnegative integrands.  A cell's overlap with a box
+is the product of its per-axis overlap lengths: ``region_weights`` is their
+outer product, and ``integrate`` and ``mean_over`` read their sums from it.
 
 The cell-center gradient is one cached sparse matrix B = Grid.gradient_matrix:
 ``gradient`` applies B, the operator module's energy gradient applies B^T,
@@ -33,7 +35,6 @@ __all__ = [
     "gradient",
     "integrate",
     "mean_over",
-    "overlap_measure",
     "region_weights",
 ]
 
@@ -399,33 +400,22 @@ def _interval_overlaps(grid: Grid, k: int, lo, hi) -> np.ndarray:
     return np.clip(o, 0.0, h)
 
 
-def _axis_overlaps(grid: Grid, region: Box) -> tuple[list[np.ndarray], list[slice]]:
-    """Per-axis overlap lengths of grid cells with ``region`` plus the
-    slices of cells with nonzero overlap."""
+def _box_overlaps(grid: Grid, region: Box) -> list[np.ndarray]:
+    """Overlap lengths of the cells along each axis with ``region``."""
     if region.dim != grid.dim:
         raise ValueError("region dimension does not match grid")
-    overlaps, slices = [], []
-    for k in range(grid.dim):
-        o = _interval_overlaps(grid, k, region.lo[k], region.hi[k])
-        nz = np.nonzero(o)[0]
-        if nz.size == 0:
-            return [], []
-        overlaps.append(o[nz[0] : nz[-1] + 1])
-        slices.append(slice(int(nz[0]), int(nz[-1] + 1)))
-    return overlaps, slices
+    return [_interval_overlaps(grid, k, region.lo[k], region.hi[k]) for k in range(grid.dim)]
 
 
 def region_weights(grid: Grid, region: Box | None) -> np.ndarray:
     """Flat (num_cells,) quadrature weights: overlap volume of each cell
-    with the region (full cell volume when region is None)."""
+    with the region (full cell volume when region is None), the outer
+    product of the per-axis overlap lengths."""
     if region is None:
         return np.full(grid.num_cells, grid.cell_volume)
-    overlaps, slices = _axis_overlaps(grid, region)
-    w = np.zeros(grid.cells)
-    if overlaps:
-        letters = "ijk"[: grid.dim]
-        spec = ",".join(letters) + "->" + letters
-        w[tuple(slices)] = np.einsum(spec, *overlaps)
+    w = np.ones(())
+    for o in _box_overlaps(grid, region):
+        w = np.multiply.outer(w, o)
     return w.reshape(-1)
 
 
@@ -438,26 +428,15 @@ def integrate(f: CellField, region: Box) -> float:
     vals = f.values
     if vals.ndim != 1:
         raise ValueError("integrate expects a scalar cell field")
-    overlaps, slices = _axis_overlaps(f.grid, region)
-    if not overlaps:
+    overlaps = _box_overlaps(f.grid, region)
+    if not all(o.any() for o in overlaps):
         raise ValueError("region outside domain")
-    block = vals.reshape(f.grid.cells)[tuple(slices)]
     letters = "ijk"[: f.grid.dim]
     spec = ",".join([letters] + list(letters)) + "->"
-    return float(np.einsum(spec, block, *overlaps))
-
-
-def overlap_measure(grid: Grid, region: Box) -> float:
-    """Measure of region ∩ grid domain (0.0 when disjoint)."""
-    overlaps, _ = _axis_overlaps(grid, region)
-    if not overlaps:
-        return 0.0
-    return float(np.prod([o.sum() for o in overlaps]))
+    return float(np.einsum(spec, vals.reshape(f.grid.cells), *overlaps))
 
 
 def mean_over(f: CellField, region: Box) -> float:
     """Average of a scalar cell field over region ∩ grid domain."""
-    m = overlap_measure(f.grid, region)
-    if m <= 0.0:
-        raise ValueError("region outside domain")
-    return integrate(f, region) / m
+    measure = np.prod([o.sum() for o in _box_overlaps(f.grid, region)])
+    return integrate(f, region) / float(measure)

@@ -40,7 +40,6 @@ from varexp.grid import (
     GridFunction,
     integrate,
     mean_over,
-    overlap_measure,
     region_weights,
 )
 from varexp.operator import FluxParams, coercivity_constant, energy, energy_gradient, flux
@@ -96,7 +95,7 @@ def brute_maximal(f, root, max_level):
     boxes = [q.box for q in dyadic_lattice(root, max_level)]
     absf = CellField(g, np.abs(f.values))
     means = np.array([
-        integrate(absf, b2) / overlap_measure(g, b2)
+        integrate(absf, b2) / region_weights(g, b2).sum()
         for b2 in (b.scaled(2.0) for b in boxes)])
     los = np.array([b.lo for b in boxes])
     his = np.array([b.hi for b in boxes])
@@ -227,7 +226,7 @@ def test_acceptance_monotonicity_and_c4():
 
 def test_acceptance_estimate_chain_stability(matched32, matched64):
     with budget(600.0):
-        kappa, eps, m0 = 16.0, 0.1, 1.5
+        kappa = 16.0
         consts = {"caccioppoli": [], "reverse-holder": [], "higher-integrability": []}
         for inst in (matched32, matched64):
             u, G, p = inst["result"].u, inst["G"], inst["p"]
@@ -239,7 +238,7 @@ def test_acceptance_estimate_chain_stability(matched32, matched64):
                     reverse_holder_check(u, G, p, Q, 1.5).empirical_constant)
                 consts["higher-integrability"].append(
                     higher_integrability_check(
-                        u, G, p, 2.0, Q, kappa, eps, m0).empirical_constant)
+                        u, G, p, 2.0, Q, kappa).empirical_constant)
         for name, vals in consts.items():
             assert all(np.isfinite(v) and v > 0 for v in vals), (name, vals)
             assert max(vals) / min(vals) <= 2.0, (name, vals)
@@ -251,7 +250,7 @@ def test_acceptance_level_set_moments(matched32):
     u, G, p = matched32["result"].u, matched32["G"], matched32["p"]
     root = matched32["grid"].domain.scaled(0.5)
     for q in (1.5, 2.0, 3.0):
-        rec = higher_integrability_check(u, G, p, q, root, 16.0, 0.1, 1.5)
+        rec = higher_integrability_check(u, G, p, q, root, 16.0)
         gap = next(float(f.split("=", 1)[1]) for f in rec.flags
                    if f.startswith("sweep_rel_gap="))
         assert gap <= 0.05, (q, gap)

@@ -4,6 +4,8 @@ The maximal/covering oracles here are independent brute-force loops over
 all lattice cubes, compared against the production implementations.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from varexp.dyadic import (
     lattice_means,
     maximal_function,
 )
-from varexp.grid import Box, CellField, Grid, integrate, mean_over, overlap_measure
+from varexp.grid import Box, CellField, Grid, integrate, mean_over, region_weights
 
 
 def brute_maximal(f, root, s, max_level):
@@ -39,9 +41,45 @@ def brute_maximal(f, root, s, max_level):
             b = q.box
             if np.all(x >= np.asarray(b.lo) - tol) and np.all(x <= np.asarray(b.hi) + tol):
                 b2 = b.scaled(2.0)
-                m = integrate(CellField(g, power), b2) / overlap_measure(g, b2)
+                m = integrate(CellField(g, power), b2) / region_weights(g, b2).sum()
                 best = max(best, m ** (1.0 / s))
         out[i] = best
+    return out
+
+
+def offset_loop_maximal(f, root, s, max_level):
+    """Reference maximal function: each cell center in the root tries every
+    one of the 3^d neighbour offsets of the cube holding it, keeping the
+    cubes whose closure holds the center (ties on faces on both sides).
+    Same lattice means and tie arithmetic as ``maximal_function``, so the
+    two must agree exactly."""
+    g = f.grid
+    power = np.abs(f.values) ** s
+    means = [lattice_means(power, g, root, lev, 2.0) ** (1.0 / s)
+             for lev in range(max_level + 1)]
+    tol = 1e-12 * max(root.side, 1.0)
+    in_root = root.contains_points(g.cell_centers, tol)
+    out = np.zeros(g.num_cells)
+    pts = g.cell_centers[in_root]
+    best = np.zeros(pts.shape[0])
+    for lev in range(max_level + 1):
+        n_side = 2**lev
+        sides = root.sides / n_side
+        rel = (pts - np.asarray(root.lo)) / sides
+        base = np.clip(np.floor(rel).astype(int), 0, n_side - 1)
+        frac = rel - base
+        ftol = tol / sides
+        for off in itertools.product((-1, 0, 1), repeat=g.dim):
+            cand = base + np.asarray(off)
+            ok = np.ones(pts.shape[0], dtype=bool)
+            for k in range(g.dim):
+                if off[k] == -1:
+                    ok &= (frac[:, k] <= ftol[k]) & (cand[:, k] >= 0)
+                elif off[k] == 1:
+                    ok &= (frac[:, k] >= 1.0 - ftol[k]) & (cand[:, k] <= n_side - 1)
+            if ok.any():
+                best[ok] = np.maximum(best[ok], means[lev][tuple(cand[ok].T)])
+    out[in_root] = best
     return out
 
 
@@ -87,6 +125,27 @@ def test_maximal_function_equals_brute_force():
             got = maximal_function(f, root, s).values
             want = brute_maximal(f, root, s, default_max_level(root, g))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim,cells", [(1, (16,)), (2, (16, 8)), (3, (8, 8, 4))])
+def test_maximal_function_equals_offset_loop(dim, cells):
+    g = Grid(dim, (-2.0,) * dim, (4.0,) * dim, cells)
+    # the second root's faces, and those of its cubes down to one cell
+    # wide, pass through cell centers: the tie rule takes both sides
+    q = np.asarray(cells) // 4
+    lo = np.asarray(g.origin) + (q + 0.5) * g.cell_size
+    roots = [
+        Box((-0.93,) + (-0.71,) * (dim - 1), (0.61,) + (0.83,) * (dim - 1)),  # off the lattice
+        Box(tuple(lo), tuple(lo + q * g.cell_size)),
+        g.domain.scaled(0.5),
+    ]
+    rng = np.random.default_rng(11)
+    for root in roots:
+        for s in (1.0, 1.5):
+            f = CellField(g, rng.uniform(-2.0, 5.0, g.num_cells))
+            for max_level in range(3):
+                got = maximal_function(f, root, s, max_level).values
+                np.testing.assert_array_equal(got, offset_loop_maximal(f, root, s, max_level))
 
 
 def test_lattice_means_match_mean_over():

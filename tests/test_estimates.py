@@ -194,7 +194,7 @@ def test_higher_integrability_level_set_route(matched32):
     kappa = default_kappa(2.0, 2)
     rec = higher_integrability_check(
         matched32["result"].u, matched32["G"], matched32["p"], 2.0,
-        matched32["grid"].domain.scaled(0.5), kappa, 0.1, 1.5)
+        matched32["grid"].domain.scaled(0.5), kappa)
     assert rec.empirical_constant > 0.0
     assert flag_value(rec, "sweep_rel_gap") < 0.05
     assert flag_value(rec, "lambda0") > 0.0
@@ -206,7 +206,7 @@ def test_higher_integrability_level_set_route(matched32):
     with pytest.raises(ValueError):
         higher_integrability_check(
             matched32["result"].u, matched32["G"], matched32["p"], 0.5,
-            matched32["grid"].domain.scaled(0.5), kappa, 0.1, 1.5)
+            matched32["grid"].domain.scaled(0.5), kappa)
 
 
 def test_higher_integrability_flags_unused_tail():
@@ -217,16 +217,16 @@ def test_higher_integrability_flags_unused_tail():
     assert res.converged
     root = g.domain.scaled(0.5)
     auto = default_kappa(coercivity_constant(p), 2)  # 16.25
-    rec = higher_integrability_check(res.u, G, p, 2.0, root, auto, 0.4, 1.5)
+    rec = higher_integrability_check(res.u, G, p, 2.0, root, auto)
     assert "level-set-tail-unused" in rec.flags  # kappa*lambda0 above the peak of M*F
     # the tail starts at kappa*lambda0 on the M*F route, so it is exactly 0
     # here; summing it as total - head left 1.6e-7 and -1.1e-19
     for kappa, points in ((14.0, 64), (15.0, 256)):
-        rec = higher_integrability_check(res.u, G, p, 2.0, root, kappa, 0.4, 1.5,
+        rec = higher_integrability_check(res.u, G, p, 2.0, root, kappa,
                                          sweep_points=points)
         assert "level-set-tail-unused" in rec.flags
         assert "tail=0" in rec.flags
-    rec = higher_integrability_check(res.u, G, p, 2.0, root, 10.0, 0.4, 1.5)
+    rec = higher_integrability_check(res.u, G, p, 2.0, root, 10.0)
     assert flag_value(rec, "tail") > 0.0
     assert "level-set-tail-unused" not in rec.flags
     assert "level-set-route-mismatch" not in rec.flags
@@ -240,6 +240,6 @@ def test_higher_integrability_lambda0_is_covering_threshold():
     G = CellField(g, np.zeros((g.num_cells, 1, 2)))
     root = g.domain.scaled(0.5)
     lam0 = covering_threshold(energy_density(u, p), root)
-    rec = higher_integrability_check(u, G, p, 2.0, root, 10.0, 0.4, 1.5)
+    rec = higher_integrability_check(u, G, p, 2.0, root, 10.0)
     assert rec.rhs_components["mean_energy"] == lam0
     assert f"lambda0={lam0:.12g}" in rec.flags

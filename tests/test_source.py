@@ -82,6 +82,7 @@ _UNREACHED_BY_DESIGN = {
     "uhlenbeck_check": "comparison step: the frozen-exponent solution's gradient bound",
     "integrability_triplet": "comparison step: integrability transfer on a covering cube",
     "modular": "acceptance gate 1 checks the Luxemburg norm against it",
+    "flux": "acceptance gate 5 checks flux monotonicity through it",
 }
 
 
@@ -105,11 +106,25 @@ def _reached(loads, public: set[str], roots: set[str]) -> set[str]:
         reached |= new
 
 
+def _script_loads(tree: ast.Module) -> list[tuple[str, None]]:
+    """Names a benchmark script takes from varexp: imported from a varexp
+    module, or loaded as an attribute (``mod.f``).  A bare local name such
+    as a variable ``flux`` is not a use of ``operator.flux``."""
+    loads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "varexp":
+            loads += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.append((node.attr, None))
+    return loads
+
+
 def test_every_public_function_is_reached():
     # a routine in __all__ that only tests call is dead surface: each must be
-    # loaded by name (``f`` or ``mod.f``) in src/varexp or perfbench/*.py,
-    # outside its own body and outside the bodies of unreached public
-    # functions; a varexp entry of perfbench/tracing.py's TARGETS counts too
+    # loaded by name (``f`` or ``mod.f``) in src/varexp, outside its own body
+    # and outside the bodies of unreached public functions, or be imported
+    # from varexp or loaded as an attribute by perfbench/*.py; a varexp entry
+    # of perfbench/tracing.py's TARGETS counts too
     pkg = Path(varexp.__file__).parent
     bench = pkg.parents[1] / "perfbench"
     modules = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(pkg.glob("*.py"))]
@@ -119,9 +134,11 @@ def test_every_public_function_is_reached():
         names = _assigned_literal(tree, "__all__") or []
         public |= {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names}
     loads = []  # (loaded name, public function whose body holds the load, or None)
-    for tree, in_pkg in [(t, True) for t in modules] + [(t, False) for t in scripts]:
+    for tree in scripts:
+        loads += _script_loads(tree)
+    for tree in modules:
         for top in tree.body:
-            owner = (top.name if in_pkg and isinstance(top, ast.FunctionDef)
+            owner = (top.name if isinstance(top, ast.FunctionDef)
                      and top.name in public else None)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
