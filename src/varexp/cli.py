@@ -31,9 +31,10 @@ Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 CSV reports are deterministic for a fixed config (no timestamps;
 provenance lives in report.txt, which for every command ends with one line
 per gamma stage of each solve: Newton steps, fallbacks, backtracks, guarded
-steps, factorization seconds and fill, residual and stop reason; sweep
-heads each distinct solve with a line naming its grid and whether it
-started cold or warm from the coarser level).  Columns per command:
+steps, factor reuses and CG iterations, factorization seconds and fill,
+residual and stop reason; sweep heads each distinct solve with a line
+naming its grid and whether it started cold or warm from the coarser
+level).  Columns per command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -448,6 +449,7 @@ def _stage_lines(res: SolverResult) -> list[str]:
     """One report line per gamma stage; no ' = ', so the scalar block parses alone."""
     return [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
             f"{s.backtracks} backtracks, {s.guarded} guarded, "
+            f"{s.reuses} reuses, {s.cg_iterations} cg iterations, "
             f"factor {s.factor_s:.3g} s, fill {s.fill}, "
             f"residual {_fmt(s.residual)}, stop {s.reason}" for s in res.stages]
 

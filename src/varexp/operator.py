@@ -15,7 +15,8 @@ Minimizers satisfy the discrete weak form div A(x, Du) = div A(x, G).
 
 D is the grid's sparse gradient matrix B = Grid.gradient_matrix: the energy
 gradient is B^T applied to the weighted flux residual, and the Hessian is
-B^T (D B) with D block diagonal, one block dA/dz per cell.
+B^T (D B) with D block diagonal, one block dA/dz per cell; hessian_action
+applies the same product to a vector without assembling it.
 
 coercivity_constant gives the V-coercivity constant c4 of the power flux
 exactly, from a 1-D minimization at p- and p+; the good-lambda threshold
@@ -38,6 +39,7 @@ __all__ = [
     "energy",
     "energy_gradient",
     "energy_hessian",
+    "hessian_action",
 ]
 
 
@@ -138,6 +140,25 @@ def energy_gradient(u: GridFunction, G: CellField, p: ExponentField,
     return GridFunction(grid, grid.gradient_matrix.T @ flat)
 
 
+def _hessian_blocks(u: GridFunction, p: ExponentField, params: FluxParams):
+    """D of the Hessian B^T (D B): block-diagonal BSR with one (dim N)^2
+    block a(r) I + (a'(r)/r) z (x) z per cell, z = Du there."""
+    from scipy import sparse
+
+    grid = u.grid
+    du = gradient(u).values  # (nc, N, d)
+    q = p.cell_values
+    r = _magnitude(du)
+    s1 = _radial(params, r, q) * grid.cell_volume
+    s2 = _radial_slope(params, r, q) * grid.cell_volume
+
+    m = grid.dim * u.codomain_dim
+    z = du.transpose(0, 2, 1).reshape(-1, m)  # (k, n) order of kron(B, I_N) rows
+    blocks = s1[:, None, None] * np.eye(m) + s2[:, None, None] * z[:, :, None] * z[:, None, :]
+    nc = grid.num_cells
+    return sparse.bsr_matrix((blocks, np.arange(nc), np.arange(nc + 1)), shape=(nc * m, nc * m))
+
+
 def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
     """Sparse CSR Hessian B^T (D B) of J over all nodal dofs
     (dof = node * N + component); the data term is linear and drops out.
@@ -149,23 +170,28 @@ def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
     """
     from scipy import sparse
 
-    grid = u.grid
-    N = u.codomain_dim
-    du = gradient(u).values  # (nc, N, d)
-    q = p.cell_values
-    r = _magnitude(du)
-    s1 = _radial(params, r, q) * grid.cell_volume
-    s2 = _radial_slope(params, r, q) * grid.cell_volume
-
-    m = grid.dim * N
-    z = du.transpose(0, 2, 1).reshape(-1, m)  # (k, n) order of kron(B, I_N) rows
-    blocks = s1[:, None, None] * np.eye(m) + s2[:, None, None] * z[:, :, None] * z[:, None, :]
-    nc = grid.num_cells
-    D = sparse.bsr_matrix((blocks, np.arange(nc), np.arange(nc + 1)), shape=(nc * m, nc * m))
-    B = grid.gradient_matrix
-    if N > 1:
-        B = sparse.kron(B, sparse.identity(N), format="csr")
+    D = _hessian_blocks(u, p, params)
+    B = u.grid.gradient_matrix
+    if u.codomain_dim > 1:
+        B = sparse.kron(B, sparse.identity(u.codomain_dim), format="csr")
     return B.T.tocsr() @ (D @ B)
+
+
+def hessian_action(u: GridFunction, p: ExponentField, params: FluxParams):
+    """The map v -> B^T (D (B v)) over all nodal dofs: energy_hessian's
+    product with a flat dof vector v, without assembling the matrix.
+
+    v is read as a (nodes, N) array, so B v, flattened, is kron(B, I_N) v.
+    """
+    D = _hessian_blocks(u, p, params)
+    B = u.grid.gradient_matrix
+    N = u.codomain_dim
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        Dv = D @ (B @ v.reshape(-1, N)).reshape(-1)
+        return (B.T @ Dv.reshape(-1, N)).reshape(-1)
+
+    return apply
 
 
 # golden-section search on (0, 1): the step ratio and a fixed step count

@@ -5,7 +5,7 @@ solve_pxlaplace minimizes the convex energy
     J(u) = integral of phi_{p(x)}(|Du|) - A(x, G) : Du
 
 over nodal fields with Dirichlet values on the topological boundary, by
-damped Newton iteration (exact sparse Hessian, backtracking line search)
+damped inexact Newton iteration (exact Hessian, backtracking line search)
 inside a continuation loop over the regularization gamma of the flux, one
 stage per entry of _GAMMA_SCHEDULE.  The final stage runs at gamma = 0
 when p- >= 2, else at the small positive floor _GAMMA_FLOOR.  Only its
@@ -16,20 +16,33 @@ max(tolerance, _STAGE_REDUCTION * its starting residual), and warm-starts
 the next.
 
 The free-dof Hessian is symmetric positive definite (gamma > 0, or
-p >= 2) and couples only neighbouring nodes of a box lattice, so each
-Newton system is factored by SuperLU with diagonal pivots in a
+p >= 2) and couples only neighbouring nodes of a box lattice.  The first
+Newton system of a solve is factored by SuperLU with diagonal pivots in a
 geometric nested-dissection order of the interior nodes (George, SIAM J.
-Numer. Anal. 10, 1973).  When the Newton direction is unusable (singular
-factor, indefinite numerics, extreme diagonal spread) the step falls back
-to gradient descent.  Near J's rounding floor J + c t slope rounds to J and
-the Armijo test cannot tell a decrease from noise, so a trial within
-_ROUNDING_ULPS ulps of J is accepted only if it lowers the residual by the
-factor 1 - c t (J may then rise by those few ulps); without this guard
-the search backtracks to steps that change nothing.  Each stage's steps,
-fallbacks, backtracks, guard acceptances, factorization seconds and fill
-and stop reason are reported in StageStats.  Convergence means the final
-stage's residual is at or below the tolerance; non-convergence is
-reported, never raised.
+Numer. Anal. 10, 1973), and that first factor is reused as a CG
+preconditioner, refactor on a CG miss: each later system, across steps
+and gamma stages, is solved inexactly by preconditioned CG (Eisenstat and
+Walker, SIAM J. Sci. Comput. 17, 1996; Kelley, Solving Nonlinear Equations
+with Newton's Method, 2003, ch. 5), with the Hessian applied matrix-free
+as B^T (D B) on the free dofs.  CG stops at the relative residual
+eta = min(_FORCING_MAX, 0.9 (res_k / res_{k-1})^2), the residuals of this
+and the previous iterate, and at eta = _FORCING_MAX on the first CG step.
+When CG has not met eta within _CG_CAP iterations, or its direction is not
+finite, the held factor is dropped and the Hessian is assembled and
+factored anew; that factor is held in turn.  The rule reads counts only,
+never a clock, so a fixed instance gives the same bytes.  When the Newton
+direction is unusable (singular factor, indefinite numerics, extreme
+diagonal spread) the step falls back to gradient descent.
+
+Near J's rounding floor J + c t slope rounds to J and the Armijo test
+cannot tell a decrease from noise, so a trial within _ROUNDING_ULPS ulps
+of J is accepted only if it lowers the residual by the factor 1 - c t
+(J may then rise by those few ulps); without this guard the search
+backtracks to steps that change nothing.  Each stage's steps,
+fallbacks, backtracks, guard acceptances, factor reuses, CG iterations,
+factorization seconds and fill and stop reason are reported in
+StageStats.  Convergence means the final stage's residual is at or below
+the tolerance; non-convergence is reported, never raised.
 
 A warm start (nested iteration: Hackbusch, Multi-Grid Methods and
 Applications, 1985) takes the initial interior as a near-solution, such as
@@ -55,7 +68,8 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Box, CellField, Grid, GridFunction, gradient
-from .operator import FluxParams, _flux_batch, energy, energy_gradient, energy_hessian
+from .operator import (FluxParams, _flux_batch, energy, energy_gradient, energy_hessian,
+                       hessian_action)
 
 __all__ = [
     "SolveOptions",
@@ -83,14 +97,20 @@ class StageStats:
     ``_STAGE_REDUCTION`` times its starting residual), ``stall`` (no
     line-search trial accepted) or ``cap`` (``max_iterations`` steps).
     ``guarded`` counts steps accepted on their residual because J could not
-    resolve them.  ``factor_s`` is the time spent in SuperLU factorizations
-    and ``fill`` the largest factor's nonzero count (L and U together).
+    resolve them.  ``reuses`` counts steps whose direction CG found on the
+    held factor, and ``cg_iterations`` the CG iterations spent, those of
+    CG runs that missed ``_CG_CAP`` included.  ``factor_s`` is the time
+    spent in SuperLU factorizations and ``fill`` the largest factor's
+    nonzero count (L and U together).  Every step is a factored step, a
+    reuse or a fallback.
     """
     gamma: float
     steps: int = 0
     fallbacks: int = 0
     backtracks: int = 0
     guarded: int = 0
+    reuses: int = 0
+    cg_iterations: int = 0
     factor_s: float = 0.0
     fill: int = 0
     residual: float = math.inf
@@ -127,6 +147,9 @@ _BACKTRACK_SHRINK = 0.5  # line-search step factor per rejected trial
 _BACKTRACK_SLOPE = 1e-4  # Armijo sufficient-decrease constant c
 _CONDITION_CAP = 1e12  # Hessian diagonal spread above which Newton is not tried
 _ROUNDING_ULPS = 4  # |J(trial) - J| within this many ulps of J is unresolved
+_CG_CAP = 25  # CG iterations on the held factor before it is refactored
+_FORCING_MAX = 1e-3  # largest CG relative residual eta, and eta on the first CG step
+_FORCING_SCALE = 0.9  # eta = _FORCING_SCALE (res_k / res_{k-1})^2 below that
 
 
 def _schedule(p_minus: float) -> tuple[float, ...]:
@@ -166,8 +189,9 @@ def _dissection(shape: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _free_solve(H, g_free: np.ndarray, stage: StageStats | None = None) -> np.ndarray | None:
-    """Newton direction; None when the factorization is not trustworthy.
+def _free_solve(H, g_free: np.ndarray, stage: StageStats):
+    """The SuperLU factor of H and the Newton direction from it; None when
+    the factorization is not trustworthy.
 
     ``H`` is the free-dof Hessian (CSC) already in elimination order, so
     SuperLU keeps that order and pivots on the diagonal.  A zero pivot makes
@@ -179,8 +203,6 @@ def _free_solve(H, g_free: np.ndarray, stage: StageStats | None = None) -> np.nd
     diag = H.diagonal()
     if diag.min() <= 0.0 or diag.max() / diag.min() > _CONDITION_CAP:
         return None
-    if stage is None:
-        stage = StageStats(math.nan)  # statistics nobody reads
     start = time.perf_counter()
     try:
         lu = splu(H, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -193,6 +215,42 @@ def _free_solve(H, g_free: np.ndarray, stage: StageStats | None = None) -> np.nd
     d = lu.solve(-g_free)
     if not np.all(np.isfinite(d)):
         return None
+    return lu, d
+
+
+def _free_hessian_action(u: GridFunction, p: ExponentField, params: FluxParams,
+                         sel: np.ndarray):
+    """The map x -> (B^T (D (B xbar)))[sel]: the free-dof Hessian at u times
+    x, where xbar is x scattered onto the free dofs ``sel`` of a zero field."""
+    apply = hessian_action(u, p, params)
+    full = np.zeros(u.values.size)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        full[sel] = x
+        return apply(full)[sel]
+
+    return matvec
+
+
+def _cg_solve(lu, matvec, g_free: np.ndarray, eta: float,
+              stage: StageStats) -> np.ndarray | None:
+    """Inexact Newton direction: CG on the free-dof Hessian ``matvec``,
+    preconditioned by the held factor ``lu``, to relative residual ``eta``.
+    None when CG has not met eta within _CG_CAP iterations or its direction
+    is not finite (scipy tests the residual before each iteration, so a
+    residual first met by the last one counts as a miss).  The iterations
+    are added to ``stage``."""
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    n = g_free.size
+
+    def count(_):
+        stage.cg_iterations += 1
+
+    d, info = cg(LinearOperator((n, n), matvec=matvec), -g_free, rtol=eta, atol=0.0,
+                 maxiter=_CG_CAP, M=LinearOperator((n, n), matvec=lu.solve), callback=count)
+    if info != 0 or not np.all(np.isfinite(d)):
+        return None
     return d
 
 
@@ -200,7 +258,8 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
               opts: SolveOptions, warm_start: bool = False) -> SolverResult:
     """Dirichlet values on the boundary nodes of u0's grid; the free nodes
     are the interior lattice, which _dissection orders.  A warm start runs
-    the final gamma stage only."""
+    the final gamma stage only.  The held SuperLU factor lives for this call
+    only, and at most one factor is alive at a time."""
     grid = u0.grid
     N = u0.codomain_dim
     interior = tuple(n - 2 for n in grid.nodes_per_axis)
@@ -219,6 +278,9 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
         g = energy_gradient(GridFunction(grid, values), G, p, params).values.reshape(-1)[sel]
         return g, float(np.abs(g).max()) if g.size else 0.0
 
+    lu = None  # the held factor, reused as the CG preconditioner
+    previous = math.inf  # the residual one step back
+    cg_taken = False  # the first CG step runs at eta = _FORCING_MAX
     for k, gam in enumerate(schedule):
         params = FluxParams(gam)
         J = energy(GridFunction(grid, u), G, p, params)
@@ -235,13 +297,26 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
             if stage.steps >= opts.max_iterations:
                 stage.reason = "cap"
                 break
-            H = energy_hessian(GridFunction(grid, u), p, params)[sel][:, sel].tocsc()
-            d = _free_solve(H, g_free, stage)
+            field = GridFunction(grid, u)
+            d = None
+            if lu is not None:
+                eta = (min(_FORCING_MAX, _FORCING_SCALE * (res / previous) ** 2)
+                       if cg_taken else _FORCING_MAX)
+                cg_taken = True
+                d = _cg_solve(lu, _free_hessian_action(field, p, params, sel), g_free, eta, stage)
+                if d is None:
+                    lu = None  # dropped before the next factor is made
+            reused = d is not None
+            if not reused:
+                lu, d = _free_solve(energy_hessian(field, p, params)[sel][:, sel].tocsc(),
+                                    g_free, stage) or (None, None)
             slope = float(g_free @ d) if d is not None else 0.0
             if d is None or slope >= 0.0:
                 stage.fallbacks += 1
                 d = -g_free
                 slope = -float(g_free @ g_free)
+            elif reused:
+                stage.reuses += 1
             stage.steps += 1
             t = 1.0
             step = None
@@ -265,6 +340,7 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
                 stage.reason = "stall"
                 message = f"line search stalled at gamma={gam:g}"
                 break
+            previous = res
             u, J, (g_free, res) = step
             history.append((gam, J))
         stage.residual = res

@@ -495,3 +495,4 @@ def test_reports_end_with_stage_lines(tmp_path, command):
     stages = [ln for ln in lines if ln.startswith("stage gamma ")]
     assert lines[-len(stages):] == stages and len(stages) == 5  # p = 2: every gamma
     assert all(" = " not in ln and "factor " in ln and "fill " in ln for ln in stages)
+    assert all(" reuses, " in ln and " cg iterations, " in ln for ln in stages)
