@@ -29,12 +29,14 @@ printed with 17 significant digits so reads reproduce writes exactly.
 Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 
 CSV reports are deterministic for a fixed config (no timestamps;
-provenance lives in report.txt, which for every command ends with one line
-per gamma stage of each solve: Newton steps, fallbacks, backtracks, guarded
-steps, factor reuses and CG iterations, factorization seconds and fill,
-residual and stop reason; sweep heads each distinct solve with a line
-naming its grid and whether it started cold or warm from the coarser
-level).  Columns per command:
+provenance lives in report.txt, which for every command ends with the
+lines of each solve level: a head naming its grid and how it started,
+cold or warm from a coarser grid, then one line per gamma stage with
+Newton steps, fallbacks, backtracks, guarded steps, factor reuses and CG
+iterations, factorization seconds and fill, residual and stop reason).
+A cold solve of a grid with even cell counts, at least 8 per axis after
+halving, first solves the half grid (see ``_solve``); denoise stays one
+cold solve, since it starts from the image.  Columns per command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -445,15 +447,6 @@ class Report:
                 fh.write(line + "\n")
 
 
-def _stage_lines(res: SolverResult) -> list[str]:
-    """One report line per gamma stage; no ' = ', so the scalar block parses alone."""
-    return [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
-            f"{s.backtracks} backtracks, {s.guarded} guarded, "
-            f"{s.reuses} reuses, {s.cg_iterations} cg iterations, "
-            f"factor {s.factor_s:.3g} s, fill {s.fill}, "
-            f"residual {_fmt(s.residual)}, stop {s.reason}" for s in res.stages]
-
-
 def _record_text(rec: EstimateRecord) -> str:
     comps = ", ".join(f"{k} = {_fmt(v)}" for k, v in rec.rhs_components.items())
     flags = f"  flags: {'; '.join(rec.flags)}\n" if rec.flags else ""
@@ -549,29 +542,84 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
     return manufactured_instance(cfg.instance, grid, p)
 
 
-def _solve(cfg: ExperimentConfig, grid: Grid | None = None, p: ExponentField | None = None,
-           coarse: GridFunction | None = None):
+def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):
+    """The instance on the half-resolution nested grid, by one route for
+    every instance kind: nodal p and boundary values by injection (coarse
+    nodes are fine nodes), G as the mean of each coarse cell's 2^d
+    children.  Returns (G, p, boundary) there; cell counts must be even."""
+    fine = G.grid
+    grid = Grid(fine.dim, fine.origin, fine.extent, tuple(c // 2 for c in fine.cells))
+    even = (slice(None, None, 2),) * fine.dim
+
+    def inject(values: np.ndarray) -> np.ndarray:
+        tail = values.shape[1:]
+        return values.reshape(fine.nodes_per_axis + tail)[even].reshape(grid.num_nodes, *tail)
+
+    shape = G.component_shape
+    children = G.values.reshape(sum(((c, 2) for c in grid.cells), ()) + shape)
+    Gc = children.mean(axis=tuple(range(1, 2 * fine.dim, 2))).reshape(grid.num_cells, *shape)
+    return (CellField(grid, Gc), ExponentField(GridFunction(grid, inject(p.values)), p.p_infinity),
+            GridFunction(grid, inject(boundary.values)))
+
+
+_COARSE_CELLS = 8  # least cells per axis of the half grid a cold solve starts on
+
+
+def _solve(cfg: ExperimentConfig, rep: Report, grid: Grid | None = None,
+           p: ExponentField | None = None, coarse: GridFunction | None = None,
+           label: str = ""):
     """Solve the configured instance, on the configured grid and exponent
-    unless given; returns (grid, p, u_star or None, G, result).
+    unless given; returns (grid, p, u_star or None, G, result, steps), with
+    ``result`` the fine level's and ``steps`` the Newton steps of every level.
 
     Given the solution on a coarser nested grid, the solve warm-starts from
     its Q1 prolongation (exact on nested grids) with the instance's own
-    boundary values, and runs the final gamma stage only.
+    boundary values, and runs the final gamma stage only.  Not given one, a
+    grid whose cell counts are all even and at least 2 * _COARSE_CELLS makes
+    its own: the instance restricted to the half grid (``_restrict``) is
+    solved cold, through the full gamma schedule, and no coarse-level object
+    outlives the prolongation.  Other grids are solved cold.
     """
     if grid is None:
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
         p = _build_exponent(cfg, grid)
     u_star, G, boundary = _build_instance(cfg, grid, p)
+    steps, start = 0, "cold"
+    if coarse is None and all(c % 2 == 0 and c >= 2 * _COARSE_CELLS for c in grid.cells):
+        res = _level(cfg, rep, *_restrict(G, p, boundary), label=label)
+        steps, coarse = res.iterations, res.u
     if coarse is not None:
-        guess = coarse.grid.interpolate(coarse.values, grid.node_coords)
+        start = f"warm from {_cells_str(coarse.grid)}"
+        # the fine node coordinates are computed, not cached on the grid, so
+        # they stay out of the fine solve's peak memory (0.4 MB at 128^2)
+        guess = coarse.grid.interpolate(coarse.values, Grid.node_coords.func(grid))
         mask = grid.boundary_node_mask
         guess[mask] = boundary.values[mask]
         boundary = GridFunction(grid, guess)
-    result = solve_pxlaplace(G, p, boundary, grid, cfg.solve_options(),
-                             warm_start=coarse is not None)
-    if not result.converged:
-        raise NonConvergence(result.message or "solver did not converge")
-    return grid, p, u_star, G, result
+        coarse = res = None  # drop the coarse level before the fine solve
+    res = _level(cfg, rep, G, p, boundary, start, label)
+    return grid, p, u_star, G, res, steps + res.iterations
+
+
+def _level(cfg: ExperimentConfig, rep: Report, G: CellField, p: ExponentField,
+           boundary: GridFunction, start: str = "cold", label: str = "") -> SolverResult:
+    """One solve, warm (final gamma stage only) unless ``start`` is cold.
+    The report gets a head naming its grid (and ``label``) and start, then
+    one line per gamma stage; these lines hold no ' = ', so the scalar
+    block parses alone.  A miss raises NonConvergence naming the grid."""
+    what = _cells_str(G.grid) + label
+    res = solve_pxlaplace(G, p, boundary, G.grid, cfg.solve_options(),
+                          warm_start=start != "cold")
+    rep.lines.append(f"solve {what}, {start}: {res.iterations} steps, "
+                     f"residual {_fmt(res.residual)}")
+    rep.lines += [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
+                  f"{s.backtracks} backtracks, {s.guarded} guarded, "
+                  f"{s.reuses} reuses, {s.cg_iterations} cg iterations, "
+                  f"factor {s.factor_s:.3g} s, fill {s.fill}, "
+                  f"residual {_fmt(s.residual)}, stop {s.reason}" for s in res.stages]
+    if not res.converged:
+        raise NonConvergence(f"solve {what}: {res.message or 'solver did not converge'}")
+    return res
 
 
 def _resolve_kappa(cfg: ExperimentConfig, p: ExponentField) -> float:
@@ -588,11 +636,11 @@ def _root(cfg: ExperimentConfig, grid: Grid) -> Box:
 # commands
 
 def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, u_star, G, res = _solve(cfg)
+    grid, p, u_star, G, res, steps = _solve(cfg, rep)
     write_field(cfg.out / "solution.vxf", res.u)
     write_field(cfg.out / "exponent.vxf", p.field)
     ed = energy_density(res.u, p)
-    rep.scalars += [("residual", res.residual), ("iterations", res.iterations),
+    rep.scalars += [("residual", res.residual), ("iterations", steps),
                     ("converged", 1.0), ("gamma_final", res.gamma_final),
                     ("energy_mean", mean_over(ed, grid.domain))]
     if u_star is not None:
@@ -600,11 +648,10 @@ def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
                             float(np.abs(res.u.values - u_star.values).max())))
     _write_csv(cfg.out / "solve.csv", ["metric", "value"],
                [[k, _fmt(v)] for k, v in rep.scalars])
-    rep.lines += _stage_lines(res)
 
 
 def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, _, G, res = _solve(cfg)
+    grid, p, _, G, res = _solve(cfg, rep)[:5]
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
 
@@ -621,11 +668,10 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
     rep.scalars = [("kappa", kappa), ("s", s), ("residual", res.residual)]
     _write_csv(cfg.out / "records.csv", _RECORD_COLUMNS,
                [_record_row(r) for r in rep.records])
-    rep.lines += _stage_lines(res)
 
 
 def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, _, G, res = _solve(cfg)
+    grid, p, _, G, res = _solve(cfg, rep)[:5]
     root = _root(cfg, grid)
     gr = gehring_scan(res.u, G, p, root, mu_max=cfg.mu_max, steps=cfg.steps,
                       cap=cfg.cap, m=cfg.m)
@@ -635,11 +681,10 @@ def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
     _write_csv(cfg.out / "gehring.csv", ["mu", "lhs", "rhs", "constant"],
                [[_fmt(mu), _fmt(lhs), _fmt(rhs), _fmt(c)]
                 for mu, lhs, rhs, c in gr.ratio_table])
-    rep.lines += _stage_lines(res)
 
 
 def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, _, G, res = _solve(cfg)
+    grid, p, _, G, res = _solve(cfg, rep)[:5]
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
     F = energy_density(res.u, p)
@@ -647,8 +692,8 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
     gl = good_lambda_measure(F, data_density(G, p, cfg.m), root, kappa, cfg.epsilons,
                              [f * lam0 for f in cfg.lambda_factors], cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
-    rep.lines = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}"
-                 for e, l, d in gl.rows] + _stage_lines(res)
+    rep.lines[:0] = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}"
+                     for e, l, d in gl.rows]  # the solve lines stay last
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 
@@ -660,22 +705,18 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     rows: list[list[str]] = []
     solved: dict[tuple[Grid, bytes], tuple[CellField, SolverResult]] = {}
 
-    def solve(grid: Grid, p: ExponentField, what: str,
+    def solve(grid: Grid, p: ExponentField, label: str = "",
               coarse: GridFunction | None = None) -> tuple[CellField, SolverResult]:
         # refinement 0, every root size and often amplitude 1 are one
         # instance: solve each distinct grid and p (by its bytes) once
         key = (grid, p.values.tobytes())
         if key not in solved:
-            _, res = solved[key] = _solve(cfg, grid, p, coarse)[3:]
-            start = "cold" if coarse is None else f"warm from {_cells_str(coarse.grid)}"
-            rep.lines.append(f"solve {what}, {start}: {res.iterations} steps, "
-                             f"residual {_fmt(res.residual)}")
-            rep.lines.extend(_stage_lines(res))
+            solved[key] = _solve(cfg, rep, grid, p, coarse, label)[3:5]
         return solved[key]
 
     def add(axis: str, setting: str, grid: Grid, p: ExponentField, root: Box,
             coarse: GridFunction | None = None) -> GridFunction:
-        G, res = solve(grid, p, _cells_str(grid), coarse)
+        G, res = solve(grid, p, coarse=coarse)
         recs = [caccioppoli_check(res.u, G, p, root),
                 higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
                                            sweep_points=cfg.lambda_count, m=cfg.m)]
@@ -686,6 +727,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
         return res.u
 
     # nested iteration: each finer level warm-starts from the one before
+    # (the base level, cold, starts from its own half grid when it has one)
     coarse = None
     for level in range(cfg.refinements + 1):
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, tuple(c * 2**level for c in cfg.cells))
@@ -701,7 +743,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     root = _root(cfg, base)
     for t in cfg.amplitudes:
         pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)), cfg.p_infinity)
-        G, res = solve(base, pt, f"{_cells_str(base)} at amplitude {_fmt(t)}")
+        G, res = solve(base, pt, f" at amplitude {_fmt(t)}")
         F = energy_density(res.u, pt)
         lam = cfg.lambda_factors[0] * covering_threshold(F, root)
         gl = good_lambda_measure(F, data_density(G, pt, cfg.m), root, kappa,
@@ -739,9 +781,9 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     else:
         target = u0.values[:, 0].copy()
     G = gradient(GridFunction(grid, target))
-    res = solve_pxlaplace(G, p, u0, grid, cfg.solve_options())
-    if not res.converged:
-        raise NonConvergence(res.message or "denoise solve did not converge")
+    # one cold solve: its interior starts from the image, not from a zero
+    # interior, so no half grid is solved first
+    res = _level(cfg, rep, G, p, u0)
 
     out_img = np.clip(np.rint(res.u.values.reshape(rows, cols) * maxval),
                       0, maxval).astype(np.uint8)
@@ -755,7 +797,6 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     ]
     _write_csv(cfg.out / "denoise.csv", ["metric", "value"],
                [[k, _fmt(v)] for k, v in rep.scalars])
-    rep.lines += _stage_lines(res)
 
 
 _RUNNERS = {

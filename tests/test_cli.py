@@ -1,8 +1,12 @@
 """Command-line driver: config validation, exit codes, file formats,
-output determinism, and the denoise pipeline."""
+output determinism, nested iteration for cold solves, and the denoise
+pipeline."""
+
+import itertools
 
 import numpy as np
 import pytest
+from conftest import cold_start
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +22,9 @@ from varexp.cli import (
     write_field,
     write_pgm,
 )
+from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction
+from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 
 BASE = """
 [run]
@@ -496,3 +502,148 @@ def test_reports_end_with_stage_lines(tmp_path, command):
     assert lines[-len(stages):] == stages and len(stages) == 5  # p = 2: every gamma
     assert all(" = " not in ln and "factor " in ln and "fill " in ln for ln in stages)
     assert all(" reuses, " in ln and " cg iterations, " in ln for ln in stages)
+
+
+# ---------------------------------------------------------------------------
+# nested iteration: a cold solve of a grid with even cell counts, at least
+# 8 per axis after halving, first solves the half grid
+
+
+def _bump_config(tmp_path, cells, extra=""):
+    text = (BASE.replace("cells = 8 8", f"cells = {cells}").replace("value = 2.0", "value = 1.7")
+            .replace("instance = matched", "instance = bump").replace("1e-9", "1e-8"))
+    return cfg_file(tmp_path, text + extra, name=f"bump{cells.replace(' ', 'x')}.cfg")
+
+
+def _report(out):
+    """(level heads, stage lines, scalars) of a report.txt."""
+    lines = (out / "report.txt").read_text().splitlines()
+    heads = [ln for ln in lines if ln.startswith("solve ")]
+    stages = [ln for ln in lines if ln.startswith("stage gamma ")]
+    return heads, stages, dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
+
+
+def _steps(line):
+    return int(line.split(": ", 1)[1].split(" steps")[0])
+
+
+def _cold_library_solve(grid, p, G, boundary):
+    res = solve_pxlaplace(G, p, boundary, grid, SolveOptions(tolerance=1e-8))
+    assert res.converged and len(res.stages) == 5  # the full schedule
+    return res
+
+
+def _sup_rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("cells", [(4,), (6, 4), (2, 4, 6)])
+@pytest.mark.parametrize("N", [1, 2])
+def test_restriction_matches_cell_loop(cells, N):
+    import varexp.cli as cli
+
+    rng = np.random.default_rng(sum(cells) + N)
+    dim = len(cells)
+    fine = Grid(dim, tuple(rng.uniform(-1, 1, dim)), tuple(rng.uniform(1, 3, dim)),
+                tuple(2 * c for c in cells))
+    G = CellField(fine, rng.normal(size=(fine.num_cells, N, dim)))
+    p = ExponentField(GridFunction(fine, rng.uniform(1.2, 3.0, fine.num_nodes)), 2.5)
+    bnd = GridFunction(fine, rng.normal(size=(fine.num_nodes, N)))
+    Gc, pc, bc = cli._restrict(G, p, bnd)
+    coarse = Gc.grid
+    assert pc.grid == bc.grid == coarse
+    assert coarse == Grid(dim, fine.origin, fine.extent, cells)
+    assert pc.p_infinity == 2.5
+    for J in itertools.product(*map(range, cells)):
+        children = [np.ravel_multi_index(tuple(2 * j + b for j, b in zip(J, bits)), fine.cells)
+                    for bits in itertools.product((0, 1), repeat=dim)]
+        want = sum(G.values[c] for c in children) / 2**dim
+        np.testing.assert_allclose(Gc.values[np.ravel_multi_index(J, cells)], want,
+                                   rtol=1e-14, atol=1e-15)
+    for I in itertools.product(*(range(c + 1) for c in cells)):
+        i, k = np.ravel_multi_index(I, coarse.nodes_per_axis), np.ravel_multi_index(
+            tuple(2 * j for j in I), fine.nodes_per_axis)
+        np.testing.assert_allclose(coarse.node_coords[i], fine.node_coords[k], atol=1e-12)
+        assert pc.values[i] == p.values[k]
+        np.testing.assert_array_equal(bc.values[i], bnd.values[k])
+
+
+@pytest.mark.parametrize("cells", ["17 16", "14 14"])
+def test_odd_or_small_grids_stay_cold(tmp_path, cells):
+    # an odd cell count, or a half grid below 8 cells per axis: one cold
+    # solve through the full schedule, bit for bit the library's
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(_bump_config(tmp_path, cells)),
+                 "--out", str(out)]) == EXIT_OK
+    heads, stages, scalars = _report(out)
+    n = cells.replace(" ", "x")
+    assert [h.split(":")[0] for h in heads] == [f"solve {n}, cold"] and len(stages) == 5
+    grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), tuple(map(int, cells.split())))
+    p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
+    _, G, bnd = manufactured_instance("bump", grid, p)
+    res = _cold_library_solve(grid, p, G, bnd)
+    write_field(tmp_path / "cold.vxf", res.u)
+    assert (out / "solution.vxf").read_bytes() == (tmp_path / "cold.vxf").read_bytes()
+    assert int(float(scalars["iterations"])) == res.iterations
+
+
+def test_nested_bump_solve_matches_cold(tmp_path):
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(_bump_config(tmp_path, "32 32")),
+                 "--out", str(out)]) == EXIT_OK
+    heads, stages, scalars = _report(out)
+    assert [h.split(":")[0] for h in heads] == ["solve 16x16, cold",
+                                                "solve 32x32, warm from 16x16"]
+    assert stages[-1].startswith("stage gamma 1e-08: ") and len(stages) == 6
+    assert float(scalars["residual"]) <= 1e-8
+    grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
+    p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
+    _, G, bnd = manufactured_instance("bump", grid, p)
+    cold = _cold_library_solve(grid, p, G, bnd)
+    assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
+
+
+def test_nested_files_solve_matches_cold(tmp_path):
+    # matched data on 16^3 given as files, boundary values only (zero
+    # interior); the domain is off-centre so the boundary data are not zero
+    grid = Grid(3, (-0.7, -0.6, -0.5), (1.5, 1.5, 1.5), (16, 16, 16))
+    p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
+    _, G, u_star = manufactured_instance("matched", grid, p)
+    bnd = cold_start(u_star)
+    write_field(tmp_path / "g.vxf", G)
+    write_field(tmp_path / "b.vxf", bnd)
+    text = ("[grid]\ndim = 3\norigin = -0.7 -0.6 -0.5\nextent = 1.5 1.5 1.5\n"
+            "cells = 16 16 16\n[exponent]\nvalue = 1.7\n"
+            "[data]\ninstance = files\ng = g.vxf\nboundary = b.vxf\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    heads, _, scalars = _report(out)
+    assert [h.split(":")[0] for h in heads] == ["solve 8x8x8, cold",
+                                                "solve 16x16x16, warm from 8x8x8"]
+    assert float(scalars["residual"]) <= 1e-8
+    cold = _cold_library_solve(grid, p, G, bnd)
+    assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
+
+
+def test_nested_solve_counts_steps_of_both_levels(tmp_path):
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(_bump_config(tmp_path, "16 16")),
+                 "--out", str(out)]) == EXIT_OK
+    heads, stages, scalars = _report(out)
+    assert [h.split(":")[0] for h in heads] == ["solve 8x8, cold", "solve 16x16, warm from 8x8"]
+    assert all(_steps(h) > 0 for h in heads)
+    iterations = int(float(scalars["iterations"]))
+    assert iterations == sum(map(_steps, heads)) == sum(map(_steps, stages))
+    # residual and gamma_final are the fine level's
+    assert scalars["residual"] == heads[1].rsplit("residual ", 1)[1]
+    assert float(scalars["gamma_final"]) == 1e-8
+
+
+def test_coarse_nonconvergence_names_its_grid(tmp_path, capsys):
+    # one Newton step per stage leaves the half grid far from the tolerance;
+    # the solve stops there and does not fall back to a cold fine solve
+    f = _bump_config(tmp_path, "16 16", "max_iterations = 1\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(f), "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    assert "solve 8x8: " in capsys.readouterr().err
+    assert not (out / "solution.vxf").exists()
