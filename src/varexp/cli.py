@@ -317,9 +317,10 @@ def write_field(path: str | Path, field: GridFunction | CellField) -> None:
         " ".join(_fmt(v) for v in grid.origin),
         " ".join(_fmt(v) for v in grid.extent),
     ])
+    body = vals.ravel().tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(head + "\n")
-        fh.writelines(_fmt(v) + "\n" for v in vals.ravel())
+        fh.write(("%.17g\n" * len(body)) % tuple(body))  # as _fmt, in one call
 
 
 def read_field(path: str | Path) -> GridFunction | CellField:
@@ -521,7 +522,9 @@ def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
 
 
 def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
-    """Returns (u_star or None, G, boundary)."""
+    """Returns (u_star or None, G, boundary).  A manufactured boundary
+    field is zero off the domain boundary, since its interior is the
+    solve's starting guess."""
     if cfg.instance == "files":
         g_fld = read_field(cfg.g_path)
         if not isinstance(g_fld, CellField) or g_fld.grid != grid:
@@ -539,7 +542,10 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
         if b_fld.codomain_dim != N:
             raise ConfigError(f"[data] boundary: codomain {b_fld.codomain_dim} != {N}")
         return None, G, b_fld
-    return manufactured_instance(cfg.instance, grid, p)
+    u_star, G, boundary = manufactured_instance(cfg.instance, grid, p)
+    start = boundary.values.copy()  # u* itself for matched and linear
+    start[~grid.boundary_node_mask] = 0.0
+    return u_star, G, GridFunction(grid, start)
 
 
 def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):

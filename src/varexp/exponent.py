@@ -129,39 +129,60 @@ def _offset_sweep(p: ExponentField, epsilons: Sequence[float],
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every node pair visited once, grouped by lattice offset.
 
-    Walks the offsets delta whose first nonzero component is positive.  On a
-    uniform grid the log factor log(e + 1/|x - y|) depends only on the offset,
-    so the moduli of all pairs (x, x + delta) are one difference of two
-    strided views of 1/p times one constant, and memory stays O(nodes).
-    Returns, per offset, its length |delta h| and the largest modulus over
-    its pairs, and per epsilon the largest min(|x|, |y|) over all pairs
-    whose modulus exceeds it (-inf when none does).
+    Covers the offsets delta whose first nonzero component is positive.  On
+    a uniform grid the log factor log(e + 1/|x - y|) depends only on the
+    offset, so one pass per prefix (delta's leading components) handles
+    every last-axis offset at once: diff[r, a, b] = |1/p(y) - 1/p(x)| for x
+    at last-axis position a of row r and y = x + (prefix, b - a), the
+    largest modulus of each offset is a skewed max over the diagonals
+    b - a, and memory stays O(rows * n^2) for n nodes on the last axis.
+    Returns, per offset in itertools.product order, its length |delta h|
+    and the largest modulus over its pairs, and per epsilon the largest
+    min(|x|, |y|) over all pairs whose modulus exceeds it (-inf when none
+    does).
     """
     g = p.grid
     shape = g.nodes_per_axis
+    *lead, n = shape
     alpha = (1.0 / p.values).reshape(shape)
     norms = np.linalg.norm(g.node_coords, axis=1).reshape(shape)
-    h = g.cell_size
+    steps = [(np.arange(1 - m, m) * hk).tolist() for m, hk in zip(shape, g.cell_size)]
     eps = np.asarray(epsilons, dtype=float)
     reach = np.full(eps.size, -np.inf)
+    skew = np.arange(n) - np.arange(n)[:, None] + n - 1  # b - a + n - 1 at [a, b]
     dist, top = [], []
-    for delta in itertools.product(*(range(1 - n, n) for n in shape)):
-        if next((d for d in delta if d), 0) <= 0:
-            continue  # delta = 0, or its mirror -delta covers these pairs
-        lo = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, shape))
-        hi = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(delta, shape))
-        length = math.hypot(*(d * hk for d, hk in zip(delta, h)))
-        factor = math.log(_E + 1.0 / length)
-        diff = np.abs(alpha[hi] - alpha[lo]).ravel()
-        dist.append(length)
-        top.append(float(diff.max()) * factor)  # = max(diff * factor): rounding is monotone
-        live = eps < top[-1]
+    for prefix in itertools.product(*(range(1 - m, m) for m in lead)):
+        first = next((d for d in prefix if d), 0)
+        if first < 0:
+            continue  # the mirror offsets -delta cover these pairs
+        lo = tuple(slice(max(0, -d), m - max(0, d)) for d, m in zip(prefix, lead))
+        hi = tuple(slice(max(0, d), m - max(0, -d)) for d, m in zip(prefix, lead))
+        head = [s[d + m - 1] for s, d, m in zip(steps, prefix, lead)]
+        cols = slice(n if first == 0 else 0, 2 * n - 1)  # delta = 0 and its mirrors left out
+        length = [math.hypot(*head, s) for s in steps[-1][cols]]
+        factor = np.ones(2 * n - 1)
+        factor[cols] = [math.log(_E + 1.0 / ell) for ell in length]
+        diff = alpha[hi].reshape(-1, 1, n) - alpha[lo].reshape(-1, n, 1)
+        np.abs(diff, out=diff)
+        if first == 0:
+            diff[:, skew < n] = -np.inf  # b <= a: not a pair of this half-space
+        by_offset = np.full((n, 2 * n - 1), -np.inf)
+        np.put_along_axis(by_offset, skew, diff.max(axis=0), axis=1)
+        best = by_offset.max(axis=0)[cols] * factor[cols]  # = max(diff * factor): rounding is monotone
+        dist += length
+        top += best.tolist()
+        live = eps < best.max()
         if live.any():
-            minnorm = np.minimum(norms[lo], norms[hi]).ravel()
-            live &= reach < minnorm.max()  # otherwise no pair here can raise reach
+            nlo, nhi = norms[lo].reshape(-1, n), norms[hi].reshape(-1, n)
+            # a bound on min(|x|, |y|) over the pairs: otherwise none can raise reach
+            live &= reach < np.minimum(nlo.max(axis=1), nhi.max(axis=1)).max()
             if live.any():
-                hit = diff * factor > eps[live, None]
-                reach[live] = np.maximum(reach[live], np.where(hit, minnorm, -np.inf).max(axis=1))
+                diff *= factor[skew]
+                minnorm = np.minimum(nlo[:, :, None], nhi[:, None, :])
+                for i in np.flatnonzero(live):
+                    hit = diff > eps[i]
+                    if hit.any():
+                        reach[i] = max(reach[i], minnorm[hit].max())
     return np.asarray(dist), np.asarray(top), reach
 
 

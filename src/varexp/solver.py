@@ -165,28 +165,44 @@ def _dissection(shape: tuple[int, ...]) -> np.ndarray:
     block with more than ``_LEAF`` nodes is cut by its middle plane across
     the longest axis; the two halves come first, each ordered recursively,
     and the separator plane last, so eliminating in this order keeps the
-    fill of a nearest-neighbour operator within the separators.
+    fill of a nearest-neighbour operator within the separators.  All blocks
+    of one level are cut at once, as arrays of bounds, each with the place
+    in the order where its nodes start; the pieces that are not cut further
+    (leaves and separators) are then written out row-major.
     """
-    index = np.arange(math.prod(shape)).reshape(shape)
-    out: list[np.ndarray] = []
-
-    def split(lo: list[int], hi: list[int]) -> None:
-        sides = [b - a for a, b in zip(lo, hi)]
-        if math.prod(sides) <= _LEAF:
-            out.append(index[tuple(map(slice, lo, hi))].reshape(-1))
-            return
-        k = sides.index(max(sides))
-        m = lo[k] + sides[k] // 2
-
-        def cut(bounds: list[int], at: int) -> list[int]:
-            return bounds[:k] + [at] + bounds[k + 1:]
-
-        split(lo, cut(hi, m))
-        split(cut(lo, m + 1), hi)
-        out.append(index[tuple(map(slice, cut(lo, m), cut(hi, m + 1)))].reshape(-1))
-
-    split([0] * len(shape), list(shape))
-    return np.concatenate(out)
+    lo = np.zeros((1, len(shape)), dtype=np.intp)
+    hi = np.array([shape], dtype=np.intp)
+    start = np.zeros(1, dtype=np.intp)
+    pieces = []  # (lo, hi, start) of the leaves and separators
+    while lo.size:
+        sides = hi - lo
+        leaf = sides.prod(axis=1) <= _LEAF
+        pieces.append((lo[leaf], hi[leaf], start[leaf]))
+        lo, hi, start, sides = lo[~leaf], hi[~leaf], start[~leaf], sides[~leaf]
+        rows = np.arange(len(lo))
+        k = sides.argmax(axis=1)  # the first longest axis
+        m = lo[rows, k] + sides[rows, k] // 2
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[rows, k], right_lo[rows, k] = m, m + 1
+        sep_lo, sep_hi = lo.copy(), hi.copy()
+        sep_lo[rows, k], sep_hi[rows, k] = m, m + 1
+        n_left = (left_hi - lo).prod(axis=1)
+        pieces.append((sep_lo, sep_hi, start + n_left + (hi - right_lo).prod(axis=1)))
+        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
+        start = np.concatenate([start, start + n_left])
+    lo, hi, start = (np.concatenate(part) for part in zip(*pieces))
+    by_start = np.argsort(start, kind="stable")  # the pieces tile the order end to end
+    lo, sides, start = lo[by_start], (hi - lo)[by_start], start[by_start]
+    piece = np.repeat(np.arange(len(start)), sides.prod(axis=1))
+    rank = np.arange(math.prod(shape)) - start[piece]  # row-major rank within the piece
+    out = np.zeros_like(rank)
+    stride = 1
+    for k in reversed(range(len(shape))):
+        side = sides[piece, k]
+        out += (lo[piece, k] + rank % side) * stride
+        rank //= side
+        stride *= shape[k]
+    return out
 
 
 def _free_solve(H, g_free: np.ndarray, stage: StageStats):
@@ -232,26 +248,36 @@ def _free_hessian_action(u: GridFunction, p: ExponentField, params: FluxParams,
     return matvec
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y by einsum: numpy's BLAS dot can spread long vectors over
+    threads, which costs more than it saves at these sizes."""
+    return float(np.einsum("i,i->", x, y))
+
+
 def _cg_solve(lu, matvec, g_free: np.ndarray, eta: float,
               stage: StageStats) -> np.ndarray | None:
     """Inexact Newton direction: CG on the free-dof Hessian ``matvec``,
-    preconditioned by the held factor ``lu``, to relative residual ``eta``.
-    None when CG has not met eta within _CG_CAP iterations or its direction
-    is not finite (scipy tests the residual before each iteration, so a
-    residual first met by the last one counts as a miss).  The iterations
+    preconditioned by the held factor ``lu``, from zero to relative
+    residual ``eta``.  The residual is tested before each iteration, so a
+    residual first met by the last of _CG_CAP iterations counts as a miss;
+    a miss, or a direction that is not finite, gives None.  The iterations
     are added to ``stage``."""
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    n = g_free.size
-
-    def count(_):
+    x = np.zeros_like(g_free)
+    r = -g_free
+    bound = eta * math.sqrt(_dot(r, r))
+    s = rho = None  # the search direction and r . z
+    for _ in range(_CG_CAP):
+        if math.sqrt(_dot(r, r)) < bound:
+            return x if np.all(np.isfinite(x)) else None
+        z = lu.solve(r)
+        rho, previous = _dot(r, z), rho
+        s = z if s is None else z + (rho / previous) * s
+        q = matvec(s)
+        alpha = rho / _dot(s, q)
+        x += alpha * s
+        r -= alpha * q
         stage.cg_iterations += 1
-
-    d, info = cg(LinearOperator((n, n), matvec=matvec), -g_free, rtol=eta, atol=0.0,
-                 maxiter=_CG_CAP, M=LinearOperator((n, n), matvec=lu.solve), callback=count)
-    if info != 0 or not np.all(np.isfinite(d)):
-        return None
-    return d
+    return None
 
 
 def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
@@ -310,11 +336,11 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
             if not reused:
                 lu, d = _free_solve(energy_hessian(field, p, params)[sel][:, sel].tocsc(),
                                     g_free, stage) or (None, None)
-            slope = float(g_free @ d) if d is not None else 0.0
+            slope = _dot(g_free, d) if d is not None else 0.0
             if d is None or slope >= 0.0:
                 stage.fallbacks += 1
                 d = -g_free
-                slope = -float(g_free @ g_free)
+                slope = -_dot(g_free, g_free)
             elif reused:
                 stage.reuses += 1
             stage.steps += 1

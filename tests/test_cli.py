@@ -460,6 +460,31 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
     assert warm == [grid.cells != (8, 8) for grid, _ in solved]
 
 
+@pytest.mark.parametrize("instance, cells", [("matched", "8 8"), ("linear", "16 16")])
+def test_manufactured_solves_start_from_boundary_data(tmp_path, monkeypatch, instance, cells):
+    # u* is the boundary data of a cold solve, not its starting interior;
+    # at 16^2 the cold solve is the half grid's
+    import varexp.cli as cli
+
+    starts = []
+
+    def recording(G, p, boundary, grid, opts, **kwargs):
+        starts.append(boundary)
+        return solve(G, p, boundary, grid, opts, **kwargs)
+
+    solve = cli.solve_pxlaplace
+    monkeypatch.setattr(cli, "solve_pxlaplace", recording)
+    text = BASE.replace("cells = 8 8", f"cells = {cells}").replace("matched", instance)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    cold = starts[0]
+    mask = cold.grid.boundary_node_mask
+    u_star = manufactured_instance(instance, cold.grid, ExponentField.constant(cold.grid, 2.0))[0]
+    assert np.all(cold.values[~mask] == 0.0)
+    np.testing.assert_array_equal(cold.values[mask], u_star.values[mask])
+    assert np.abs(u_star.values[~mask]).max() > 0.1  # the answer was not handed over
+
+
 def _table_bump_config(tmp_path, refinements: int):
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4))
     table = GridFunction(g, 2.15 + 0.85 * np.sin(0.5 * np.pi * g.node_coords[:, 0]))

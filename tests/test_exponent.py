@@ -1,5 +1,6 @@
 """Exponent fields and the log-Holder machinery."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from varexp.exponent import (
     ExponentField,
+    _offset_sweep,
     log_holder_constant,
     select_comparison_exponent,
     vanishing_profile,
@@ -149,6 +151,53 @@ def test_log_holder_exact_over_all_pairs(p, fractions):
     for (eps, r, R), (_, r_want, R_want) in zip(rep.vanishing_profile, profile):
         assert _close(r, r_want), (eps, r, r_want)
         assert _close(R, R_want), (eps, R, R_want)
+
+
+def offset_loop_sweep(p, epsilons):
+    """_offset_sweep as one Python iteration per lattice offset, the loop
+    the batched sweep replaced: the same arithmetic, so the same bytes."""
+    g = p.grid
+    shape = g.nodes_per_axis
+    alpha = (1.0 / p.values).reshape(shape)
+    norms = np.linalg.norm(g.node_coords, axis=1).reshape(shape)
+    h = g.cell_size
+    eps = np.asarray(epsilons, dtype=float)
+    reach = np.full(eps.size, -np.inf)
+    dist, top = [], []
+    for delta in itertools.product(*(range(1 - n, n) for n in shape)):
+        if next((d for d in delta if d), 0) <= 0:
+            continue  # delta = 0, or its mirror -delta covers these pairs
+        lo = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, shape))
+        hi = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(delta, shape))
+        length = math.hypot(*(d * hk for d, hk in zip(delta, h)))
+        factor = math.log(E + 1.0 / length)
+        diff = np.abs(alpha[hi] - alpha[lo]).ravel()
+        dist.append(length)
+        top.append(float(diff.max()) * factor)
+        live = eps < top[-1]
+        if live.any():
+            minnorm = np.minimum(norms[lo], norms[hi]).ravel()
+            live &= reach < minnorm.max()
+            if live.any():
+                hit = diff * factor > eps[live, None]
+                reach[live] = np.maximum(reach[live], np.where(hit, minnorm, -np.inf).max(axis=1))
+    return np.asarray(dist), np.asarray(top), reach
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(p=exponents(), constant=st.booleans())
+def test_offset_sweep_matches_offset_loop(p, constant):
+    if constant:
+        p = ExponentField.constant(p.grid, 1.8)
+    dist, top, _ = offset_loop_sweep(p, [])
+    shortest = float(top[dist == dist.min()].max())
+    # epsilons that never bind, that bind only down to the shortest offsets,
+    # and one that binds at almost every pair
+    epsilons = [2.0 * float(top.max()) + 1.0, np.nextafter(shortest, 0.0), 0.5 * shortest, 1e-4]
+    want = offset_loop_sweep(p, epsilons)
+    got = _offset_sweep(p, epsilons)
+    for name, a, b in zip(("dist", "top", "reach"), got, want):
+        assert np.array_equal(a, b), name
 
 
 def test_log_holder_memory_is_o_nodes():

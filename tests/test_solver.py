@@ -118,6 +118,40 @@ def test_dissection_matches_view_recursion(shape):
     assert np.array_equal(_dissection(shape), _dissection_by_views(shape))
 
 
+def _dissection_by_recursion(shape):
+    """The recursive order over block bounds, one call per block, that the
+    level-by-level _dissection replaced."""
+    index = np.arange(math.prod(shape)).reshape(shape)
+    out = []
+
+    def split(lo, hi):
+        sides = [b - a for a, b in zip(lo, hi)]
+        if math.prod(sides) <= solver._LEAF:
+            out.append(index[tuple(map(slice, lo, hi))].reshape(-1))
+            return
+        k = sides.index(max(sides))
+        m = lo[k] + sides[k] // 2
+
+        def cut(bounds, at):
+            return bounds[:k] + [at] + bounds[k + 1:]
+
+        split(lo, cut(hi, m))
+        split(cut(lo, m + 1), hi)
+        out.append(index[tuple(map(slice, cut(lo, m), cut(hi, m + 1)))].reshape(-1))
+
+    split([0] * len(shape), list(shape))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (8,), (9,), (30,), (31,), (126,), (127,),
+    (3, 3), (4, 5), (8, 8), (9, 2), (17, 16), (62, 62), (63, 63), (126, 127),
+    (3, 3, 3), (2, 5, 4), (6, 6, 6), (7, 8, 9), (22, 22, 22), (23, 22, 23),
+])
+def test_dissection_matches_block_recursion(shape):
+    assert np.array_equal(_dissection(shape), _dissection_by_recursion(shape))
+
+
 def _free_dofs(grid: Grid, N: int) -> np.ndarray:
     return np.repeat(~grid.boundary_node_mask, N)
 
