@@ -33,7 +33,8 @@ provenance lives in report.txt, which for every command ends with the
 lines of each solve level: a head naming its grid and how it started,
 cold or warm from a coarser grid, then one line per gamma stage with
 Newton steps, fallbacks, backtracks, guarded steps, factor reuses and CG
-iterations, factorization seconds and fill, residual and stop reason).
+iterations, factorization seconds and fill (the nonzero count of the
+Cholesky factor L), residual and stop reason).
 A cold solve of a grid with even cell counts, at least 8 per axis after
 halving, first solves the half grid (see ``_solve``); denoise stays one
 cold solve, since it starts from the image.  Columns per command:
@@ -488,13 +489,12 @@ _RECORD_COLUMNS = ["name", "cube", "resolution", "lhs", "rhs_sum", "constant",
 
 
 def _provenance(cfg: ExperimentConfig) -> dict[str, str]:
-    import scipy
     return {
         "config": str(cfg.config_path),
         "config_sha256": cfg.config_hash,
         "command": cfg.command,
         "seed": str(cfg.seed),
-        "versions": f"varexp {__version__}, numpy {np.__version__}, scipy {scipy.__version__}",
+        "versions": f"varexp {__version__}, numpy {np.__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -761,19 +761,43 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
                ["axis", "setting", "name", "lhs", "rhs_sum", "constant"], rows)
 
 
+def _gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of a 2-D image as scipy.ndimage.gaussian_filter
+    does it with its defaults: a 1-D correlation along axis 0, then along
+    axis 1, with the weights exp(-x^2 / (2 sigma^2)) for |x| <= the radius
+    int(4 sigma + 0.5), normalized to sum 1, and the 'reflect' boundary
+    (d c b a | a b c d | d c b a), reflected again where the radius is
+    longer than the image.  Each output is w_0 times the centre plus
+    w_j times the sum of its two neighbours at distance j, j ascending.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    out = img
+    for axis in range(2):
+        n = out.shape[axis]
+        at = np.arange(-r, n + r) % (2 * n)
+        line = np.moveaxis(np.take(out, np.where(at < n, at, 2 * n - 1 - at), axis=axis), axis, 0)
+        acc = w[r] * line[r:r + n]
+        for j in range(1, r + 1):
+            acc += w[r + j] * (line[r + j:r + j + n] + line[r - j:r - j + n])
+        out = np.moveaxis(acc, 0, axis)
+    return np.ascontiguousarray(out)
+
+
 def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     img, maxval, magic = read_pgm(cfg.image)
     rows, cols = img.shape
     if rows < 3 or cols < 3:
         raise ConfigError(f"[denoise] image: {cfg.image} too small ({rows}x{cols})")
-    from scipy.ndimage import gaussian_filter
 
     grid = Grid(2, (0.0, 0.0), (float(rows - 1), float(cols - 1)), (rows - 1, cols - 1))
     u0 = GridFunction(grid, img.astype(float).ravel() / maxval)
 
     # edge detector: small smoothed gradient -> p_max (diffusion),
     # large -> p_min (total-variation-like)
-    smooth = gaussian_filter(img.astype(float) / maxval, sigma=1.5)
+    smooth = _gaussian_filter(img.astype(float) / maxval, 1.5)
     gr, gc = np.gradient(smooth)
     gsq = (gr**2 + gc**2).ravel()
     p_vals = cfg.p_min + (cfg.p_max - cfg.p_min) / (1.0 + cfg.strength * gsq)
@@ -783,7 +807,7 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     # strength; strength 0 reproduces the input exactly
     sigma = cfg.strength / 2.0
     if sigma > 0:
-        target = gaussian_filter(img.astype(float) / maxval, sigma=sigma).ravel()
+        target = _gaussian_filter(img.astype(float) / maxval, sigma).ravel()
     else:
         target = u0.values[:, 0].copy()
     G = gradient(GridFunction(grid, target))

@@ -10,9 +10,13 @@ region inclusion for nonnegative integrands.  A cell's overlap with a box
 is the product of its per-axis overlap lengths: ``region_weights`` is their
 outer product, and ``integrate`` and ``mean_over`` read their sums from it.
 
-The cell-center gradient is one cached sparse matrix B = Grid.gradient_matrix:
-``gradient`` applies B, the operator module's energy gradient applies B^T,
-and its Hessian is B^T (D B) for a block-diagonal D.
+The cell-center gradient B is one operator on the corner table
+(``cell_corner_indices``, ``grad_coefs``), applied as 2^dim shifted slices
+of the node lattice: ``gradient`` applies B, ``apply_gradient_transpose``
+applies B^T (the operator module's energy gradient and Hessian action), and
+the Hessian is B^T (D B) for a block-diagonal D.  Both kernels add their
+terms in the order of a row-wise sparse product, so their results do not
+depend on how B is stored.
 
 Conventions: dimension is 1, 2, or 3; all per-axis data is ordered
 row-major (first axis slowest); node and cell arrays are flat with that
@@ -33,6 +37,8 @@ __all__ = [
     "GridFunction",
     "CellField",
     "gradient",
+    "apply_gradient",
+    "apply_gradient_transpose",
     "integrate",
     "mean_over",
     "region_weights",
@@ -222,18 +228,11 @@ class Grid:
         return signs / (2.0 ** (self.dim - 1) * self.cell_size[None, :])
 
     @cached_property
-    def gradient_matrix(self):
-        """(num_cells * dim, num_nodes) sparse CSR matrix B of the Q1
-        cell-center gradient: row ``c * dim + k`` holds ``grad_coefs[:, k]``
-        at the corners of cell c."""
-        from scipy import sparse
-
-        nc, nb = self.cell_corner_indices.shape
-        shape = (nc, self.dim, nb)
-        data = np.broadcast_to(self.grad_coefs.T, shape).reshape(-1)
-        cols = np.broadcast_to(self.cell_corner_indices[:, None, :], shape).reshape(-1)
-        indptr = np.arange(0, data.size + 1, nb)
-        return sparse.csr_matrix((data, cols, indptr), shape=(nc * self.dim, self.num_nodes))
+    def corner_slices(self) -> list[tuple[slice, ...]]:
+        """Per corner b, the slice of the node lattice that holds corner b of
+        every cell, in row-major cell order."""
+        return [tuple(slice(b, b + c) for b, c in zip(bits, self.cells))
+                for bits in self.corner_bits]
 
     @cached_property
     def boundary_node_mask(self) -> np.ndarray:
@@ -386,9 +385,57 @@ def gradient(u: GridFunction) -> CellField:
     fields; for multilinear fields it equals the interpolant's derivative
     at the center (the mixed terms average out there).
     """
-    g = u.grid
-    du = (g.gradient_matrix @ u.values).reshape(g.num_cells, g.dim, u.codomain_dim)
-    return CellField(g, np.ascontiguousarray(du.transpose(0, 2, 1)))
+    return CellField(u.grid, apply_gradient(u.grid, u.values))
+
+
+def apply_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """B applied to nodal ``values`` (num_nodes, N): the (num_cells, N, dim)
+    cell-center gradients.
+
+    Each gradient component is the sum over the corners, in corner order, of
+    ``grad_coefs[b, k]`` times the corner value.  The coefficient is
+    +-w_k, so each term is one shifted slice of w_k * values, added or
+    subtracted; (-w) x and -(w x) are the same double.
+    """
+    N = values.shape[1]
+    v = values.reshape(grid.nodes_per_axis + (N,))
+    w = np.abs(grid.grad_coefs[0])
+    up = grid.corner_bits == 1
+    first, *rest = grid.corner_slices
+    parts = []
+    for k in range(grid.dim):
+        scaled = w[k] * v
+        acc = np.subtract(0.0, scaled[first])  # corner 0 has coefficient -w_k on every axis
+        for b, sl in enumerate(rest, start=1):
+            if up[b, k]:
+                acc += scaled[sl]
+            else:
+                acc -= scaled[sl]
+        parts.append(acc)
+    return np.stack(parts, axis=-1).reshape(grid.num_cells, N, grid.dim)
+
+
+def apply_gradient_transpose(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """B^T applied to cell values ``f`` (num_cells, N, dim): a (num_nodes, N)
+    array.
+
+    Each node sums its cells in ascending cell order, and within a cell the
+    axes in ascending order, the column order of B; a node's cells ascend
+    as its corner number descends.
+    """
+    N = f.shape[1]
+    w = np.abs(grid.grad_coefs[0])
+    scaled = [(w[k] * f[:, :, k]).reshape(grid.cells + (N,)) for k in range(grid.dim)]
+    up = grid.corner_bits == 1
+    out = np.zeros(grid.nodes_per_axis + (N,))
+    for b in reversed(range(len(grid.corner_slices))):
+        view = out[grid.corner_slices[b]]
+        for k in range(grid.dim):
+            if up[b, k]:
+                view += scaled[k]
+            else:
+                view -= scaled[k]
+    return out.reshape(grid.num_nodes, N)
 
 
 def _interval_overlaps(grid: Grid, k: int, lo, hi) -> np.ndarray:

@@ -13,10 +13,13 @@ which is smooth and convex for gamma > 0 (and for gamma = 0 when p >= 2),
 with exact analytic gradient and Hessian with respect to the nodal values.
 Minimizers satisfy the discrete weak form div A(x, Du) = div A(x, G).
 
-D is the grid's sparse gradient matrix B = Grid.gradient_matrix: the energy
-gradient is B^T applied to the weighted flux residual, and the Hessian is
-B^T (D B) with D block diagonal, one block dA/dz per cell; hessian_action
-applies the same product to a vector without assembling it.
+D is the grid's cell-center gradient B (``grid.apply_gradient`` and its
+transpose): the energy gradient is B^T applied to the weighted flux
+residual, and the Hessian is B^T (D B) with D block diagonal, one block
+dA/dz per cell.  energy_hessian returns it cell by cell, as the element
+matrices B_c^T D_c B_c over each cell's corners, which the solver assembles
+into its frontal matrices; hessian_action applies the same product to a
+vector without assembling anything.
 
 coercivity_constant gives the V-coercivity constant c4 of the power flux
 exactly, from a 1-D minimization at p- and p+; the good-lambda threshold
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import CellField, GridFunction, gradient
+from .grid import (CellField, GridFunction, apply_gradient, apply_gradient_transpose,
+                   gradient)
 
 __all__ = [
     "FluxParams",
@@ -136,60 +140,56 @@ def energy_gradient(u: GridFunction, G: CellField, p: ExponentField,
     q = p.cell_values
     res = _flux_batch(du, q, params) - _flux_batch(G.values, q, params)
     res *= grid.cell_volume
-    flat = res.transpose(0, 2, 1).reshape(-1, u.codomain_dim)  # rows c * dim + k
-    return GridFunction(grid, grid.gradient_matrix.T @ flat)
+    return GridFunction(grid, apply_gradient_transpose(grid, res))
 
 
-def _hessian_blocks(u: GridFunction, p: ExponentField, params: FluxParams):
-    """D of the Hessian B^T (D B): block-diagonal BSR with one (dim N)^2
-    block a(r) I + (a'(r)/r) z (x) z per cell, z = Du there."""
-    from scipy import sparse
-
+def _hessian_coefficients(u: GridFunction, p: ExponentField, params: FluxParams):
+    """Du and the two weights of each cell's block of D,
+    a(r) |cell| I + (a'(r)/r) |cell| z (x) z with z = Du there."""
     grid = u.grid
     du = gradient(u).values  # (nc, N, d)
     q = p.cell_values
     r = _magnitude(du)
     s1 = _radial(params, r, q) * grid.cell_volume
     s2 = _radial_slope(params, r, q) * grid.cell_volume
-
-    m = grid.dim * u.codomain_dim
-    z = du.transpose(0, 2, 1).reshape(-1, m)  # (k, n) order of kron(B, I_N) rows
-    blocks = s1[:, None, None] * np.eye(m) + s2[:, None, None] * z[:, :, None] * z[:, None, :]
-    nc = grid.num_cells
-    return sparse.bsr_matrix((blocks, np.arange(nc), np.arange(nc + 1)), shape=(nc * m, nc * m))
+    return du, s1, s2
 
 
-def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
-    """Sparse CSR Hessian B^T (D B) of J over all nodal dofs
-    (dof = node * N + component); the data term is linear and drops out.
+def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams) -> np.ndarray:
+    """The Hessian of J cell by cell: the element matrices B_c^T D_c B_c,
+    shape (cells, 2^dim N, 2^dim N), over the dofs (corner b, component n)
+    at index b N + n, corners as in ``cell_corner_indices``.  The data term
+    is linear and drops out.
 
-    D is block diagonal with one (dim N)^2 block a(r) I + (a'(r)/r) z (x) z
-    per cell, z = Du there; for N > 1, B acts as kron(B, I_N).  For
-    gamma > 0 (or p >= 2) the blocks are positive semidefinite, so the
-    assembled matrix is as well.
+    D_c = a(r) I + (a'(r)/r) z (x) z with z = Du on the cell, so
+    B_c^T D_c B_c = a(r) (C (x) I_N) + (a'(r)/r) w w^T with C = K K^T for
+    the corner coefficients K = ``grad_coefs`` and w = K z.  Each matrix is
+    exactly symmetric, and for gamma > 0 (or p >= 2) positive semidefinite;
+    their sum over the cells is the Hessian over all nodal dofs.
     """
-    from scipy import sparse
-
-    D = _hessian_blocks(u, p, params)
-    B = u.grid.gradient_matrix
-    if u.codomain_dim > 1:
-        B = sparse.kron(B, sparse.identity(u.codomain_dim), format="csr")
-    return B.T.tocsr() @ (D @ B)
+    du, s1, s2 = _hessian_coefficients(u, p, params)
+    K = u.grid.grad_coefs
+    N = u.codomain_dim
+    C = np.kron(K @ K.T, np.eye(N))
+    w = np.einsum("bk,cnk->cbn", K, du).reshape(len(du), -1)
+    return s1[:, None, None] * C + s2[:, None, None] * (w[:, :, None] * w[:, None, :])
 
 
 def hessian_action(u: GridFunction, p: ExponentField, params: FluxParams):
-    """The map v -> B^T (D (B v)) over all nodal dofs: energy_hessian's
-    product with a flat dof vector v, without assembling the matrix.
-
-    v is read as a (nodes, N) array, so B v, flattened, is kron(B, I_N) v.
+    """The map v -> B^T (D (B v)) over all nodal dofs: the product of the
+    summed element matrices with a flat dof vector v, without assembling
+    them.  v is read as a (nodes, N) array; D acts on each cell's (N, dim)
+    gradient g as a(r) g + (a'(r)/r) (z : g) z.
     """
-    D = _hessian_blocks(u, p, params)
-    B = u.grid.gradient_matrix
+    du, s1, s2 = _hessian_coefficients(u, p, params)
+    grid = u.grid
     N = u.codomain_dim
 
     def apply(v: np.ndarray) -> np.ndarray:
-        Dv = D @ (B @ v.reshape(-1, N)).reshape(-1)
-        return (B.T @ Dv.reshape(-1, N)).reshape(-1)
+        g = apply_gradient(grid, v.reshape(-1, N))
+        zg = s2 * np.einsum("cnd,cnd->c", du, g)
+        Dg = s1[:, None, None] * g + zg[:, None, None] * du
+        return apply_gradient_transpose(grid, Dg).reshape(-1)
 
     return apply
 

@@ -17,22 +17,29 @@ the next.
 
 The free-dof Hessian is symmetric positive definite (gamma > 0, or
 p >= 2) and couples only neighbouring nodes of a box lattice.  The first
-Newton system of a solve is factored by SuperLU with diagonal pivots in a
-geometric nested-dissection order of the interior nodes (George, SIAM J.
-Numer. Anal. 10, 1973), and that first factor is reused as a CG
-preconditioner, refactor on a CG miss: each later system, across steps
-and gamma stages, is solved inexactly by preconditioned CG (Eisenstat and
-Walker, SIAM J. Sci. Comput. 17, 1996; Kelley, Solving Nonlinear Equations
-with Newton's Method, 2003, ch. 5), with the Hessian applied matrix-free
-as B^T (D B) on the free dofs.  CG stops at the relative residual
+Newton system of a solve is factored by a multifrontal Cholesky
+factorization (Liu, SIAM Review 34, 1992) on a geometric nested-dissection
+tree of the interior nodes (George, SIAM J. Numer. Anal. 10, 1973): each
+front eliminates its block's separator plane, or the whole block at a leaf,
+against the block's one-node halo, and is assembled from the element
+matrices of its cells and the update matrices of its children.  All fronts
+of one tree height are padded to a common size and factored, and later
+solved, by one batched NumPy call each; the tree is built once per solve.
+That first factor is reused as a CG preconditioner, refactor on a CG miss:
+each later system, across steps and gamma stages, is solved inexactly by
+preconditioned CG (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996;
+Kelley, Solving Nonlinear Equations with Newton's Method, 2003, ch. 5),
+with the Hessian applied matrix-free as B^T (D B) on the free dofs.  CG
+stops at the relative residual
 eta = min(_FORCING_MAX, 0.9 (res_k / res_{k-1})^2), the residuals of this
 and the previous iterate, and at eta = _FORCING_MAX on the first CG step.
 When CG has not met eta within _CG_CAP iterations, or its direction is not
 finite, the held factor is dropped and the Hessian is assembled and
 factored anew; that factor is held in turn.  The rule reads counts only,
 never a clock, so a fixed instance gives the same bytes.  When the Newton
-direction is unusable (singular factor, indefinite numerics, extreme
-diagonal spread) the step falls back to gradient descent.
+direction is unusable (a pivot block that is not positive definite, a
+non-positive or extremely spread diagonal) the step falls back to gradient
+descent.
 
 Near J's rounding floor J + c t slope rounds to J and the Armijo test
 cannot tell a decrease from noise, so a trial within _ROUNDING_ULPS ulps
@@ -100,9 +107,9 @@ class StageStats:
     resolve them.  ``reuses`` counts steps whose direction CG found on the
     held factor, and ``cg_iterations`` the CG iterations spent, those of
     CG runs that missed ``_CG_CAP`` included.  ``factor_s`` is the time
-    spent in SuperLU factorizations and ``fill`` the largest factor's
-    nonzero count (L and U together).  Every step is a factored step, a
-    reuse or a fallback.
+    spent in Cholesky factorizations and ``fill`` the largest factor's
+    nonzero count, nnz(L) without the padding of the batched fronts.
+    Every step is a factored step, a reuse or a fallback.
     """
     gamma: float
     steps: int = 0
@@ -139,7 +146,9 @@ class SolverResult:
         return self.stages[-1].gamma
 
 
-_LEAF = 8  # nodes below which a lattice block is not split further
+_LEAF = 32  # nodes at or below which a lattice block is not split further
+_INVERSE_BLOCK = 48  # order up to which a triangular inverse is one np.linalg.inv
+_BATCH = 1 << 20  # entries of the frontal matrices or scatters formed at once
 _GAMMA_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-4, 0.0)  # continuation stages
 _GAMMA_FLOOR = 1e-8  # least gamma of a stage when p- < 2
 _STAGE_REDUCTION = 0.5  # residual factor that ends a non-final gamma stage
@@ -158,80 +167,364 @@ def _schedule(p_minus: float) -> tuple[float, ...]:
     return tuple(max(g, floor) for g in _GAMMA_SCHEDULE)
 
 
-def _dissection(shape: tuple[int, ...]) -> np.ndarray:
-    """Nested-dissection order of a box lattice of nodes.
+@dataclass(frozen=True)
+class _Dissection:
+    """A nested-dissection elimination tree of a box lattice of nodes.
 
-    Returns a permutation of the row-major flat indices of ``shape``.  Each
-    block with more than ``_LEAF`` nodes is cut by its middle plane across
-    the longest axis; the two halves come first, each ordered recursively,
-    and the separator plane last, so eliminating in this order keeps the
-    fill of a nearest-neighbour operator within the separators.  All blocks
-    of one level are cut at once, as arrays of bounds, each with the place
-    in the order where its nodes start; the pieces that are not cut further
-    (leaves and separators) are then written out row-major.
+    ``order`` lists the row-major flat node indices in elimination order.
+    Front f is the block of nodes [lo[f], hi[f]); it eliminates its
+    ``size[f]`` pivots, which sit at ``start[f]`` onwards in the order:
+    the separator plane of the block, or every node of a block that is not
+    cut.  ``parent`` is -1 at the root, and children come after their
+    parents.
     """
-    lo = np.zeros((1, len(shape)), dtype=np.intp)
+    order: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    parent: np.ndarray
+
+
+def _dissection(shape: tuple[int, ...]) -> _Dissection:
+    """Nested-dissection elimination tree of a box lattice of nodes.
+
+    Each block with more than ``_LEAF`` nodes is cut by its middle plane
+    across the longest axis; the two halves come first, each ordered
+    recursively, and the separator plane last, so eliminating in this order
+    keeps the fill of a nearest-neighbour operator within the separators.
+    All blocks of one level are cut at once, as arrays of bounds, each with
+    the place in the order where its nodes start; the pivots of each block
+    (its separator, or all of it when it is not cut) are then written out
+    row-major.
+    """
+    d = len(shape)
+    lo = np.zeros((1, d), dtype=np.intp)
     hi = np.array([shape], dtype=np.intp)
     start = np.zeros(1, dtype=np.intp)
-    pieces = []  # (lo, hi, start) of the leaves and separators
+    parent = np.full(1, -1, dtype=np.intp)
+    fronts = []  # per level: (lo, hi, pivot lo, pivot hi, pivot start, parent)
+    count = 0
     while lo.size:
+        ids = count + np.arange(len(lo))
+        count += len(lo)
         sides = hi - lo
-        leaf = sides.prod(axis=1) <= _LEAF
-        pieces.append((lo[leaf], hi[leaf], start[leaf]))
-        lo, hi, start, sides = lo[~leaf], hi[~leaf], start[~leaf], sides[~leaf]
-        rows = np.arange(len(lo))
-        k = sides.argmax(axis=1)  # the first longest axis
+        cut = sides.prod(axis=1) > _LEAF
+        rows = np.flatnonzero(cut)
+        k = sides[rows].argmax(axis=1)  # the first longest axis
         m = lo[rows, k] + sides[rows, k] // 2
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[rows, k], right_lo[rows, k] = m, m + 1
-        sep_lo, sep_hi = lo.copy(), hi.copy()
-        sep_lo[rows, k], sep_hi[rows, k] = m, m + 1
-        n_left = (left_hi - lo).prod(axis=1)
-        pieces.append((sep_lo, sep_hi, start + n_left + (hi - right_lo).prod(axis=1)))
-        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
-        start = np.concatenate([start, start + n_left])
-    lo, hi, start = (np.concatenate(part) for part in zip(*pieces))
-    by_start = np.argsort(start, kind="stable")  # the pieces tile the order end to end
-    lo, sides, start = lo[by_start], (hi - lo)[by_start], start[by_start]
-    piece = np.repeat(np.arange(len(start)), sides.prod(axis=1))
-    rank = np.arange(math.prod(shape)) - start[piece]  # row-major rank within the piece
-    out = np.zeros_like(rank)
+        left_hi, right_lo = hi[rows], lo[rows]
+        left_hi[np.arange(len(rows)), k], right_lo[np.arange(len(rows)), k] = m, m + 1
+        piv_lo, piv_hi, piv_start = lo.copy(), hi.copy(), start.copy()
+        piv_lo[rows, k], piv_hi[rows, k] = m, m + 1
+        n_left = (left_hi - lo[rows]).prod(axis=1)
+        piv_start[rows] += n_left + (hi[rows] - right_lo).prod(axis=1)
+        fronts.append((lo, hi, piv_lo, piv_hi, piv_start, parent))
+        lo = np.concatenate([lo[rows], right_lo])
+        hi = np.concatenate([left_hi, hi[rows]])
+        start = np.concatenate([start[rows], start[rows] + n_left])
+        parent = np.concatenate([ids[rows], ids[rows]])
+        keep = (hi > lo).all(axis=1)  # a side of 2 leaves an empty right half
+        lo, hi, start, parent = lo[keep], hi[keep], start[keep], parent[keep]
+    lo, hi, piv_lo, piv_hi, piv_start, parent = (np.concatenate(a) for a in zip(*fronts))
+    sides = piv_hi - piv_lo
+    size = sides.prod(axis=1)
+    by_start = np.argsort(piv_start)  # the pivots tile the order end to end
+    piece = np.repeat(by_start, size[by_start])
+    rank = np.arange(math.prod(shape)) - piv_start[piece]  # row-major rank within the pivots
+    order = np.zeros_like(rank)
     stride = 1
-    for k in reversed(range(len(shape))):
+    for k in reversed(range(d)):
         side = sides[piece, k]
-        out += (lo[piece, k] + rank % side) * stride
+        order += (piv_lo[piece, k] + rank % side) * stride
         rank //= side
         stride *= shape[k]
+    return _Dissection(order, lo, hi, piv_start, size, parent)
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of lower-triangular matrices, by halving:
+    inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  NumPy has no
+    triangular solve; this costs a fraction of np.linalg.inv's general LU
+    on large fronts."""
+    n = L.shape[-1]
+    if n <= _INVERSE_BLOCK:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:, :h, :h] = A = _lower_inverse(L[:, :h, :h])
+    out[:, h:, h:] = C = _lower_inverse(L[:, h:, h:])
+    out[:, h:, :h] = -(C @ (L[:, h:, :h] @ A))
     return out
 
 
-def _free_solve(H, g_free: np.ndarray, stage: StageStats):
-    """The SuperLU factor of H and the Newton direction from it; None when
-    the factorization is not trustworthy.
+@dataclass
+class _Level:
+    """The fronts of one height of the elimination tree, padded to common
+    sizes: ``p`` pivot dofs, then ``m - p`` update dofs, then one dummy
+    row and column (index m) that padding entries point at.
 
-    ``H`` is the free-dof Hessian (CSC) already in elimination order, so
-    SuperLU keeps that order and pivots on the diagonal.  A zero pivot makes
-    SuperLU raise RuntimeError.  The factorization's time and fill are added
-    to ``stage``.
+    ``piv`` and ``upd`` are the (fronts, p) and (fronts, m - p) dof
+    positions in elimination order, padded with n (the dummy entry of a
+    solve vector), and ``var`` the two side by side; ``cells`` are the
+    cells whose element matrices this level assembles, ``cell_slot`` the
+    front of each and ``cell_local`` the place of each of its dofs in that
+    front; ``children`` holds (level, fronts of it, slot of each one's
+    parent here, place of each of its update dofs here).
     """
-    from scipy.sparse.linalg import splu
+    p: int
+    m: int
+    piv: np.ndarray
+    upd: np.ndarray
+    var: np.ndarray
+    pad: tuple[np.ndarray, np.ndarray]
+    cells: np.ndarray
+    cell_slot: np.ndarray
+    cell_local: np.ndarray
+    children: list
 
-    diag = H.diagonal()
+
+class _Elimination:
+    """The multifrontal Cholesky factorization of the free-dof Hessian of a
+    grid, set up once per solve (Liu, SIAM Review 34, 1992).
+
+    The free dofs are eliminated in the nested-dissection order of the
+    interior nodes (``sel`` maps that order to the nodal dofs).  Front f of
+    the tree eliminates its pivots; its update set is its one-node halo of
+    free nodes, all of them eliminated later by its ancestors.  Each cell's
+    element matrix is assembled into the front that eliminates the cell's
+    first free corner, whose pivots and halo hold every free corner of the
+    cell.  The fronts are factored one tree height at a time, leaves first,
+    so each NumPy call covers every front of a height.
+    """
+
+    def __init__(self, grid: Grid, N: int):
+        interior = tuple(n - 2 for n in grid.nodes_per_axis)
+        tree = _dissection(interior)
+        n = tree.order.size
+        self.n = n * N
+        self.sel = np.flatnonzero(np.repeat(~grid.boundary_node_mask, N))[
+            (tree.order[:, None] * N + np.arange(N)).reshape(-1)]
+        pos = np.full(grid.nodes_per_axis, n)  # elimination position, n off the interior
+        pos[(slice(1, -1),) * grid.dim] = np.argsort(tree.order).reshape(interior)
+
+        height = np.zeros(len(tree.parent), dtype=np.intp)
+        for f in range(len(tree.parent) - 1, 0, -1):  # children come after parents
+            height[tree.parent[f]] = max(height[tree.parent[f]], height[f] + 1)
+        fronts = [np.flatnonzero(height == h) for h in range(height.max() + 1)]
+        slot = np.zeros(len(tree.parent), dtype=np.intp)
+        halos = []
+        for fr in fronts:
+            slot[fr] = np.arange(len(fr))
+            halo = self._halos(pos, n, tree, fr)
+            halos.append(halo[:, :max(int((halo < n).sum(axis=1).max()), 1)])
+        self.nnz = sum(int(np.sum(tree.size[fr] * N * (tree.size[fr] * N + 1) // 2
+                                  + (halo < n).sum(axis=1) * N * tree.size[fr] * N))
+                       for fr, halo in zip(fronts, halos))
+
+        def place(h: int, row: np.ndarray, q: np.ndarray) -> np.ndarray:
+            """Node index of elimination position q among the variables of
+            front ``row`` of height h: its pivot rank, or the padded pivot
+            count plus its halo rank."""
+            fr, halo = fronts[h], halos[h]
+            piv = q - tree.start[fr][row]
+            keyed = halo + (n + 1) * np.arange(len(halo))[:, None]  # sorted when flattened
+            rank = np.searchsorted(keyed.reshape(-1), q + (n + 1) * row) - halo.shape[1] * row
+            pivot = (piv >= 0) & (piv < tree.size[fr][row])
+            return np.where(pivot, piv, tree.size[fr].max() + rank)
+
+        def dofs(nodes: np.ndarray, missing: int) -> np.ndarray:
+            """The N dofs of each node, ``missing`` for nodes that are n."""
+            d = np.where(nodes[..., None] < n, nodes[..., None] * N + np.arange(N), missing)
+            return d.reshape(*nodes.shape[:-1], nodes.shape[-1] * N)
+
+        corners = pos.reshape(-1)[grid.cell_corner_indices]  # (cells, 2^d)
+        by_start = np.argsort(tree.start)  # the front that eliminates each cell's first corner:
+        owner = by_start[np.searchsorted(tree.start[by_start], corners.min(axis=1), "right") - 1]
+        self.element_dofs = dofs(corners, self.n)
+
+        self.levels = []
+        for h, fr in enumerate(fronts):
+            P, U = int(tree.size[fr].max()), halos[h].shape[1]
+            p, m = P * N, (P + U) * N
+            piv = np.arange(P) + tree.start[fr][:, None]
+            piv = dofs(np.where(np.arange(P) < tree.size[fr][:, None], piv, n), self.n)
+            cells = np.flatnonzero(height[owner] == h)
+            row = np.repeat(slot[owner[cells]], corners.shape[1])
+            node = place(h, row, corners[cells].reshape(-1)).reshape(len(cells), corners.shape[1])
+            local = dofs(np.where(corners[cells] < n, node, n), m).astype(np.int32)
+            upd = dofs(halos[h], self.n)
+            self.levels.append(_Level(p, m, piv, upd, np.concatenate([piv, upd], axis=1),
+                                      np.nonzero(piv == self.n), cells,
+                                      slot[owner[cells]].astype(np.int32), local, []))
+        self.last_use = {}  # level -> the last level that assembles its update matrices
+        for h, fr in enumerate(fronts[:-1]):
+            parent = tree.parent[fr]
+            for ph in np.unique(height[parent]):
+                idx = np.flatnonzero(height[parent] == ph)
+                halo = halos[h][idx]
+                node = place(ph, np.repeat(slot[parent[idx]], halo.shape[1]),
+                             np.minimum(halo, n - 1).reshape(-1)).reshape(halo.shape)
+                local = dofs(np.where(halo < n, node, n), self.levels[ph].m).astype(np.int32)
+                self.levels[ph].children.append((h, idx, slot[parent[idx]].astype(np.int32), local))
+                self.last_use[h] = ph
+
+    @staticmethod
+    def _halos(pos: np.ndarray, n: int, tree: _Dissection, fr: np.ndarray) -> np.ndarray:
+        """The sorted elimination positions of the free one-node halo of each
+        front in ``fr``, padded with n to rows of equal length.  The halo of
+        a block is cut into 2 dim slabs, one per side of each axis k: the
+        slab spans the block on the axes before k and the block grown by one
+        node on the axes after it."""
+        lo, hi = tree.lo[fr] + 1, tree.hi[fr] + 1  # node coordinates
+        d = lo.shape[1]
+        slabs = []
+        for k in range(d):
+            first = np.where(np.arange(d) > k, lo - 1, lo)
+            span = np.where(np.arange(d) > k, hi - lo + 2, hi - lo)
+            span[:, k] = 1
+            offsets = np.stack(np.meshgrid(*map(np.arange, span.max(axis=0)), indexing="ij"),
+                               -1).reshape(-1, d)
+            valid = np.ones((len(fr), len(offsets)), dtype=bool)
+            for j in range(d):
+                valid &= offsets[:, j] < span[:, j, None]
+            for side in (lo[:, k] - 1, hi[:, k]):
+                first[:, k] = side
+                at = np.minimum(first[:, None, :] + offsets, np.array(pos.shape) - 1)
+                slabs.append(np.where(valid, pos[tuple(at.transpose(2, 0, 1))], n))
+        return np.sort(np.concatenate(slabs, axis=1), axis=1)
+
+    def diagonal(self, E: np.ndarray) -> np.ndarray:
+        """The diagonal of the free-dof Hessian in elimination order."""
+        d = np.bincount(self.element_dofs.reshape(-1), np.diagonal(E, axis1=1, axis2=2).reshape(-1),
+                        minlength=self.n + 1)
+        return d[:self.n]
+
+    def factor(self, E: np.ndarray) -> "_Factor":
+        """Factor the sum of the element matrices E over the free dofs.
+        Raises LinAlgError when a front's pivot block is not positive
+        definite.  A level's update matrices are kept, as packed lower
+        triangles, until the last level that assembles them; its frontal
+        matrices are formed _BATCH entries at a time."""
+        updates = {}  # level -> packed update matrices of its fronts
+        blocks = []
+        buffer = np.empty(max(_BATCH, max((lv.m + 1) ** 2 for lv in self.levels)))
+        for h, lv in enumerate(self.levels):
+            nf, p, m = len(lv.piv), lv.p, lv.m
+            W = np.empty((nf, m, p))
+            U = np.empty((nf, (m - p) * (m - p + 1) // 2)) if h in self.last_use else None
+            for s in _batches(nf, (m + 1) ** 2):
+                F = self._assemble(lv, s, E, updates, buffer)
+                self._eliminate(lv, s, F, W[s], None if U is None else U[s])
+            for c in [c for c, last in self.last_use.items() if last == h]:
+                del updates[c]
+            blocks.append(W)
+            if U is not None:
+                updates[h] = U
+        return _Factor(self, blocks)
+
+    @staticmethod
+    def _assemble(lv: _Level, s: slice, E: np.ndarray, updates: dict,
+                  buffer: np.ndarray) -> np.ndarray:
+        """The (fronts, m + 1, m + 1) frontal matrices of the fronts ``s`` of
+        a level: their cells' element matrices plus their children's update
+        matrices (extend-add).  Only the lower triangles are complete: a
+        child's variables keep their order among the parent's, so its lower
+        triangle lands in the parent's.  ``buffer`` holds the result."""
+        M = lv.m + 1
+        F = buffer[:(s.stop - s.start) * M * M]
+        F[:] = 0.0
+        # int32 places: a batch holds at most max(_BATCH, M^2) entries
+        mine = (lv.cell_slot >= s.start) & (lv.cell_slot < s.stop)
+        if mine.any():
+            local = lv.cell_local[mine]
+            at = (((lv.cell_slot[mine] - s.start) * (M * M))[:, None] + local * M)[:, :, None]
+            np.add.at(F, (at + local[:, None, :]).reshape(-1), E[lv.cells[mine]].reshape(-1))
+        for c, idx, slot, local in lv.children:
+            mine = np.flatnonzero((slot >= s.start) & (slot < s.stop))
+            i, j = (a.astype(np.int32) for a in np.tril_indices(local.shape[1]))
+            row = ((slot[mine] - s.start) * (M * M))[:, None] + local[mine] * M
+            for t in _batches(len(mine), 2 * len(i)):  # two index arrays at a time
+                at = np.take(row[t], i, axis=1)
+                at += np.take(local[mine[t]], j, axis=1)
+                np.add.at(F, at.reshape(-1), updates[c][idx[mine[t]]].reshape(-1))
+        return F.reshape(-1, M, M)
+
+    @staticmethod
+    def _eliminate(lv: _Level, s: slice, F: np.ndarray, W: np.ndarray,
+                   U: np.ndarray | None) -> None:
+        """Partial Cholesky factorization of the fronts ``s`` of a level: into W
+        the solve blocks [L11^-1; -L21 L11^-1], and into U, when given, the
+        packed lower triangles of the update matrices F22 - L21 L21^T,
+        formed in F."""
+        p, m = lv.p, lv.m
+        f, i = lv.pad
+        mine = (f >= s.start) & (f < s.stop)
+        F[f[mine] - s.start, i[mine], i[mine]] = 1.0  # padded pivots: identity
+        L_inv = _lower_inverse(np.linalg.cholesky(F[:, :p, :p]))
+        W[:, :p] = L_inv
+        K = F[:, p:m, :p] @ (L_inv.transpose(0, 2, 1) @ L_inv)  # L21 L11^-1 = F21 F11^-1
+        np.negative(K, out=W[:, p:])
+        if U is not None:
+            F[:, p:m, p:m] -= K @ F[:, p:m, :p].transpose(0, 2, 1)
+            at = 0
+            for r in range(m - p):  # row r of the lower triangle
+                U[:, at:at + r + 1] = F[:, p + r, p:p + r + 1]
+                at += r + 1
+
+
+def _batches(count: int, size: int):
+    """Slices of range(count) of at most _BATCH // size items (at least one)."""
+    step = max(1, _BATCH // max(size, 1))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+class _Factor:
+    """L L^T of the free-dof Hessian, front by front: for each level the
+    stack W = [L11^-1; -L21 L11^-1], so both triangular solves take one
+    batched product per level."""
+
+    def __init__(self, elim: _Elimination, blocks: list[np.ndarray]):
+        self.elim = elim
+        self.blocks = blocks
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(L L^T)^-1 b, b in elimination order."""
+        n = self.elim.n
+        x = np.zeros(n + 1)  # x[n] stays 0: padding reads and writes it
+        x[:n] = b
+        for lv, W in zip(self.elim.levels, self.blocks):
+            z = np.matmul(W, x[lv.piv][:, :, None])[:, :, 0]
+            x[lv.piv] = z[:, :lv.p]
+            x += np.bincount(lv.upd.reshape(-1), z[:, lv.p:].reshape(-1), minlength=n + 1)
+        for lv, W in zip(reversed(self.elim.levels), reversed(self.blocks)):
+            x[lv.piv] = np.matmul(x[lv.var][:, None, :], W)[:, 0]
+        return x[:n]
+
+
+def _free_solve(elim: _Elimination, E: np.ndarray, g_free: np.ndarray, stage: StageStats):
+    """The Cholesky factor of the free-dof Hessian, summed from the element
+    matrices E, and the Newton direction from it; None when the
+    factorization is not trustworthy: a non-positive diagonal, a diagonal
+    spread above _CONDITION_CAP, a pivot block that is not positive
+    definite, or a direction that is not finite.  The factorization's time
+    and its nonzero count are added to ``stage``.
+    """
+    diag = elim.diagonal(E)
     if diag.min() <= 0.0 or diag.max() / diag.min() > _CONDITION_CAP:
         return None
     start = time.perf_counter()
     try:
-        lu = splu(H, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError:
+        factor = elim.factor(E)
+    except np.linalg.LinAlgError:
         return None
     finally:
         stage.factor_s += time.perf_counter() - start
-    stage.fill = max(stage.fill, lu.nnz)  # lu.L and lu.U would copy the factors
-    d = lu.solve(-g_free)
+    stage.fill = max(stage.fill, elim.nnz)
+    d = factor.solve(-g_free)
     if not np.all(np.isfinite(d)):
         return None
-    return lu, d
+    return factor, d
 
 
 def _free_hessian_action(u: GridFunction, p: ExponentField, params: FluxParams,
@@ -254,10 +547,10 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _cg_solve(lu, matvec, g_free: np.ndarray, eta: float,
+def _cg_solve(factor, matvec, g_free: np.ndarray, eta: float,
               stage: StageStats) -> np.ndarray | None:
     """Inexact Newton direction: CG on the free-dof Hessian ``matvec``,
-    preconditioned by the held factor ``lu``, from zero to relative
+    preconditioned by the held ``factor``, from zero to relative
     residual ``eta``.  The residual is tested before each iteration, so a
     residual first met by the last of _CG_CAP iterations counts as a miss;
     a miss, or a direction that is not finite, gives None.  The iterations
@@ -269,7 +562,7 @@ def _cg_solve(lu, matvec, g_free: np.ndarray, eta: float,
     for _ in range(_CG_CAP):
         if math.sqrt(_dot(r, r)) < bound:
             return x if np.all(np.isfinite(x)) else None
-        z = lu.solve(r)
+        z = factor.solve(r)
         rho, previous = _dot(r, z), rho
         s = z if s is None else z + (rho / previous) * s
         q = matvec(s)
@@ -283,14 +576,12 @@ def _cg_solve(lu, matvec, g_free: np.ndarray, eta: float,
 def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
               opts: SolveOptions, warm_start: bool = False) -> SolverResult:
     """Dirichlet values on the boundary nodes of u0's grid; the free nodes
-    are the interior lattice, which _dissection orders.  A warm start runs
-    the final gamma stage only.  The held SuperLU factor lives for this call
-    only, and at most one factor is alive at a time."""
+    are the interior lattice, whose elimination tree is built once here.  A
+    warm start runs the final gamma stage only.  The held factor lives for
+    this call only, and at most one factor is alive at a time."""
     grid = u0.grid
-    N = u0.codomain_dim
-    interior = tuple(n - 2 for n in grid.nodes_per_axis)
-    order = (_dissection(interior)[:, None] * N + np.arange(N)).reshape(-1)
-    sel = np.flatnonzero(np.repeat(~grid.boundary_node_mask, N))[order]
+    elim = _Elimination(grid, u0.codomain_dim)
+    sel = elim.sel
     u = u0.values.copy()
     history: list[tuple[float, float]] = []
     stages: list[StageStats] = []
@@ -304,7 +595,7 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
         g = energy_gradient(GridFunction(grid, values), G, p, params).values.reshape(-1)[sel]
         return g, float(np.abs(g).max()) if g.size else 0.0
 
-    lu = None  # the held factor, reused as the CG preconditioner
+    held = None  # the held factor, reused as the CG preconditioner
     previous = math.inf  # the residual one step back
     cg_taken = False  # the first CG step runs at eta = _FORCING_MAX
     for k, gam in enumerate(schedule):
@@ -325,17 +616,17 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
                 break
             field = GridFunction(grid, u)
             d = None
-            if lu is not None:
+            if held is not None:
                 eta = (min(_FORCING_MAX, _FORCING_SCALE * (res / previous) ** 2)
                        if cg_taken else _FORCING_MAX)
                 cg_taken = True
-                d = _cg_solve(lu, _free_hessian_action(field, p, params, sel), g_free, eta, stage)
+                d = _cg_solve(held, _free_hessian_action(field, p, params, sel), g_free, eta, stage)
                 if d is None:
-                    lu = None  # dropped before the next factor is made
+                    held = None  # dropped before the next factor is made
             reused = d is not None
             if not reused:
-                lu, d = _free_solve(energy_hessian(field, p, params)[sel][:, sel].tocsc(),
-                                    g_free, stage) or (None, None)
+                held, d = _free_solve(elim, energy_hessian(field, p, params),
+                                      g_free, stage) or (None, None)
             slope = _dot(g_free, d) if d is not None else 0.0
             if d is None or slope >= 0.0:
                 stage.fallbacks += 1

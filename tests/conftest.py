@@ -9,6 +9,7 @@ import pytest
 
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction
+from varexp.operator import FluxParams, energy_hessian
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 
 
@@ -40,6 +41,21 @@ def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction, Gr
     bnd = GridFunction(g, 2394.0 * np.tanh(g.node_coords[:, 0] * 5.0))
     G = CellField(g, np.zeros((g.num_cells, 1, 1)))
     return G, p, bnd, g
+
+
+def assembled_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
+    """The Hessian of J over all nodal dofs as a SciPy CSR matrix, summed
+    from energy_hessian's element matrices at the dofs of each cell's
+    corners (dof = node * N + component)."""
+    from scipy import sparse
+
+    E = energy_hessian(u, p, params)
+    N = u.codomain_dim
+    dofs = (u.grid.cell_corner_indices[:, :, None] * N + np.arange(N)).reshape(len(E), -1)
+    rows = np.broadcast_to(dofs[:, :, None], E.shape).reshape(-1)
+    cols = np.broadcast_to(dofs[:, None, :], E.shape).reshape(-1)
+    n = u.grid.num_nodes * N
+    return sparse.csr_matrix((E.reshape(-1), (rows, cols)), shape=(n, n))
 
 
 def solved_matched(n: int) -> dict:

@@ -3,18 +3,25 @@ output determinism, nested iteration for cold solves, and the denoise
 pipeline."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import cold_start
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import varexp
 from varexp.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     ConfigError,
+    _gaussian_filter,
     load_config,
     main,
     read_field,
@@ -118,6 +125,41 @@ def test_solve_outputs_and_determinism(tmp_path):
     scalars = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
     steps = sum(int(ln.split(": ", 1)[1].split(" steps")[0]) for ln in stages)
     assert steps == int(float(scalars["iterations"]))
+
+
+_CUBE_16 = """
+[grid]
+dim = 3
+origin = -2 -2 -2
+extent = 4 4 4
+cells = 16 16 16
+[exponent]
+kind = constant
+value = 1.7
+[data]
+instance = bump
+"""
+
+
+def test_solve_bytes_under_threaded_blas(tmp_path):
+    # the batched factorization calls BLAS on two threads here; two solves
+    # of a 16^3 instance (8^3 cold, then 16^3 warm) still write the same
+    # solution.vxf and solve.csv, and the same stage lines but for their
+    # factorization seconds
+    f = cfg_file(tmp_path, _CUBE_16)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=str(Path(varexp.__file__).parents[1]))
+    outs = []
+    for name in ("a", "b"):
+        subprocess.run([sys.executable, "-m", "varexp", "solve", "--config", str(f),
+                        "--out", str(tmp_path / name)], env=env, check=True)
+        lines = (tmp_path / name / "report.txt").read_text().splitlines()
+        stages = [re.sub(r"factor \S+ s", "factor _ s", ln) for ln in lines
+                  if ln.startswith(("solve ", "stage gamma "))]
+        outs.append(((tmp_path / name / "solution.vxf").read_bytes(),
+                     (tmp_path / name / "solve.csv").read_bytes(), stages))
+    assert len(outs[0][2]) >= 4 and "warm from 8x8x8" in "\n".join(outs[0][2])
+    assert outs[0] == outs[1]
 
 
 def test_vxf_round_trip_exact(tmp_path):
@@ -381,6 +423,23 @@ def test_denoise_zero_strength_is_identity(tmp_path):
     assert main(["denoise", "--config", str(f), "--out", str(out)]) == EXIT_OK
     back, _, _ = read_pgm(out / "denoised.pgm")
     np.testing.assert_array_equal(back, img)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(3, 64), cols=st.integers(3, 48),
+       sigma=st.sampled_from([1.5, 0.5, 1.0, 2.5]), seed=st.integers(0, 2**32 - 1))
+@example(rows=3, cols=3, sigma=1.5, seed=0)  # a radius of 6 reflects twice
+@example(rows=3, cols=4, sigma=2.5, seed=1)  # a radius of 10 reflects three times
+def test_gaussian_filter_matches_scipy_ndimage(rows, cols, sigma, seed):
+    # denoise's smoothing is scipy.ndimage.gaussian_filter with its defaults
+    # (reflect mode, truncate 4), written in NumPy so no command loads scipy
+    from scipy.ndimage import gaussian_filter
+
+    img = np.random.default_rng(seed).random((rows, cols))
+    want = gaussian_filter(img, sigma=sigma)
+    got = _gaussian_filter(img, sigma)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_denoise_smooths_constant_image(tmp_path):

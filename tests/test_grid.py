@@ -8,6 +8,8 @@ from varexp.grid import (
     CellField,
     Grid,
     GridFunction,
+    apply_gradient,
+    apply_gradient_transpose,
     gradient,
     integrate,
     mean_over,
@@ -137,18 +139,40 @@ def test_gradient_vector_codomain():
     np.testing.assert_allclose(du[:, 1, 0], 2.0)
 
 
+@pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("grid", [
     Grid(1, (0.5,), (1.5,), (3,)),
     Grid(2, (-1.0, 0.0), (2.0, 0.6), (3, 4)),
     Grid(3, (0.0, -1.0, 0.0), (1.0, 0.5, 2.0), (2, 3, 4)),
 ])
-def test_gradient_matrix_matches_loop_built_oracle(grid):
-    # the dense B the p = 2 linear-solve oracles assemble cell by cell
-    B = np.zeros((grid.num_cells, grid.dim, grid.num_nodes))
+def test_gradient_kernels_match_csr_and_loop_built_oracle(grid, N):
+    # B as a CSR matrix from the corner table equals the dense B the p = 2
+    # linear-solve oracles assemble cell by cell; the shifted-slice kernels
+    # give the CSR products B u and B^T f to the byte, signed zeros included
+    from scipy import sparse
+
+    nc, nb = grid.cell_corner_indices.shape
+    data = np.broadcast_to(grid.grad_coefs.T, (nc, grid.dim, nb)).reshape(-1)
+    cols = np.broadcast_to(grid.cell_corner_indices[:, None, :], (nc, grid.dim, nb)).reshape(-1)
+    B = sparse.csr_matrix((data, cols, np.arange(0, data.size + 1, nb)),
+                          shape=(nc * grid.dim, grid.num_nodes))
+    dense = np.zeros((nc, grid.dim, grid.num_nodes))
     for c, corners in enumerate(grid.cell_corner_indices):
-        B[c][:, corners] = grid.grad_coefs.T
-    np.testing.assert_array_equal(
-        grid.gradient_matrix.toarray(), B.reshape(-1, grid.num_nodes))
+        dense[c][:, corners] = grid.grad_coefs.T
+    np.testing.assert_array_equal(B.toarray(), dense.reshape(-1, grid.num_nodes))
+
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(grid.num_nodes, N))
+    f = rng.normal(size=(nc, N, grid.dim))
+    u[rng.random(u.shape) < 0.3] = 0.0
+    f[rng.random(f.shape) < 0.3] = -0.0
+    want = np.ascontiguousarray((B @ u).reshape(nc, grid.dim, N).transpose(0, 2, 1))
+    got = apply_gradient(grid, u)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert gradient(GridFunction(grid, u)).values.tobytes() == want.tobytes()
+    want_t = B.T @ f.transpose(0, 2, 1).reshape(-1, N)
+    got_t = apply_gradient_transpose(grid, f)
+    assert np.array_equal(got_t, want_t) and got_t.tobytes() == want_t.tobytes()
 
 
 def test_region_weights_clip_partial_cells():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import assembled_hessian
 from scipy.sparse.linalg import eigsh
 
 from varexp.exponent import ExponentField
@@ -11,7 +12,6 @@ from varexp.operator import (
     coercivity_constant,
     energy,
     energy_gradient,
-    energy_hessian,
     flux,
 )
 
@@ -83,7 +83,7 @@ def test_hessian_matches_gradient_differences(dim, N):
     p = ExponentField(GridFunction(g, 2.0 + rng.uniform(0, 1, g.num_nodes)))
     u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
     params = FluxParams(1e-1)
-    H = energy_hessian(u, p, params)
+    H = assembled_hessian(u, p, params)
     v = rng.normal(size=(g.num_nodes, N))
     v /= np.linalg.norm(v)
     eps = 1e-6
@@ -99,7 +99,7 @@ def test_hessian_positive_semidefinite():
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
     p = ExponentField(GridFunction(g, 1.6 + rng.uniform(0, 1.5, g.num_nodes)))
     u = GridFunction(g, rng.normal(size=g.num_nodes))
-    H = energy_hessian(u, p, FluxParams(0.5))
+    H = assembled_hessian(u, p, FluxParams(0.5))
     lo = eigsh(H.tocsc(), k=1, which="SA", return_eigenvectors=False)[0]
     assert lo >= -1e-10
 

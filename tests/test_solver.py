@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from varexp import solver
@@ -26,7 +25,7 @@ from varexp.solver import (
     uhlenbeck_check,
 )
 
-from conftest import cold_start, constriction
+from conftest import assembled_hessian, cold_start, constriction
 
 
 def test_schedule_floor_below_two(monkeypatch):
@@ -83,14 +82,18 @@ def test_p2_matches_independent_linear_solve():
     (1, 1, 1), (2, 2, 2), (3, 1, 5), (7, 6, 5),
 ])
 def test_dissection_is_a_permutation(shape):
-    order = _dissection(shape)
+    order = _dissection(shape).order
     assert np.array_equal(np.sort(order), np.arange(math.prod(shape)))
 
 
-def test_dissection_puts_the_separator_last():
-    # 5 x 9 nodes: the first cut is the middle column across the long axis
+def test_dissection_puts_the_separator_last(monkeypatch):
+    # 5 x 9 nodes, cut while blocks exceed 8 nodes: the first cut is the
+    # middle column across the long axis, the root front's pivots
+    monkeypatch.setattr(solver, "_LEAF", 8)
     col = np.arange(5 * 9).reshape(5, 9)[:, 4]
-    assert np.array_equal(_dissection((5, 9))[-5:], col)
+    tree = _dissection((5, 9))
+    assert np.array_equal(tree.order[-5:], col)
+    assert tree.parent[0] == -1 and tree.start[0] == 40 and tree.size[0] == 5
 
 
 def _dissection_by_views(shape):
@@ -115,7 +118,7 @@ def _dissection_by_views(shape):
 @pytest.mark.parametrize("shape", [(127, 127), (23, 23, 23), (5, 9), (1,), (2, 3, 4)])
 def test_dissection_matches_view_recursion(shape):
     # the same permutation, so every Newton solve is unchanged
-    assert np.array_equal(_dissection(shape), _dissection_by_views(shape))
+    assert np.array_equal(_dissection(shape).order, _dissection_by_views(shape))
 
 
 def _dissection_by_recursion(shape):
@@ -149,7 +152,7 @@ def _dissection_by_recursion(shape):
     (3, 3, 3), (2, 5, 4), (6, 6, 6), (7, 8, 9), (22, 22, 22), (23, 22, 23),
 ])
 def test_dissection_matches_block_recursion(shape):
-    assert np.array_equal(_dissection(shape), _dissection_by_recursion(shape))
+    assert np.array_equal(_dissection(shape).order, _dissection_by_recursion(shape))
 
 
 def _free_dofs(grid: Grid, N: int) -> np.ndarray:
@@ -173,7 +176,7 @@ def test_newton_step_matches_dense_solve_vector_3d(monkeypatch):
 
     params = FluxParams(1.0)
     free = _free_dofs(g, 2)
-    H = energy_hessian(u0, p, params).toarray()[np.ix_(free, free)]
+    H = assembled_hessian(u0, p, params).toarray()[np.ix_(free, free)]
     grad = energy_gradient(u0, G, p, params).values.reshape(-1)
     want = np.linalg.solve(H, -grad[free])
     step = (res.u.values - u0.values).reshape(-1)
@@ -182,22 +185,23 @@ def test_newton_step_matches_dense_solve_vector_3d(monkeypatch):
 
 
 def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
-    # all-ones blocks pass the diagonal checks but leave a zero pivot after
-    # the first elimination step: SuperLU refuses, and the step runs along
-    # the negative gradient
+    # element blocks [[1, 3], [3, 1]] on three 1-D cells sum to the free-dof
+    # Hessian [[2, 3], [3, 2]]: its diagonal passes the checks, but it is
+    # indefinite, so the Cholesky factorization refuses it and the step runs
+    # along the negative gradient
+    g = Grid(1, (0.0,), (1.0,), (3,))
+    blocks = np.broadcast_to(np.array([[1.0, 3.0], [3.0, 1.0]]), (3, 2, 2))
     stage = solver.StageStats(1.0)
-    assert _free_solve(sparse.csc_matrix(np.ones((3, 3))), np.ones(3), stage) is None
+    assert _free_solve(solver._Elimination(g, 1), blocks, np.ones(2), stage) is None
     assert stage.fill == 0
 
-    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
     p = ExponentField.constant(g, 2.0)
     _, G, bnd = manufactured_instance("linear", g, p)
-    n = g.num_nodes
-    monkeypatch.setattr(solver, "energy_hessian",
-                        lambda u, p, params: sparse.csr_matrix(np.ones((n, n))))
+    bnd = cold_start(bnd)
+    monkeypatch.setattr(solver, "energy_hessian", lambda u, p, params: blocks)
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
     res = solve_pxlaplace(G, p, bnd, g, SolveOptions(max_iterations=1))
-    assert res.iterations == 1
+    assert res.iterations == 1 and res.stages[0].fallbacks == 1
 
     free = _free_dofs(g, 1)
     grad = energy_gradient(bnd, G, p, FluxParams(1.0)).values.reshape(-1)[free]
@@ -205,6 +209,47 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
     t = -float(step @ grad) / float(grad @ grad)
     assert 0.0 < t <= 1.0
     np.testing.assert_allclose(step, -t * grad, rtol=1e-12, atol=1e-14)
+
+
+def _random_lattice_system(cells, N, rng):
+    """Random PSD element blocks on a grid of ``cells`` plus a diagonal
+    shift: the element matrices and their sum over the free dofs, in the
+    elimination's order, as a dense matrix."""
+    d = len(cells)
+    g = Grid(d, (0.0,) * d, (1.0,) * d, cells)
+    k = 2**d * N
+    R = rng.normal(size=(g.num_cells, k, k))
+    E = R @ R.transpose(0, 2, 1) / k + 0.1 * np.eye(k)
+    elim = solver._Elimination(g, N)
+    dofs = (g.cell_corner_indices[:, :, None] * N + np.arange(N)).reshape(g.num_cells, -1)
+    H = np.zeros((g.num_nodes * N,) * 2)
+    np.add.at(H, (dofs[:, :, None], dofs[:, None, :]), E)
+    return elim, E, H[np.ix_(elim.sel, elim.sel)]
+
+
+@pytest.mark.parametrize("cells", [
+    (2,), (9,), (70,), (131,), (3, 3), (12, 11), (17, 16), (24, 25),
+    (2, 2, 2), (3, 4, 5), (7, 6, 6), (9, 8, 9),
+])
+@pytest.mark.parametrize("N", [1, 2])
+def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
+    # odd and even sides, single leaves and trees several heights deep (a
+    # leaf holds at most _LEAF nodes): the multifrontal solve is SuperLU's
+    # and dense Cholesky's to 1e-12
+    from scipy import sparse
+
+    rng = np.random.default_rng(sum(cells) * 10 + N)
+    elim, E, H = _random_lattice_system(cells, N, rng)
+    b = rng.normal(size=len(H))
+    got = elim.factor(E).solve(b)
+    L = np.linalg.cholesky(H)
+    dense = np.linalg.solve(L.T, np.linalg.solve(L, b))
+    lu = splu(sparse.csc_matrix(H))
+    for want in (lu.solve(b), dense):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    np.testing.assert_array_equal(elim.diagonal(E), np.diagonal(H))
+    # nnz(L) counts each front's pivot triangle and update rows, no padding
+    assert np.count_nonzero(L) <= elim.nnz <= len(H) * (len(H) + 1) // 2
 
 
 @pytest.mark.parametrize("dim, lo, side, p_range, p_fn", [
@@ -234,7 +279,7 @@ def test_rounding_floor_stall_is_resolved():
     # J is about 1e6 here, so near the minimizer J + c t slope rounds to J
     # and the Armijo test cannot see a decrease; without the residual guard
     # the final stage backtracks to steps that change nothing until its cap
-    res = solve_pxlaplace(*constriction(0.5), SolveOptions())
+    res = solve_pxlaplace(*constriction(0.6), SolveOptions())
     assert res.converged and res.iterations <= 8, res.stages
     assert any(s.guarded for s in res.stages), res.stages
 
@@ -443,7 +488,7 @@ def test_matrix_free_hessian_matches_assembled(dim, N, gamma, data):
     params = FluxParams(gamma)
     sel = rng.permutation(np.flatnonzero(_free_dofs(g, N)))
     x = rng.normal(size=sel.size)
-    want = energy_hessian(u, p, params)[sel][:, sel] @ x
+    want = assembled_hessian(u, p, params)[sel][:, sel] @ x
     got = solver._free_hessian_action(u, p, params, sel)(x)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -456,12 +501,13 @@ def test_held_factor_preconditions_cg():
     p = ExponentField(GridFunction(g, rng.uniform(1.3, 2.8, g.num_nodes)))
     u = GridFunction(g, rng.normal(size=g.num_nodes))
     params = FluxParams(1e-2)
-    sel = np.flatnonzero(_free_dofs(g, 1))
-    H = energy_hessian(u, p, params)[sel][:, sel].tocsc()
+    elim = solver._Elimination(g, 1)
+    sel = elim.sel
+    H = assembled_hessian(u, p, params)[sel][:, sel].tocsc()
     grad = rng.normal(size=sel.size)
     stage = solver.StageStats(params.gamma)
-    d = solver._cg_solve(splu(H), solver._free_hessian_action(u, p, params, sel),
-                         grad, 1e-12, stage)
+    d = solver._cg_solve(elim.factor(energy_hessian(u, p, params)),
+                         solver._free_hessian_action(u, p, params, sel), grad, 1e-12, stage)
     assert stage.cg_iterations == 1
     want = spsolve(H, -grad)
     np.testing.assert_allclose(d, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())

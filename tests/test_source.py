@@ -2,10 +2,13 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import varexp
 from varexp.cli import ExperimentConfig
@@ -48,15 +51,74 @@ def test_nothing_random_in_package():
     assert not found, f"random sampling in src/varexp: {found}"
 
 
-def test_import_loads_no_scipy():
-    # scipy costs every command its import time: the package and the CLI
-    # import it only inside the functions that use it
-    code = ("import sys, varexp, varexp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+_SOLVE_2D = """
+[grid]
+dim = 2
+origin = -2 -2
+extent = 4 4
+cells = 16 16
+[exponent]
+kind = constant
+value = 1.7
+[data]
+instance = bump
+"""
+
+_SOLVE_3D = """
+[grid]
+dim = 3
+origin = -1 -1 -1
+extent = 2 2 2
+cells = 6 6 6
+[exponent]
+kind = constant
+value = 2.5
+[data]
+instance = matched
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy costs every command its import time, and varexp does not depend
+    # on it: neither the import of the package and the CLI nor a solve (2-D
+    # nested, 3-D cold) or a verify run loads any scipy module
     env = dict(os.environ, PYTHONPATH=str(Path(varexp.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    runs = [("import", "import sys, varexp, varexp.cli; " + loaded)]
+    for command, config in (("solve", _SOLVE_2D), ("verify", _SOLVE_2D), ("solve", _SOLVE_3D)):
+        cfg = tmp_path / f"{command}-{len(runs)}.cfg"
+        cfg.write_text(config)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
+        runs.append((cfg.stem, f"import sys; from varexp.cli import main; "
+                               f"assert main({argv!r}) == 0; " + loaded))
+    for name, code in runs:
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]", name
+
+
+def test_third_party_imports_are_declared_dependencies():
+    # every module src/varexp imports from outside the standard library and
+    # the package must be a runtime dependency in pyproject.toml; test-only
+    # oracles such as scipy stay out of the package
+    tomllib = pytest.importorskip("tomllib")
+    pkg = Path(varexp.__file__).parent
+    project = tomllib.loads((pkg.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~ \[;]", d, maxsplit=1)[0].lower() for d in project["dependencies"]}
+    undeclared = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "varexp" and top not in declared:
+                    undeclared.append(f"{path.name}:{node.lineno} {name}")
+    assert not undeclared, f"imports not in pyproject dependencies: {undeclared}"
 
 
 def test_every_config_key_is_read():
