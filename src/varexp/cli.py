@@ -521,7 +521,7 @@ def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
     return ExponentField(GridFunction(grid, nodal), cfg.p_infinity)
 
 
-def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
+def _build_instance(cfg: ExperimentConfig, grid: Grid):
     """Returns (u_star or None, G, boundary).  A manufactured boundary
     field is zero off the domain boundary, since its interior is the
     solve's starting guess."""
@@ -542,7 +542,7 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid, p: ExponentField):
         if b_fld.codomain_dim != N:
             raise ConfigError(f"[data] boundary: codomain {b_fld.codomain_dim} != {N}")
         return None, G, b_fld
-    u_star, G, boundary = manufactured_instance(cfg.instance, grid, p)
+    u_star, G, boundary = manufactured_instance(cfg.instance, grid)
     start = boundary.values.copy()  # u* itself for matched and linear
     start[~grid.boundary_node_mask] = 0.0
     return u_star, G, GridFunction(grid, start)
@@ -589,7 +589,7 @@ def _solve(cfg: ExperimentConfig, rep: Report, grid: Grid | None = None,
     if grid is None:
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
         p = _build_exponent(cfg, grid)
-    u_star, G, boundary = _build_instance(cfg, grid, p)
+    u_star, G, boundary = _build_instance(cfg, grid)
     steps, start = 0, "cold"
     if coarse is None and all(c % 2 == 0 and c >= 2 * _COARSE_CELLS for c in grid.cells):
         res = _level(cfg, rep, *_restrict(G, p, boundary), label=label)
@@ -614,7 +614,7 @@ def _level(cfg: ExperimentConfig, rep: Report, G: CellField, p: ExponentField,
     one line per gamma stage; these lines hold no ' = ', so the scalar
     block parses alone.  A miss raises NonConvergence naming the grid."""
     what = _cells_str(G.grid) + label
-    res = solve_pxlaplace(G, p, boundary, G.grid, cfg.solve_options(),
+    res = solve_pxlaplace(G, p, boundary, opts=cfg.solve_options(),
                           warm_start=start != "cold")
     rep.lines.append(f"solve {what}, {start}: {res.iterations} steps, "
                      f"residual {_fmt(res.residual)}")

@@ -193,9 +193,6 @@ class CZCover:
     max_level: int
     truncated: bool  # some branch hit max_level while still above lam
 
-    def boxes(self) -> list[Box]:
-        return [q.box for q in self.cubes]
-
 
 def covering_threshold(F: CellField, root: Box) -> float:
     """lam0 = mean over 2*root of F, the lowest height a covering admits."""

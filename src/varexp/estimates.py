@@ -1,5 +1,5 @@
 """The estimate chain, measured: Caccioppoli, reverse Holder, Gehring
-self-improvement, integrability transfer, and higher integrability.
+self-improvement and higher integrability.
 
 Each check evaluates both sides of an inequality on concrete solved
 instances by quadrature and records the empirical constant lhs/sum(rhs)
@@ -36,7 +36,6 @@ __all__ = [
     "caccioppoli_check",
     "reverse_holder_check",
     "gehring_scan",
-    "integrability_triplet",
     "higher_integrability_check",
 ]
 
@@ -179,40 +178,6 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
             m0 = max(m0, float(mu))
     return GehringResult(m0, m0, m0 ** 0.25, [float(x) for x in mu_grid], table,
                          cap, len(index), records)
-
-
-def integrability_triplet(u: GridFunction, w: GridFunction, Qj: Box,
-                          p: ExponentField, p_j: float, sigma: float,
-                          lam: float | None = None) -> EstimateRecord:
-    """Transfer exponents on a covering cube: the three means
-
-    (mean_{2Qj} |Du|^{sigma^3 p_j})^{1/sigma^3},
-    (mean_{2Qj} |Dw|^{sigma^3 p_j})^{1/sigma^3},
-    (mean_{2Qj} |Dw|^{sigma^2 p(.)})^{1/sigma^2},
-
-    recorded with their ratios to the covering height lam when given.
-    """
-    if sigma <= 1.0:
-        raise ValueError("sigma must exceed 1")
-    sub, _, cell_idx = u.grid.subgrid(Qj.scaled(2.0))
-    if w.grid != sub:
-        raise ValueError("w does not live on the sub-grid of 2Qj")
-    du = gradient(u).magnitude()[cell_idx]
-    dw = gradient(w).magnitude()
-    pc = p.cell_values[cell_idx]
-    s3 = sigma**3
-    t_u = float((du ** (s3 * p_j)).mean() ** (1.0 / s3))
-    t_w = float((dw ** (s3 * p_j)).mean() ** (1.0 / s3))
-    t_wx = float((dw ** (sigma**2 * pc)).mean() ** (1.0 / sigma**2))
-    flags = []
-    if lam is not None:
-        for nm, v in (("du_pj", t_u), ("dw_pj", t_w), ("dw_px", t_wx)):
-            flags.append(f"{nm}/lam={v / lam:.6g}")
-    return EstimateRecord.build(
-        "integrability-triplet", t_u,
-        {"dw_pj": t_w, "dw_px": t_wx, "lam": lam if lam is not None else 0.0},
-        cube=Qj, resolution=u.grid.cells, flags=flags,
-    )
 
 
 def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,

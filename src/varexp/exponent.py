@@ -98,10 +98,6 @@ class ExponentField:
     def from_function(cls, grid: Grid, fn: Callable, p_infinity: float | None = None) -> "ExponentField":
         return cls(GridFunction.from_function(grid, fn), p_infinity)
 
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "ExponentField":
-        return cls(GridFunction(grid, np.full(grid.num_nodes, float(value))), float(value))
-
 
 @dataclass
 class LogHolderReport:

@@ -89,10 +89,6 @@ class Box:
     def center(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
 
-    @property
-    def measure(self) -> float:
-        return float(np.prod(self.sides))
-
     def scaled(self, factor: float) -> "Box":
         """Concentric rescaling: same center, sides multiplied by factor."""
         if factor <= 0:
@@ -269,42 +265,6 @@ class Grid:
         if vals.ndim == 1:
             vals = vals[:, None]
         return np.einsum("mc,mcn->mn", w, vals[flat])
-
-    def node_index_box(self, box: Box, rtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis node index ranges (i0, i1) of a node-aligned box.
-
-        Errors if a face of ``box`` misses the node lattice by more than
-        ``rtol`` cells.
-        """
-        h = self.cell_size
-        lo = (np.asarray(box.lo) - np.asarray(self.origin)) / h
-        hi = (np.asarray(box.hi) - np.asarray(self.origin)) / h
-        i0, i1 = np.rint(lo).astype(int), np.rint(hi).astype(int)
-        if np.any(np.abs(lo - i0) > rtol) or np.any(np.abs(hi - i1) > rtol):
-            raise ValueError("box is not aligned with the grid lattice")
-        if np.any(i0 < 0) or np.any(i1 > np.asarray(self.cells)) or np.any(i1 - i0 < 1):
-            raise ValueError("box does not fit inside the grid domain")
-        return i0, i1
-
-    def subgrid(self, box: Box) -> tuple["Grid", np.ndarray, np.ndarray]:
-        """Extract the node-aligned sub-grid covering ``box``.
-
-        Returns (sub_grid, node_indices, cell_indices): flat index arrays
-        into this grid's nodes/cells, row-major in the sub-grid's ordering.
-        No re-meshing: the sub-grid shares this grid's lattice.
-        """
-        i0, i1 = self.node_index_box(box)
-        cells = tuple(int(c) for c in (i1 - i0))
-        origin = tuple(np.asarray(self.origin) + i0 * self.cell_size)
-        extent = tuple(np.asarray(cells) * self.cell_size)
-        sub = Grid(self.dim, origin, extent, cells)
-        node_axes = [np.arange(i0[k], i1[k] + 1) for k in range(self.dim)]
-        mesh = np.meshgrid(*node_axes, indexing="ij")
-        node_idx = np.ravel_multi_index(tuple(mesh), self.nodes_per_axis).reshape(-1)
-        cell_axes = [np.arange(i0[k], i1[k]) for k in range(self.dim)]
-        mesh_c = np.meshgrid(*cell_axes, indexing="ij")
-        cell_idx = np.ravel_multi_index(tuple(mesh_c), self.cells).reshape(-1)
-        return sub, node_idx, cell_idx
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,11 +58,6 @@ The full schedule would throw the start away, because the gamma = 1 stage
 pulls the field far from the answer: on a 128^2 bump instance with p in
 [1.3, 3], started from its 64^2 solution, the whole schedule took 19
 Newton steps, as many as a cold start, and the final stage alone took 4.
-
-solve_comparison freezes the exponent at the comparison value p_j and
-re-solves on the sub-grid of a doubled cube with the ambient solution as
-boundary data; comparison_distance integrates the monotonicity pairing
-between the two gradients, the quantity every transfer estimate runs on.
 """
 
 from __future__ import annotations
@@ -74,18 +69,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import Box, CellField, Grid, GridFunction, gradient
-from .operator import (FluxParams, _flux_batch, energy, energy_gradient, energy_hessian,
-                       hessian_action)
+from .grid import CellField, Grid, GridFunction
+from .operator import FluxParams, energy, energy_gradient, energy_hessian, hessian_action
 
 __all__ = [
     "SolveOptions",
     "SolverResult",
     "StageStats",
     "solve_pxlaplace",
-    "solve_comparison",
-    "comparison_distance",
-    "uhlenbeck_check",
     "manufactured_instance",
 ]
 
@@ -573,16 +564,32 @@ def _cg_solve(factor, matvec, g_free: np.ndarray, eta: float,
     return None
 
 
-def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
-              opts: SolveOptions, warm_start: bool = False) -> SolverResult:
-    """Dirichlet values on the boundary nodes of u0's grid; the free nodes
-    are the interior lattice, whose elimination tree is built once here.  A
-    warm start runs the final gamma stage only.  The held factor lives for
-    this call only, and at most one factor is alive at a time."""
-    grid = u0.grid
-    elim = _Elimination(grid, u0.codomain_dim)
+def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
+                    opts: SolveOptions | None = None, *,
+                    warm_start: bool = False) -> SolverResult:
+    """Minimize the p(x)-energy with Dirichlet data on the domain boundary.
+
+    ``boundary`` supplies the trace on the topological boundary nodes and
+    the initial guess on the interior; G, p and boundary must share a grid.
+    G is the flux data, an (N, d) cell field matching the gradient shape.
+    With ``warm_start`` the interior is taken as a near-solution and only
+    the final gamma stage runs; the whole schedule would discard it (its
+    gamma = 1 stage moves far from the answer).  The free nodes are the
+    interior lattice, whose elimination tree is built once per call.  The
+    held factor lives for this call only, and at most one factor is alive
+    at a time.
+    """
+    opts = opts or SolveOptions()
+    grid = boundary.grid
+    if G.grid != grid or p.grid != grid:
+        raise ValueError("grid mismatch between data, exponent, and boundary")
+    p.require_superlinear("solve_pxlaplace")
+    N = boundary.codomain_dim
+    if G.values.shape != (grid.num_cells, N, grid.dim):
+        raise ValueError(f"G must have shape (cells, {N}, {grid.dim})")
+    elim = _Elimination(grid, N)
     sel = elim.sel
-    u = u0.values.copy()
+    u = boundary.values.copy()
     history: list[tuple[float, float]] = []
     stages: list[StageStats] = []
     message = ""
@@ -668,84 +675,6 @@ def _minimize(u0: GridFunction, G: CellField, p: ExponentField,
     return SolverResult(GridFunction(grid, u), converged, history, stages, message)
 
 
-def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
-                    grid: Grid | None = None, opts: SolveOptions | None = None,
-                    *, warm_start: bool = False) -> SolverResult:
-    """Minimize the p(x)-energy with Dirichlet data on the domain boundary.
-
-    ``boundary`` supplies the trace on the topological boundary nodes and
-    the initial guess on the interior.  G is the flux data, an (N, d) cell
-    field matching the gradient shape.  With ``warm_start`` the interior is
-    taken as a near-solution and only the final gamma stage runs; the whole
-    schedule would discard it (its gamma = 1 stage moves far from the
-    answer).
-    """
-    opts = opts or SolveOptions()
-    if grid is None:
-        grid = boundary.grid
-    if boundary.grid != grid or G.grid != grid or p.grid != grid:
-        raise ValueError("grid mismatch between data, exponent, and boundary")
-    p.require_superlinear("solve_pxlaplace")
-    N = boundary.codomain_dim
-    if G.values.shape != (grid.num_cells, N, grid.dim):
-        raise ValueError(f"G must have shape (cells, {N}, {grid.dim})")
-    return _minimize(boundary, G, p, opts, warm_start)
-
-
-def solve_comparison(Qj: Box, u: GridFunction, p_j: float,
-                     opts: SolveOptions | None = None) -> SolverResult:
-    """Constant-exponent comparison problem on the doubled cube.
-
-    Solves for w with D-energy exponent p_j on the sub-grid induced by 2Qj
-    (no re-meshing), with w = u on the sub-grid boundary.  The result's
-    field lives on that sub-grid.
-    """
-    if p_j <= 1.0:
-        raise ValueError("comparison exponent must exceed 1")
-    opts = opts or SolveOptions()
-    sub, node_idx, _ = u.grid.subgrid(Qj.scaled(2.0))
-    w0 = GridFunction(sub, u.values[node_idx])
-    N = w0.codomain_dim
-    G0 = CellField(sub, np.zeros((sub.num_cells, N, sub.dim)))
-    p_const = ExponentField.constant(sub, p_j)
-    return _minimize(w0, G0, p_const, opts)
-
-
-def comparison_distance(u: GridFunction, w: GridFunction, Qj: Box,
-                        p: ExponentField, params: FluxParams) -> float:
-    """mean over 2Qj of (A(x, Du) - A(x, Dw)) : (Du - Dw).
-
-    Nonnegative up to quadrature roundoff by monotonicity of the flux.
-    ``w`` must live on the sub-grid of 2Qj extracted from u's grid.
-    """
-    sub, _, cell_idx = u.grid.subgrid(Qj.scaled(2.0))
-    if w.grid != sub:
-        raise ValueError("w does not live on the sub-grid of 2Qj")
-    du = gradient(u).values[cell_idx]
-    dw = gradient(w).values
-    q = p.cell_values[cell_idx]
-    diff = _flux_batch(du, q, params) - _flux_batch(dw, q, params)
-    pairing = np.einsum("cnd,cnd->c", diff, du - dw)
-    return float(pairing.mean())
-
-
-def uhlenbeck_check(w: SolverResult, Qj: Box, p_j: float) -> tuple[float, float, float]:
-    """Interior sup bound of the constant-exponent problem.
-
-    Returns (sup over (3/2)Qj of |Dw|, (mean over 2Qj of |Dw|^{p_j})^{1/p_j},
-    their ratio).  Affine fields give ratio exactly 1.
-    """
-    sub = w.u.grid
-    dw = gradient(w.u).magnitude()
-    mask = Qj.scaled(1.5).contains_points(sub.cell_centers)
-    if not mask.any():
-        raise ValueError("no cells inside (3/2)Qj")
-    sup_inner = float(dw[mask].max())
-    mean_term = float((dw**p_j).mean() ** (1.0 / p_j))
-    ratio = sup_inner / mean_term if mean_term > 0 else 1.0
-    return sup_inner, mean_term, ratio
-
-
 def _sin_product(x: np.ndarray) -> float:
     return float(np.prod(np.sin(math.pi * np.asarray(x))))
 
@@ -791,7 +720,7 @@ def _harmonic_separable(dim: int):
     return f3, df3
 
 
-def manufactured_instance(kind: str, grid: Grid, p: ExponentField,
+def manufactured_instance(kind: str, grid: Grid,
                           ) -> tuple[GridFunction | None, CellField, GridFunction]:
     """Analytic test instances: (u_star, G, boundary).
 

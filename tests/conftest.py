@@ -13,6 +13,11 @@ from varexp.operator import FluxParams, energy_hessian
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 
 
+def constant_exponent(grid: Grid, value: float) -> ExponentField:
+    """p = value everywhere, with far-field target p_inf = value."""
+    return ExponentField(GridFunction(grid, np.full(grid.num_nodes, float(value))), float(value))
+
+
 def smooth_exponent(grid: Grid, amp: float = 0.12) -> ExponentField:
     """Gently oscillating exponent with measured c_log well below 0.1."""
     return ExponentField.from_function(
@@ -28,11 +33,11 @@ def cold_start(boundary: GridFunction) -> GridFunction:
     return GridFunction(boundary.grid, np.where(mask, boundary.values, 0.0))
 
 
-def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction, Grid]:
+def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction]:
     """1D low-exponent strip: the minimizer's flux constancy concentrates
     the gradient inside the strip, an interior energy spike with zero data.
 
-    Returns (G, p, boundary, grid), the arguments of solve_pxlaplace.  J is
+    Returns (G, p, boundary), the arguments of solve_pxlaplace.  J is
     about 1e6 at the minimizer, so the last steps run at J's rounding floor.
     """
     g = Grid(1, (-2.0,), (4.0,), (512,))
@@ -40,7 +45,7 @@ def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction, Gr
     p = ExponentField.from_function(g, lambda x: 2.0 - amp * np.exp(-x[0] ** 2 / w**2))
     bnd = GridFunction(g, 2394.0 * np.tanh(g.node_coords[:, 0] * 5.0))
     G = CellField(g, np.zeros((g.num_cells, 1, 1)))
-    return G, p, bnd, g
+    return G, p, bnd
 
 
 def assembled_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
@@ -61,8 +66,8 @@ def assembled_hessian(u: GridFunction, p: ExponentField, params: FluxParams):
 def solved_matched(n: int) -> dict:
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (n, n))
     p = smooth_exponent(grid)
-    u_star, G, boundary = manufactured_instance("matched", grid, p)
-    result = solve_pxlaplace(G, p, cold_start(boundary), grid, SolveOptions())
+    u_star, G, boundary = manufactured_instance("matched", grid)
+    result = solve_pxlaplace(G, p, cold_start(boundary), SolveOptions())
     assert result.converged, result.message
     return {"grid": grid, "p": p, "u_star": u_star, "G": G,
             "boundary": boundary, "result": result}
@@ -93,5 +98,5 @@ def affine32(grid32):
     """Affine state with zero data: an exact discrete critical point."""
     u = GridFunction.from_function(grid32, lambda x: 3.0 * x[0] - 2.0 * x[1] + 0.5)
     G = CellField(grid32, np.zeros((grid32.num_cells, 1, 2)))
-    p = ExponentField.constant(grid32, 2.0)
+    p = constant_exponent(grid32, 2.0)
     return {"grid": grid32, "u": u, "G": G, "p": p}

@@ -46,7 +46,7 @@ from varexp.operator import FluxParams, coercivity_constant, energy, energy_grad
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
-from conftest import cold_start, constriction, smooth_exponent, solved_matched
+from conftest import cold_start, constant_exponent, constriction, smooth_exponent, solved_matched
 
 
 @contextmanager
@@ -68,7 +68,7 @@ def test_acceptance_luxemburg_norms():
             g = Grid(dim, tuple(rng.uniform(-1, 0, dim)),
                      tuple(rng.uniform(1, 3, dim)), cells)
             q = float(rng.uniform(1.05, 6.0))
-            p = ExponentField.constant(g, q)
+            p = constant_exponent(g, q)
             f = CellField(g, rng.normal(size=g.num_cells) * 10.0 ** rng.uniform(-2, 2))
             res = luxemburg_norm(f, p, g.domain)
             w = region_weights(g, g.domain)
@@ -151,9 +151,9 @@ def test_acceptance_solver_recovery(matched32, matched64):
 
         # p == 2 reduces to a linear problem; solve it densely and compare
         g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
-        p = ExponentField.constant(g, 2.0)
-        u_star, G, boundary = manufactured_instance("linear", g, p)
-        res = solve_pxlaplace(G, p, cold_start(boundary), g, SolveOptions())
+        p = constant_exponent(g, 2.0)
+        u_star, G, boundary = manufactured_instance("linear", g)
+        res = solve_pxlaplace(G, p, cold_start(boundary), SolveOptions())
         assert res.converged
         B = np.zeros((g.num_cells, g.dim, g.num_nodes))
         coefs = g.grad_coefs
@@ -218,7 +218,7 @@ def test_acceptance_monotonicity_and_c4():
     assert total == 1_000_000
     assert worst >= -1e-12
 
-    p2 = ExponentField.constant(g, 2.0)
+    p2 = constant_exponent(g, 2.0)
     assert coercivity_constant(p2) <= 2.0 + 1e-6
 
 
@@ -259,10 +259,10 @@ def test_acceptance_level_set_moments(matched32):
 # -- 8: good-lambda occupancy decay -----------------------------------------
 
 def solved_constriction(amp):
-    G, p, bnd, g = constriction(amp)
-    res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
+    G, p, bnd = constriction(amp)
+    res = solve_pxlaplace(G, p, bnd, SolveOptions())
     assert res.converged
-    return g, p, res, G
+    return bnd.grid, p, res, G
 
 
 def test_acceptance_good_lambda_trend():
@@ -290,9 +290,9 @@ def test_acceptance_good_lambda_trend():
 def test_acceptance_gehring_exponent(matched32):
     # constant-exponent instance
     g = matched32["grid"]
-    p2 = ExponentField.constant(g, 2.0)
-    u_star, G, bnd = manufactured_instance("matched", g, p2)
-    res = solve_pxlaplace(G, p2, bnd, g, SolveOptions())
+    p2 = constant_exponent(g, 2.0)
+    u_star, G, bnd = manufactured_instance("matched", g)
+    res = solve_pxlaplace(G, p2, bnd, SolveOptions())
     assert res.converged
     scan = gehring_scan(res.u, G, p2, g.domain.scaled(0.5))
     assert scan.m0 > 1.0

@@ -487,10 +487,10 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
 
     solved, warm = [], []
 
-    def counting(G, p, boundary, grid, opts, **kwargs):
-        solved.append((grid, p.values.tobytes()))
+    def counting(G, p, boundary, **kwargs):
+        solved.append((boundary.grid, p.values.tobytes()))
         warm.append(kwargs.get("warm_start", False))
-        return solve(G, p, boundary, grid, opts, **kwargs)
+        return solve(G, p, boundary, **kwargs)
 
     solve = cli.solve_pxlaplace
     monkeypatch.setattr(cli, "solve_pxlaplace", counting)
@@ -527,9 +527,9 @@ def test_manufactured_solves_start_from_boundary_data(tmp_path, monkeypatch, ins
 
     starts = []
 
-    def recording(G, p, boundary, grid, opts, **kwargs):
+    def recording(G, p, boundary, **kwargs):
         starts.append(boundary)
-        return solve(G, p, boundary, grid, opts, **kwargs)
+        return solve(G, p, boundary, **kwargs)
 
     solve = cli.solve_pxlaplace
     monkeypatch.setattr(cli, "solve_pxlaplace", recording)
@@ -538,7 +538,7 @@ def test_manufactured_solves_start_from_boundary_data(tmp_path, monkeypatch, ins
     assert main(["solve", "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == EXIT_OK
     cold = starts[0]
     mask = cold.grid.boundary_node_mask
-    u_star = manufactured_instance(instance, cold.grid, ExponentField.constant(cold.grid, 2.0))[0]
+    u_star = manufactured_instance(instance, cold.grid)[0]
     assert np.all(cold.values[~mask] == 0.0)
     np.testing.assert_array_equal(cold.values[mask], u_star.values[mask])
     assert np.abs(u_star.values[~mask]).max() > 0.1  # the answer was not handed over
@@ -611,8 +611,8 @@ def _steps(line):
     return int(line.split(": ", 1)[1].split(" steps")[0])
 
 
-def _cold_library_solve(grid, p, G, boundary):
-    res = solve_pxlaplace(G, p, boundary, grid, SolveOptions(tolerance=1e-8))
+def _cold_library_solve(p, G, boundary):
+    res = solve_pxlaplace(G, p, boundary, SolveOptions(tolerance=1e-8))
     assert res.converged and len(res.stages) == 5  # the full schedule
     return res
 
@@ -664,8 +664,8 @@ def test_odd_or_small_grids_stay_cold(tmp_path, cells):
     assert [h.split(":")[0] for h in heads] == [f"solve {n}, cold"] and len(stages) == 5
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), tuple(map(int, cells.split())))
     p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
-    _, G, bnd = manufactured_instance("bump", grid, p)
-    res = _cold_library_solve(grid, p, G, bnd)
+    _, G, bnd = manufactured_instance("bump", grid)
+    res = _cold_library_solve(p, G, bnd)
     write_field(tmp_path / "cold.vxf", res.u)
     assert (out / "solution.vxf").read_bytes() == (tmp_path / "cold.vxf").read_bytes()
     assert int(float(scalars["iterations"])) == res.iterations
@@ -682,8 +682,8 @@ def test_nested_bump_solve_matches_cold(tmp_path):
     assert float(scalars["residual"]) <= 1e-8
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
     p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
-    _, G, bnd = manufactured_instance("bump", grid, p)
-    cold = _cold_library_solve(grid, p, G, bnd)
+    _, G, bnd = manufactured_instance("bump", grid)
+    cold = _cold_library_solve(p, G, bnd)
     assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
 
 
@@ -692,7 +692,7 @@ def test_nested_files_solve_matches_cold(tmp_path):
     # interior); the domain is off-centre so the boundary data are not zero
     grid = Grid(3, (-0.7, -0.6, -0.5), (1.5, 1.5, 1.5), (16, 16, 16))
     p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
-    _, G, u_star = manufactured_instance("matched", grid, p)
+    _, G, u_star = manufactured_instance("matched", grid)
     bnd = cold_start(u_star)
     write_field(tmp_path / "g.vxf", G)
     write_field(tmp_path / "b.vxf", bnd)
@@ -705,7 +705,7 @@ def test_nested_files_solve_matches_cold(tmp_path):
     assert [h.split(":")[0] for h in heads] == ["solve 8x8x8, cold",
                                                 "solve 16x16x16, warm from 8x8x8"]
     assert float(scalars["residual"]) <= 1e-8
-    cold = _cold_library_solve(grid, p, G, bnd)
+    cold = _cold_library_solve(p, G, bnd)
     assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
 
 

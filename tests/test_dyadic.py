@@ -96,7 +96,7 @@ def test_cube_geometry_and_children():
     assert q.box.lo == (1.0, 0.0) and q.box.hi == (2.0, 1.0)
     kids = q.children()
     assert len(kids) == 4
-    assert sum(k.box.measure for k in kids) == pytest.approx(q.box.measure)
+    assert sum(np.prod(k.box.sides) for k in kids) == pytest.approx(np.prod(q.box.sides))
     for k in kids:
         assert k.level == 2 and tuple(i // 2 for i in k.index) == q.index
 

@@ -1,5 +1,5 @@
-"""Estimate chain: Caccioppoli, reverse Holder, the Gehring scan, transfer
-exponents, and the level-set route to higher integrability."""
+"""Estimate chain: Caccioppoli, reverse Holder, the Gehring scan, and the
+level-set route to higher integrability."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,15 @@ from varexp.estimates import (
     energy_density,
     gehring_scan,
     higher_integrability_check,
-    integrability_triplet,
 )
 from varexp.estimates import reverse_holder_check
 from varexp.exponent import ExponentField
 from varexp.grid import Box, CellField, Grid, GridFunction, gradient, mean_over, region_weights
 from varexp.operator import coercivity_constant
-from varexp.solver import SolveOptions, manufactured_instance, solve_comparison, solve_pxlaplace
+from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 from varexp.varlp import decay_weight
+
+from conftest import constant_exponent
 
 
 def flag_value(record, key):
@@ -100,7 +101,7 @@ def test_gehring_mu_one_dimensional_bound():
     # constant never exceeds 2^n, whatever the field.
     rng = np.random.default_rng(37)
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     G0 = CellField(g, np.zeros((g.num_cells, 1, 2)))
     for _ in range(5):
         u = GridFunction(g, rng.normal(size=g.num_nodes))
@@ -175,21 +176,6 @@ def test_gehring_scan_matches_per_cube_oracle(matched32):
         assert res.m0 == m0
 
 
-def test_integrability_triplet_affine(affine32):
-    # constant |Du| = |Dw| = sqrt(13) collapses every power mean:
-    # the p_j-means give 13^{3/2} and the p(.)-mean gives 13 (p = 2).
-    u = affine32["u"]
-    Qj = Box((-0.125, -0.25), (0.625, 0.5))
-    w = solve_comparison(Qj, u, 3.0)
-    rec = integrability_triplet(u, w.u, Qj, affine32["p"], 3.0, 1.2, lam=13.0)
-    assert rec.lhs == pytest.approx(13.0**1.5, rel=1e-9)
-    assert rec.rhs_components["dw_pj"] == pytest.approx(13.0**1.5, rel=1e-9)
-    assert rec.rhs_components["dw_px"] == pytest.approx(13.0, rel=1e-9)
-    assert any(f.startswith("du_pj/lam=") for f in rec.flags)
-    with pytest.raises(ValueError):
-        integrability_triplet(u, w.u, Qj, affine32["p"], 3.0, 1.0)
-
-
 def test_higher_integrability_level_set_route(matched32):
     kappa = default_kappa(2.0, 2)
     rec = higher_integrability_check(
@@ -211,9 +197,9 @@ def test_higher_integrability_level_set_route(matched32):
 
 def test_higher_integrability_flags_unused_tail():
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (64, 64))
-    p = ExponentField.constant(g, 1.7)
-    _, G, bnd = manufactured_instance("bump", g, p)
-    res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
+    p = constant_exponent(g, 1.7)
+    _, G, bnd = manufactured_instance("bump", g)
+    res = solve_pxlaplace(G, p, bnd, SolveOptions())
     assert res.converged
     root = g.domain.scaled(0.5)
     auto = default_kappa(coercivity_constant(p), 2)  # 16.25

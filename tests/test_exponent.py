@@ -18,12 +18,14 @@ from varexp.exponent import (
 )
 from varexp.grid import Box, Grid, GridFunction
 
+from conftest import constant_exponent
+
 E = math.e
 
 
 def test_constant_field_basics():
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-    p = ExponentField.constant(g, 2.5)
+    p = constant_exponent(g, 2.5)
     assert p.p_minus == p.p_plus == 2.5
     assert p.p_infinity_effective == 2.5
     np.testing.assert_allclose(p.cell_values, 2.5)
@@ -42,7 +44,7 @@ def test_validation():
     p1 = ExponentField(GridFunction(g, np.full(5, 1.0)))
     with pytest.raises(ValueError, match="p- > 1"):
         p1.require_superlinear("test")
-    ExponentField.constant(g, 1.5).require_superlinear("test")  # fine
+    constant_exponent(g, 1.5).require_superlinear("test")  # fine
 
 
 def test_cell_values_are_corner_averages():
@@ -188,7 +190,7 @@ def offset_loop_sweep(p, epsilons):
 @given(p=exponents(), constant=st.booleans())
 def test_offset_sweep_matches_offset_loop(p, constant):
     if constant:
-        p = ExponentField.constant(p.grid, 1.8)
+        p = constant_exponent(p.grid, 1.8)
     dist, top, _ = offset_loop_sweep(p, [])
     shortest = float(top[dist == dist.min()].max())
     # epsilons that never bind, that bind only down to the shortest offsets,
@@ -231,7 +233,7 @@ def test_select_comparison_exponent_farthest_point():
 
 def test_select_comparison_requires_overlap():
     g = Grid(1, (0.0,), (1.0,), (4,))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     with pytest.raises(ValueError):
         select_comparison_exponent(Box((10.0,), (11.0,)), p)
 
@@ -245,13 +247,13 @@ def test_vmo_oscillation_hand_case():
     p = ExponentField.from_function(g, lambda x: 2.0 + x[0])
     assert log_holder_constant(p, vmo_levels=1).vmo_oscillation == pytest.approx(
         0.5 * math.log(E + 2.0), rel=1e-14)
-    const = ExponentField.constant(g, 2.0)
+    const = constant_exponent(g, 2.0)
     assert log_holder_constant(const, vmo_levels=1).vmo_oscillation == 0.0
 
 
 def test_vanishing_profile_constant_exponent():
     g = Grid(1, (0.0,), (1.0,), (8,))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     prof = vanishing_profile(p, (0.5, 0.05))
     # constant exponents satisfy both conditions at every scale:
     # r = domain diameter, R = 0

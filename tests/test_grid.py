@@ -23,14 +23,13 @@ def test_box_geometry():
     assert np.allclose(b.sides, [2.0, 1.0])
     assert b.side == 2.0
     assert np.allclose(b.center, [1.0, 1.5])
-    assert b.measure == 2.0
 
 
 def test_box_scaled_about_center():
     b = Box((0.0,), (1.0,))
     d = b.scaled(2.0)
     assert d.lo == (-0.5,) and d.hi == (1.5,)
-    assert b.scaled(0.5).measure == pytest.approx(0.5)
+    assert b.scaled(0.5).sides == pytest.approx([0.5])
 
 
 def test_box_contains_and_intersect():
@@ -192,33 +191,6 @@ def test_integrate_and_mean_closed_forms():
     assert mean_over(f, Box((0.0,), (0.5,))) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ValueError):
         mean_over(f, Box((5.0,), (6.0,)))  # region misses the domain
-
-
-def test_subgrid_aligned_box():
-    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
-    box = Box((-1.0, 0.0), (0.5, 1.5))  # node-aligned: h = 0.5
-    sub, node_idx, cell_idx = g.subgrid(box)
-    assert sub == Grid(2, (-1.0, 0.0), (1.5, 1.5), (3, 3))
-    u = GridFunction.from_function(g, lambda x: x[0] + 2.0 * x[1])
-    restricted = GridFunction(sub, u.values[node_idx])
-    want = GridFunction.from_function(sub, lambda x: x[0] + 2.0 * x[1])
-    np.testing.assert_allclose(restricted.values, want.values, atol=1e-12)
-    np.testing.assert_allclose(
-        g.cell_centers[cell_idx], sub.cell_centers, atol=1e-12)
-
-
-def test_subgrid_unaligned_raises():
-    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-    with pytest.raises(ValueError):
-        g.subgrid(Box((0.1, 0.0), (0.6, 0.5)))
-
-
-def test_subgrid_of_domain_is_grid():
-    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-    sub, node_idx, cell_idx = g.subgrid(g.domain)
-    assert sub == g
-    np.testing.assert_array_equal(node_idx, np.arange(g.num_nodes))
-    np.testing.assert_array_equal(cell_idx, np.arange(g.num_cells))
 
 
 def test_grid_function_shapes():

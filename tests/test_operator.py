@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import assembled_hessian
+from conftest import assembled_hessian, constant_exponent
 from scipy.sparse.linalg import eigsh
 
 from varexp.exponent import ExponentField
@@ -24,11 +24,11 @@ def test_flux_params_validation():
 def test_flux_closed_forms():
     g = Grid(1, (0.0,), (1.0,), (4,))
     x = np.array([0.5])
-    p3 = ExponentField.constant(g, 3.0)
+    p3 = constant_exponent(g, 3.0)
     # gamma = 0: |z|^{p-2} z
     assert flux(x, np.array([2.0]), p3, FluxParams(0.0)) == pytest.approx(4.0)
     assert flux(x, np.array([0.0]), p3, FluxParams(0.0)) == 0.0
-    p2 = ExponentField.constant(g, 2.0)
+    p2 = constant_exponent(g, 2.0)
     np.testing.assert_allclose(
         flux(x, np.array([-1.7]), p2, FluxParams(0.0)), -1.7)
     # gamma > 0: (gamma^2 + |z|^2)^{(p-2)/2} z
@@ -47,7 +47,7 @@ def test_flux_batch_shape():
 def test_energy_closed_form_p2():
     # p = 2, gamma = 0, u affine, G constant: J = |a|^2/2 - G . a
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     u = GridFunction.from_function(g, lambda x: 3.0 * x[0] - 1.0 * x[1])
     G = CellField(g, np.tile(np.array([0.5, 2.0]), (g.num_cells, 1, 1)).reshape(g.num_cells, 1, 2))
     J = energy(u, G, p, FluxParams(0.0))
@@ -124,7 +124,7 @@ def test_monotonicity_large_magnitudes_relative():
     # at magnitudes ~1e6 the pairing is positive up to relative roundoff
     rng = np.random.default_rng(3)
     g = Grid(1, (0.0,), (1.0,), (4,))
-    p = ExponentField.constant(g, 3.0)
+    p = constant_exponent(g, 3.0)
     x = np.array([0.5])
     z = rng.normal(size=(500, 1)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
     w = rng.normal(size=(500, 1)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
@@ -137,7 +137,7 @@ def test_monotonicity_large_magnitudes_relative():
 
 def c4(q: float) -> float:
     g = Grid(1, (0.0,), (1.0,), (2,))
-    return coercivity_constant(ExponentField.constant(g, q))
+    return coercivity_constant(constant_exponent(g, q))
 
 
 def test_coercivity_constant_p2_closed_form():
@@ -165,7 +165,7 @@ def test_coercivity_constant_matches_dense_brute_force():
     xi = np.stack([tt * np.cos(th), tt * np.sin(th)], axis=1)
     z = np.tile([1.0, 0.0], (xi.shape[0], 1))
     for q in rng.uniform(1.2, 6.0, 4):
-        p = ExponentField.constant(g, q)
+        p = constant_exponent(g, q)
         gap = np.einsum("nd,nd->n", flux(x, z, p, FluxParams(0.0)) - flux(x, xi, p, FluxParams(0.0)),
                         z - xi)
         brute = float((1.0 / (tt**q + gap)).max())

@@ -1,5 +1,5 @@
-"""Energy minimization: the variable-exponent solve, the constant-exponent
-comparison solve on doubled cubes, and the manufactured instances."""
+"""Energy minimization: the variable-exponent solve, its elimination and
+CG linear algebra, nested warm starts, and the manufactured instances."""
 
 import math
 
@@ -11,21 +11,17 @@ from scipy.sparse.linalg import splu, spsolve
 
 from varexp import solver
 from varexp.exponent import ExponentField
-from varexp.grid import Box, CellField, Grid, GridFunction, gradient, mean_over
-from varexp.operator import FluxParams, energy_gradient, energy_hessian, flux
-from varexp.estimates import energy_density
+from varexp.grid import CellField, Grid, GridFunction, gradient
+from varexp.operator import FluxParams, energy_gradient, energy_hessian
 from varexp.solver import (
     SolveOptions,
     _dissection,
     _free_solve,
-    comparison_distance,
     manufactured_instance,
-    solve_comparison,
     solve_pxlaplace,
-    uhlenbeck_check,
 )
 
-from conftest import assembled_hessian, cold_start, constriction
+from conftest import assembled_hessian, cold_start, constant_exponent, constriction
 
 
 def test_schedule_floor_below_two(monkeypatch):
@@ -55,9 +51,9 @@ def test_p2_matches_independent_linear_solve():
     # with p = 2 the energy is quadratic: assemble the normal equations
     # densely from the per-cell gradient coefficients and compare.
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (9, 9))
-    p = ExponentField.constant(g, 2.0)
-    u_star, G, boundary = manufactured_instance("linear", g, p)
-    res = solve_pxlaplace(G, p, boundary, g, SolveOptions())
+    p = constant_exponent(g, 2.0)
+    u_star, G, boundary = manufactured_instance("linear", g)
+    res = solve_pxlaplace(G, p, boundary, SolveOptions())
     assert res.converged
 
     vol = g.cell_volume
@@ -171,7 +167,7 @@ def test_newton_step_matches_dense_solve_vector_3d(monkeypatch):
     u0 = GridFunction(g, np.where(g.boundary_node_mask[:, None],
                                   rng.normal(size=(g.num_nodes, 2)), 0.0))
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
-    res = solve_pxlaplace(G, p, u0, g, SolveOptions(max_iterations=1))
+    res = solve_pxlaplace(G, p, u0, SolveOptions(max_iterations=1))
     assert res.iterations == 1
 
     params = FluxParams(1.0)
@@ -195,12 +191,12 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
     assert _free_solve(solver._Elimination(g, 1), blocks, np.ones(2), stage) is None
     assert stage.fill == 0
 
-    p = ExponentField.constant(g, 2.0)
-    _, G, bnd = manufactured_instance("linear", g, p)
+    p = constant_exponent(g, 2.0)
+    _, G, bnd = manufactured_instance("linear", g)
     bnd = cold_start(bnd)
     monkeypatch.setattr(solver, "energy_hessian", lambda u, p, params: blocks)
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
-    res = solve_pxlaplace(G, p, bnd, g, SolveOptions(max_iterations=1))
+    res = solve_pxlaplace(G, p, bnd, SolveOptions(max_iterations=1))
     assert res.iterations == 1 and res.stages[0].fallbacks == 1
 
     free = _free_dofs(g, 1)
@@ -267,8 +263,8 @@ def test_cold_start_recovery(dim, lo, side, p_range, p_fn):
         g = Grid(dim, (lo,) * dim, (side,) * dim, (round(side / h),) * dim)
         p = ExponentField.from_function(g, p_fn)
         assert (p.p_minus, p.p_plus) == pytest.approx(p_range, abs=1e-12)
-        u_star, G, bnd = manufactured_instance("matched", g, p)
-        res = solve_pxlaplace(G, p, cold_start(bnd), g, SolveOptions())
+        u_star, G, bnd = manufactured_instance("matched", g)
+        res = solve_pxlaplace(G, p, cold_start(bnd), SolveOptions())
         assert res.converged and res.residual <= 1e-8, res.message
         errs.append(float(np.abs(res.u.values - u_star.values).max()))
     assert errs[1] < 0.05
@@ -289,9 +285,9 @@ def test_intermediate_stages_are_inexact(p_value, budget):
     # zero data on the boundary, a cold start; only the last stage runs to
     # the tolerance, the earlier ones stop at a residual reduction
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
-    p = ExponentField.constant(g, p_value)
-    _, G, bnd = manufactured_instance("bump", g, p)
-    res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
+    p = constant_exponent(g, p_value)
+    _, G, bnd = manufactured_instance("bump", g)
+    res = solve_pxlaplace(G, p, bnd, SolveOptions())
     assert res.converged and res.residual <= 1e-8, res.message
     assert res.iterations <= budget, res.stages
     assert [s.gamma for s in res.stages] == list(solver._schedule(p_value))
@@ -302,78 +298,31 @@ def test_intermediate_stages_are_inexact(p_value, budget):
 def test_solve_validation():
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
     other = Grid(2, (0.0, 0.0), (1.0, 1.0), (5, 5))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     bnd = GridFunction(g, np.zeros(g.num_nodes))
     G = CellField(g, np.zeros((g.num_cells, 1, 2)))
     with pytest.raises(ValueError, match="grid mismatch"):
-        solve_pxlaplace(G, p, GridFunction(other, np.zeros(other.num_nodes)), g)
+        solve_pxlaplace(G, p, GridFunction(other, np.zeros(other.num_nodes)))
     with pytest.raises(ValueError, match="shape"):
-        solve_pxlaplace(CellField(g, np.zeros((g.num_cells, 1, 1))), p, bnd, g)
+        solve_pxlaplace(CellField(g, np.zeros((g.num_cells, 1, 1))), p, bnd)
     with pytest.raises(ValueError, match="p- > 1"):
-        solve_pxlaplace(G, ExponentField.constant(g, 1.0), bnd, g)
+        solve_pxlaplace(G, constant_exponent(g, 1.0), bnd)
 
 
 def test_nonconvergence_reported_honestly():
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
     p = ExponentField.from_function(g, lambda x: 2.0 + 0.4 * np.sin(x[0]))
-    _, G, bnd = manufactured_instance("matched", g, p)
+    _, G, bnd = manufactured_instance("matched", g)
     # zero Newton steps leaves the boundary extension untouched, so the
     # residual stays far above any reasonable tolerance
-    res = solve_pxlaplace(G, p, bnd, g,
-                          SolveOptions(tolerance=1e-8, max_iterations=0))
+    res = solve_pxlaplace(G, p, bnd, SolveOptions(tolerance=1e-8, max_iterations=0))
     assert not res.converged
     assert res.residual > 1e-8
     assert res.message
 
 
-def test_affine_comparison_is_exact(affine32):
-    # affine boundary data is the exact discrete minimizer for any constant
-    # exponent, so w == u, the flux pairing vanishes, and the interior sup
-    # equals the mean: ratio 1.
-    u, p = affine32["u"], affine32["p"]
-    Qj = Box((-0.125, -0.25), (0.625, 0.5))  # node-aligned, 2Qj in domain
-    w = solve_comparison(Qj, u, 3.0)
-    assert w.converged
-    sub, node_idx, _ = u.grid.subgrid(Qj.scaled(2.0))
-    np.testing.assert_allclose(
-        w.u.values, u.values[node_idx], rtol=0, atol=1e-10)
-    assert comparison_distance(u, w.u, Qj, p, FluxParams(0.0)) == (
-        pytest.approx(0.0, abs=1e-12))
-    sup, mean, ratio = uhlenbeck_check(w, Qj, 3.0)
-    assert sup == pytest.approx(np.sqrt(13.0), rel=1e-12)
-    assert ratio == pytest.approx(1.0, rel=1e-12)
-
-
-def test_comparison_on_matched_solution(matched32):
-    u = matched32["result"].u
-    p = matched32["p"]
-    # node-aligned cube away from the zero lines of the solution
-    Qj = Box((-0.875, -0.875), (-0.125, -0.125))
-    _, pj = np.array([0.0]), float(p.at(np.array([[-1.75, -1.75]]))[0])
-    w = solve_comparison(Qj, u, pj)
-    assert w.converged
-    dist = comparison_distance(u, w.u, Qj, p, FluxParams(0.0))
-    assert dist >= -1e-10  # monotone pairing
-    # freezing the exponent perturbs the minimizer only mildly: the pairing
-    # stays below the local energy scale
-    dens = energy_density(u, p)
-    assert dist < mean_over(dens, Qj.scaled(2.0))
-    sup, mean, ratio = uhlenbeck_check(w, Qj, pj)
-    assert np.isfinite(sup) and ratio >= 1.0 - 1e-9
-
-
-def test_comparison_validation(affine32):
-    u = affine32["u"]
-    Qj = Box((-0.125, -0.25), (0.625, 0.5))
-    with pytest.raises(ValueError):
-        solve_comparison(Qj, u, 1.0)  # p_j must exceed 1
-    w = solve_comparison(Qj, u, 2.0)
-    with pytest.raises(ValueError, match="sub-grid"):
-        comparison_distance(u, u, Qj, affine32["p"], FluxParams(0.0))
-
-
-def test_manufactured_matched_consistency(grid32, p_smooth):
-    u_star, G, bnd = manufactured_instance("matched", grid32, p_smooth)
+def test_manufactured_matched_consistency(grid32):
+    u_star, G, bnd = manufactured_instance("matched", grid32)
     # boundary carries the exact trace
     mask = grid32.boundary_node_mask
     np.testing.assert_allclose(
@@ -390,9 +339,9 @@ def test_manufactured_linear_is_harmonic_on_p2(grid32):
     errs = {}
     for n in (16, 32):
         g = grid32 if n == 32 else Grid(2, (-2.0, -2.0), (4.0, 4.0), (n, n))
-        p = ExponentField.constant(g, 2.0)
-        u_star, G, bnd = manufactured_instance("linear", g, p)
-        res = solve_pxlaplace(G, p, bnd, g, SolveOptions())
+        p = constant_exponent(g, 2.0)
+        u_star, G, bnd = manufactured_instance("linear", g)
+        res = solve_pxlaplace(G, p, bnd, SolveOptions())
         assert res.converged
         errs[n] = np.abs(res.u.values - u_star.values).max()
         scale = np.abs(u_star.values).max()
@@ -400,13 +349,13 @@ def test_manufactured_linear_is_harmonic_on_p2(grid32):
     assert errs[16] / errs[32] > 3.0
 
 
-def test_manufactured_bump_shape(grid32, p_smooth):
-    u_star, G, bnd = manufactured_instance("bump", grid32, p_smooth)
+def test_manufactured_bump_shape(grid32):
+    u_star, G, bnd = manufactured_instance("bump", grid32)
     assert u_star is None
     assert G.values.shape == (grid32.num_cells, 1, 2)
     np.testing.assert_allclose(bnd.values[grid32.boundary_node_mask], 0.0)
     with pytest.raises(ValueError):
-        manufactured_instance("mystery", grid32, p_smooth)
+        manufactured_instance("mystery", grid32)
 
 
 def _bump_solve(cells, p_of, start=None, warm_start=False):
@@ -415,11 +364,11 @@ def _bump_solve(cells, p_of, start=None, warm_start=False):
     d = len(cells)
     g = Grid(d, (-2.0,) * d, (4.0,) * d, cells)
     p = p_of(g)
-    _, G, bnd = manufactured_instance("bump", g, p)
+    _, G, bnd = manufactured_instance("bump", g)
     if start is not None:
         guess = start.u.grid.interpolate(start.u.values, g.node_coords)
         bnd = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, guess))
-    return solve_pxlaplace(G, p, bnd, g, SolveOptions(), warm_start=warm_start), p
+    return solve_pxlaplace(G, p, bnd, SolveOptions(), warm_start=warm_start), p
 
 
 # a nodal exponent table in [1.3, 3] on a 4 x 4-cell grid, read by Q1
@@ -430,10 +379,10 @@ _P_TABLE = GridFunction.from_function(
 
 
 @pytest.mark.parametrize("cells, p_of", [
-    ((16, 16), lambda g: ExponentField.constant(g, 1.7)),
-    ((16, 16), lambda g: ExponentField.constant(g, 3.0)),
+    ((16, 16), lambda g: constant_exponent(g, 1.7)),
+    ((16, 16), lambda g: constant_exponent(g, 3.0)),
     ((16, 16), lambda g: ExponentField(GridFunction(g, _P_TABLE.at(g.node_coords)[:, 0]))),
-    ((8, 8, 8), lambda g: ExponentField.constant(g, 1.5)),
+    ((8, 8, 8), lambda g: constant_exponent(g, 1.5)),
 ], ids=["p1.7", "p3-gamma0", "table", "3d-p1.5"])
 def test_warm_start_runs_final_stage_to_the_cold_answer(cells, p_of):
     # nested iteration: the coarse grid is solved cold, its solution is
@@ -519,7 +468,7 @@ def _counts(res):
 
 
 def _bump_3d():
-    return _bump_solve((8, 8, 8), lambda g: ExponentField.constant(g, 1.5))[0]
+    return _bump_solve((8, 8, 8), lambda g: constant_exponent(g, 1.5))[0]
 
 
 def test_cg_cap_of_one_factors_every_newton_system(monkeypatch):

@@ -135,16 +135,13 @@ def test_every_config_key_is_read():
     assert keys and not unread, f"config keys never read in cli.py: {unread}"
 
 
-# Public functions that no command, module or benchmark reaches yet, kept
-# on purpose.  An entry that becomes reached must leave this table.
+# Public functions and methods that no command, module or benchmark reaches
+# yet, kept on purpose.  An entry that becomes reached must leave this table.
 _UNREACHED_BY_DESIGN = {
-    "solve_comparison": "comparison step (p frozen at p_j on 2Q_j), the paper's new "
-                        "technique; to be reported by verify",
-    "comparison_distance": "comparison step: distance of u to the frozen-exponent solution",
-    "uhlenbeck_check": "comparison step: the frozen-exponent solution's gradient bound",
-    "integrability_triplet": "comparison step: integrability transfer on a covering cube",
     "modular": "acceptance gate 1 checks the Luxemburg norm against it",
     "flux": "acceptance gate 5 checks flux monotonicity through it",
+    "GoodLambdaResult.delta": "acceptance gate 8 reads the occupancy decay delta(eps), "
+                              "the max over the lambda sweep, through it",
 }
 
 
@@ -156,13 +153,31 @@ def _assigned_literal(tree: ast.Module, name: str):
     return None
 
 
+def _public(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """The module's public functions and the public methods of its public
+    classes (those in ``__all__``), by name: ``f`` or ``Class.method``."""
+    names = _assigned_literal(tree, "__all__") or []
+    public = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in names:
+            public[top.name] = top
+        elif isinstance(top, ast.ClassDef) and top.name in names:
+            public |= {f"{top.name}.{node.name}": node for node in top.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    return public
+
+
 def _reached(loads, public: set[str], roots: set[str]) -> set[str]:
-    """The roots, and every public function loaded outside its own body by
-    code that does not sit in the body of an unreached public function."""
+    """The roots, and every public function or method loaded outside its own
+    body by code that does not sit in the body of an unreached one.  Loads
+    are names, with attributes written ``.name``: a function ``f`` is loaded
+    as ``f`` or ``.f``, a method only as ``.m``, which reaches every public
+    method so called."""
     reached = set(roots)
     while True:
-        new = {name for name, owner in loads if name in public and name not in reached
-               and owner != name and (owner is None or owner in reached)}
+        new = {q for q in public - reached for name, owner in loads
+               if name in (q, "." + q.rpartition(".")[2]) and owner != q
+               and (owner is None or owner in reached)}
         if not new:
             return reached
         reached |= new
@@ -170,48 +185,62 @@ def _reached(loads, public: set[str], roots: set[str]) -> set[str]:
 
 def _script_loads(tree: ast.Module) -> list[tuple[str, None]]:
     """Names a benchmark script takes from varexp: imported from a varexp
-    module, or loaded as an attribute (``mod.f``).  A bare local name such
-    as a variable ``flux`` is not a use of ``operator.flux``."""
+    module, or loaded as an attribute (``mod.f`` or ``obj.m``, as ``.f`` and
+    ``.m``).  A bare local name such as a variable ``flux`` is not a use of
+    ``operator.flux``."""
     loads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "varexp":
             loads += [(a.name, None) for a in node.names]
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            loads.append((node.attr, None))
+            loads.append(("." + node.attr, None))
+    return loads
+
+
+def _module_loads(tree: ast.Module, public: dict[str, ast.FunctionDef]):
+    """Every name loaded in a package module, ``f`` or ``.f`` for the
+    attribute of ``x.f``, with the public function or method whose body
+    holds the load, or None."""
+    owners = {id(node): name for name, node in public.items()}
+    loads = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        owner = owners.get(id(node), owner)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.append((node.id, owner))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.append(("." + node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
     return loads
 
 
 def test_every_public_function_is_reached():
-    # a routine in __all__ that only tests call is dead surface: each must be
-    # loaded by name (``f`` or ``mod.f``) in src/varexp, outside its own body
-    # and outside the bodies of unreached public functions, or be imported
-    # from varexp or loaded as an attribute by perfbench/*.py; a varexp entry
-    # of perfbench/tracing.py's TARGETS counts too
+    # a routine in __all__, or a public method of a class in __all__, that
+    # only tests call is dead surface: each must be loaded by name (``f``,
+    # ``mod.f`` or ``obj.f``) in src/varexp, outside its own body and outside
+    # the bodies of unreached public routines, or be imported from varexp or
+    # loaded as an attribute by perfbench/*.py; a varexp entry of
+    # perfbench/tracing.py's TARGETS counts too
     pkg = Path(varexp.__file__).parent
     bench = pkg.parents[1] / "perfbench"
     modules = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(pkg.glob("*.py"))]
     scripts = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(bench.glob("*.py"))]
-    public = set()
-    for tree in modules:
-        names = _assigned_literal(tree, "__all__") or []
-        public |= {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names}
-    loads = []  # (loaded name, public function whose body holds the load, or None)
+    loads = []  # (loaded name, public routine whose body holds the load, or None)
     for tree in scripts:
         loads += _script_loads(tree)
+    public = set()
     for tree in modules:
-        for top in tree.body:
-            owner = (top.name if isinstance(top, ast.FunctionDef)
-                     and top.name in public else None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    loads.append((node.id, owner))
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    loads.append((node.attr, owner))
+        defs = _public(tree)
+        public |= set(defs)
+        loads += _module_loads(tree, defs)
     tracing = ast.parse((bench / "tracing.py").read_text())
     traced = {attr for mod, attr, _ in _assigned_literal(tracing, "TARGETS")
               if mod.split(".")[0] == "varexp"}
     exempt = set(_UNREACHED_BY_DESIGN)
     unreached = public - _reached(loads, public, traced | exempt)
-    assert not unreached, f"public functions nothing but tests reach: {sorted(unreached)}"
+    assert not unreached, f"public routines nothing but tests reach: {sorted(unreached)}"
     stale = exempt - (public - _reached(loads, public, traced))
     assert not stale, f"exempt but reached or gone, drop from the table: {sorted(stale)}"

@@ -12,6 +12,8 @@ from varexp.exponent import ExponentField
 from varexp.grid import Box, CellField, Grid, GridFunction, region_weights
 from varexp.varlp import decay_weight, luxemburg_norm, modular
 
+from conftest import constant_exponent
+
 E = math.e
 
 
@@ -29,7 +31,7 @@ def test_modular_constant_exponent_closed_form():
         g = random_grid(rng)
         f = CellField(g, rng.normal(size=g.num_cells))
         q = rng.uniform(1.0, 5.0)
-        p = ExponentField.constant(g, q)
+        p = constant_exponent(g, q)
         w = region_weights(g, g.domain)
         want = float(np.sum(w * np.abs(f.values) ** q))
         assert modular(f, p, g.domain) == pytest.approx(want, rel=1e-13)
@@ -41,7 +43,7 @@ def test_luxemburg_constant_exponent_matches_lp_norm():
         g = random_grid(rng)
         f = CellField(g, rng.normal(size=g.num_cells) * rng.uniform(0.1, 10))
         q = rng.uniform(1.05, 5.0)
-        p = ExponentField.constant(g, q)
+        p = constant_exponent(g, q)
         res = luxemburg_norm(f, p, g.domain)
         w = region_weights(g, g.domain)
         want = float(np.sum(w * np.abs(f.values) ** q)) ** (1.0 / q)
@@ -74,7 +76,7 @@ def test_luxemburg_tolerance_below_one_ulp_terminates():
 
 def test_luxemburg_zero_field():
     g = Grid(1, (0.0,), (1.0,), (4,))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     res = luxemburg_norm(CellField(g, np.zeros(4)), p, g.domain)
     assert res.norm == 0.0 and res.modular_at_norm == 0.0
 
@@ -124,7 +126,7 @@ def test_luxemburg_homogeneity_and_monotonicity_fuzzed(case, c):
 
 def test_luxemburg_region_outside_domain_raises():
     g = Grid(1, (0.0,), (1.0,), (4,))
-    p = ExponentField.constant(g, 2.0)
+    p = constant_exponent(g, 2.0)
     with pytest.raises(ValueError):
         luxemburg_norm(CellField(g, np.ones(4)), p, Box((5.0,), (6.0,)))
 
