@@ -31,13 +31,15 @@ Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 CSV reports are deterministic for a fixed config (no timestamps;
 provenance lives in report.txt, which for every command ends with the
 lines of each solve level: a head naming its grid and how it started,
-cold or warm from a coarser grid, then one line per gamma stage with
-Newton steps, fallbacks, backtracks, guarded steps, factor reuses and CG
-iterations, factorization seconds and fill (the nonzero count of the
-Cholesky factor L), residual and stop reason).
+cold or warm from a coarser grid, its Newton steps, wall seconds and
+residual, then one line per gamma stage with Newton steps, fallbacks,
+backtracks, guarded steps, factor reuses and CG iterations,
+factorization seconds and fill (the nonzero count of the Cholesky factor
+L), residual and stop reason).
 A cold solve of a grid with even cell counts, at least 8 per axis after
-halving, first solves the half grid (see ``_solve``); denoise stays one
-cold solve, since it starts from the image.  Columns per command:
+halving, first solves the half grid, and a half grid of at least 4096
+cells its own half grid in turn (see ``_solve``); denoise stays one cold
+solve, since it starts from the image.  Columns per command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -54,6 +56,7 @@ import configparser
 import csv
 import hashlib
 import sys
+import time
 from dataclasses import Field, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -569,6 +572,20 @@ def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):
 
 
 _COARSE_CELLS = 8  # least cells per axis of the half grid a cold solve starts on
+_NEST_CELLS = 4096  # least cells of a coarse level that halves again (64^2, 16^3)
+
+
+def _ladder(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cell counts of the levels a cold solve of ``cells`` runs, coarsest
+    first.  A grid halves while its cell counts are all even and at least
+    2 * _COARSE_CELLS: the requested grid whenever it can, a coarse level
+    only while it has at least _NEST_CELLS cells (below that, the extra
+    level cost more than it saved on the benchmark workloads)."""
+    ladder = [tuple(cells)]
+    while (all(c % 2 == 0 and c >= 2 * _COARSE_CELLS for c in ladder[-1])
+           and (len(ladder) == 1 or int(np.prod(ladder[-1])) >= _NEST_CELLS)):
+        ladder.append(tuple(c // 2 for c in ladder[-1]))
+    return ladder[::-1]
 
 
 def _solve(cfg: ExperimentConfig, rep: Report, grid: Grid | None = None,
@@ -578,46 +595,54 @@ def _solve(cfg: ExperimentConfig, rep: Report, grid: Grid | None = None,
     unless given; returns (grid, p, u_star or None, G, result, steps), with
     ``result`` the fine level's and ``steps`` the Newton steps of every level.
 
-    Given the solution on a coarser nested grid, the solve warm-starts from
-    its Q1 prolongation (exact on nested grids) with the instance's own
-    boundary values, and runs the final gamma stage only.  Not given one, a
-    grid whose cell counts are all even and at least 2 * _COARSE_CELLS makes
-    its own: the instance restricted to the half grid (``_restrict``) is
-    solved cold, through the full gamma schedule, and no coarse-level object
-    outlives the prolongation.  Other grids are solved cold.
+    Nested iteration: a level given the solution on the next coarser nested
+    grid warm-starts from its Q1 prolongation (exact on nested grids) with
+    its own boundary values, and runs the final gamma stage only.  Given no
+    ``coarse``, the solve runs the ladder of ``_ladder``: the instance is
+    restricted (``_restrict``) once per halving, the coarsest level is solved
+    cold through the full gamma schedule, and each finer level warm from the
+    one below.  No coarse-level object outlives its prolongation.  A grid
+    that does not halve is one cold solve.
     """
     if grid is None:
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
         p = _build_exponent(cfg, grid)
     u_star, G, boundary = _build_instance(cfg, grid)
-    steps, start = 0, "cold"
-    if coarse is None and all(c % 2 == 0 and c >= 2 * _COARSE_CELLS for c in grid.cells):
-        res = _level(cfg, rep, *_restrict(G, p, boundary), label=label)
-        steps, coarse = res.iterations, res.u
-    if coarse is not None:
-        start = f"warm from {_cells_str(coarse.grid)}"
-        # the fine node coordinates are computed, not cached on the grid, so
-        # they stay out of the fine solve's peak memory (0.4 MB at 128^2)
-        guess = coarse.grid.interpolate(coarse.values, Grid.node_coords.func(grid))
-        mask = grid.boundary_node_mask
-        guess[mask] = boundary.values[mask]
-        boundary = GridFunction(grid, guess)
-        coarse = res = None  # drop the coarse level before the fine solve
-    res = _level(cfg, rep, G, p, boundary, start, label)
-    return grid, p, u_star, G, res, steps + res.iterations
+    levels = [(G, p, boundary)]  # finest first
+    if coarse is None:
+        for _ in _ladder(grid.cells)[1:]:
+            levels.append(_restrict(*levels[-1]))
+    steps = 0
+    while levels:
+        Gl, pl, bl = levels.pop()
+        start = "cold"
+        if coarse is not None:
+            start = f"warm from {_cells_str(coarse.grid)}"
+            # the level's node coordinates are computed, not cached on its
+            # grid, so they stay out of its solve's peak memory (0.4 MB at 128^2)
+            guess = coarse.grid.interpolate(coarse.values, Grid.node_coords.func(Gl.grid))
+            mask = Gl.grid.boundary_node_mask
+            guess[mask] = bl.values[mask]
+            bl = GridFunction(Gl.grid, guess)
+            coarse = res = None  # drop the coarser level before this solve
+        res = _level(cfg, rep, Gl, pl, bl, start, label)
+        steps += res.iterations
+        coarse = res.u
+    return grid, p, u_star, G, res, steps
 
 
 def _level(cfg: ExperimentConfig, rep: Report, G: CellField, p: ExponentField,
            boundary: GridFunction, start: str = "cold", label: str = "") -> SolverResult:
     """One solve, warm (final gamma stage only) unless ``start`` is cold.
-    The report gets a head naming its grid (and ``label``) and start, then
-    one line per gamma stage; these lines hold no ' = ', so the scalar
+    The report gets a head naming its grid (and ``label``), start, Newton
+    steps, wall seconds and residual, then one line per gamma stage; these lines hold no ' = ', so the scalar
     block parses alone.  A miss raises NonConvergence naming the grid."""
     what = _cells_str(G.grid) + label
+    t0 = time.perf_counter()
     res = solve_pxlaplace(G, p, boundary, opts=cfg.solve_options(),
                           warm_start=start != "cold")
     rep.lines.append(f"solve {what}, {start}: {res.iterations} steps, "
-                     f"residual {_fmt(res.residual)}")
+                     f"wall {time.perf_counter() - t0:.3g} s, residual {_fmt(res.residual)}")
     rep.lines += [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
                   f"{s.backtracks} backtracks, {s.guarded} guarded, "
                   f"{s.reuses} reuses, {s.cg_iterations} cg iterations, "

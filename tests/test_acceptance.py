@@ -7,19 +7,16 @@ the tests (closed forms, brute-force enumerations, dense linear algebra),
 never by calling the code path under test twice.
 """
 
-import csv
 import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from varexp.cli import main, read_field, read_pgm, write_field, write_pgm
 from varexp.dyadic import (
     cz_cover,
     default_kappa,
-    default_max_level,
     dyadic_lattice,
     good_lambda_measure,
     maximal_function,
@@ -46,7 +43,7 @@ from varexp.operator import FluxParams, coercivity_constant, energy, energy_grad
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
-from conftest import cold_start, constant_exponent, constriction, smooth_exponent, solved_matched
+from conftest import cold_start, constant_exponent, constriction, solved_matched
 
 
 @contextmanager

@@ -144,8 +144,8 @@ instance = bump
 def test_solve_bytes_under_threaded_blas(tmp_path):
     # the batched factorization calls BLAS on two threads here; two solves
     # of a 16^3 instance (8^3 cold, then 16^3 warm) still write the same
-    # solution.vxf and solve.csv, and the same stage lines but for their
-    # factorization seconds
+    # solution.vxf and solve.csv, and the same level and stage lines but
+    # for their wall and factorization seconds
     f = cfg_file(tmp_path, _CUBE_16)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=str(Path(varexp.__file__).parents[1]))
@@ -154,7 +154,7 @@ def test_solve_bytes_under_threaded_blas(tmp_path):
         subprocess.run([sys.executable, "-m", "varexp", "solve", "--config", str(f),
                         "--out", str(tmp_path / name)], env=env, check=True)
         lines = (tmp_path / name / "report.txt").read_text().splitlines()
-        stages = [re.sub(r"factor \S+ s", "factor _ s", ln) for ln in lines
+        stages = [re.sub(r"(factor|wall) \S+ s", r"\1 _ s", ln) for ln in lines
                   if ln.startswith(("solve ", "stage gamma "))]
         outs.append(((tmp_path / name / "solution.vxf").read_bytes(),
                      (tmp_path / name / "solve.csv").read_bytes(), stages))
@@ -590,7 +590,8 @@ def test_reports_end_with_stage_lines(tmp_path, command):
 
 # ---------------------------------------------------------------------------
 # nested iteration: a cold solve of a grid with even cell counts, at least
-# 8 per axis after halving, first solves the half grid
+# 8 per axis after halving, first solves the half grid, and a half grid of
+# at least 4096 cells its own half grid in turn
 
 
 def _bump_config(tmp_path, cells, extra=""):
@@ -652,6 +653,26 @@ def test_restriction_matches_cell_loop(cells, N):
         np.testing.assert_array_equal(bc.values[i], bnd.values[k])
 
 
+@pytest.mark.parametrize("cells, ladder", [
+    ((128, 128), [(32, 32), (64, 64), (128, 128)]),
+    ((64, 64), [(32, 32), (64, 64)]),
+    ((32, 32), [(16, 16), (32, 32)]),
+    ((16, 16), [(8, 8), (16, 16)]),
+    ((32, 32, 32), [(8, 8, 8), (16, 16, 16), (32, 32, 32)]),
+    ((24, 24, 24), [(12, 12, 12), (24, 24, 24)]),
+    ((16, 16, 16), [(8, 8, 8), (16, 16, 16)]),
+    ((128, 14), [(128, 14)]),
+    ((14, 14), [(14, 14)]),
+    ((17, 16), [(17, 16)]),
+])
+def test_ladder_rule(cells, ladder):
+    # the requested grid halves when its cell counts are even and at least
+    # 16; a coarser level halves again only from 4096 cells on
+    import varexp.cli as cli
+
+    assert cli._ladder(cells) == ladder
+
+
 @pytest.mark.parametrize("cells", ["17 16", "14 14"])
 def test_odd_or_small_grids_stay_cold(tmp_path, cells):
     # an odd cell count, or a half grid below 8 cells per axis: one cold
@@ -681,6 +702,26 @@ def test_nested_bump_solve_matches_cold(tmp_path):
     assert stages[-1].startswith("stage gamma 1e-08: ") and len(stages) == 6
     assert float(scalars["residual"]) <= 1e-8
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
+    p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
+    _, G, bnd = manufactured_instance("bump", grid)
+    cold = _cold_library_solve(p, G, bnd)
+    assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
+
+
+def test_three_level_solve_matches_cold(tmp_path):
+    # 128^2: 32^2 cold through the full schedule, then 64^2 and 128^2 warm
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(_bump_config(tmp_path, "128 128")),
+                 "--out", str(out)]) == EXIT_OK
+    heads, stages, scalars = _report(out)
+    assert [h.split(":")[0] for h in heads] == ["solve 32x32, cold",
+                                                "solve 64x64, warm from 32x32",
+                                                "solve 128x128, warm from 64x64"]
+    assert len(stages) == 5 + 1 + 1 and all(" wall " in h for h in heads)
+    assert int(float(scalars["iterations"])) == sum(map(_steps, heads)) == sum(map(_steps, stages))
+    assert scalars["residual"] == heads[2].rsplit("residual ", 1)[1]
+    assert float(scalars["residual"]) <= 1e-8
+    grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (128, 128))
     p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
     _, G, bnd = manufactured_instance("bump", grid)
     cold = _cold_library_solve(p, G, bnd)

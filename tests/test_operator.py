@@ -6,7 +6,7 @@ from conftest import assembled_hessian, constant_exponent
 from scipy.sparse.linalg import eigsh
 
 from varexp.exponent import ExponentField
-from varexp.grid import CellField, Grid, GridFunction, region_weights
+from varexp.grid import CellField, Grid, GridFunction
 from varexp.operator import (
     FluxParams,
     coercivity_constant,
