@@ -290,6 +290,10 @@ def load_config(command: str, path: str | Path, out: str | None = None) -> Exper
         raise ConfigError(f"[exponent] path: required for kind = {cfg.exponent_kind}")
     if cfg.instance == "files" and (cfg.g_path is None or cfg.boundary_path is None):
         raise ConfigError("[data] g and boundary: required for instance = files")
+    if cfg.command == "sweep" and cfg.refinements > 0 and (
+            cfg.instance == "files" or cfg.exponent_kind == "file"):
+        raise ConfigError("[sweep] refinements: must be 0 with instance = files or "
+                          "exponent kind = file, since a field file holds one grid")
     if cfg.command == "denoise":
         if cfg.image is None:
             raise ConfigError("[denoise] image: required for the denoise command")

@@ -205,8 +205,9 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
     thresh = kappa * lam0
     top = 2.0 * max(float(mstar.max()), fmax / 2.0, thresh / 2.0)
     lams = np.geomspace(lam0 / 10.0, top, points)
-    if lams[0] < thresh < lams[-1]:
-        lams = np.unique(np.append(lams, thresh))
+    at = int(np.searchsorted(lams, thresh))
+    if lams[0] < thresh < lams[-1] and lams[at] != thresh:
+        lams = np.insert(lams, at, thresh)  # a sorted insert; np.unique loads numpy.ma
 
     # |{M*F > lam}| for every lam, from one sort: searchsorted(side="right")
     # counts the values <= lam

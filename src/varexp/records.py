@@ -1,9 +1,9 @@
 """Shared measurement record for inequality checks.
 
 Every estimate in the chain (Caccioppoli, reverse Holder, the Gehring scan,
-higher integrability, the comparison step's integrability triplet) reports
-the same shape of evidence: a left-hand side, named right-hand-side
-components, and the empirical constant lhs / sum(rhs).
+higher integrability) reports the same shape of evidence: a left-hand
+side, named right-hand-side components, and the empirical constant
+lhs / sum(rhs).
 """
 
 from __future__ import annotations

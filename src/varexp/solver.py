@@ -23,7 +23,7 @@ tree of the interior nodes (George, SIAM J. Numer. Anal. 10, 1973): each
 front eliminates its block's separator plane, or the whole block at a leaf,
 against the block's one-node halo, and is assembled from the element
 matrices of its cells and the update matrices of its children.  All fronts
-of one tree height are padded to a common size and factored, and later
+of one dissection depth are padded to a common size and factored, and later
 solved, by one batched NumPy call each; the tree is built once per solve.
 That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
@@ -166,8 +166,9 @@ class _Dissection:
     Front f is the block of nodes [lo[f], hi[f]); it eliminates its
     ``size[f]`` pivots, which sit at ``start[f]`` onwards in the order:
     the separator plane of the block, or every node of a block that is not
-    cut.  ``parent`` is -1 at the root, and children come after their
-    parents.
+    cut.  ``parent`` is -1 at the root.  The fronts of dissection depth k
+    are ids first[k] to first[k + 1] - 1, and their parents have depth
+    k - 1; the last entry of ``first`` is the front count.
     """
     order: np.ndarray
     lo: np.ndarray
@@ -175,6 +176,7 @@ class _Dissection:
     start: np.ndarray
     size: np.ndarray
     parent: np.ndarray
+    first: tuple[int, ...]
 
 
 def _dissection(shape: tuple[int, ...]) -> _Dissection:
@@ -195,10 +197,10 @@ def _dissection(shape: tuple[int, ...]) -> _Dissection:
     start = np.zeros(1, dtype=np.intp)
     parent = np.full(1, -1, dtype=np.intp)
     fronts = []  # per level: (lo, hi, pivot lo, pivot hi, pivot start, parent)
-    count = 0
+    first = [0]
     while lo.size:
-        ids = count + np.arange(len(lo))
-        count += len(lo)
+        ids = first[-1] + np.arange(len(lo))
+        first.append(first[-1] + len(lo))
         sides = hi - lo
         cut = sides.prod(axis=1) > _LEAF
         rows = np.flatnonzero(cut)
@@ -230,7 +232,7 @@ def _dissection(shape: tuple[int, ...]) -> _Dissection:
         order += (piv_lo[piece, k] + rank % side) * stride
         rank //= side
         stride *= shape[k]
-    return _Dissection(order, lo, hi, piv_start, size, parent)
+    return _Dissection(order, lo, hi, piv_start, size, parent, tuple(first))
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -251,17 +253,18 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Level:
-    """The fronts of one height of the elimination tree, padded to common
-    sizes: ``p`` pivot dofs, then ``m - p`` update dofs, then one dummy
-    row and column (index m) that padding entries point at.
+    """The fronts of one dissection depth, padded to common sizes: ``p``
+    pivot dofs, then ``m - p`` update dofs, then one dummy row and column
+    (index m) that padding entries point at.
 
     ``piv`` and ``upd`` are the (fronts, p) and (fronts, m - p) dof
     positions in elimination order, padded with n (the dummy entry of a
     solve vector), and ``var`` the two side by side; ``cells`` are the
     cells whose element matrices this level assembles, ``cell_slot`` the
     front of each and ``cell_local`` the place of each of its dofs in that
-    front; ``children`` holds (level, fronts of it, slot of each one's
-    parent here, place of each of its update dofs here).
+    front; ``children`` holds, for the fronts one depth deeper, the slot of
+    each one's parent here and the place of each of its update dofs here
+    (None at the deepest level).
     """
     p: int
     m: int
@@ -272,7 +275,7 @@ class _Level:
     cells: np.ndarray
     cell_slot: np.ndarray
     cell_local: np.ndarray
-    children: list
+    children: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _Elimination:
@@ -285,8 +288,8 @@ class _Elimination:
     free nodes, all of them eliminated later by its ancestors.  Each cell's
     element matrix is assembled into the front that eliminates the cell's
     first free corner, whose pivots and halo hold every free corner of the
-    cell.  The fronts are factored one tree height at a time, leaves first,
-    so each NumPy call covers every front of a height.
+    cell.  The fronts are factored one dissection depth at a time, deepest
+    first, so each NumPy call covers every front of a depth.
     """
 
     def __init__(self, grid: Grid, N: int):
@@ -299,30 +302,17 @@ class _Elimination:
         pos = np.full(grid.nodes_per_axis, n)  # elimination position, n off the interior
         pos[(slice(1, -1),) * grid.dim] = np.argsort(tree.order).reshape(interior)
 
-        height = np.zeros(len(tree.parent), dtype=np.intp)
-        for f in range(len(tree.parent) - 1, 0, -1):  # children come after parents
-            height[tree.parent[f]] = max(height[tree.parent[f]], height[f] + 1)
-        fronts = [np.flatnonzero(height == h) for h in range(height.max() + 1)]
-        slot = np.zeros(len(tree.parent), dtype=np.intp)
-        halos = []
-        for fr in fronts:
-            slot[fr] = np.arange(len(fr))
-            halo = self._halos(pos, n, tree, fr)
-            halos.append(halo[:, :max(int((halo < n).sum(axis=1).max()), 1)])
-        self.nnz = sum(int(np.sum(tree.size[fr] * N * (tree.size[fr] * N + 1) // 2
-                                  + (halo < n).sum(axis=1) * N * tree.size[fr] * N))
-                       for fr, halo in zip(fronts, halos))
-
-        def place(h: int, row: np.ndarray, q: np.ndarray) -> np.ndarray:
+        def place(depth: tuple, row: np.ndarray, q: np.ndarray) -> np.ndarray:
             """Node index of elimination position q among the variables of
-            front ``row`` of height h: its pivot rank, or the padded pivot
-            count plus its halo rank."""
-            fr, halo = fronts[h], halos[h]
-            piv = q - tree.start[fr][row]
+            front ``row`` of a depth, given as its fronts' pivot starts,
+            sizes and halos: its pivot rank, or the padded pivot count plus
+            its halo rank."""
+            start, size, halo = depth
+            piv = q - start[row]
             keyed = halo + (n + 1) * np.arange(len(halo))[:, None]  # sorted when flattened
             rank = np.searchsorted(keyed.reshape(-1), q + (n + 1) * row) - halo.shape[1] * row
-            pivot = (piv >= 0) & (piv < tree.size[fr][row])
-            return np.where(pivot, piv, tree.size[fr].max() + rank)
+            pivot = (piv >= 0) & (piv < size[row])
+            return np.where(pivot, piv, size.max() + rank)
 
         def dofs(nodes: np.ndarray, missing: int) -> np.ndarray:
             """The N dofs of each node, ``missing`` for nodes that are n."""
@@ -334,56 +324,52 @@ class _Elimination:
         owner = by_start[np.searchsorted(tree.start[by_start], corners.min(axis=1), "right") - 1]
         self.element_dofs = dofs(corners, self.n)
 
-        self.levels = []
-        for h, fr in enumerate(fronts):
-            P, U = int(tree.size[fr].max()), halos[h].shape[1]
+        self.levels, self.nnz = [], 0
+        slot = np.arange(tree.first[-1]) - np.repeat(tree.first[:-1], np.diff(tree.first))
+        above = None  # (pivot starts, sizes, halos) of the fronts one depth up
+        for a, b in zip(tree.first, tree.first[1:]):  # root first
+            start, size, halo = tree.start[a:b], tree.size[a:b], self._halos(pos, n, tree, a, b)
+            count = (halo < n).sum(axis=1)
+            self.nnz += int(np.sum(size * N * (size * N + 1) // 2 + count * N * size * N))
+            P, U = int(size.max()), halo.shape[1]
             p, m = P * N, (P + U) * N
-            piv = np.arange(P) + tree.start[fr][:, None]
-            piv = dofs(np.where(np.arange(P) < tree.size[fr][:, None], piv, n), self.n)
-            cells = np.flatnonzero(height[owner] == h)
-            row = np.repeat(slot[owner[cells]], corners.shape[1])
-            node = place(h, row, corners[cells].reshape(-1)).reshape(len(cells), corners.shape[1])
+            piv = dofs(np.where(np.arange(P) < size[:, None], np.arange(P) + start[:, None], n),
+                       self.n)
+            cells = np.flatnonzero((owner >= a) & (owner < b))
+            cell_slot = slot[owner[cells]]
+            node = place((start, size, halo), np.repeat(cell_slot, corners.shape[1]),
+                         corners[cells].reshape(-1)).reshape(corners[cells].shape)
             local = dofs(np.where(corners[cells] < n, node, n), m).astype(np.int32)
-            upd = dofs(halos[h], self.n)
+            if above is not None:  # this depth's update matrices go to the one above
+                up = slot[tree.parent[a:b]]
+                node = place(above, np.repeat(up, U), np.minimum(halo, n - 1).reshape(-1))
+                self.levels[-1].children = (up.astype(np.int32), dofs(np.where(
+                    halo < n, node.reshape(halo.shape), n), self.levels[-1].m).astype(np.int32))
+            upd = dofs(halo, self.n)
             self.levels.append(_Level(p, m, piv, upd, np.concatenate([piv, upd], axis=1),
                                       np.nonzero(piv == self.n), cells,
-                                      slot[owner[cells]].astype(np.int32), local, []))
-        self.last_use = {}  # level -> the last level that assembles its update matrices
-        for h, fr in enumerate(fronts[:-1]):
-            parent = tree.parent[fr]
-            for ph in np.unique(height[parent]):
-                idx = np.flatnonzero(height[parent] == ph)
-                halo = halos[h][idx]
-                node = place(ph, np.repeat(slot[parent[idx]], halo.shape[1]),
-                             np.minimum(halo, n - 1).reshape(-1)).reshape(halo.shape)
-                local = dofs(np.where(halo < n, node, n), self.levels[ph].m).astype(np.int32)
-                self.levels[ph].children.append((h, idx, slot[parent[idx]].astype(np.int32), local))
-                self.last_use[h] = ph
+                                      cell_slot.astype(np.int32), local))
+            above = start, size, halo
+        self.levels.reverse()  # deepest first
 
     @staticmethod
-    def _halos(pos: np.ndarray, n: int, tree: _Dissection, fr: np.ndarray) -> np.ndarray:
-        """The sorted elimination positions of the free one-node halo of each
-        front in ``fr``, padded with n to rows of equal length.  The halo of
-        a block is cut into 2 dim slabs, one per side of each axis k: the
-        slab spans the block on the axes before k and the block grown by one
-        node on the axes after it."""
-        lo, hi = tree.lo[fr] + 1, tree.hi[fr] + 1  # node coordinates
-        d = lo.shape[1]
-        slabs = []
-        for k in range(d):
-            first = np.where(np.arange(d) > k, lo - 1, lo)
-            span = np.where(np.arange(d) > k, hi - lo + 2, hi - lo)
-            span[:, k] = 1
-            offsets = np.stack(np.meshgrid(*map(np.arange, span.max(axis=0)), indexing="ij"),
-                               -1).reshape(-1, d)
-            valid = np.ones((len(fr), len(offsets)), dtype=bool)
-            for j in range(d):
-                valid &= offsets[:, j] < span[:, j, None]
-            for side in (lo[:, k] - 1, hi[:, k]):
-                first[:, k] = side
-                at = np.minimum(first[:, None, :] + offsets, np.array(pos.shape) - 1)
-                slabs.append(np.where(valid, pos[tuple(at.transpose(2, 0, 1))], n))
-        return np.sort(np.concatenate(slabs, axis=1), axis=1)
+    def _halos(pos: np.ndarray, n: int, tree: _Dissection, a: int, b: int) -> np.ndarray:
+        """The sorted elimination positions of the free one-node halo of
+        fronts a to b - 1, padded with n to rows of equal length: those of
+        each block grown by one node per side, less the block's own range
+        [start + size - volume, start + size)."""
+        lo, span = tree.lo[a:b], tree.hi[a:b] - tree.lo[a:b] + 2  # node coordinates
+        stride = [math.prod(pos.shape[k + 1:]) for k in range(pos.ndim)]
+        at, inside = (lo @ stride).reshape((-1,) + (1,) * pos.ndim), True  # flat node index
+        for k, w in enumerate(span.max(axis=0)):
+            r = np.arange(w).reshape((-1,) + (1,) * (pos.ndim - 1 - k))
+            at = at + r * stride[k]
+            inside = inside & (r < span[:, k].reshape((-1,) + (1,) * pos.ndim))
+        q = pos.reshape(-1)[at * inside].reshape(len(lo), -1)  # node 0 is off the interior
+        end = (tree.start[a:b] + tree.size[a:b])[:, None]
+        q[(q < end) & (q >= end - (span - 2).prod(axis=1)[:, None])] = n
+        q.sort(axis=1)
+        return q[:, :max(int((q < n).sum(axis=1).max()), 1)]
 
     def diagonal(self, E: np.ndarray) -> np.ndarray:
         """The diagonal of the free-dof Hessian in elimination order."""
@@ -394,34 +380,32 @@ class _Elimination:
     def factor(self, E: np.ndarray) -> "_Factor":
         """Factor the sum of the element matrices E over the free dofs.
         Raises LinAlgError when a front's pivot block is not positive
-        definite.  A level's update matrices are kept, as packed lower
-        triangles, until the last level that assembles them; its frontal
-        matrices are formed _BATCH entries at a time."""
-        updates = {}  # level -> packed update matrices of its fronts
+        definite.  Each level hands its update matrices, packed lower
+        triangles, to the next level, one depth up; its frontal matrices
+        are formed _BATCH entries at a time."""
         blocks = []
+        updates = None  # packed update matrices of the level below
         buffer = np.empty(max(_BATCH, max((lv.m + 1) ** 2 for lv in self.levels)))
-        for h, lv in enumerate(self.levels):
+        for lv in self.levels:
             nf, p, m = len(lv.piv), lv.p, lv.m
             W = np.empty((nf, m, p))
-            U = np.empty((nf, (m - p) * (m - p + 1) // 2)) if h in self.last_use else None
+            U = np.empty((nf, (m - p) * (m - p + 1) // 2)) if lv is not self.levels[-1] else None
             for s in _batches(nf, (m + 1) ** 2):
                 F = self._assemble(lv, s, E, updates, buffer)
                 self._eliminate(lv, s, F, W[s], None if U is None else U[s])
-            for c in [c for c, last in self.last_use.items() if last == h]:
-                del updates[c]
             blocks.append(W)
-            if U is not None:
-                updates[h] = U
+            updates = U
         return _Factor(self, blocks)
 
     @staticmethod
-    def _assemble(lv: _Level, s: slice, E: np.ndarray, updates: dict,
+    def _assemble(lv: _Level, s: slice, E: np.ndarray, updates: np.ndarray | None,
                   buffer: np.ndarray) -> np.ndarray:
         """The (fronts, m + 1, m + 1) frontal matrices of the fronts ``s`` of
         a level: their cells' element matrices plus their children's update
-        matrices (extend-add).  Only the lower triangles are complete: a
-        child's variables keep their order among the parent's, so its lower
-        triangle lands in the parent's.  ``buffer`` holds the result."""
+        matrices ``updates`` (extend-add).  Only the lower triangles are
+        complete: a child's variables keep their order among the parent's,
+        so its lower triangle lands in the parent's.  ``buffer`` holds the
+        result."""
         M = lv.m + 1
         F = buffer[:(s.stop - s.start) * M * M]
         F[:] = 0.0
@@ -431,14 +415,15 @@ class _Elimination:
             local = lv.cell_local[mine]
             at = (((lv.cell_slot[mine] - s.start) * (M * M))[:, None] + local * M)[:, :, None]
             np.add.at(F, (at + local[:, None, :]).reshape(-1), E[lv.cells[mine]].reshape(-1))
-        for c, idx, slot, local in lv.children:
+        if lv.children is not None:
+            slot, local = lv.children
             mine = np.flatnonzero((slot >= s.start) & (slot < s.stop))
             i, j = (a.astype(np.int32) for a in np.tril_indices(local.shape[1]))
             row = ((slot[mine] - s.start) * (M * M))[:, None] + local[mine] * M
             for t in _batches(len(mine), 2 * len(i)):  # two index arrays at a time
                 at = np.take(row[t], i, axis=1)
                 at += np.take(local[mine[t]], j, axis=1)
-                np.add.at(F, at.reshape(-1), updates[c][idx[mine[t]]].reshape(-1))
+                np.add.at(F, at.reshape(-1), updates[mine[t]].reshape(-1))
         return F.reshape(-1, M, M)
 
     @staticmethod

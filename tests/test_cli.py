@@ -412,6 +412,28 @@ def test_sweep_command(tmp_path):
     assert {"refinement", "size", "amplitude"} <= axes
 
 
+@pytest.mark.parametrize("old, new", [
+    ("kind = constant\nvalue = 2.0", "kind = file\npath = p.vxf"),
+    ("instance = matched", "instance = files\ng = g.vxf\nboundary = b.vxf"),
+], ids=["exponent-file", "files-instance"])
+def test_sweep_refinements_need_one_grid(tmp_path, capsys, old, new):
+    # a field file holds one grid, so sweep cannot refine an instance read
+    # from files: it is a config error naming the key, and the same config
+    # with refinements = 0 runs
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
+    _, G, bnd = manufactured_instance("matched", g)
+    write_field(tmp_path / "p.vxf", GridFunction(g, np.full(g.num_nodes, 2.0)))
+    write_field(tmp_path / "g.vxf", G)
+    write_field(tmp_path / "b.vxf", cold_start(bnd))
+    text = BASE.replace(old, new)
+    assert text != BASE
+    f = cfg_file(tmp_path, text)
+    assert main(["sweep", "--config", str(f), "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+    assert "[sweep] refinements" in capsys.readouterr().err
+    f = cfg_file(tmp_path, text + "\n[sweep]\nrefinements = 0\n")
+    assert main(["sweep", "--config", str(f), "--out", str(tmp_path / "b")]) == EXIT_OK
+
+
 def test_denoise_zero_strength_is_identity(tmp_path):
     rng = np.random.default_rng(11)
     img = rng.integers(0, 256, size=(12, 14))

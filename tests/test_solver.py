@@ -151,6 +151,19 @@ def test_dissection_matches_block_recursion(shape):
     assert np.array_equal(_dissection(shape).order, _dissection_by_recursion(shape))
 
 
+@pytest.mark.parametrize("shape", [(1,), (66,), (7, 10), (8, 7, 8), (28, 28, 28), (127, 127)])
+def test_dissection_depths_are_contiguous_id_ranges(shape):
+    # the fronts of each depth are one id range, every front's parent lies
+    # in the range just above its own, and the ranges cover every front;
+    # (1,) and (127, 127) have leaves at one depth, the others at two
+    tree = _dissection(shape)
+    first = np.array(tree.first)
+    assert first[0] == 0 and first[-1] == len(tree.parent) and np.all(np.diff(first) > 0)
+    depth = np.searchsorted(first, np.arange(len(tree.parent)), "right") - 1
+    assert tree.parent[0] == -1 and first[1] == 1
+    assert np.array_equal(depth[tree.parent[1:]], depth[1:] - 1)
+
+
 def _free_dofs(grid: Grid, N: int) -> np.ndarray:
     return np.repeat(~grid.boundary_node_mask, N)
 
@@ -224,14 +237,15 @@ def _random_lattice_system(cells, N, rng):
 
 
 @pytest.mark.parametrize("cells", [
-    (2,), (9,), (70,), (131,), (3, 3), (12, 11), (17, 16), (24, 25),
+    (2,), (9,), (67,), (70,), (131,), (3, 3), (8, 11), (12, 11), (17, 16), (24, 25),
     (2, 2, 2), (3, 4, 5), (7, 6, 6), (9, 8, 9),
 ])
 @pytest.mark.parametrize("N", [1, 2])
 def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
-    # odd and even sides, single leaves and trees several heights deep (a
-    # leaf holds at most _LEAF nodes): the multifrontal solve is SuperLU's
-    # and dense Cholesky's to 1e-12
+    # odd and even sides, single leaves and trees several depths deep (a
+    # leaf holds at most _LEAF nodes), with leaves at one depth or, for
+    # (67,), (8, 11) and (9, 8, 9), at two: the multifrontal solve is
+    # SuperLU's and dense Cholesky's to 1e-12
     from scipy import sparse
 
     rng = np.random.default_rng(sum(cells) * 10 + N)
