@@ -39,7 +39,10 @@ L), residual and stop reason).
 A cold solve of a grid with even cell counts, at least 8 per axis after
 halving, first solves the half grid, and a half grid of at least 4096
 cells its own half grid in turn (see ``_solve``); denoise stays one cold
-solve, since it starts from the image.  Columns per command:
+solve, since it starts from the image.  A closed-form instance (matched,
+linear, bump) starts from its boundary trace and a zero interior, never
+from u*; a files instance starts from its boundary file.  Columns per
+command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -146,7 +149,9 @@ class ExperimentConfig:
     config_path: Path
     config_hash: str
     seed: int = _key("run", "int", 0, "recorded in report.txt; nothing in varexp is random")
-    out: Path = _key("run", "str", Path("varexp-out"), "output directory; --out overrides")
+    out: Path = _key("run", "str", Path("varexp-out"),
+                     "output directory, relative to the working directory, not to the "
+                     "config file; --out overrides")
     dim: int = _key("grid", "int", 2, "space dimension", _one_of(1, 2, 3))
     # the grid defaults are 2-D; other dims repeat the first entry per axis
     origin: tuple[float, ...] = _key("grid", "floats", (-1.0, -1.0), "lower domain corner")
@@ -169,8 +174,8 @@ class ExperimentConfig:
                                      key="boundary")
     tolerance: float = _key("solver", "float", 1e-8,
                             "residual at which the final gamma stage stops", _above(0))
-    max_iterations: int = _key("solver", "int", 200,
-                               "Newton step cap per gamma stage (not for denoise)", _at_least(0))
+    max_iterations: int = _key("solver", "int", 200, "Newton step cap per gamma stage",
+                               _at_least(0))
     q: float = _key("estimates", "float", 2.0, "higher-integrability exponent", _at_least(1))
     kappa: float | None = _key("estimates", "auto", None,
                                "good-lambda factor, at least 2^dim; auto: 2^(n+1) c4, with c4 "
@@ -203,12 +208,9 @@ class ExperimentConfig:
                            _at_least(0))
     p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges", _above(1))
     p_max: float = _key("denoise", "float", 2.0, "exponent on flat regions")
-    iterations: int = _key("denoise", "int", 100, "Newton step cap per gamma stage of denoise",
-                           _at_least(0))
 
     def solve_options(self) -> SolveOptions:
-        cap = self.iterations if self.command == "denoise" else self.max_iterations
-        return SolveOptions(tolerance=self.tolerance, max_iterations=cap)
+        return SolveOptions(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
 
 def _config_keys() -> dict[tuple[str, str], Field]:
@@ -294,6 +296,17 @@ def load_config(command: str, path: str | Path, out: str | None = None) -> Exper
             cfg.instance == "files" or cfg.exponent_kind == "file"):
         raise ConfigError("[sweep] refinements: must be 0 with instance = files or "
                           "exponent kind = file, since a field file holds one grid")
+    if cfg.command == "sweep":
+        for size in cfg.sizes:
+            try:  # the root of _cmd_sweep's size row; a box must be finite and not flat
+                domain = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells).domain
+                fits = domain.contains_box(_size_root(domain, size).scaled(2.0))
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] sizes: {exc}, got size {size:g}") from exc
+            if not fits:
+                raise ConfigError(f"[sweep] sizes: the doubled root (side {2 * size:g}) must "
+                                  f"fit the domain (extent {' '.join(map(_fmt, cfg.extent))}), "
+                                  f"got size {size:g}")
     if cfg.command == "denoise":
         if cfg.image is None:
             raise ConfigError("[denoise] image: required for the denoise command")
@@ -529,9 +542,9 @@ def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
 
 
 def _build_instance(cfg: ExperimentConfig, grid: Grid):
-    """Returns (u_star or None, G, boundary).  A manufactured boundary
-    field is zero off the domain boundary, since its interior is the
-    solve's starting guess."""
+    """Returns (u_star or None, G, boundary).  The boundary field's interior
+    is the solve's starting guess: zero for a manufactured instance, the
+    boundary file's interior for files."""
     if cfg.instance == "files":
         g_fld = read_field(cfg.g_path)
         if not isinstance(g_fld, CellField) or g_fld.grid != grid:
@@ -549,10 +562,7 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid):
         if b_fld.codomain_dim != N:
             raise ConfigError(f"[data] boundary: codomain {b_fld.codomain_dim} != {N}")
         return None, G, b_fld
-    u_star, G, boundary = manufactured_instance(cfg.instance, grid)
-    start = boundary.values.copy()  # u* itself for matched and linear
-    start[~grid.boundary_node_mask] = 0.0
-    return u_star, G, GridFunction(grid, start)
+    return manufactured_instance(cfg.instance, grid)
 
 
 def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):
@@ -667,6 +677,12 @@ def _root(cfg: ExperimentConfig, grid: Grid) -> Box:
     return grid.domain.scaled(cfg.root_scale)
 
 
+def _size_root(domain: Box, size: float) -> Box:
+    """The cube of side ``size`` at the centre of the domain: a sweep size row's root."""
+    return Box(tuple(c - size / 2 for c in domain.center),
+               tuple(c + size / 2 for c in domain.center))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -770,9 +786,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
                      _root(cfg, grid), coarse)
 
     for size in cfg.sizes:
-        root = Box(tuple(c - size / 2 for c in base.domain.center),
-                   tuple(c + size / 2 for c in base.domain.center))
-        add("size", _fmt(size), base, p0, root)
+        add("size", _fmt(size), base, p0, _size_root(base.domain, size))
 
     mean_p = float(p0.values.mean())
     root = _root(cfg, base)

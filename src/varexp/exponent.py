@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,10 +93,6 @@ class ExponentField:
     def require_superlinear(self, what: str) -> None:
         if self.p_minus <= 1.0:
             raise ValueError(f"{what} requires p- > 1, got p- = {self.p_minus}")
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable, p_infinity: float | None = None) -> "ExponentField":
-        return cls(GridFunction.from_function(grid, fn), p_infinity)
 
 
 @dataclass

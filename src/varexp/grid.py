@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -290,11 +289,6 @@ class GridFunction:
     def codomain_dim(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable, codomain_dim: int = 1) -> "GridFunction":
-        out = np.asarray([fn(x) for x in grid.node_coords], dtype=float)
-        return cls(grid, out.reshape(grid.num_nodes, codomain_dim))
-
     def at(self, points) -> np.ndarray:
         return self.grid.interpolate(self.values, points)
 
@@ -323,11 +317,6 @@ class CellField:
     @property
     def component_shape(self) -> tuple[int, ...]:
         return self.values.shape[1:]
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable) -> "CellField":
-        out = np.asarray([fn(x) for x in grid.cell_centers], dtype=float)
-        return cls(grid, out)
 
     def magnitude(self) -> np.ndarray:
         """(num_cells,) Euclidean (Frobenius) norm of each cell value."""

@@ -660,73 +660,35 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
     return SolverResult(GridFunction(grid, u), converged, history, stages, message)
 
 
-def _sin_product(x: np.ndarray) -> float:
-    return float(np.prod(np.sin(math.pi * np.asarray(x))))
-
-
-def _sin_product_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    s, c = np.sin(math.pi * x), np.cos(math.pi * x)
-    out = np.empty_like(x)
-    for k in range(x.size):
-        out[k] = math.pi * c[k] * np.prod(np.delete(s, k))
-    return out
-
-
-def _harmonic_separable(dim: int):
-    """A separable harmonic function and its gradient (series truncation)."""
-    if dim == 1:
-        return (lambda x: float(x[0]), lambda x: np.array([1.0]))
-    if dim == 2:
-        k = math.pi
-
-        def f(x):
-            return math.sin(k * x[0]) * math.sinh(k * x[1]) / math.sinh(k)
-
-        def df(x):
-            return np.array([
-                k * math.cos(k * x[0]) * math.sinh(k * x[1]) / math.sinh(k),
-                k * math.sin(k * x[0]) * math.cosh(k * x[1]) / math.sinh(k),
-            ])
-
-        return f, df
-    k = math.pi
-    kz = math.sqrt(2.0) * k
-
-    def f3(x):
-        return math.sin(k * x[0]) * math.sin(k * x[1]) * math.sinh(kz * x[2]) / math.sinh(kz)
-
-    def df3(x):
-        s0, c0 = math.sin(k * x[0]), math.cos(k * x[0])
-        s1, c1 = math.sin(k * x[1]), math.cos(k * x[1])
-        sh, ch = math.sinh(kz * x[2]), math.cosh(kz * x[2])
-        return np.array([k * c0 * s1 * sh, k * s0 * c1 * sh, kz * s0 * s1 * ch]) / math.sinh(kz)
-
-    return f3, df3
+def _separable(grid: Grid, factors) -> tuple[GridFunction, CellField]:
+    """u* = prod_k f_k(x_k) at the nodes and its gradient at the cell
+    centers, d_k u* = f_k'(x_k) prod_{j != k} f_j(x_j), from one pair
+    (f_k, f_k') of vectorized one-axis functions per axis.  Each product
+    runs in axis order."""
+    u = math.prod(f(x) for (f, _), x in zip(factors, grid.node_coords.T))
+    X = grid.cell_centers.T
+    vals = [f(x) for (f, _), x in zip(factors, X)]
+    grad = [df(x) * math.prod(vals[:k] + vals[k + 1:])
+            for k, ((_, df), x) in enumerate(zip(factors, X))]
+    return GridFunction(grid, u), CellField(grid, np.stack(grad, axis=-1)[:, None, :])
 
 
 def manufactured_instance(kind: str, grid: Grid,
                           ) -> tuple[GridFunction | None, CellField, GridFunction]:
-    """Analytic test instances: (u_star, G, boundary).
+    """Analytic test instances: (u_star, G, boundary).  The boundary field
+    carries the trace of u* (zero for bump) and a zero interior, so a solve
+    from it starts cold, never at the answer.
 
     matched: u* = product of sin(pi x_k); G samples the analytic gradient
              at cell centers, so u* is the continuum solution for any p.
-    linear:  separable harmonic u* (series truncation); with p = 2 the
-             discrete solution agrees with a direct linear solve.
+    linear:  separable harmonic u*: x in 1-D; else sin(pi x_k) on every
+             axis but the last and sinh(kappa x)/sinh(kappa) on the last,
+             kappa = pi sqrt(dim - 1).  With p = 2 the discrete solution
+             agrees with a direct linear solve.
     bump:    no u*; G is a localized Gaussian bump along the first axis
              with zero boundary data.
     """
     d = grid.dim
-    if kind == "matched":
-        u_star = GridFunction.from_function(grid, _sin_product)
-        G = CellField(grid, np.stack(
-            [_sin_product_grad(x) for x in grid.cell_centers])[:, None, :])
-        return u_star, G, u_star
-    if kind == "linear":
-        f, df = _harmonic_separable(d)
-        u_star = GridFunction.from_function(grid, f)
-        G = CellField(grid, np.stack([df(x) for x in grid.cell_centers])[:, None, :])
-        return u_star, G, u_star
     if kind == "bump":
         c = grid.domain.center
         width = grid.domain.side / 8.0
@@ -736,4 +698,17 @@ def manufactured_instance(kind: str, grid: Grid,
         G = CellField(grid, vals)
         boundary = GridFunction(grid, np.zeros(grid.num_nodes))
         return None, G, boundary
-    raise ValueError(f"unknown manufactured kind: {kind!r}")
+    sine = (lambda x: np.sin(math.pi * x), lambda x: math.pi * np.cos(math.pi * x))
+    if kind == "matched":
+        factors = [sine] * d
+    elif kind == "linear" and d == 1:
+        factors = [(lambda x: x, np.ones_like)]
+    elif kind == "linear":
+        k = math.sqrt(d - 1) * math.pi
+        factors = [sine] * (d - 1) + [(lambda x: np.sinh(k * x) / math.sinh(k),
+                                       lambda x: k * np.cosh(k * x) / math.sinh(k))]
+    else:
+        raise ValueError(f"unknown manufactured kind: {kind!r}")
+    u_star, G = _separable(grid, factors)
+    mask = grid.boundary_node_mask[:, None]
+    return u_star, G, GridFunction(grid, np.where(mask, u_star.values, 0.0))

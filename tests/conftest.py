@@ -20,17 +20,11 @@ def constant_exponent(grid: Grid, value: float) -> ExponentField:
 
 def smooth_exponent(grid: Grid, amp: float = 0.12) -> ExponentField:
     """Gently oscillating exponent with measured c_log well below 0.1."""
-    return ExponentField.from_function(
-        grid,
-        lambda x: 2.0 + amp * np.sin(0.5 * np.pi * x[0]) * np.sin(0.5 * np.pi * x[1]),
+    X = grid.node_coords.T
+    return ExponentField(
+        GridFunction(grid, 2.0 + amp * np.sin(0.5 * np.pi * X[0]) * np.sin(0.5 * np.pi * X[1])),
         p_infinity=2.0,
     )
-
-
-def cold_start(boundary: GridFunction) -> GridFunction:
-    """The boundary values with a zero interior, so no solve starts at the answer."""
-    mask = boundary.grid.boundary_node_mask[:, None]
-    return GridFunction(boundary.grid, np.where(mask, boundary.values, 0.0))
 
 
 def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction]:
@@ -42,7 +36,7 @@ def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction]:
     """
     g = Grid(1, (-2.0,), (4.0,), (512,))
     w = 0.04
-    p = ExponentField.from_function(g, lambda x: 2.0 - amp * np.exp(-x[0] ** 2 / w**2))
+    p = ExponentField(GridFunction(g, 2.0 - amp * np.exp(-g.node_coords[:, 0] ** 2 / w**2)))
     bnd = GridFunction(g, 2394.0 * np.tanh(g.node_coords[:, 0] * 5.0))
     G = CellField(g, np.zeros((g.num_cells, 1, 1)))
     return G, p, bnd
@@ -67,7 +61,7 @@ def solved_matched(n: int) -> dict:
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (n, n))
     p = smooth_exponent(grid)
     u_star, G, boundary = manufactured_instance("matched", grid)
-    result = solve_pxlaplace(G, p, cold_start(boundary), SolveOptions())
+    result = solve_pxlaplace(G, p, boundary, SolveOptions())
     assert result.converged, result.message
     return {"grid": grid, "p": p, "u_star": u_star, "G": G,
             "boundary": boundary, "result": result}
@@ -96,7 +90,8 @@ def matched64():
 @pytest.fixture(scope="session")
 def affine32(grid32):
     """Affine state with zero data: an exact discrete critical point."""
-    u = GridFunction.from_function(grid32, lambda x: 3.0 * x[0] - 2.0 * x[1] + 0.5)
+    X = grid32.node_coords.T
+    u = GridFunction(grid32, 3.0 * X[0] - 2.0 * X[1] + 0.5)
     G = CellField(grid32, np.zeros((grid32.num_cells, 1, 2)))
     p = constant_exponent(grid32, 2.0)
     return {"grid": grid32, "u": u, "G": G, "p": p}

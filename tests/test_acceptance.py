@@ -43,7 +43,7 @@ from varexp.operator import FluxParams, coercivity_constant, energy, energy_grad
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
-from conftest import cold_start, constant_exponent, constriction, solved_matched
+from conftest import constant_exponent, constriction, solved_matched
 
 
 @contextmanager
@@ -150,7 +150,7 @@ def test_acceptance_solver_recovery(matched32, matched64):
         g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
         p = constant_exponent(g, 2.0)
         u_star, G, boundary = manufactured_instance("linear", g)
-        res = solve_pxlaplace(G, p, cold_start(boundary), SolveOptions())
+        res = solve_pxlaplace(G, p, boundary, SolveOptions())
         assert res.converged
         B = np.zeros((g.num_cells, g.dim, g.num_nodes))
         coefs = g.grad_coefs

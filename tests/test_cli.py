@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cold_start
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -424,7 +423,7 @@ def test_sweep_refinements_need_one_grid(tmp_path, capsys, old, new):
     _, G, bnd = manufactured_instance("matched", g)
     write_field(tmp_path / "p.vxf", GridFunction(g, np.full(g.num_nodes, 2.0)))
     write_field(tmp_path / "g.vxf", G)
-    write_field(tmp_path / "b.vxf", cold_start(bnd))
+    write_field(tmp_path / "b.vxf", bnd)
     text = BASE.replace(old, new)
     assert text != BASE
     f = cfg_file(tmp_path, text)
@@ -755,8 +754,7 @@ def test_nested_files_solve_matches_cold(tmp_path):
     # interior); the domain is off-centre so the boundary data are not zero
     grid = Grid(3, (-0.7, -0.6, -0.5), (1.5, 1.5, 1.5), (16, 16, 16))
     p = ExponentField(GridFunction(grid, np.full(grid.num_nodes, 1.7)))
-    _, G, u_star = manufactured_instance("matched", grid)
-    bnd = cold_start(u_star)
+    _, G, bnd = manufactured_instance("matched", grid)
     write_field(tmp_path / "g.vxf", G)
     write_field(tmp_path / "b.vxf", bnd)
     text = ("[grid]\ndim = 3\norigin = -0.7 -0.6 -0.5\nextent = 1.5 1.5 1.5\n"

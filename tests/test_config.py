@@ -60,7 +60,6 @@ def with_key(text, section, line):
     ("solver", "tolerance = -1"),
     ("solver", "tolerance = 0"),
     ("solver", "max_iterations = -1"),
-    ("denoise", "iterations = -1"),
     ("estimates", "mu_max = 0.5"),
     ("estimates", "mu_max = 1"),
     ("estimates", "steps = 0"),
@@ -87,6 +86,14 @@ def test_invalid_value_names_section_and_key(tmp_path, capsys, section, line):
     assert rc == EXIT_CONFIG
     assert f"[{section}] {key}" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_denoise_iterations_is_unknown(tmp_path):
+    # denoise caps its Newton steps by [solver] max_iterations, as every
+    # command does; its own cap key is gone
+    f = write(tmp_path, "[denoise]\nimage = a.pgm\niterations = 100\n")
+    with pytest.raises(ConfigError, match=r"unknown key \[denoise\] iterations"):
+        load_config("denoise", f)
 
 
 def test_default_section_is_unknown(tmp_path):
@@ -134,7 +141,6 @@ def test_every_key_parsed(tmp_path):
         "strength": ("1.5", 1.5),
         "p_min": ("1.5", 1.5),
         "p_max": ("1.9", 1.9),
-        "iterations": ("33", 33),
     }
     assert set(given_values) == set(KEYS)  # a new key needs a line here
     text = ""
@@ -145,7 +151,7 @@ def test_every_key_parsed(tmp_path):
     for name, (_, want) in given_values.items():
         assert getattr(cfg, name) == want, name
         assert getattr(defaults, name) != want, name
-    assert cfg.solve_options().max_iterations == 33  # denoise caps by iterations
+    assert cfg.solve_options().max_iterations == 17  # denoise caps by [solver] max_iterations
     assert load_config("solve", write(tmp_path, "")).solve_options().max_iterations == 200
 
 
@@ -159,7 +165,7 @@ PARENT_DEFAULTS = {
     "lambda_factors": (1.0, 2.0, 4.0), "lambda_count": 64, "m": None, "m0": 1.5,
     "mu_max": 2.0, "steps": 8, "cap": 1e3, "root_scale": 0.5,
     "refinements": 1, "sizes": (0.5, 1.0), "amplitudes": (1.0, 0.5),
-    "image": None, "strength": 3.0, "p_min": 1.4, "p_max": 2.0, "iterations": 100,
+    "image": None, "strength": 3.0, "p_min": 1.4, "p_max": 2.0,
 }
 
 
@@ -189,6 +195,30 @@ def test_cross_key_rules(tmp_path):
         load_config("denoise", write(tmp_path, "[denoise]\nimage = a.pgm\np_max = 1.2\n"))
     # denoise-only rules do not apply to the other commands
     load_config("solve", write(tmp_path, "[denoise]\np_max = 1.2\n"))
+
+
+@pytest.mark.parametrize("grid, sizes", [
+    ("extent = 4 4", "0.5 3"),
+    ("origin = 5 -7\nextent = 4 1.5", "1"),
+    ("dim = 3\norigin = 0 0 0\nextent = 2 2 1.9", "1"),
+    ("extent = 4 4", "1e-20"),
+], ids=["2d", "2d-offset", "3d", "no-width"])
+def test_sweep_sizes_must_fit_the_domain(tmp_path, capsys, grid, sizes):
+    # a doubled size root that leaves the domain, or a size too small to
+    # give a box of positive width at the centre, used to exit 1 only after the refinement
+    # solves, with a message that named no key; it is a config error naming
+    # [sweep] sizes, and a root that doubles to the extent fits
+    f = write(tmp_path, f"[grid]\n{grid}\n[sweep]\nsizes = {sizes}\n")
+    rc = main(["sweep", "--config", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and "[sweep] sizes" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+    load_config("solve", f)  # the rule is the sweep's alone
+    fits = f.read_text().replace(f"sizes = {sizes}", "sizes = 0.5 0.75")
+    load_config("sweep", write(tmp_path, fits))
+    # the rule builds the roots where the sweep does: at a centre of 0 even a
+    # tiny root has width
+    load_config("sweep", write(tmp_path, "[sweep]\nsizes = 1e-20\n"))
 
 
 @pytest.mark.parametrize("line, key", [("cells = 8 1", "cells"), ("extent = 4 -4", "extent"),

@@ -120,7 +120,8 @@ def test_gehring_table_monotone_without_data(affine32):
     # with G = 0 and a non-constant gradient the lhs power mean grows in mu
     # while the energy term stays put: worst constants are non-decreasing.
     g = affine32["grid"]
-    u = GridFunction.from_function(g, lambda x: np.sin(x[0]) * x[1])
+    X = g.node_coords.T
+    u = GridFunction(g, np.sin(X[0]) * X[1])
     res = gehring_scan(u, affine32["G"], affine32["p"], g.domain.scaled(0.5))
     consts = [r[3] for r in res.ratio_table]
     assert all(b >= a - 1e-9 for a, b in zip(consts, consts[1:]))
@@ -156,7 +157,8 @@ def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None, levels=None):
 def test_gehring_scan_matches_per_cube_oracle(matched32):
     rng = np.random.default_rng(41)
     g3 = Grid(3, (-1.0,) * 3, (2.0,) * 3, (8, 8, 8))
-    p3 = ExponentField.from_function(g3, lambda x: 1.8 + 0.3 * x[0] * x[1])
+    X3 = g3.node_coords.T
+    p3 = ExponentField(GridFunction(g3, 1.8 + 0.3 * X3[0] * X3[1]))
     u3 = GridFunction(g3, rng.normal(size=g3.num_nodes))
     G3 = CellField(g3, rng.normal(size=(g3.num_cells, 1, 3)))
     # roots off the symmetry axes of the instances: symmetric cubes tie
@@ -221,8 +223,9 @@ def test_higher_integrability_flags_unused_tail():
 def test_higher_integrability_lambda0_is_covering_threshold():
     # one route for lambda0: records.csv and goodlambda must agree bit for bit
     g = Grid(2, (-1.7, -2.3), (4.0, 4.0), (32, 32))
-    p = ExponentField.from_function(g, lambda x: 1.8 + 0.2 * np.sin(x[0]) * np.cos(x[1]))
-    u = GridFunction.from_function(g, lambda x: np.sin(2.0 * x[0]) * np.exp(-x[1] ** 2))
+    X = g.node_coords.T
+    p = ExponentField(GridFunction(g, 1.8 + 0.2 * np.sin(X[0]) * np.cos(X[1])))
+    u = GridFunction(g, np.sin(2.0 * X[0]) * np.exp(-X[1] ** 2))
     G = CellField(g, np.zeros((g.num_cells, 1, 2)))
     root = g.domain.scaled(0.5)
     lam0 = covering_threshold(energy_density(u, p), root)

@@ -71,8 +71,8 @@ def test_three_node_log_holder_oracle():
 @pytest.mark.parametrize("seed", [500, 100_000])  # nothing is sampled: seed is ignored
 def test_report_profile_matches_separate_call(seed):
     g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (16, 16))
-    p = ExponentField.from_function(
-        g, lambda x: 2.0 + 0.3 * np.sin(3.0 * x[0]) * x[1], p_infinity=2.0)
+    X = g.node_coords.T
+    p = ExponentField(GridFunction(g, 2.0 + 0.3 * np.sin(3.0 * X[0]) * X[1]), p_infinity=2.0)
     eps = (0.5, 0.2, 0.1, 0.05)
     rep = log_holder_constant(p, seed=seed, epsilons=eps)
     assert rep.vanishing_profile == vanishing_profile(p, eps)
@@ -205,8 +205,8 @@ def test_offset_sweep_matches_offset_loop(p, constant):
 def test_log_holder_memory_is_o_nodes():
     # sampling 2M pairs took the process from about 38 MB to about 250 MB
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (64, 64))
-    p = ExponentField.from_function(
-        g, lambda x: 2.15 + 0.85 * np.sin(2.0 * x[0]) * np.cos(1.5 * x[1]))
+    X = g.node_coords.T
+    p = ExponentField(GridFunction(g, 2.15 + 0.85 * np.sin(2.0 * X[0]) * np.cos(1.5 * X[1])))
     tracemalloc.start()
     try:
         log_holder_constant(p)
@@ -218,7 +218,7 @@ def test_log_holder_memory_is_o_nodes():
 
 def test_select_comparison_exponent_farthest_point():
     g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (8, 8))
-    p = ExponentField.from_function(g, lambda x: 2.0 + 0.1 * x[0])
+    p = ExponentField(GridFunction(g, 2.0 + 0.1 * g.node_coords[:, 0]))
     # selection runs over grid nodes in 2Q; the four corners of 2Q are
     # nodes here, all equidistant, and the lexicographic tie-break picks
     # the smallest.
@@ -244,7 +244,7 @@ def test_vmo_oscillation_hand_case():
     # are 1/2 and 1/4, and both cubes have scale log(e + max{l, 1/l, |c|})
     # = log(e + 2)
     g = Grid(1, (0.0,), (1.0,), (8,))
-    p = ExponentField.from_function(g, lambda x: 2.0 + x[0])
+    p = ExponentField(GridFunction(g, 2.0 + g.node_coords[:, 0]))
     assert log_holder_constant(p, vmo_levels=1).vmo_oscillation == pytest.approx(
         0.5 * math.log(E + 2.0), rel=1e-14)
     const = constant_exponent(g, 2.0)

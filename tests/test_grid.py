@@ -101,10 +101,10 @@ def test_boundary_node_mask_count():
 def test_interpolate_exact_on_multilinear():
     rng = np.random.default_rng(7)
     g = Grid(2, (-1.0, 0.0), (2.0, 3.0), (5, 4))
+    X = g.node_coords.T
     for _ in range(20):
         a, b, c, d = rng.normal(size=4)
-        u = GridFunction.from_function(
-            g, lambda x: a + b * x[0] + c * x[1] + d * x[0] * x[1])
+        u = GridFunction(g, a + b * X[0] + c * X[1] + d * X[0] * X[1])
         pts = np.column_stack([rng.uniform(-1, 1, 30), rng.uniform(0, 3, 30)])
         want = a + b * pts[:, 0] + c * pts[:, 1] + d * pts[:, 0] * pts[:, 1]
         np.testing.assert_allclose(u.at(pts)[:, 0], want, rtol=0, atol=1e-12)
@@ -114,7 +114,8 @@ def test_gradient_bilinear_cell_oracle():
     # u = x*y on the unit square: the cell-center gradient of the first
     # cell of a 2x2 grid is (y, x) at (1/4, 1/4).
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (2, 2))
-    u = GridFunction.from_function(g, lambda x: x[0] * x[1])
+    X = g.node_coords.T
+    u = GridFunction(g, X[0] * X[1])
     np.testing.assert_allclose(gradient(u).values[0, 0], [0.25, 0.25], atol=1e-14)
 
 
@@ -123,15 +124,15 @@ def test_gradient_exact_on_affine():
     for dim in (1, 2, 3):
         g = Grid(dim, (-1.0,) * dim, (2.0,) * dim, (4,) * dim)
         coef = rng.normal(size=dim)
-        u = GridFunction.from_function(g, lambda x: float(coef @ x) + 1.0)
+        u = GridFunction(g, coef @ g.node_coords.T + 1.0)
         du = gradient(u).values[:, 0, :]
         np.testing.assert_allclose(du, np.tile(coef, (g.num_cells, 1)), atol=1e-12)
 
 
 def test_gradient_vector_codomain():
     g = Grid(1, (0.0,), (1.0,), (4,))
-    u = GridFunction.from_function(
-        g, lambda x: np.array([x[0], 2.0 * x[0]]), codomain_dim=2)
+    X = g.node_coords.T
+    u = GridFunction(g, np.stack([X[0], 2.0 * X[0]], axis=1))
     du = gradient(u).values
     assert du.shape == (4, 2, 1)
     np.testing.assert_allclose(du[:, 0, 0], 1.0)

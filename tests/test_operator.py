@@ -38,7 +38,7 @@ def test_flux_closed_forms():
 
 def test_flux_batch_shape():
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-    p = ExponentField.from_function(g, lambda x: 2.0 + x[0])
+    p = ExponentField(GridFunction(g, 2.0 + g.node_coords[:, 0]))
     z = np.random.default_rng(0).normal(size=(10, 2))
     out = flux(np.array([0.5, 0.5]), z, p, FluxParams(0.0))
     assert out.shape == (10, 2)
@@ -48,7 +48,8 @@ def test_energy_closed_form_p2():
     # p = 2, gamma = 0, u affine, G constant: J = |a|^2/2 - G . a
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
     p = constant_exponent(g, 2.0)
-    u = GridFunction.from_function(g, lambda x: 3.0 * x[0] - 1.0 * x[1])
+    X = g.node_coords.T
+    u = GridFunction(g, 3.0 * X[0] - 1.0 * X[1])
     G = CellField(g, np.tile(np.array([0.5, 2.0]), (g.num_cells, 1, 1)).reshape(g.num_cells, 1, 2))
     J = energy(u, G, p, FluxParams(0.0))
     assert J == pytest.approx(10.0 / 2.0 - (0.5 * 3.0 - 2.0), rel=1e-12)

@@ -21,7 +21,7 @@ from varexp.solver import (
     solve_pxlaplace,
 )
 
-from conftest import assembled_hessian, cold_start, constant_exponent, constriction
+from conftest import assembled_hessian, constant_exponent, constriction
 
 
 def test_schedule_floor_below_two(monkeypatch):
@@ -173,8 +173,8 @@ def test_newton_step_matches_dense_solve_vector_3d(monkeypatch):
     # the step on the free dofs, in their natural order, is the dense solve
     # of the free-dof Hessian, so the ordering and dof interleaving cancel
     g = Grid(3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (5, 4, 3))
-    p = ExponentField.from_function(
-        g, lambda x: 2.0 + 0.5 * np.sin(2 * np.pi * x[0]) * np.cos(np.pi * x[2]))
+    X = g.node_coords.T
+    p = ExponentField(GridFunction(g, 2.0 + 0.5 * np.sin(2 * np.pi * X[0]) * np.cos(np.pi * X[2])))
     rng = np.random.default_rng(5)
     G = CellField(g, rng.normal(size=(g.num_cells, 2, 3)))
     u0 = GridFunction(g, np.where(g.boundary_node_mask[:, None],
@@ -206,7 +206,6 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
 
     p = constant_exponent(g, 2.0)
     _, G, bnd = manufactured_instance("linear", g)
-    bnd = cold_start(bnd)
     monkeypatch.setattr(solver, "energy_hessian", lambda u, p, params: blocks)
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
     res = solve_pxlaplace(G, p, bnd, SolveOptions(max_iterations=1))
@@ -275,10 +274,10 @@ def test_cold_start_recovery(dim, lo, side, p_range, p_fn):
     errs = []
     for h in (1 / 4, 1 / 8):
         g = Grid(dim, (lo,) * dim, (side,) * dim, (round(side / h),) * dim)
-        p = ExponentField.from_function(g, p_fn)
+        p = ExponentField(GridFunction(g, p_fn(g.node_coords.T)))
         assert (p.p_minus, p.p_plus) == pytest.approx(p_range, abs=1e-12)
         u_star, G, bnd = manufactured_instance("matched", g)
-        res = solve_pxlaplace(G, p, cold_start(bnd), SolveOptions())
+        res = solve_pxlaplace(G, p, bnd, SolveOptions())
         assert res.converged and res.residual <= 1e-8, res.message
         errs.append(float(np.abs(res.u.values - u_star.values).max()))
     assert errs[1] < 0.05
@@ -325,7 +324,7 @@ def test_solve_validation():
 
 def test_nonconvergence_reported_honestly():
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
-    p = ExponentField.from_function(g, lambda x: 2.0 + 0.4 * np.sin(x[0]))
+    p = ExponentField(GridFunction(g, 2.0 + 0.4 * np.sin(g.node_coords[:, 0])))
     _, G, bnd = manufactured_instance("matched", g)
     # zero Newton steps leaves the boundary extension untouched, so the
     # residual stays far above any reasonable tolerance
@@ -372,6 +371,71 @@ def test_manufactured_bump_shape(grid32):
         manufactured_instance("mystery", grid32)
 
 
+def _sin_product(x):
+    return float(np.prod(np.sin(math.pi * np.asarray(x))))
+
+
+def _sin_product_grad(x):
+    s, c = np.sin(math.pi * x), np.cos(math.pi * x)
+    return np.array([math.pi * c[k] * np.prod(np.delete(s, k)) for k in range(x.size)])
+
+
+def _harmonic(x):
+    """The separable harmonic u* of the linear instance and its gradient at x."""
+    if x.size == 1:
+        return float(x[0]), np.array([1.0])
+    k = math.pi
+    if x.size == 2:
+        return (math.sin(k * x[0]) * math.sinh(k * x[1]) / math.sinh(k), np.array([
+            k * math.cos(k * x[0]) * math.sinh(k * x[1]) / math.sinh(k),
+            k * math.sin(k * x[0]) * math.cosh(k * x[1]) / math.sinh(k)]))
+    kz = math.sqrt(2.0) * k
+    s0, c0 = math.sin(k * x[0]), math.cos(k * x[0])
+    s1, c1 = math.sin(k * x[1]), math.cos(k * x[1])
+    sh, ch = math.sinh(kz * x[2]), math.cosh(kz * x[2])
+    return (s0 * s1 * sh / math.sinh(kz),
+            np.array([k * c0 * s1 * sh, k * s0 * c1 * sh, kz * s0 * s1 * ch]) / math.sinh(kz))
+
+
+@pytest.mark.parametrize("cells, lo, ext", [
+    ((7,), (0.0,), (1.0,)),
+    ((5, 4), (0.0, 0.0), (1.0, 1.0)),
+    ((9, 6), (0.1, 0.0), (0.8, 1.0)),
+    ((5, 4, 3), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+    ((4, 6, 5), (0.0, 0.1, 0.0), (0.9, 0.6, 1.0)),
+], ids=["1d", "2d", "2d-nonsquare", "3d", "3d-nonsquare"])
+def test_manufactured_instances_match_pointwise_closed_forms(cells, lo, ext):
+    # the vectorized separable product against one evaluation per node and
+    # cell: matched is byte-equal, linear agrees to an ulp or two (libm and
+    # NumPy elementary functions may differ in the last bit)
+    g = Grid(len(cells), lo, ext, cells)
+    u, G, _ = manufactured_instance("matched", g)
+    want = np.array([_sin_product(x) for x in g.node_coords])
+    assert u.values[:, 0].tobytes() == want.tobytes()
+    want = np.stack([_sin_product_grad(x) for x in g.cell_centers])
+    assert G.values[:, 0, :].tobytes() == want.tobytes()
+
+    u, G, _ = manufactured_instance("linear", g)
+    nodes = [_harmonic(x)[0] for x in g.node_coords]
+    grads = np.stack([_harmonic(x)[1] for x in g.cell_centers])
+    np.testing.assert_allclose(u.values[:, 0], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(G.values[:, 0, :], grads, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["matched", "linear", "bump"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_manufactured_boundary_field_starts_cold(kind, dim):
+    # the boundary field carries u*'s trace (zero for bump) and a zero
+    # interior, so no solve from it starts at the answer
+    g = Grid(dim, (-0.3,) * dim, (1.1,) * dim, (6, 5, 4)[:dim])
+    u_star, _, bnd = manufactured_instance(kind, g)
+    trace = np.zeros((g.num_nodes, 1)) if u_star is None else u_star.values
+    mask = g.boundary_node_mask
+    assert bnd.values[mask].tobytes() == trace[mask].tobytes()
+    assert not bnd.values[~mask].any()
+    assert kind == "bump" or trace[~mask].all()  # u* is not zero inside
+
+
 def _bump_solve(cells, p_of, start=None, warm_start=False):
     """The bump instance on [-2, 2]^d with p = p_of(grid); from a zero
     interior, or from the Q1 prolongation of the solved coarser ``start``."""
@@ -387,9 +451,9 @@ def _bump_solve(cells, p_of, start=None, warm_start=False):
 
 # a nodal exponent table in [1.3, 3] on a 4 x 4-cell grid, read by Q1
 # interpolation as [exponent] kind = table does
-_P_TABLE = GridFunction.from_function(
-    Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4)),
-    lambda x: 2.15 + 0.85 * np.sin(0.5 * np.pi * x[0]) * np.cos(0.25 * np.pi * x[1]))
+_P_GRID = Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4))
+_X, _Y = _P_GRID.node_coords.T
+_P_TABLE = GridFunction(_P_GRID, 2.15 + 0.85 * np.sin(0.5 * np.pi * _X) * np.cos(0.25 * np.pi * _Y))
 
 
 @pytest.mark.parametrize("cells, p_of", [

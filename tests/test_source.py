@@ -24,6 +24,36 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src/varexp: {found}"
 
 
+_COORDS = {"node_coords", "cell_centers"}
+
+
+def _coordinate_loops(tree: ast.Module) -> list[int]:
+    """Lines of the for loops and comprehensions that iterate over an
+    attribute named node_coords or cell_centers, directly or as an argument
+    of the call they iterate over (``enumerate(g.cell_centers)``)."""
+    def is_coords(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in _COORDS
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            it = node.iter
+            if is_coords(it) or isinstance(it, ast.Call) and any(map(is_coords, it.args)):
+                lines.append(it.lineno)
+    return lines
+
+
+def test_no_loop_over_coordinates_in_package():
+    # a field on the grid is evaluated on whole coordinate arrays: one Python
+    # call per node or cell made building the matched instance take 0.64 s
+    # at 128^2, more than the solve of that grid's own level
+    found = []
+    for path in sorted(Path(varexp.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _coordinate_loops(tree)]
+    assert not found, f"loops over grid coordinates in src/varexp: {found}"
+
+
 _RANDOM = {"random", "default_rng", "numpy.random"}
 
 

@@ -84,7 +84,7 @@ def test_luxemburg_zero_field():
 def test_luxemburg_homogeneity_and_monotonicity():
     rng = np.random.default_rng(5)
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (6, 6))
-    p = ExponentField.from_function(g, lambda x: 2.0 + x[0])
+    p = ExponentField(GridFunction(g, 2.0 + g.node_coords[:, 0]))
     for _ in range(10):
         vals = rng.normal(size=g.num_cells)
         f = CellField(g, vals)
