@@ -165,8 +165,6 @@ class ExperimentConfig:
                                  _above(1), key="value")
     exponent_path: str | None = _key("exponent", "path", None,
                                      "VXF nodal p: any grid for table, [grid] for file", key="path")
-    p_infinity: float | None = _key("exponent", "float", None,
-                                    "far-field exponent; unset: p at the node of largest |x|")
     instance: str = _key("data", "str", "matched", "closed-form instance, or VXF files",
                          _one_of("matched", "linear", "bump", "files"))
     g_path: str | None = _key("data", "path", None, "VXF cell field G (files)", key="g")
@@ -525,7 +523,7 @@ def _provenance(cfg: ExperimentConfig) -> dict[str, str]:
 def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
     if cfg.exponent_kind == "constant":
         pf = GridFunction(grid, np.full(grid.num_nodes, float(cfg.exponent_value)))
-        return ExponentField(pf, cfg.p_infinity)
+        return ExponentField(pf)
     fld = read_field(cfg.exponent_path)
     if not isinstance(fld, GridFunction) or fld.codomain_dim != 1:
         raise ConfigError(f"[exponent] path: {cfg.exponent_path} must hold a nodal scalar")
@@ -538,7 +536,7 @@ def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
         nodal = fld.at(grid.node_coords)[:, 0]
     if nodal.min() <= 1.0:
         raise ConfigError("[exponent] values must exceed 1 everywhere")
-    return ExponentField(GridFunction(grid, nodal), cfg.p_infinity)
+    return ExponentField(GridFunction(grid, nodal))
 
 
 def _build_instance(cfg: ExperimentConfig, grid: Grid):
@@ -791,7 +789,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     mean_p = float(p0.values.mean())
     root = _root(cfg, base)
     for t in cfg.amplitudes:
-        pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)), cfg.p_infinity)
+        pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)))
         G, res = solve(base, pt, f" at amplitude {_fmt(t)}")
         F = energy_density(res.u, pt)
         lam = cfg.lambda_factors[0] * covering_threshold(F, root)

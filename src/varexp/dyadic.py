@@ -261,8 +261,10 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     """Measure delta(eps, lam) = |U| / |O_lam| over an (eps, lam) table.
 
     O_lam = {M*F > lam} and U = O_lam ∩ {M*F > kappa lam} ∩ {M*_{m0}(Gh) <= eps lam}.
-    kappa must be at least 2^n and every epsilon positive.  Rows with
-    empty O_lam report delta = 0.
+    kappa must be at least 2^n and every epsilon positive.  delta = 0 when
+    O_lam is empty, and also when U is: when {M*F > kappa lam} or
+    {M*_{m0}(Gh) <= eps lam} misses O_lam.  A zero row may therefore have
+    tested nothing.
     """
     g = F.grid
     _require_root(g, root)

@@ -12,11 +12,11 @@ outer product, and ``integrate`` and ``mean_over`` read their sums from it.
 
 The cell-center gradient B is one operator on the corner table
 (``cell_corner_indices``, ``grad_coefs``), applied as 2^dim shifted slices
-of the node lattice: ``gradient`` applies B, ``apply_gradient_transpose``
-applies B^T (the operator module's energy gradient and Hessian action), and
-the Hessian is B^T (D B) for a block-diagonal D.  Both kernels add their
-terms in the order of a row-wise sparse product, so their results do not
-depend on how B is stored.
+of the node lattice: ``gradient`` applies B and ``apply_gradient_transpose``
+applies B^T (the operator module's energy gradient); the Hessian
+B^T (D B), for a block-diagonal D, is taken cell by cell on the same corner
+table.  Both kernels add their terms in the order of a row-wise sparse
+product, so their results do not depend on how B is stored.
 
 Conventions: dimension is 1, 2, or 3; all per-axis data is ordered
 row-major (first axis slowest); node and cell arrays are flat with that
@@ -36,7 +36,6 @@ __all__ = [
     "GridFunction",
     "CellField",
     "gradient",
-    "apply_gradient",
     "apply_gradient_transpose",
     "integrate",
     "mean_over",
@@ -328,26 +327,18 @@ class CellField:
 
 
 def gradient(u: GridFunction) -> CellField:
-    """Per-cell gradient of the Q1 interpolant, evaluated at cell centers.
+    """Per-cell gradient of the Q1 interpolant, evaluated at cell centers:
+    B applied to the nodal values, a CellField of shape (num_cells, N, dim).
 
-    Returns a CellField of shape (num_cells, N, dim).  Exact for affine
-    fields; for multilinear fields it equals the interpolant's derivative
-    at the center (the mixed terms average out there).
-    """
-    return CellField(u.grid, apply_gradient(u.grid, u.values))
-
-
-def apply_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """B applied to nodal ``values`` (num_nodes, N): the (num_cells, N, dim)
-    cell-center gradients.
-
-    Each gradient component is the sum over the corners, in corner order, of
-    ``grad_coefs[b, k]`` times the corner value.  The coefficient is
-    +-w_k, so each term is one shifted slice of w_k * values, added or
+    Exact for affine fields; for multilinear fields it equals the
+    interpolant's derivative at the center (the mixed terms average out
+    there).  Each gradient component is the sum over the corners, in corner
+    order, of ``grad_coefs[b, k]`` times the corner value.  The coefficient
+    is +-w_k, so each term is one shifted slice of w_k * values, added or
     subtracted; (-w) x and -(w x) are the same double.
     """
-    N = values.shape[1]
-    v = values.reshape(grid.nodes_per_axis + (N,))
+    grid, N = u.grid, u.codomain_dim
+    v = u.values.reshape(grid.nodes_per_axis + (N,))
     w = np.abs(grid.grad_coefs[0])
     up = grid.corner_bits == 1
     first, *rest = grid.corner_slices
@@ -361,7 +352,7 @@ def apply_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
             else:
                 acc -= scaled[sl]
         parts.append(acc)
-    return np.stack(parts, axis=-1).reshape(grid.num_cells, N, grid.dim)
+    return CellField(grid, np.stack(parts, axis=-1).reshape(grid.num_cells, N, grid.dim))
 
 
 def apply_gradient_transpose(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -13,13 +13,15 @@ which is smooth and convex for gamma > 0 (and for gamma = 0 when p >= 2),
 with exact analytic gradient and Hessian with respect to the nodal values.
 Minimizers satisfy the discrete weak form div A(x, Du) = div A(x, G).
 
-D is the grid's cell-center gradient B (``grid.apply_gradient`` and its
+D is the grid's cell-center gradient B (``grid.gradient`` and its
 transpose): the energy gradient is B^T applied to the weighted flux
 residual, and the Hessian is B^T (D B) with D block diagonal, one block
-dA/dz per cell.  energy_hessian returns it cell by cell, as the element
-matrices B_c^T D_c B_c over each cell's corners, which the solver assembles
-into its frontal matrices; hessian_action applies the same product to a
-vector without assembling anything.
+dA/dz per cell.  The Hessian has one definition, cell by cell:
+_hessian_coefficients gives each cell's element matrix
+B_c^T D_c B_c = s1 C + s2 w w^T as the shared C = (K K^T) (x) I_N and the
+per-cell w, s1 and s2.  energy_hessian forms the matrices, which the
+solver sums into its frontal matrices; the solver's CG applies the same
+form to a vector on the cells' free dofs without forming them.
 
 coercivity_constant gives the V-coercivity constant c4 of the power flux
 exactly, from a 1-D minimization at p- and p+; the good-lambda threshold
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import (CellField, GridFunction, apply_gradient, apply_gradient_transpose,
-                   gradient)
+from .grid import CellField, GridFunction, apply_gradient_transpose, gradient
 
 __all__ = [
     "FluxParams",
@@ -43,7 +44,6 @@ __all__ = [
     "energy",
     "energy_gradient",
     "energy_hessian",
-    "hessian_action",
 ]
 
 
@@ -144,15 +144,24 @@ def energy_gradient(u: GridFunction, G: CellField, p: ExponentField,
 
 
 def _hessian_coefficients(u: GridFunction, p: ExponentField, params: FluxParams):
-    """Du and the two weights of each cell's block of D,
-    a(r) |cell| I + (a'(r)/r) |cell| z (x) z with z = Du there."""
+    """The element matrices of the Hessian in factored form: (C, w, s1, s2)
+    with B_c^T D_c B_c = s1[c] C + s2[c] w[c] w[c]^T.
+
+    D_c = a(r) |cell| I + (a'(r)/r) |cell| z (x) z with z = Du on cell c,
+    so C = (K K^T) (x) I_N for the corner coefficients K = ``grad_coefs``,
+    w = K z flattened to the dofs (corner b, component n) at index b N + n,
+    s1 = a(r) |cell| and s2 = (a'(r)/r) |cell|.
+    """
     grid = u.grid
     du = gradient(u).values  # (nc, N, d)
     q = p.cell_values
     r = _magnitude(du)
     s1 = _radial(params, r, q) * grid.cell_volume
     s2 = _radial_slope(params, r, q) * grid.cell_volume
-    return du, s1, s2
+    K = grid.grad_coefs
+    C = np.kron(K @ K.T, np.eye(u.codomain_dim))
+    w = np.einsum("bk,cnk->cbn", K, du).reshape(len(du), -1)
+    return C, w, s1, s2
 
 
 def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams) -> np.ndarray:
@@ -161,37 +170,16 @@ def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams) -> np.
     at index b N + n, corners as in ``cell_corner_indices``.  The data term
     is linear and drops out.
 
-    D_c = a(r) I + (a'(r)/r) z (x) z with z = Du on the cell, so
-    B_c^T D_c B_c = a(r) (C (x) I_N) + (a'(r)/r) w w^T with C = K K^T for
-    the corner coefficients K = ``grad_coefs`` and w = K z.  Each matrix is
-    exactly symmetric, and for gamma > 0 (or p >= 2) positive semidefinite;
-    their sum over the cells is the Hessian over all nodal dofs.
+    Each matrix is s1 C + s2 w w^T from ``_hessian_coefficients``, one
+    product per entry for each term.  Each is exactly symmetric, and for
+    gamma > 0 (or p >= 2) positive semidefinite; their sum over the cells
+    is the Hessian over all nodal dofs.
     """
-    du, s1, s2 = _hessian_coefficients(u, p, params)
-    K = u.grid.grad_coefs
-    N = u.codomain_dim
-    C = np.kron(K @ K.T, np.eye(N))
-    w = np.einsum("bk,cnk->cbn", K, du).reshape(len(du), -1)
-    return s1[:, None, None] * C + s2[:, None, None] * (w[:, :, None] * w[:, None, :])
-
-
-def hessian_action(u: GridFunction, p: ExponentField, params: FluxParams):
-    """The map v -> B^T (D (B v)) over all nodal dofs: the product of the
-    summed element matrices with a flat dof vector v, without assembling
-    them.  v is read as a (nodes, N) array; D acts on each cell's (N, dim)
-    gradient g as a(r) g + (a'(r)/r) (z : g) z.
-    """
-    du, s1, s2 = _hessian_coefficients(u, p, params)
-    grid = u.grid
-    N = u.codomain_dim
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        g = apply_gradient(grid, v.reshape(-1, N))
-        zg = s2 * np.einsum("cnd,cnd->c", du, g)
-        Dg = s1[:, None, None] * g + zg[:, None, None] * du
-        return apply_gradient_transpose(grid, Dg).reshape(-1)
-
-    return apply
+    C, w, s1, s2 = _hessian_coefficients(u, p, params)
+    E = np.einsum("ci,cj->cij", w, w)
+    E *= s2[:, None, None]
+    E += np.multiply.outer(s1, C)
+    return E
 
 
 # golden-section search on (0, 1): the step ratio and a fixed step count

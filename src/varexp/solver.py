@@ -29,8 +29,9 @@ That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
 preconditioned CG (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996;
 Kelley, Solving Nonlinear Equations with Newton's Method, 2003, ch. 5),
-with the Hessian applied matrix-free as B^T (D B) on the free dofs.  CG
-stops at the relative residual
+with the Hessian applied cell by cell on the free dofs, from the same
+element coefficients as the factor but without forming the element
+matrices.  CG stops at the relative residual
 eta = min(_FORCING_MAX, 0.9 (res_k / res_{k-1})^2), the residuals of this
 and the previous iterate, and at eta = _FORCING_MAX on the first CG step.
 When CG has not met eta within _CG_CAP iterations, or its direction is not
@@ -70,7 +71,8 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import CellField, Grid, GridFunction
-from .operator import FluxParams, energy, energy_gradient, energy_hessian, hessian_action
+from .operator import (FluxParams, _hessian_coefficients, energy, energy_gradient,
+                       energy_hessian)
 
 __all__ = [
     "SolveOptions",
@@ -371,11 +373,30 @@ class _Elimination:
         q.sort(axis=1)
         return q[:, :max(int((q < n).sum(axis=1).max()), 1)]
 
+    def _sum_cells(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell ``values`` at ``element_dofs`` summed into a vector in
+        elimination order; the entries of boundary dofs drop out."""
+        return np.bincount(self.element_dofs.reshape(-1), values.reshape(-1),
+                           minlength=self.n + 1)[:self.n]
+
     def diagonal(self, E: np.ndarray) -> np.ndarray:
         """The diagonal of the free-dof Hessian in elimination order."""
-        d = np.bincount(self.element_dofs.reshape(-1), np.diagonal(E, axis1=1, axis2=2).reshape(-1),
-                        minlength=self.n + 1)
-        return d[:self.n]
+        return self._sum_cells(np.diagonal(E, axis1=1, axis2=2))
+
+    def matvec(self, C: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray):
+        """The map x -> H x for the free-dof Hessian H whose element
+        matrices are s1 C + s2 w w^T (``operator._hessian_coefficients``),
+        x and H x in elimination order, without forming the matrices."""
+        xe = np.zeros(self.n + 1)  # xe[n] stays 0: boundary dofs read it
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            xe[:self.n] = x
+            x_cell = xe[self.element_dofs]
+            y = s1[:, None] * (x_cell @ C)
+            y += (s2 * np.einsum("ci,ci->c", x_cell, w))[:, None] * w
+            return self._sum_cells(y)
+
+        return apply
 
     def factor(self, E: np.ndarray) -> "_Factor":
         """Factor the sum of the element matrices E over the free dofs.
@@ -503,20 +524,6 @@ def _free_solve(elim: _Elimination, E: np.ndarray, g_free: np.ndarray, stage: St
     return factor, d
 
 
-def _free_hessian_action(u: GridFunction, p: ExponentField, params: FluxParams,
-                         sel: np.ndarray):
-    """The map x -> (B^T (D (B xbar)))[sel]: the free-dof Hessian at u times
-    x, where xbar is x scattered onto the free dofs ``sel`` of a zero field."""
-    apply = hessian_action(u, p, params)
-    full = np.zeros(u.values.size)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        full[sel] = x
-        return apply(full)[sel]
-
-    return matvec
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """x . y by einsum: numpy's BLAS dot can spread long vectors over
     threads, which costs more than it saves at these sizes."""
@@ -612,7 +619,8 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
                 eta = (min(_FORCING_MAX, _FORCING_SCALE * (res / previous) ** 2)
                        if cg_taken else _FORCING_MAX)
                 cg_taken = True
-                d = _cg_solve(held, _free_hessian_action(field, p, params, sel), g_free, eta, stage)
+                d = _cg_solve(held, elim.matvec(*_hessian_coefficients(field, p, params)),
+                              g_free, eta, stage)
                 if d is None:
                     held = None  # dropped before the next factor is made
             reused = d is not None

@@ -96,6 +96,14 @@ def test_denoise_iterations_is_unknown(tmp_path):
         load_config("denoise", f)
 
 
+def test_p_infinity_is_unknown(tmp_path):
+    # no command reads the far-field exponent, so the key is gone; the
+    # library's ExponentField still takes one
+    f = write(tmp_path, "[exponent]\np_infinity = 2.5\n")
+    with pytest.raises(ConfigError, match=r"unknown key \[exponent\] p_infinity"):
+        load_config("solve", f)
+
+
 def test_default_section_is_unknown(tmp_path):
     # configparser would otherwise copy [DEFAULT] keys into every section,
     # or ignore them when no other section exists
@@ -117,7 +125,6 @@ def test_every_key_parsed(tmp_path):
         "exponent_kind": ("table", "table"),
         "exponent_value": ("2.5", 2.5),
         "exponent_path": ("tables/p.vxf", str(tmp_path / "tables" / "p.vxf")),
-        "p_infinity": ("2.25", 2.25),
         "instance": ("files", "files"),
         "g_path": ("g.vxf", str(tmp_path / "g.vxf")),
         "boundary_path": (absolute, absolute),
@@ -159,7 +166,7 @@ def test_every_key_parsed(tmp_path):
 PARENT_DEFAULTS = {
     "seed": 0, "out": Path("varexp-out"),
     "exponent_kind": "constant", "exponent_value": 2.0, "exponent_path": None,
-    "p_infinity": None, "instance": "matched", "g_path": None, "boundary_path": None,
+    "instance": "matched", "g_path": None, "boundary_path": None,
     "tolerance": 1e-8, "max_iterations": 200,
     "q": 2.0, "kappa": None, "epsilons": (0.4, 0.2, 0.1, 0.05),
     "lambda_factors": (1.0, 2.0, 4.0), "lambda_count": 64, "m": None, "m0": 1.5,

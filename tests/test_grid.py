@@ -8,7 +8,6 @@ from varexp.grid import (
     CellField,
     Grid,
     GridFunction,
-    apply_gradient,
     apply_gradient_transpose,
     gradient,
     integrate,
@@ -167,9 +166,8 @@ def test_gradient_kernels_match_csr_and_loop_built_oracle(grid, N):
     u[rng.random(u.shape) < 0.3] = 0.0
     f[rng.random(f.shape) < 0.3] = -0.0
     want = np.ascontiguousarray((B @ u).reshape(nc, grid.dim, N).transpose(0, 2, 1))
-    got = apply_gradient(grid, u)
+    got = gradient(GridFunction(grid, u)).values
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-    assert gradient(GridFunction(grid, u)).values.tobytes() == want.tobytes()
     want_t = B.T @ f.transpose(0, 2, 1).reshape(-1, N)
     got_t = apply_gradient_transpose(grid, f)
     assert np.array_equal(got_t, want_t) and got_t.tobytes() == want_t.tobytes()

@@ -6,12 +6,16 @@ from conftest import assembled_hessian, constant_exponent
 from scipy.sparse.linalg import eigsh
 
 from varexp.exponent import ExponentField
-from varexp.grid import CellField, Grid, GridFunction
+from varexp.grid import CellField, Grid, GridFunction, gradient
 from varexp.operator import (
     FluxParams,
+    _magnitude,
+    _radial,
+    _radial_slope,
     coercivity_constant,
     energy,
     energy_gradient,
+    energy_hessian,
     flux,
 )
 
@@ -93,6 +97,30 @@ def test_hessian_matches_gradient_differences(dim, N):
     gm = energy_gradient(GridFunction(g, u.values - eps * v), G0, p, params)
     fd = (gp.values.ravel() - gm.values.ravel()) / (2 * eps)
     np.testing.assert_allclose(H @ v.ravel(), fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-8, 0.0])
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_energy_hessian_bytes_match_broadcast_form(dim, N, gamma):
+    # the element matrices s1 C + s2 w w^T, formed one product per entry
+    # for each term, are the bytes of the plain broadcast expression
+    rng = np.random.default_rng(dim + 10 * N)
+    g = Grid(dim, (0.0,) * dim, (1.0, 0.7, 1.3)[:dim], (5, 4, 3)[:dim])
+    p_lo = 2.0 if gamma == 0.0 else 1.1  # gamma = 0 needs p >= 2
+    p = ExponentField(GridFunction(g, rng.uniform(p_lo, 3.0, g.num_nodes)))
+    u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
+    params = FluxParams(gamma)
+    du = gradient(u).values
+    r, q = _magnitude(du), p.cell_values
+    s1 = _radial(params, r, q) * g.cell_volume
+    s2 = _radial_slope(params, r, q) * g.cell_volume
+    K = g.grad_coefs
+    C = np.kron(K @ K.T, np.eye(N))
+    w = np.einsum("bk,cnk->cbn", K, du).reshape(len(du), -1)
+    want = s1[:, None, None] * C + s2[:, None, None] * (w[:, :, None] * w[:, None, :])
+    got = energy_hessian(u, p, params)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_hessian_positive_semidefinite():

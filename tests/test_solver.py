@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu, spsolve
 from varexp import solver
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction, gradient
-from varexp.operator import FluxParams, energy_gradient, energy_hessian
+from varexp.operator import FluxParams, _hessian_coefficients, energy_gradient, energy_hessian
 from varexp.solver import (
     SolveOptions,
     _dissection,
@@ -504,19 +504,20 @@ def test_stage_reports_factorization_time_and_fill(matched32):
 @given(dim=st.integers(1, 3), N=st.sampled_from([1, 2]), gamma=st.sampled_from([1.0, 1e-8]),
        data=st.data())
 def test_matrix_free_hessian_matches_assembled(dim, N, gamma, data):
-    # the reuse steps apply (B^T (D (B xbar)))[sel] without assembling it; it
-    # must be the product of the sliced assembled Hessian, for any order of
-    # the free dofs
+    # the reuse steps apply the free-dof Hessian cell by cell from its
+    # element coefficients, without forming the element matrices; it must be
+    # the product of the SciPy-assembled free block in elimination order
     cells = data.draw(st.tuples(*[st.integers(2, 5)] * dim))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = Grid(dim, (0.0,) * dim, tuple(rng.uniform(0.5, 2.0, dim)), cells)
     p = ExponentField(GridFunction(g, rng.uniform(1.1, 3.0, g.num_nodes)))
     u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
     params = FluxParams(gamma)
-    sel = rng.permutation(np.flatnonzero(_free_dofs(g, N)))
+    elim = solver._Elimination(g, N)
+    sel = elim.sel
     x = rng.normal(size=sel.size)
     want = assembled_hessian(u, p, params)[sel][:, sel] @ x
-    got = solver._free_hessian_action(u, p, params, sel)(x)
+    got = elim.matvec(*_hessian_coefficients(u, p, params))(x)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -534,7 +535,7 @@ def test_held_factor_preconditions_cg():
     grad = rng.normal(size=sel.size)
     stage = solver.StageStats(params.gamma)
     d = solver._cg_solve(elim.factor(energy_hessian(u, p, params)),
-                         solver._free_hessian_action(u, p, params, sel), grad, 1e-12, stage)
+                         elim.matvec(*_hessian_coefficients(u, p, params)), grad, 1e-12, stage)
     assert stage.cg_iterations == 1
     want = spsolve(H, -grad)
     np.testing.assert_allclose(d, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
