@@ -7,7 +7,8 @@ Commands:
     solve       solve the configured instance, emit solution/exponent fields
     verify      Caccioppoli, reverse Holder, and higher-integrability records
     gehring     self-improvement scan, m0 and the mu ratio table
-    goodlambda  delta(epsilon, lambda) occupancy table
+    goodlambda  delta(epsilon, lambda) occupancy table; report.txt names
+                the vacuous rows, where no cell has M*F > kappa lambda
     sweep       refinement / root-size / oscillation-amplitude sweeps
     denoise     variable-exponent image smoothing demo (PGM in, PGM out)
 
@@ -741,8 +742,12 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
     gl = good_lambda_measure(F, data_density(G, p, cfg.m), root, kappa, cfg.epsilons,
                              [f * lam0 for f in cfg.lambda_factors], cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
-    rep.lines[:0] = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}"
-                     for e, l, d in gl.rows]  # the solve lines stay last
+    head = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}" for e, l, d in gl.rows]
+    vacuous = [f"(eps {_fmt(e)}, lam {_fmt(l)})"
+               for (e, l, _), n in zip(gl.rows, gl.kappa_cells) if n == 0]
+    if vacuous:  # no " = ": the line is no scalar
+        head.append(f"good-lambda-vacuous: no cell has M*F > kappa lam in {', '.join(vacuous)}")
+    rep.lines[:0] = head  # the solve lines stay last
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 

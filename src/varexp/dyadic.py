@@ -249,6 +249,8 @@ class GoodLambdaResult:
     m0: float
     lambda0: float
     rows: list[tuple[float, float, float]]  # (epsilon, lam, delta)
+    # per row, the cells of {M*F > kappa lam}; a row where it is 0 tested nothing
+    kappa_cells: list[int]
 
     def delta(self, epsilon: float) -> float:
         vals = [d for (e, _, d) in self.rows if e == epsilon]
@@ -264,7 +266,8 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     kappa must be at least 2^n and every epsilon positive.  delta = 0 when
     O_lam is empty, and also when U is: when {M*F > kappa lam} or
     {M*_{m0}(Gh) <= eps lam} misses O_lam.  A zero row may therefore have
-    tested nothing.
+    tested nothing; ``kappa_cells`` counts, per row, the cells of
+    {M*F > kappa lam}, and a row where it is 0 is vacuous.
     """
     g = F.grid
     _require_root(g, root)
@@ -286,12 +289,14 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
         raise ValueError("below covering threshold")
 
     vol = g.cell_volume
-    rows = []
+    rows, kappa_cells = [], []
     for eps in epsilons:
         for lam in lambdas:
             o_mask = mf > lam
-            u_mask = o_mask & (mf > kappa * lam) & (mg <= eps * lam)
+            high = mf > kappa * lam
+            u_mask = o_mask & high & (mg <= eps * lam)
             o_measure = float(o_mask.sum()) * vol
             delta = float(u_mask.sum()) * vol / o_measure if o_measure > 0 else 0.0
             rows.append((eps, lam, delta))
-    return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows)
+            kappa_cells.append(int(high.sum()))
+    return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows, kappa_cells)

@@ -19,9 +19,11 @@ residual, and the Hessian is B^T (D B) with D block diagonal, one block
 dA/dz per cell.  The Hessian has one definition, cell by cell:
 _hessian_coefficients gives each cell's element matrix
 B_c^T D_c B_c = s1 C + s2 w w^T as the shared C = (K K^T) (x) I_N and the
-per-cell w, s1 and s2.  energy_hessian forms the matrices, which the
-solver sums into its frontal matrices; the solver's CG applies the same
-form to a vector on the cells' free dofs without forming them.
+per-cell w, s1 and s2, and _ElementMatrices forms the matrices of any
+set of cells from them.  energy_hessian forms the matrices of every cell;
+the solver forms those of each batch of fronts as it sums them into its
+frontal matrices, and its CG applies the same form to a vector on the
+cells' free dofs without forming them.
 
 coercivity_constant gives the V-coercivity constant c4 of the power flux
 exactly, from a 1-D minimization at p- and p+; the good-lambda threshold
@@ -164,22 +166,45 @@ def _hessian_coefficients(u: GridFunction, p: ExponentField, params: FluxParams)
     return C, w, s1, s2
 
 
+class _ElementMatrices:
+    """The element matrices s1 C + s2 w w^T of ``_hessian_coefficients``,
+    formed on demand, so a caller holds only the rows it reads.  ``E[cells]``
+    gives the matrices of those cells, one product per entry for each term,
+    and ``E.diagonal(axis1=1, axis2=2)`` the diagonals of all of them, with
+    the same bytes as the diagonals of the formed matrices.  Both read as
+    they do on a (cells, 2^dim N, 2^dim N) array."""
+
+    def __init__(self, C: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray):
+        self.C, self.w, self.s1, self.s2 = C, w, s1, s2
+
+    def __getitem__(self, cells) -> np.ndarray:
+        w = self.w[cells]
+        E = np.einsum("ci,cj->cij", w, w)
+        E *= self.s2[cells, None, None]
+        E += np.multiply.outer(self.s1[cells], self.C)
+        return E
+
+    def diagonal(self, axis1: int = 1, axis2: int = 2) -> np.ndarray:
+        if (axis1, axis2) != (1, 2):
+            raise ValueError("only the diagonals of the cell matrices are defined")
+        D = self.w * self.w
+        D *= self.s2[:, None]
+        D += np.multiply.outer(self.s1, np.diagonal(self.C))
+        return D
+
+
 def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams) -> np.ndarray:
     """The Hessian of J cell by cell: the element matrices B_c^T D_c B_c,
     shape (cells, 2^dim N, 2^dim N), over the dofs (corner b, component n)
     at index b N + n, corners as in ``cell_corner_indices``.  The data term
     is linear and drops out.
 
-    Each matrix is s1 C + s2 w w^T from ``_hessian_coefficients``, one
-    product per entry for each term.  Each is exactly symmetric, and for
+    Each matrix is s1 C + s2 w w^T from ``_hessian_coefficients``, formed by
+    ``_ElementMatrices`` over all cells.  Each is exactly symmetric, and for
     gamma > 0 (or p >= 2) positive semidefinite; their sum over the cells
     is the Hessian over all nodal dofs.
     """
-    C, w, s1, s2 = _hessian_coefficients(u, p, params)
-    E = np.einsum("ci,cj->cij", w, w)
-    E *= s2[:, None, None]
-    E += np.multiply.outer(s1, C)
-    return E
+    return _ElementMatrices(*_hessian_coefficients(u, p, params))[:]
 
 
 # golden-section search on (0, 1): the step ratio and a fixed step count

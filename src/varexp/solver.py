@@ -22,9 +22,13 @@ factorization (Liu, SIAM Review 34, 1992) on a geometric nested-dissection
 tree of the interior nodes (George, SIAM J. Numer. Anal. 10, 1973): each
 front eliminates its block's separator plane, or the whole block at a leaf,
 against the block's one-node halo, and is assembled from the element
-matrices of its cells and the update matrices of its children.  All fronts
-of one dissection depth are padded to a common size and factored, and later
-solved, by one batched NumPy call each; the tree is built once per solve.
+matrices of its cells and the update matrices of its children.  The fronts
+of one dissection depth are padded to a common size and factored in
+batches of at most _BATCH frontal entries, one batched NumPy call per
+kernel and batch; each batch's element matrices are formed from the
+Hessian coefficients as it is assembled, so the matrices of all cells are
+never held at once.  A level is solved by one batched call; the tree is
+built once per solve.
 That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
 preconditioned CG (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996;
@@ -71,8 +75,8 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import CellField, Grid, GridFunction
-from .operator import (FluxParams, _hessian_coefficients, energy, energy_gradient,
-                       energy_hessian)
+from .operator import (FluxParams, _ElementMatrices, _hessian_coefficients, energy,
+                       energy_gradient)
 
 __all__ = [
     "SolveOptions",
@@ -100,8 +104,9 @@ class StageStats:
     resolve them.  ``reuses`` counts steps whose direction CG found on the
     held factor, and ``cg_iterations`` the CG iterations spent, those of
     CG runs that missed ``_CG_CAP`` included.  ``factor_s`` is the time
-    spent in Cholesky factorizations and ``fill`` the largest factor's
-    nonzero count, nnz(L) without the padding of the batched fronts.
+    spent in Cholesky factorizations, forming the element matrices
+    included, and ``fill`` the largest factor's nonzero count, nnz(L)
+    without the padding of the batched fronts.
     Every step is a factored step, a reuse or a fallback.
     """
     gamma: float
@@ -141,7 +146,9 @@ class SolverResult:
 
 _LEAF = 32  # nodes at or below which a lattice block is not split further
 _INVERSE_BLOCK = 48  # order up to which a triangular inverse is one np.linalg.inv
-_BATCH = 1 << 20  # entries of the frontal matrices or scatters formed at once
+# entries of the frontal matrices or scatters formed at once: the knee of
+# peak memory against factor time, measured over 2^17 to 2^20 at 128^2 and 24^3
+_BATCH = 1 << 18
 _GAMMA_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-4, 0.0)  # continuation stages
 _GAMMA_FLOOR = 1e-8  # least gamma of a stage when p- < 2
 _STAGE_REDUCTION = 0.5  # residual factor that ends a non-final gamma stage
@@ -379,9 +386,10 @@ class _Elimination:
         return np.bincount(self.element_dofs.reshape(-1), values.reshape(-1),
                            minlength=self.n + 1)[:self.n]
 
-    def diagonal(self, E: np.ndarray) -> np.ndarray:
-        """The diagonal of the free-dof Hessian in elimination order."""
-        return self._sum_cells(np.diagonal(E, axis1=1, axis2=2))
+    def diagonal(self, E) -> np.ndarray:
+        """The diagonal of the free-dof Hessian in elimination order, from
+        element matrices E: an array or ``operator._ElementMatrices``."""
+        return self._sum_cells(E.diagonal(axis1=1, axis2=2))
 
     def matvec(self, C: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray):
         """The map x -> H x for the free-dof Hessian H whose element
@@ -398,12 +406,13 @@ class _Elimination:
 
         return apply
 
-    def factor(self, E: np.ndarray) -> "_Factor":
-        """Factor the sum of the element matrices E over the free dofs.
-        Raises LinAlgError when a front's pivot block is not positive
-        definite.  Each level hands its update matrices, packed lower
-        triangles, to the next level, one depth up; its frontal matrices
-        are formed _BATCH entries at a time."""
+    def factor(self, E) -> "_Factor":
+        """Factor the sum of the element matrices E over the free dofs; E is
+        read one batch of cells at a time, as ``E[cells]``.  Raises
+        LinAlgError when a front's pivot block is not positive definite.
+        Each level hands its update matrices, packed lower triangles, to the
+        next level, one depth up; its frontal matrices are formed _BATCH
+        entries at a time."""
         blocks = []
         updates = None  # packed update matrices of the level below
         buffer = np.empty(max(_BATCH, max((lv.m + 1) ** 2 for lv in self.levels)))
@@ -419,7 +428,7 @@ class _Elimination:
         return _Factor(self, blocks)
 
     @staticmethod
-    def _assemble(lv: _Level, s: slice, E: np.ndarray, updates: np.ndarray | None,
+    def _assemble(lv: _Level, s: slice, E, updates: np.ndarray | None,
                   buffer: np.ndarray) -> np.ndarray:
         """The (fronts, m + 1, m + 1) frontal matrices of the fronts ``s`` of
         a level: their cells' element matrices plus their children's update
@@ -499,13 +508,14 @@ class _Factor:
         return x[:n]
 
 
-def _free_solve(elim: _Elimination, E: np.ndarray, g_free: np.ndarray, stage: StageStats):
+def _free_solve(elim: _Elimination, E, g_free: np.ndarray, stage: StageStats):
     """The Cholesky factor of the free-dof Hessian, summed from the element
-    matrices E, and the Newton direction from it; None when the
-    factorization is not trustworthy: a non-positive diagonal, a diagonal
-    spread above _CONDITION_CAP, a pivot block that is not positive
-    definite, or a direction that is not finite.  The factorization's time
-    and its nonzero count are added to ``stage``.
+    matrices E (an array or ``operator._ElementMatrices``), and the Newton
+    direction from it; None when the factorization is not trustworthy: a
+    non-positive diagonal, a diagonal spread above _CONDITION_CAP, a pivot
+    block that is not positive definite, or a direction that is not
+    finite.  The factorization's time and its nonzero count are added to
+    ``stage``.
     """
     diag = elim.diagonal(E)
     if diag.min() <= 0.0 or diag.max() / diag.min() > _CONDITION_CAP:
@@ -613,19 +623,19 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
             if stage.steps >= opts.max_iterations:
                 stage.reason = "cap"
                 break
-            field = GridFunction(grid, u)
+            # one set of coefficients for CG and, on a miss, the refactor
+            coefficients = _hessian_coefficients(GridFunction(grid, u), p, params)
             d = None
             if held is not None:
                 eta = (min(_FORCING_MAX, _FORCING_SCALE * (res / previous) ** 2)
                        if cg_taken else _FORCING_MAX)
                 cg_taken = True
-                d = _cg_solve(held, elim.matvec(*_hessian_coefficients(field, p, params)),
-                              g_free, eta, stage)
+                d = _cg_solve(held, elim.matvec(*coefficients), g_free, eta, stage)
                 if d is None:
                     held = None  # dropped before the next factor is made
             reused = d is not None
             if not reused:
-                held, d = _free_solve(elim, energy_hessian(field, p, params),
+                held, d = _free_solve(elim, _ElementMatrices(*coefficients),
                                       g_free, stage) or (None, None)
             slope = _dot(g_free, d) if d is not None else 0.0
             if d is None or slope >= 0.0:

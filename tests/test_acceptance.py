@@ -282,6 +282,24 @@ def test_acceptance_good_lambda_trend():
     assert deltas[0.25] < deltas[0.5]
 
 
+def test_good_lambda_kappa_set_counted_where_delta_is_positive():
+    # gate 8's instance is the one that tests something: every row with
+    # delta > 0 has cells in {M*F > kappa lam}, and each row's count is
+    # that set's size under the brute-force maximal function
+    g, p, res, G = solved_constriction(0.5)
+    F = energy_density(res.u, p)
+    root = g.domain.scaled(0.5)
+    lam0 = mean_over(F, root.scaled(2.0))
+    kappa = default_kappa(coercivity_constant(p), g.dim)
+    gl = good_lambda_measure(F, data_density(G, p), root, kappa, (0.4, 0.05),
+                             [lam0, 2 * lam0], 1.5, max_level=5)
+    mf = brute_maximal(F, root, 5)
+    assert any(d > 0.0 for _, _, d in gl.rows), gl.rows
+    for (_, lam, d), n in zip(gl.rows, gl.kappa_cells):
+        assert n == np.count_nonzero(mf > kappa * lam)
+        assert n > 0 or d == 0.0
+
+
 # -- 9: Gehring exponent improvement ------------------------------------------
 
 def test_acceptance_gehring_exponent(matched32):

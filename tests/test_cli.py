@@ -28,6 +28,8 @@ from varexp.cli import (
     write_field,
     write_pgm,
 )
+from varexp.dyadic import default_max_level, maximal_function
+from varexp.estimates import energy_density
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
@@ -501,6 +503,31 @@ def test_goodlambda_first_lambda_is_lambda0(tmp_path):
     report = dict(ln.split(" = ", 1) for ln in (out / "report.txt").read_text().splitlines()
                   if " = " in ln and not ln.startswith("delta"))
     assert float(first) == float(report["lambda0"])
+
+
+def test_goodlambda_flags_vacuous_rows(tmp_path):
+    # on a small bump instance M*F stays below kappa lambda0, so no row's
+    # {M*F > kappa lam} has a cell: the report's good-lambda-vacuous line
+    # names every row of goodlambda.csv, and carries no " = "
+    text = BASE.replace("instance = matched", "instance = bump").replace(
+        "value = 2.0", "value = 1.7").replace("cells = 8 8", "cells = 16 16")
+    f = cfg_file(tmp_path, text)
+    for cmd in ("solve", "goodlambda"):
+        assert main([cmd, "--config", str(f), "--out", str(tmp_path / cmd)]) == EXIT_OK
+    lines = (tmp_path / "goodlambda" / "report.txt").read_text().splitlines()
+    scalars = dict(ln.split(" = ", 1) for ln in lines
+                   if " = " in ln and not ln.startswith("delta"))
+    flagged = [ln for ln in lines if ln.startswith("good-lambda-vacuous")]
+    assert len(flagged) == 1 and " = " not in flagged[0]
+    csv_rows = (tmp_path / "goodlambda" / "goodlambda.csv").read_text().splitlines()[1:]
+    assert re.findall(r"\(eps (\S+), lam (\S+)\)", flagged[0]) == [
+        tuple(row.split(",")[:2]) for row in csv_rows]
+    # the solution that solve wrote, read back: max M*F / lambda0 < kappa
+    u = read_field(tmp_path / "solve" / "solution.vxf")
+    p = ExponentField(read_field(tmp_path / "solve" / "exponent.vxf"))
+    root = u.grid.domain.scaled(0.5)
+    mf = maximal_function(energy_density(u, p), root, 1.0, default_max_level(root, u.grid))
+    assert mf.values.max() / float(scalars["lambda0"]) < float(scalars["kappa"])
 
 
 def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 CG linear algebra, nested warm starts, and the manufactured instances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from scipy.sparse.linalg import splu, spsolve
 from varexp import solver
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction, gradient
-from varexp.operator import FluxParams, _hessian_coefficients, energy_gradient, energy_hessian
+from varexp.operator import (FluxParams, _ElementMatrices, _hessian_coefficients,
+                             energy_gradient, energy_hessian)
 from varexp.solver import (
     SolveOptions,
     _dissection,
@@ -206,7 +208,7 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
 
     p = constant_exponent(g, 2.0)
     _, G, bnd = manufactured_instance("linear", g)
-    monkeypatch.setattr(solver, "energy_hessian", lambda u, p, params: blocks)
+    monkeypatch.setattr(solver, "_ElementMatrices", lambda C, w, s1, s2: blocks)
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
     res = solve_pxlaplace(G, p, bnd, SolveOptions(max_iterations=1))
     assert res.iterations == 1 and res.stages[0].fallbacks == 1
@@ -259,6 +261,58 @@ def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
     np.testing.assert_array_equal(elim.diagonal(E), np.diagonal(H))
     # nnz(L) counts each front's pivot triangle and update rows, no padding
     assert np.count_nonzero(L) <= elim.nnz <= len(H) * (len(H) + 1) // 2
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-8, 0.0])
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_streamed_element_matrices_give_the_formed_bytes(dim, N, gamma, monkeypatch):
+    # the factor forms each batch's element matrices from the Hessian
+    # coefficients as it assembles the batch: the diagonal, the factor's
+    # blocks and its solve are the bytes of those from energy_hessian's
+    # array, at the default batch size and at one that splits every level
+    rng = np.random.default_rng(dim + 10 * N)
+    g = Grid(dim, (0.0,) * dim, (1.0, 0.7, 1.3)[:dim], ((67,), (12, 11), (6, 5, 7))[dim - 1])
+    p_lo = 2.0 if gamma == 0.0 else 1.1  # gamma = 0 needs p >= 2
+    p = ExponentField(GridFunction(g, rng.uniform(p_lo, 3.0, g.num_nodes)))
+    u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
+    params = FluxParams(gamma)
+    elim = solver._Elimination(g, N)
+    streamed = _ElementMatrices(*_hessian_coefficients(u, p, params))
+    formed = energy_hessian(u, p, params)
+    assert elim.diagonal(streamed).tobytes() == elim.diagonal(formed).tobytes()
+    with pytest.raises(ValueError):
+        streamed.diagonal(axis1=0, axis2=1)
+    b = rng.normal(size=elim.n)
+    for batch in (solver._BATCH, 64):
+        monkeypatch.setattr(solver, "_BATCH", batch)
+        got, want = elim.factor(streamed), elim.factor(formed)
+        assert [W.tobytes() for W in got.blocks] == [W.tobytes() for W in want.blocks]
+        assert got.solve(b).tobytes() == want.solve(b).tobytes()
+
+
+def test_factor_holds_fronts_not_every_element_matrix():
+    # a cold 16^3 solve's traced peak stays within the complete factor W,
+    # the two largest adjacent update stacks, one frontal batch buffer and
+    # the Hessian coefficients, with 15 % slack; holding the element
+    # matrices of every cell (2.1 MB here) or a 2^20-entry buffer breaks it
+    g = Grid(3, (0.0,) * 3, (1.0,) * 3, (16, 16, 16))
+    p = constant_exponent(g, 1.5)
+    _, G, bnd = manufactured_instance("bump", g)
+    levels = solver._Elimination(g, 1).levels  # deepest first; the root has no update
+    W = sum(len(lv.piv) * lv.m * lv.p for lv in levels)
+    U = [len(lv.piv) * (lv.m - lv.p) * (lv.m - lv.p + 1) // 2 for lv in levels[:-1]] + [0]
+    buffer = max(solver._BATCH, max((lv.m + 1) ** 2 for lv in levels))
+    coefficients = g.num_cells * (2**3 + 2)  # w, s1 and s2
+    bound = 1.15 * 8 * (W + max(a + b for a, b in zip(U, U[1:])) + buffer + coefficients)
+    tracemalloc.start()
+    try:
+        res = solve_pxlaplace(G, p, bnd, SolveOptions())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged, res.message
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("dim, lo, side, p_range, p_fn", [
