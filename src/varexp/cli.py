@@ -25,8 +25,10 @@ Field files ("VXF1") are text: a header line
 
     VXF1 <dim> <codomain> <nodes|cells> <counts per axis> <origin> <extent>
 
-followed by one value per line, row-major over samples then components,
-printed with 17 significant digits so reads reproduce writes exactly.
+followed by the values, row-major over samples then components, written
+one per line with 17 significant digits so reads reproduce writes exactly.
+A read takes any rectangular body: every non-blank line holds the same
+number of values, blank lines are skipped, and there are no comments.
 Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 
 CSV reports are deterministic for a fixed config (no timestamps;
@@ -61,6 +63,7 @@ import csv
 import hashlib
 import sys
 import time
+import warnings
 from dataclasses import Field, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -344,32 +347,38 @@ def write_field(path: str | Path, field: GridFunction | CellField) -> None:
 
 
 def read_field(path: str | Path) -> GridFunction | CellField:
-    """Read a VXF1 field file back as a GridFunction or CellField."""
+    """Read a VXF1 field file back as a GridFunction or CellField.
+
+    The body is parsed straight into floats: its rows must all hold the
+    same number of values, blank lines are skipped and nothing is a
+    comment."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"field file not found: {path}")
     try:
         with open(path, encoding="ascii") as fh:
             head = fh.readline().split()
-            body = fh.read().split()
-        if head[0] != "VXF1":
-            raise ValueError(f"bad magic {head[0]!r}")
-        dim, codomain = int(head[1]), int(head[2])
-        kind = head[3]
-        if kind not in ("nodes", "cells"):
-            raise ValueError(f"bad sample kind {kind!r}")
-        rest = head[4:]
-        if len(rest) != 3 * dim:
-            raise ValueError("header counts/origin/extent truncated")
-        counts = tuple(int(t) for t in rest[:dim])
-        origin = tuple(float(t) for t in rest[dim:2 * dim])
-        extent = tuple(float(t) for t in rest[2 * dim:])
-        cells = tuple(c - 1 for c in counts) if kind == "nodes" else counts
-        grid = Grid(dim, origin, extent, cells)
-        expect = (grid.num_nodes if kind == "nodes" else grid.num_cells) * codomain
-        if len(body) != expect:
-            raise ValueError(f"expected {expect} values, found {len(body)}")
-        vals = np.asarray([float(t) for t in body]).reshape(-1, codomain)
+            if head[0] != "VXF1":
+                raise ValueError(f"bad magic {head[0]!r}")
+            dim, codomain = int(head[1]), int(head[2])
+            kind = head[3]
+            if kind not in ("nodes", "cells"):
+                raise ValueError(f"bad sample kind {kind!r}")
+            rest = head[4:]
+            if len(rest) != 3 * dim:
+                raise ValueError("header counts/origin/extent truncated")
+            counts = tuple(int(t) for t in rest[:dim])
+            origin = tuple(float(t) for t in rest[dim:2 * dim])
+            extent = tuple(float(t) for t in rest[2 * dim:])
+            cells = tuple(c - 1 for c in counts) if kind == "nodes" else counts
+            grid = Grid(dim, origin, extent, cells)
+            expect = (grid.num_nodes if kind == "nodes" else grid.num_cells) * codomain
+            with warnings.catch_warnings():  # an empty body fails the count check
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                vals = np.loadtxt(fh, comments=None, ndmin=1)
+        if vals.size != expect:
+            raise ValueError(f"expected {expect} values, found {vals.size}")
+        vals = vals.reshape(-1, codomain)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite values")
     except (ValueError, IndexError) as exc:

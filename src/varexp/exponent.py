@@ -16,6 +16,7 @@ attained at which scales).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,11 +82,14 @@ class ExponentField:
         idx = _farthest_node(self.grid.node_coords)
         return float(self.values[idx])
 
-    @property
+    @functools.cached_property
     def cell_values(self) -> np.ndarray:
-        """p at cell centers: the Q1 interpolant there (= corner average)."""
+        """p at cell centers: the Q1 interpolant there (= corner average),
+        computed once per field and read-only."""
         g = self.grid
-        return self.field.values[g.cell_corner_indices, 0].mean(axis=1)
+        q = self.field.values[g.cell_corner_indices, 0].mean(axis=1)
+        q.flags.writeable = False
+        return q
 
     def at(self, points) -> np.ndarray:
         return self.field.at(points)[:, 0]

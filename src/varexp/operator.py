@@ -25,6 +25,14 @@ the solver forms those of each batch of fronts as it sums them into its
 frontal matrices, and its CG applies the same form to a vector on the
 cells' free dofs without forming them.
 
+All three read u only through Du and |Du| at the cell centers, taken once
+per field by _iterate; the data flux A(x, G) depends on gamma alone.  The
+public energy, energy_gradient and energy_hessian take both afresh on each
+call.  The solver takes A(x, G) once per gamma stage and Du once per
+field it visits: the start and each line-search trial.  The accepted
+trial's Du then gives its energy gradient, the next stage's energy and
+the next step's Hessian coefficients.
+
 coercivity_constant gives the V-coercivity constant c4 of the power flux
 exactly, from a 1-D minimization at p- and p+; the good-lambda threshold
 kappa = 2^{n+1} c4 is built from it.
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import CellField, GridFunction, apply_gradient_transpose, gradient
+from .grid import CellField, Grid, GridFunction, apply_gradient_transpose, gradient
 
 __all__ = [
     "FluxParams",
@@ -119,14 +127,39 @@ def _potential(params: FluxParams, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r**q / q
 
 
+@dataclass(frozen=True)
+class _Iterate:
+    """A nodal field's cell gradient Du, shape (cells, N, d), and |Du|,
+    taken once and read by its energy, energy gradient and Hessian
+    coefficients at every gamma."""
+    grid: Grid
+    du: np.ndarray
+    r: np.ndarray
+
+
+def _iterate(u: GridFunction) -> _Iterate:
+    du = gradient(u).values
+    return _Iterate(u.grid, du, _magnitude(du))
+
+
+def _energy(it: _Iterate, ag: np.ndarray, p: ExponentField, params: FluxParams) -> float:
+    """J at the iterate, given the data flux ag = A(x, G)."""
+    pot = _potential(params, it.r, p.cell_values)
+    cross = np.einsum("cnd,cnd->c", ag, it.du)
+    return float(np.sum(it.grid.cell_volume * (pot - cross)))
+
+
+def _energy_gradient(it: _Iterate, ag: np.ndarray, p: ExponentField,
+                     params: FluxParams) -> np.ndarray:
+    """The nodal values of J's gradient at the iterate, given ag = A(x, G)."""
+    res = _radial(params, it.r, p.cell_values)[:, None, None] * it.du - ag
+    res *= it.grid.cell_volume
+    return apply_gradient_transpose(it.grid, res)
+
+
 def energy(u: GridFunction, G: CellField, p: ExponentField, params: FluxParams) -> float:
     """J(u) = integral of phi_{p(x)}(|Du|) - A(x, G) : Du."""
-    du = gradient(u).values
-    q = p.cell_values
-    pot = _potential(params, _magnitude(du), q)
-    ag = _flux_batch(G.values, q, params)
-    cross = np.einsum("cnd,cnd->c", ag, du)
-    return float(np.sum(u.grid.cell_volume * (pot - cross)))
+    return _energy(_iterate(u), _flux_batch(G.values, p.cell_values, params), p, params)
 
 
 def energy_gradient(u: GridFunction, G: CellField, p: ExponentField,
@@ -137,31 +170,25 @@ def energy_gradient(u: GridFunction, G: CellField, p: ExponentField,
     The residual of the discrete weak form is this gradient restricted to
     the free (non-Dirichlet) nodes.
     """
-    grid = u.grid
-    du = gradient(u).values
-    q = p.cell_values
-    res = _flux_batch(du, q, params) - _flux_batch(G.values, q, params)
-    res *= grid.cell_volume
-    return GridFunction(grid, apply_gradient_transpose(grid, res))
+    ag = _flux_batch(G.values, p.cell_values, params)
+    return GridFunction(u.grid, _energy_gradient(_iterate(u), ag, p, params))
 
 
-def _hessian_coefficients(u: GridFunction, p: ExponentField, params: FluxParams):
-    """The element matrices of the Hessian in factored form: (C, w, s1, s2)
-    with B_c^T D_c B_c = s1[c] C + s2[c] w[c] w[c]^T.
+def _hessian_coefficients(it: _Iterate, p: ExponentField, params: FluxParams):
+    """The element matrices of the Hessian at the iterate in factored form:
+    (C, w, s1, s2) with B_c^T D_c B_c = s1[c] C + s2[c] w[c] w[c]^T.
 
     D_c = a(r) |cell| I + (a'(r)/r) |cell| z (x) z with z = Du on cell c,
     so C = (K K^T) (x) I_N for the corner coefficients K = ``grad_coefs``,
     w = K z flattened to the dofs (corner b, component n) at index b N + n,
     s1 = a(r) |cell| and s2 = (a'(r)/r) |cell|.
     """
-    grid = u.grid
-    du = gradient(u).values  # (nc, N, d)
+    grid, du, r = it.grid, it.du, it.r
     q = p.cell_values
-    r = _magnitude(du)
     s1 = _radial(params, r, q) * grid.cell_volume
     s2 = _radial_slope(params, r, q) * grid.cell_volume
     K = grid.grad_coefs
-    C = np.kron(K @ K.T, np.eye(u.codomain_dim))
+    C = np.kron(K @ K.T, np.eye(du.shape[1]))
     w = np.einsum("bk,cnk->cbn", K, du).reshape(len(du), -1)
     return C, w, s1, s2
 
@@ -204,7 +231,7 @@ def energy_hessian(u: GridFunction, p: ExponentField, params: FluxParams) -> np.
     gamma > 0 (or p >= 2) positive semidefinite; their sum over the cells
     is the Hessian over all nodal dofs.
     """
-    return _ElementMatrices(*_hessian_coefficients(u, p, params))[:]
+    return _ElementMatrices(*_hessian_coefficients(_iterate(u), p, params))[:]
 
 
 # golden-section search on (0, 1): the step ratio and a fixed step count

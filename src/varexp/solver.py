@@ -27,8 +27,12 @@ of one dissection depth are padded to a common size and factored in
 batches of at most _BATCH frontal entries, one batched NumPy call per
 kernel and batch; each batch's element matrices are formed from the
 Hessian coefficients as it is assembled, so the matrices of all cells are
-never held at once.  A level is solved by one batched call; the tree is
-built once per solve.
+never held at once.  A front passes on only the lower triangle of its
+update matrix, so it forms the Schur product on the diagonal blocks of its
+update rows split in two halves and on the block below them; the root,
+whose update set is padding only, forms none.  A level drops its
+children's update matrices once its last batch has summed them.  A level
+is solved by one batched call; the tree is built once per solve.
 That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
 preconditioned CG (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996;
@@ -75,8 +79,8 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import CellField, Grid, GridFunction
-from .operator import (FluxParams, _ElementMatrices, _hessian_coefficients, energy,
-                       energy_gradient)
+from .operator import (FluxParams, _ElementMatrices, _energy, _energy_gradient, _flux_batch,
+                       _hessian_coefficients, _iterate)
 
 __all__ = [
     "SolveOptions",
@@ -422,6 +426,8 @@ class _Elimination:
             U = np.empty((nf, (m - p) * (m - p + 1) // 2)) if lv is not self.levels[-1] else None
             for s in _batches(nf, (m + 1) ** 2):
                 F = self._assemble(lv, s, E, updates, buffer)
+                if s.stop == nf:
+                    updates = None  # summed in full: dropped before the last elimination
                 self._eliminate(lv, s, F, W[s], None if U is None else U[s])
             blocks.append(W)
             updates = U
@@ -462,21 +468,30 @@ class _Elimination:
         """Partial Cholesky factorization of the fronts ``s`` of a level: into W
         the solve blocks [L11^-1; -L21 L11^-1], and into U, when given, the
         packed lower triangles of the update matrices F22 - L21 L21^T,
-        formed in F."""
+        formed in F.  With the update rows split in two halves, the product
+        is formed on the two diagonal blocks and the block below them;
+        F22's strict upper block, which the packing never reads, is left as
+        it is.  Without U (the root, whose update set is padding only) W's
+        update rows are zeros and neither F11^-1 nor L21 is formed."""
         p, m = lv.p, lv.m
         f, i = lv.pad
         mine = (f >= s.start) & (f < s.stop)
         F[f[mine] - s.start, i[mine], i[mine]] = 1.0  # padded pivots: identity
         L_inv = _lower_inverse(np.linalg.cholesky(F[:, :p, :p]))
         W[:, :p] = L_inv
-        K = F[:, p:m, :p] @ (L_inv.transpose(0, 2, 1) @ L_inv)  # L21 L11^-1 = F21 F11^-1
+        if U is None:
+            W[:, p:] = 0.0
+            return
+        F21 = F[:, p:m, :p]
+        K = F21 @ (L_inv.transpose(0, 2, 1) @ L_inv)  # L21 L11^-1 = F21 F11^-1
         np.negative(K, out=W[:, p:])
-        if U is not None:
-            F[:, p:m, p:m] -= K @ F[:, p:m, :p].transpose(0, 2, 1)
-            at = 0
-            for r in range(m - p):  # row r of the lower triangle
-                U[:, at:at + r + 1] = F[:, p + r, p:p + r + 1]
-                at += r + 1
+        h = (m - p) // 2
+        F[:, p:p + h, p:p + h] -= K[:, :h] @ F21[:, :h].transpose(0, 2, 1)
+        F[:, p + h:m, p:m] -= K[:, h:] @ F21.transpose(0, 2, 1)
+        at = 0
+        for r in range(m - p):  # row r of the lower triangle
+            U[:, at:at + r + 1] = F[:, p + r, p:p + r + 1]
+            at += r + 1
 
 
 def _batches(count: int, size: int):
@@ -599,19 +614,23 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
     if warm_start:
         schedule = schedule[-1:]
 
-    def free_gradient(values: np.ndarray, params: FluxParams) -> tuple[np.ndarray, float]:
+    def free_gradient(it, ag: np.ndarray, params: FluxParams) -> tuple[np.ndarray, float]:
         """Energy gradient on the free dofs in elimination order, and its sup-norm."""
-        g = energy_gradient(GridFunction(grid, values), G, p, params).values.reshape(-1)[sel]
+        g = _energy_gradient(it, ag, p, params).reshape(-1)[sel]
         return g, float(np.abs(g).max()) if g.size else 0.0
 
     held = None  # the held factor, reused as the CG preconditioner
     previous = math.inf  # the residual one step back
     cg_taken = False  # the first CG step runs at eta = _FORCING_MAX
+    it = None  # Du and |Du| of u, taken once per field
     for k, gam in enumerate(schedule):
         params = FluxParams(gam)
-        J = energy(GridFunction(grid, u), G, p, params)
+        ag = _flux_batch(G.values, p.cell_values, params)  # A(x, G) of this stage
+        if it is None:  # the first stage, or a stage after a stall
+            it = _iterate(GridFunction(grid, u))
+        J = _energy(it, ag, p, params)
         history.append((gam, J))
-        g_free, res = free_gradient(u, params)
+        g_free, res = free_gradient(it, ag, params)
         last = k == len(schedule) - 1
         target = opts.tolerance if last else max(opts.tolerance, _STAGE_REDUCTION * res)
         stage = StageStats(gam)
@@ -624,7 +643,8 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
                 stage.reason = "cap"
                 break
             # one set of coefficients for CG and, on a miss, the refactor
-            coefficients = _hessian_coefficients(GridFunction(grid, u), p, params)
+            # Du is not read again at u: it is dropped before the factor is formed
+            coefficients, it = _hessian_coefficients(it, p, params), None
             d = None
             if held is not None:
                 eta = (min(_FORCING_MAX, _FORCING_SCALE * (res / previous) ** 2)
@@ -650,16 +670,17 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
             while t > 1e-14:
                 trial = u.copy()
                 trial.reshape(-1)[sel] += t * d
-                Jt = energy(GridFunction(grid, trial), G, p, params)
+                trial_it = _iterate(GridFunction(grid, trial))
+                Jt = _energy(trial_it, ag, p, params)
                 if Jt <= J + _BACKTRACK_SLOPE * t * slope:
-                    step = trial, Jt, free_gradient(trial, params)
+                    step = trial, trial_it, Jt, free_gradient(trial_it, ag, params)
                     break
                 if abs(Jt - J) <= _ROUNDING_ULPS * np.spacing(abs(J)):
                     # J cannot resolve this trial: demand a residual decrease
-                    grad = free_gradient(trial, params)
+                    grad = free_gradient(trial_it, ag, params)
                     if grad[1] < (1.0 - _BACKTRACK_SLOPE * t) * res:
                         stage.guarded += 1
-                        step = trial, Jt, grad
+                        step = trial, trial_it, Jt, grad
                         break
                 stage.backtracks += 1
                 t *= _BACKTRACK_SHRINK
@@ -668,7 +689,8 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
                 message = f"line search stalled at gamma={gam:g}"
                 break
             previous = res
-            u, J, (g_free, res) = step
+            u, it, J, (g_free, res) = step
+            del step, trial_it  # ``it`` alone holds Du of u, so that dropping it frees it
             history.append((gam, J))
         stage.residual = res
 

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,52 @@ def test_vxf_rejects_malformed(tmp_path):
     path.write_text("VXF1 2 1 nodes 2 2 0 0 1 1\n1.0\n")  # truncated values
     with pytest.raises(ConfigError):
         read_field(path)
+
+
+def test_vxf_read_holds_no_string_per_value(tmp_path):
+    # the body is parsed straight into floats: reading a 24^3 x 3 cell field
+    # traces at most twice its array's bytes, where a list of one string per
+    # value traced 14.7 times them
+    g = Grid(3, (-1.0,) * 3, (2.0,) * 3, (24, 24, 24))
+    c = CellField(g, np.random.default_rng(4).normal(size=(g.num_cells, 3)))
+    path = tmp_path / "g.vxf"
+    write_field(path, c)
+    tracemalloc.start()
+    try:
+        back = read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == c.values.tobytes()
+    assert peak <= 2 * c.values.nbytes, (peak, c.values.nbytes)
+
+
+HEAD_4 = "VXF1 1 1 nodes 4 0 3\n"  # four nodal values
+
+
+@pytest.mark.parametrize("body", [
+    "# four values\n1\n2\n3\n4\n", "1\n2\n3\n4 # four values\n", "1 2\n3\n4\n",
+    "1\n2 3 4\n", "1\n2\nx\n4\n", "1\n2\n3\n0x4\n", "", "\n \n\n",
+], ids=["comment-line", "comment-tail", "ragged-short", "ragged-long", "token", "hex",
+        "empty", "blank"])
+def test_vxf_body_layout_is_enforced(tmp_path, body):
+    # a body's rows hold equally many values, nothing in it is a comment,
+    # and an empty body is an input error, not a NumPy warning
+    path = tmp_path / "bad.vxf"
+    path.write_text(HEAD_4 + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            read_field(path)
+
+
+@pytest.mark.parametrize("body", [
+    "1\n2\n3\n4\n", "\n1\n\n2\n3\n\n\n4", "1 2 3 4\n", "1 2\n3 4\n", "1\t2\r\n3\t4\r\n",
+], ids=["one-per-line", "blank-lines", "one-line", "rows", "tabs-crlf"])
+def test_vxf_body_rows_read(tmp_path, body):
+    path = tmp_path / "ok.vxf"
+    path.write_bytes((HEAD_4 + body).encode())
+    np.testing.assert_array_equal(read_field(path).values, [[1.0], [2.0], [3.0], [4.0]])
 
 
 def test_pgm_round_trips(tmp_path):

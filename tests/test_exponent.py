@@ -51,6 +51,10 @@ def test_cell_values_are_corner_averages():
     g = Grid(1, (0.0,), (1.0,), (4,))
     p = ExponentField(GridFunction(g, np.array([1.0, 1.0, 1.0, 2.0, 2.0])))
     np.testing.assert_allclose(p.cell_values, [1.0, 1.0, 1.5, 2.0])
+    # computed once per field, and read-only, so no caller can change it
+    assert p.cell_values is p.cell_values
+    with pytest.raises(ValueError):
+        p.cell_values[0] = 3.0
 
 
 def test_three_node_log_holder_oracle():

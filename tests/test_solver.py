@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu, spsolve
 from varexp import solver
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction, gradient
-from varexp.operator import (FluxParams, _ElementMatrices, _hessian_coefficients,
+from varexp.operator import (FluxParams, _ElementMatrices, _hessian_coefficients, _iterate,
                              energy_gradient, energy_hessian)
 from varexp.solver import (
     SolveOptions,
@@ -263,6 +263,42 @@ def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
     assert np.count_nonzero(L) <= elim.nnz <= len(H) * (len(H) + 1) // 2
 
 
+@pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2)])
+def test_fronts_form_no_product_they_do_not_read(cells, N, monkeypatch):
+    # each front's Schur update F22 - K F21^T is formed on and below its two
+    # diagonal blocks only: the strict upper block, poisoned before the
+    # elimination, keeps its poison.  The root, whose update rows are
+    # padding, forms no K: its W is exact zeros past the pivots even when
+    # those rows of its frontal matrices are poisoned too.  The packing and
+    # the solve read neither, so the direction is dense Cholesky's
+    rng = np.random.default_rng(sum(cells) + N)
+    elim, E, H = _random_lattice_system(cells, N, rng)
+    eliminate, seen = solver._Elimination._eliminate, []
+
+    def poisoned(lv, s, F, W, U):
+        p, h = lv.p, (lv.m - lv.p) // 2
+        upper = F[:, p:p + h, p + h:lv.m]
+        upper[...] = 7.0
+        if U is None:
+            F[:, p:lv.m, :p] = 7.0
+        eliminate(lv, s, F, W, U)
+        seen.append((U is None, upper.size, bool(np.all(upper == 7.0))))
+
+    monkeypatch.setattr(solver._Elimination, "_eliminate", staticmethod(poisoned))
+    factor = elim.factor(E)
+    assert [root for root, _, _ in seen].count(True) == 1 and seen[-1][0]
+    assert sum(size for _, size, _ in seen) > 0
+    assert all(kept for _, _, kept in seen), seen
+    root = elim.levels[-1]
+    assert root.upd.size and np.all(root.upd == elim.n)  # the root's update set is padding
+    past = factor.blocks[-1][:, root.p:]
+    assert past.size and np.array_equal(past, np.zeros_like(past))
+    b = rng.normal(size=len(H))
+    L = np.linalg.cholesky(H)
+    want = np.linalg.solve(L.T, np.linalg.solve(L, b))
+    assert np.abs(factor.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1e-8, 0.0])
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -278,7 +314,7 @@ def test_streamed_element_matrices_give_the_formed_bytes(dim, N, gamma, monkeypa
     u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
     params = FluxParams(gamma)
     elim = solver._Elimination(g, N)
-    streamed = _ElementMatrices(*_hessian_coefficients(u, p, params))
+    streamed = _ElementMatrices(*_hessian_coefficients(_iterate(u), p, params))
     formed = energy_hessian(u, p, params)
     assert elim.diagonal(streamed).tobytes() == elim.diagonal(formed).tobytes()
     with pytest.raises(ValueError):
@@ -571,7 +607,7 @@ def test_matrix_free_hessian_matches_assembled(dim, N, gamma, data):
     sel = elim.sel
     x = rng.normal(size=sel.size)
     want = assembled_hessian(u, p, params)[sel][:, sel] @ x
-    got = elim.matvec(*_hessian_coefficients(u, p, params))(x)
+    got = elim.matvec(*_hessian_coefficients(_iterate(u), p, params))(x)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -588,8 +624,9 @@ def test_held_factor_preconditions_cg():
     H = assembled_hessian(u, p, params)[sel][:, sel].tocsc()
     grad = rng.normal(size=sel.size)
     stage = solver.StageStats(params.gamma)
+    coefficients = _hessian_coefficients(_iterate(u), p, params)
     d = solver._cg_solve(elim.factor(energy_hessian(u, p, params)),
-                         elim.matvec(*_hessian_coefficients(u, p, params)), grad, 1e-12, stage)
+                         elim.matvec(*coefficients), grad, 1e-12, stage)
     assert stage.cg_iterations == 1
     want = spsolve(H, -grad)
     np.testing.assert_allclose(d, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
@@ -621,6 +658,29 @@ def test_cg_cap_of_one_factors_every_newton_system(monkeypatch):
     assert sum(s.cg_iterations for s in capped.stages) == capped.iterations - 1
     scale = np.abs(default.u.values).max()
     assert np.abs(capped.u.values - default.u.values).max() <= SolveOptions().tolerance * scale
+
+
+def test_newton_takes_each_fields_gradient_once(monkeypatch):
+    # Du of the start and of each line-search trial is taken once: the
+    # accepted trial's Du gives its energy gradient, the next stage's energy
+    # and the next step's Hessian coefficients, and is never taken again
+    from varexp import operator
+
+    seen, gradient = [], operator.gradient
+
+    def counted(u):
+        seen.append(u.values.tobytes())
+        return gradient(u)
+
+    monkeypatch.setattr(operator, "gradient", counted)
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
+    _, G, bnd = manufactured_instance("bump", g)
+    res = solve_pxlaplace(G, constant_exponent(g, 1.3), bnd, SolveOptions())
+    assert res.converged, res.message
+    trials = sum(s.steps + s.backtracks for s in res.stages)
+    assert sum(s.backtracks for s in res.stages) > 0 and len(res.stages) > 1
+    assert len(seen) == 1 + trials, (len(seen), trials)
+    assert len(set(seen)) == len(seen)
 
 
 def test_solve_is_repeatable():

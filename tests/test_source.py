@@ -8,10 +8,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import varexp
-from varexp.cli import ExperimentConfig
+from varexp.cli import ExperimentConfig, write_field
+from varexp.grid import Grid, GridFunction
+from varexp.solver import manufactured_instance
 
 
 def test_no_assert_statements_in_package():
@@ -111,13 +114,23 @@ instance = matched
 def test_import_loads_no_scipy(tmp_path):
     # scipy costs every command its import time, and varexp does not depend
     # on it: neither the import of the package and the CLI nor a solve (2-D
-    # nested, 3-D cold) or a verify run loads any scipy module.  Nor do they
-    # load numpy.ma, which np.unique imports and which costs 15-21 ms
+    # nested, 3-D cold, 3-D read from field files) or a verify run loads any
+    # scipy module.  Nor do they load numpy.ma, which np.unique imports and
+    # which costs 15-21 ms
     env = dict(os.environ, PYTHONPATH=str(Path(varexp.__file__).parents[1]))
     loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
               " or m.split('.')[:2] == ['numpy', 'ma']))")
+    g = Grid(3, (-1.0,) * 3, (2.0,) * 3, (6, 6, 6))
+    _, G, bnd = manufactured_instance("matched", g)
+    write_field(tmp_path / "g.vxf", G)
+    write_field(tmp_path / "b.vxf", bnd)
+    write_field(tmp_path / "p.vxf", GridFunction(g, np.full(g.num_nodes, 2.5)))
+    files_3d = (_SOLVE_3D.replace("kind = constant\nvalue = 2.5", "kind = file\npath = p.vxf")
+                .replace("instance = matched", "instance = files\ng = g.vxf\nboundary = b.vxf"))
+    assert files_3d.count(".vxf") == 3
     runs = [("import", "import sys, varexp, varexp.cli; " + loaded)]
-    for command, config in (("solve", _SOLVE_2D), ("verify", _SOLVE_2D), ("solve", _SOLVE_3D)):
+    for command, config in (("solve", _SOLVE_2D), ("verify", _SOLVE_2D), ("solve", _SOLVE_3D),
+                            ("solve", files_3d)):
         cfg = tmp_path / f"{command}-{len(runs)}.cfg"
         cfg.write_text(config)
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
