@@ -9,7 +9,8 @@ Commands:
     gehring     self-improvement scan, m0 and the mu ratio table
     goodlambda  delta(epsilon, lambda) occupancy table; report.txt names
                 the vacuous rows, where no cell has M*F > kappa lambda
-    sweep       refinement / root-size / oscillation-amplitude sweeps
+    sweep       refinement / root-size / oscillation-amplitude sweeps;
+                report.txt names the vacuous good-lambda amplitude rows
     denoise     variable-exponent image smoothing demo (PGM in, PGM out)
 
 Exit codes: 0 success, 1 configuration or input error, 2 solver
@@ -60,7 +61,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
+import importlib
 import sys
 import time
 import warnings
@@ -236,6 +237,19 @@ if __doc__:
     __doc__ = __doc__.replace("    {config keys}", _key_listing())
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data`` from the interpreter's builtin
+    module, ``_sha2`` (Python 3.12+) or ``_sha256``, as ``random`` takes its
+    sha512; ``hashlib`` is the last resort, because it loads OpenSSL's
+    libcrypto (3.5 MB of resident memory) for this one digest."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    return importlib.import_module("hashlib").sha256(data).hexdigest()
+
+
 def load_config(command: str, path: str | Path, out: str | None = None) -> ExperimentConfig:
     """Parse and validate a config file; CLI flags override file values."""
     if command not in _COMMANDS:
@@ -275,8 +289,7 @@ def load_config(command: str, path: str | Path, out: str | None = None) -> Exper
             if kind == "path" and not Path(value).is_absolute():
                 value = str(path.parent / value)  # not relative to the process cwd
             values[f.name] = value
-    cfg = ExperimentConfig(command, path, hashlib.sha256(path.read_bytes()).hexdigest(),
-                           **values)
+    cfg = ExperimentConfig(command, path, _sha256_hex(path.read_bytes()), **values)
 
     # rules that involve more than one key, or a CLI flag
     cfg.out = Path(cfg.out if out is None else out)
@@ -752,13 +765,20 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
                              [f * lam0 for f in cfg.lambda_factors], cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
     head = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}" for e, l, d in gl.rows]
-    vacuous = [f"(eps {_fmt(e)}, lam {_fmt(l)})"
-               for (e, l, _), n in zip(gl.rows, gl.kappa_cells) if n == 0]
-    if vacuous:  # no " = ": the line is no scalar
-        head.append(f"good-lambda-vacuous: no cell has M*F > kappa lam in {', '.join(vacuous)}")
-    rep.lines[:0] = head  # the solve lines stay last
+    rep.lines[:0] = head + _vacuous_line([("", gl)])  # the solve lines stay last
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
+
+
+def _vacuous_line(measures) -> list[str]:
+    """The ``good-lambda-vacuous`` report line naming the rows whose
+    {M*F > kappa lam} has no cell, of each (prefix, good-lambda result) of
+    ``measures``; no line when there is none.  It has no " = ": it is no
+    scalar."""
+    vacuous = [f"({where}eps {_fmt(e)}, lam {_fmt(l)})" for where, gl in measures
+               for (e, l, _), n in zip(gl.rows, gl.kappa_cells) if n == 0]
+    return ([f"good-lambda-vacuous: no cell has M*F > kappa lam in {', '.join(vacuous)}"]
+            if vacuous else [])
 
 
 def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
@@ -802,6 +822,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
 
     mean_p = float(p0.values.mean())
     root = _root(cfg, base)
+    measures = []
     for t in cfg.amplitudes:
         pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)))
         G, res = solve(base, pt, f" at amplitude {_fmt(t)}")
@@ -811,6 +832,8 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
                                  cfg.epsilons, [lam], cfg.m0)
         for e, _, d in gl.rows:
             rows.append(["amplitude", _fmt(t), f"delta(eps={_fmt(e)})", _fmt(d), "", ""])
+        measures.append((f"amplitude {_fmt(t)}, ", gl))
+    rep.lines[:0] = _vacuous_line(measures)  # the solve lines stay last
 
     _write_csv(cfg.out / "sweep.csv",
                ["axis", "setting", "name", "lhs", "rhs_sum", "constant"], rows)

@@ -18,21 +18,24 @@ the next.
 The free-dof Hessian is symmetric positive definite (gamma > 0, or
 p >= 2) and couples only neighbouring nodes of a box lattice.  The first
 Newton system of a solve is factored by a multifrontal Cholesky
-factorization (Liu, SIAM Review 34, 1992) on a geometric nested-dissection
-tree of the interior nodes (George, SIAM J. Numer. Anal. 10, 1973): each
-front eliminates its block's separator plane, or the whole block at a leaf,
-against the block's one-node halo, and is assembled from the element
-matrices of its cells and the update matrices of its children.  The fronts
-of one dissection depth are padded to a common size and factored in
-batches of at most _BATCH frontal entries, one batched NumPy call per
-kernel and batch; each batch's element matrices are formed from the
-Hessian coefficients as it is assembled, so the matrices of all cells are
-never held at once.  A front passes on only the lower triangle of its
-update matrix, so it forms the Schur product on the diagonal blocks of its
-update rows split in two halves and on the block below them; the root,
-whose update set is padding only, forms none.  A level drops its
-children's update matrices once its last batch has summed them.  A level
-is solved by one batched call; the tree is built once per solve.
+factorization (Duff and Reid, ACM TOMS 9, 1983; Liu, SIAM Review 34, 1992)
+on a geometric nested-dissection tree of the interior nodes (George, SIAM
+J. Numer. Anal. 10, 1973): each front eliminates its block's separator
+plane, or the whole block at a leaf, against the block's one-node halo, and
+is assembled from the element matrices of its cells and the update
+matrices of its children.  The fronts of one dissection depth fall into
+shape groups, the fronts with equal pivot and update counts, so no front
+is padded; a group is factored in batches of at most _BATCH frontal
+entries, one batched NumPy call per kernel and batch; each batch's element
+matrices are formed from the Hessian coefficients as it is assembled, so
+the matrices of all cells are never held at once.  A front passes on only
+the lower triangle of its update matrix, gathered by one np.take per batch,
+so it forms the Schur product on the diagonal blocks of its update rows
+split in two halves and on the block below them; the root, which has no
+update set, forms none.  A depth drops its children's update matrices once
+its last batch has summed them.  A depth is solved by one gather, one
+batched product per group and one scatter; the tree is built once per
+solve.
 That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
 preconditioned CG (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996;
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,8 +112,8 @@ class StageStats:
     held factor, and ``cg_iterations`` the CG iterations spent, those of
     CG runs that missed ``_CG_CAP`` included.  ``factor_s`` is the time
     spent in Cholesky factorizations, forming the element matrices
-    included, and ``fill`` the largest factor's nonzero count, nnz(L)
-    without the padding of the batched fronts.
+    included, and ``fill`` the largest factor's nonzero count, nnz(L): the
+    pivot triangle and update rows of each front.
     Every step is a factored step, a reuse or a fallback.
     """
     gamma: float
@@ -265,30 +268,39 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Level:
-    """The fronts of one dissection depth, padded to common sizes: ``p``
-    pivot dofs, then ``m - p`` update dofs, then one dummy row and column
-    (index m) that padding entries point at.
+class _Group:
+    """The fronts of one dissection depth that share a shape: ``p`` pivot
+    dofs, then ``m - p`` update dofs, then one dummy row and column (index
+    m) that the boundary corners of their cells point at.
 
     ``piv`` and ``upd`` are the (fronts, p) and (fronts, m - p) dof
-    positions in elimination order, padded with n (the dummy entry of a
-    solve vector), and ``var`` the two side by side; ``cells`` are the
-    cells whose element matrices this level assembles, ``cell_slot`` the
-    front of each and ``cell_local`` the place of each of its dofs in that
-    front; ``children`` holds, for the fronts one depth deeper, the slot of
-    each one's parent here and the place of each of its update dofs here
-    (None at the deepest level).
+    positions in elimination order; ``cells`` are the cells whose element
+    matrices the group assembles, ``cell_slot`` the front of each and
+    ``cell_local`` the place of each of its dofs in that front, sorted by
+    front.  ``children`` has, for each group one depth deeper with fronts
+    whose parents are here, its index in its depth, those fronts' rows in
+    it, the slot of each one's parent here and the place of each of its
+    update dofs here, sorted by parent.
     """
     p: int
     m: int
     piv: np.ndarray
     upd: np.ndarray
-    var: np.ndarray
-    pad: tuple[np.ndarray, np.ndarray]
     cells: np.ndarray
     cell_slot: np.ndarray
     cell_local: np.ndarray
-    children: tuple[np.ndarray, np.ndarray] | None = None
+    children: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
+
+
+@dataclass
+class _Depth:
+    """The fronts of one dissection depth, in shape groups.  ``piv`` lists
+    the groups' pivot dofs and ``var`` their pivot and update dofs, front
+    by front, one group after the other, so the solve gathers and scatters
+    a depth at once."""
+    groups: list[_Group]
+    piv: np.ndarray
+    var: np.ndarray
 
 
 class _Elimination:
@@ -302,7 +314,8 @@ class _Elimination:
     element matrix is assembled into the front that eliminates the cell's
     first free corner, whose pivots and halo hold every free corner of the
     cell.  The fronts are factored one dissection depth at a time, deepest
-    first, so each NumPy call covers every front of a depth.
+    first, and within a depth one shape group at a time, so each NumPy call
+    covers every front of a group and no front is padded.
     """
 
     def __init__(self, grid: Grid, N: int):
@@ -318,16 +331,15 @@ class _Elimination:
         def place(depth: tuple, row: np.ndarray, q: np.ndarray) -> np.ndarray:
             """Node index of elimination position q among the variables of
             front ``row`` of a depth, given as its fronts' pivot starts,
-            sizes and halos: its pivot rank, or the padded pivot count plus
-            its halo rank."""
-            start, size, halo = depth
+            sizes and halos: its pivot rank, or the front's pivot count
+            plus its halo rank."""
+            start, size, halo = depth[:3]
             piv = q - start[row]
             keyed = halo + (n + 1) * np.arange(len(halo))[:, None]  # sorted when flattened
             rank = np.searchsorted(keyed.reshape(-1), q + (n + 1) * row) - halo.shape[1] * row
-            pivot = (piv >= 0) & (piv < size[row])
-            return np.where(pivot, piv, size.max() + rank)
+            return np.where((piv >= 0) & (piv < size[row]), piv, size[row] + rank)
 
-        def dofs(nodes: np.ndarray, missing: int) -> np.ndarray:
+        def dofs(nodes: np.ndarray, missing: int = 0) -> np.ndarray:
             """The N dofs of each node, ``missing`` for nodes that are n."""
             d = np.where(nodes[..., None] < n, nodes[..., None] * N + np.arange(N), missing)
             return d.reshape(*nodes.shape[:-1], nodes.shape[-1] * N)
@@ -337,33 +349,45 @@ class _Elimination:
         owner = by_start[np.searchsorted(tree.start[by_start], corners.min(axis=1), "right") - 1]
         self.element_dofs = dofs(corners, self.n)
 
-        self.levels, self.nnz = [], 0
-        slot = np.arange(tree.first[-1]) - np.repeat(tree.first[:-1], np.diff(tree.first))
-        above = None  # (pivot starts, sizes, halos) of the fronts one depth up
+        self.depths, self.nnz = [], 0
+        above = None  # (pivot starts, sizes, halos, groups, slots) of the fronts one depth up
         for a, b in zip(tree.first, tree.first[1:]):  # root first
             start, size, halo = tree.start[a:b], tree.size[a:b], self._halos(pos, n, tree, a, b)
             count = (halo < n).sum(axis=1)
             self.nnz += int(np.sum(size * N * (size * N + 1) // 2 + count * N * size * N))
-            P, U = int(size.max()), halo.shape[1]
-            p, m = P * N, (P + U) * N
-            piv = dofs(np.where(np.arange(P) < size[:, None], np.arange(P) + start[:, None], n),
-                       self.n)
+            shapes = sorted(set(zip(size.tolist(), count.tolist())))
+            members = [np.flatnonzero((size == P) & (count == C)) for P, C in shapes]
+            group, slot = np.empty(b - a, dtype=np.intp), np.empty(b - a, dtype=np.intp)
+            for k, rows in enumerate(members):
+                group[rows], slot[rows] = k, np.arange(len(rows))
             cells = np.flatnonzero((owner >= a) & (owner < b))
-            cell_slot = slot[owner[cells]]
-            node = place((start, size, halo), np.repeat(cell_slot, corners.shape[1]),
-                         corners[cells].reshape(-1)).reshape(corners[cells].shape)
-            local = dofs(np.where(corners[cells] < n, node, n), m).astype(np.int32)
-            if above is not None:  # this depth's update matrices go to the one above
-                up = slot[tree.parent[a:b]]
-                node = place(above, np.repeat(up, U), np.minimum(halo, n - 1).reshape(-1))
-                self.levels[-1].children = (up.astype(np.int32), dofs(np.where(
-                    halo < n, node.reshape(halo.shape), n), self.levels[-1].m).astype(np.int32))
-            upd = dofs(halo, self.n)
-            self.levels.append(_Level(p, m, piv, upd, np.concatenate([piv, upd], axis=1),
-                                      np.nonzero(piv == self.n), cells,
-                                      cell_slot.astype(np.int32), local))
-            above = start, size, halo
-        self.levels.reverse()  # deepest first
+            groups = []
+            for k, ((P, C), rows) in enumerate(zip(shapes, members)):
+                p, m = P * N, (P + C) * N
+                mine = cells[group[owner[cells] - a] == k]
+                mine = mine[np.argsort(slot[owner[mine] - a], kind="stable")]  # front by front
+                node = place((start, size, halo), np.repeat(owner[mine] - a, corners.shape[1]),
+                             corners[mine].reshape(-1)).reshape(corners[mine].shape)
+                local = dofs(np.where(corners[mine] < n, node, n), m).astype(np.int32)
+                upd = halo[rows, :C]
+                groups.append(_Group(p, m, dofs(start[rows, None] + np.arange(P)), dofs(upd),
+                                     mine, slot[owner[mine] - a].astype(np.int32), local))
+                if above is not None:  # these fronts' update matrices go to the depth above
+                    up_group, up_slot = above[3:]
+                    up = tree.parent[a + rows] - (a - len(up_group))  # row in the depth above
+                    node = place(above, np.repeat(up, C), upd.reshape(-1)).reshape(upd.shape)
+                    local = dofs(node).astype(np.int32)
+                    for j in sorted(set(up_group[up].tolist())):
+                        there = np.flatnonzero(up_group[up] == j)
+                        there = there[np.argsort(up_slot[up[there]], kind="stable")]
+                        self.depths[-1].groups[j].children.append(
+                            (k, there, up_slot[up[there]].astype(np.int32), local[there]))
+            self.depths.append(_Depth(
+                groups, np.concatenate([g.piv.reshape(-1) for g in groups]),
+                np.concatenate([np.concatenate([g.piv, g.upd], axis=1).reshape(-1)
+                                for g in groups])))
+            above = start, size, halo, group, slot
+        self.depths.reverse()  # deepest first
 
     @staticmethod
     def _halos(pos: np.ndarray, n: int, tree: _Dissection, a: int, b: int) -> np.ndarray:
@@ -414,73 +438,78 @@ class _Elimination:
         """Factor the sum of the element matrices E over the free dofs; E is
         read one batch of cells at a time, as ``E[cells]``.  Raises
         LinAlgError when a front's pivot block is not positive definite.
-        Each level hands its update matrices, packed lower triangles, to the
-        next level, one depth up; its frontal matrices are formed _BATCH
-        entries at a time."""
-        blocks = []
-        updates = None  # packed update matrices of the level below
-        buffer = np.empty(max(_BATCH, max((lv.m + 1) ** 2 for lv in self.levels)))
-        for lv in self.levels:
-            nf, p, m = len(lv.piv), lv.p, lv.m
-            W = np.empty((nf, m, p))
-            U = np.empty((nf, (m - p) * (m - p + 1) // 2)) if lv is not self.levels[-1] else None
-            for s in _batches(nf, (m + 1) ** 2):
-                F = self._assemble(lv, s, E, updates, buffer)
-                if s.stop == nf:
-                    updates = None  # summed in full: dropped before the last elimination
-                self._eliminate(lv, s, F, W[s], None if U is None else U[s])
-            blocks.append(W)
-            updates = U
+        Each group hands its update matrices, packed lower triangles, with
+        the row and column of each packed entry, to the groups one depth
+        up.  A depth's blocks W sit in one buffer, and so do its update
+        matrices, dropped once the depth above has summed them.  The
+        frontal matrices are formed _BATCH entries at a time."""
+        buffer = np.empty(max(_BATCH, max((g.m + 1) ** 2 for d in self.depths for g in d.groups)))
+        blocks, below = [], None  # below: per group one depth down, (updates, (rows, columns))
+        for depth in self.depths:
+            here, last = [], depth.groups[-1]
+            held = np.empty(sum(len(g.piv) * g.m * g.p for g in depth.groups))
+            flat = np.empty(sum(len(g.piv) * (g.m - g.p) * (g.m - g.p + 1) // 2
+                                for g in depth.groups))
+            for g in depth.groups:
+                nf, p, m = len(g.piv), g.p, g.m
+                W, held = held[:nf * m * p].reshape(nf, m, p), held[nf * m * p:]
+                tri = _tril(m - p)
+                U, flat = flat[:nf * len(tri[0])].reshape(nf, -1), flat[nf * len(tri[0]):]
+                pack = (tri[0] + p).astype(np.intp) * (m + 1) + (tri[1] + p)
+                for s in _batches(nf, (m + 1) ** 2):
+                    F = self._assemble(g, s, E, below, buffer)
+                    if g is last and s.stop == nf:  # summed in full: dropped before the last
+                        below = None  # elimination
+                    self._eliminate(g, F, W[s], U[s] if m > p else None, pack)
+                blocks.append(W)
+                here.append((U, tri))
+                del pack  # before the next group's table is built
+            below = here
         return _Factor(self, blocks)
 
     @staticmethod
-    def _assemble(lv: _Level, s: slice, E, updates: np.ndarray | None,
-                  buffer: np.ndarray) -> np.ndarray:
+    def _assemble(g: _Group, s: slice, E, below: list, buffer: np.ndarray) -> np.ndarray:
         """The (fronts, m + 1, m + 1) frontal matrices of the fronts ``s`` of
-        a level: their cells' element matrices plus their children's update
-        matrices ``updates`` (extend-add).  Only the lower triangles are
+        a group: their cells' element matrices plus their children's update
+        matrices, from ``below`` (extend-add).  Only the lower triangles are
         complete: a child's variables keep their order among the parent's,
         so its lower triangle lands in the parent's.  ``buffer`` holds the
         result."""
-        M = lv.m + 1
+        M = g.m + 1
         F = buffer[:(s.stop - s.start) * M * M]
         F[:] = 0.0
         # int32 places: a batch holds at most max(_BATCH, M^2) entries
-        mine = (lv.cell_slot >= s.start) & (lv.cell_slot < s.stop)
-        if mine.any():
-            local = lv.cell_local[mine]
-            at = (((lv.cell_slot[mine] - s.start) * (M * M))[:, None] + local * M)[:, :, None]
-            np.add.at(F, (at + local[:, None, :]).reshape(-1), E[lv.cells[mine]].reshape(-1))
-        if lv.children is not None:
-            slot, local = lv.children
-            mine = np.flatnonzero((slot >= s.start) & (slot < s.stop))
-            i, j = (a.astype(np.int32) for a in np.tril_indices(local.shape[1]))
-            row = ((slot[mine] - s.start) * (M * M))[:, None] + local[mine] * M
-            for t in _batches(len(mine), 2 * len(i)):  # two index arrays at a time
+        lo, hi = np.searchsorted(g.cell_slot, (s.start, s.stop))
+        if hi > lo:
+            local = g.cell_local[lo:hi]
+            at = (((g.cell_slot[lo:hi] - s.start) * (M * M))[:, None] + local * M)[:, :, None]
+            np.add.at(F, (at + local[:, None, :]).reshape(-1), E[g.cells[lo:hi]].reshape(-1))
+        for j, rows, slot, local in g.children:
+            U, (i, k) = below[j]
+            lo, hi = np.searchsorted(slot, (s.start, s.stop))
+            row = ((slot[lo:hi] - s.start) * (M * M))[:, None] + local[lo:hi] * M
+            for t in _batches(hi - lo, 2 * len(i)):  # two index arrays at a time
                 at = np.take(row[t], i, axis=1)
-                at += np.take(local[mine[t]], j, axis=1)
-                np.add.at(F, at.reshape(-1), updates[mine[t]].reshape(-1))
+                at += np.take(local[lo:hi][t], k, axis=1)
+                np.add.at(F, at.reshape(-1), U[rows[lo:hi][t]].reshape(-1))
         return F.reshape(-1, M, M)
 
     @staticmethod
-    def _eliminate(lv: _Level, s: slice, F: np.ndarray, W: np.ndarray,
-                   U: np.ndarray | None) -> None:
-        """Partial Cholesky factorization of the fronts ``s`` of a level: into W
-        the solve blocks [L11^-1; -L21 L11^-1], and into U, when given, the
-        packed lower triangles of the update matrices F22 - L21 L21^T,
-        formed in F.  With the update rows split in two halves, the product
-        is formed on the two diagonal blocks and the block below them;
-        F22's strict upper block, which the packing never reads, is left as
-        it is.  Without U (the root, whose update set is padding only) W's
-        update rows are zeros and neither F11^-1 nor L21 is formed."""
-        p, m = lv.p, lv.m
-        f, i = lv.pad
-        mine = (f >= s.start) & (f < s.stop)
-        F[f[mine] - s.start, i[mine], i[mine]] = 1.0  # padded pivots: identity
+    def _eliminate(g: _Group, F: np.ndarray, W: np.ndarray, U: np.ndarray | None,
+                   pack: np.ndarray) -> None:
+        """Partial Cholesky factorization of a batch of fronts of a group:
+        into W the solve blocks [L11^-1; -L21 L11^-1], and into U, when
+        given, the packed lower triangles of the update matrices
+        F22 - L21 L21^T, formed in F and gathered at the flat places
+        ``pack``.  With the update rows split in two halves, the product is
+        formed on the two diagonal blocks and the block below them; F22's
+        strict upper block, which the packing never reads, is left as it
+        is.  Without U (the root, which has no update set) neither F11^-1
+        nor L21 is formed."""
+        p, m = g.p, g.m
         L_inv = _lower_inverse(np.linalg.cholesky(F[:, :p, :p]))
         W[:, :p] = L_inv
         if U is None:
-            W[:, p:] = 0.0
             return
         F21 = F[:, p:m, :p]
         K = F21 @ (L_inv.transpose(0, 2, 1) @ L_inv)  # L21 L11^-1 = F21 F11^-1
@@ -488,10 +517,14 @@ class _Elimination:
         h = (m - p) // 2
         F[:, p:p + h, p:p + h] -= K[:, :h] @ F21[:, :h].transpose(0, 2, 1)
         F[:, p + h:m, p:m] -= K[:, h:] @ F21.transpose(0, 2, 1)
-        at = 0
-        for r in range(m - p):  # row r of the lower triangle
-            U[:, at:at + r + 1] = F[:, p + r, p:p + r + 1]
-            at += r + 1
+        np.take(F.reshape(len(F), -1), pack, axis=1, out=U, mode="clip")  # in range: unbuffered
+
+
+def _tril(u: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 rows and columns of the lower triangle of a u x u matrix,
+    row by row (np.tril_indices, in a third of its time)."""
+    i = np.repeat(np.arange(u, dtype=np.int32), np.arange(1, u + 1))
+    return i, np.arange(len(i), dtype=np.int32) - i * (i + 1) // 2
 
 
 def _batches(count: int, size: int):
@@ -501,26 +534,42 @@ def _batches(count: int, size: int):
 
 
 class _Factor:
-    """L L^T of the free-dof Hessian, front by front: for each level the
-    stack W = [L11^-1; -L21 L11^-1], so both triangular solves take one
-    batched product per level."""
+    """L L^T of the free-dof Hessian, front by front: for each group the
+    stack W = [L11^-1; -L21 L11^-1], so each triangular solve takes one
+    gather, one batched product per group and one scatter per depth."""
 
     def __init__(self, elim: _Elimination, blocks: list[np.ndarray]):
         self.elim = elim
         self.blocks = blocks
+        # each depth's pivot and variable values, front by front, as views per group
+        xp = np.empty(max(d.piv.size for d in elim.depths))
+        xv = np.empty(max(d.var.size for d in elim.depths))
+        self._depths, held = [], iter(blocks)
+        for d in elim.depths:
+            views, i, j = [], 0, 0
+            for g in d.groups:
+                W, nf = next(held), len(g.piv)
+                p, v = xp[i:i + nf * g.p], xv[j:j + nf * g.m]
+                views.append((W, p.reshape(nf, g.p, 1), v.reshape(nf, g.m, 1),
+                              p.reshape(nf, 1, g.p), v.reshape(nf, 1, g.m)))
+                i, j = i + nf * g.p, j + nf * g.m
+            self._depths.append((d.piv, d.var, xp[:i], xv[:j], views))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(L L^T)^-1 b, b in elimination order."""
-        n = self.elim.n
-        x = np.zeros(n + 1)  # x[n] stays 0: padding reads and writes it
-        x[:n] = b
-        for lv, W in zip(self.elim.levels, self.blocks):
-            z = np.matmul(W, x[lv.piv][:, :, None])[:, :, 0]
-            x[lv.piv] = z[:, :lv.p]
-            x += np.bincount(lv.upd.reshape(-1), z[:, lv.p:].reshape(-1), minlength=n + 1)
-        for lv, W in zip(reversed(self.elim.levels), reversed(self.blocks)):
-            x[lv.piv] = np.matmul(x[lv.var][:, None, :], W)[:, 0]
-        return x[:n]
+        x = np.array(b, dtype=float)
+        for piv, var, xp, xv, views in self._depths:
+            xp[:] = x[piv]
+            for W, p, v, _, _ in views:
+                np.matmul(W, p, v)
+            x[piv] = 0.0  # replaced by the fronts' pivot values, summed in below
+            np.add.at(x, var, xv)
+        for piv, var, xp, xv, views in reversed(self._depths):
+            xv[:] = x[var]
+            for W, _, _, p, v in views:
+                np.matmul(v, W, p)
+            x[piv] = xp
+        return x
 
 
 def _free_solve(elim: _Elimination, E, g_free: np.ndarray, stage: StageStats):

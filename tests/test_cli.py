@@ -22,6 +22,7 @@ from varexp.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     ConfigError,
+    _fmt,
     _gaussian_filter,
     load_config,
     main,
@@ -576,6 +577,41 @@ def test_goodlambda_flags_vacuous_rows(tmp_path):
     root = u.grid.domain.scaled(0.5)
     mf = maximal_function(energy_density(u, p), root, 1.0, default_max_level(root, u.grid))
     assert mf.values.max() / float(scalars["lambda0"]) < float(scalars["kappa"])
+
+
+def test_sweep_flags_vacuous_amplitude_rows(tmp_path, monkeypatch):
+    # the sweep's amplitude rows are good-lambda measures too: its report
+    # names, on one good-lambda-vacuous line with no " = ", exactly the
+    # (amplitude, eps, lam) rows whose {M*F > kappa lam} has no cell.  The
+    # measure's kappa_cells is set to a mix of empty and non-empty rows, so
+    # a flag on the wrong rows, on every row or on none fails; sweep.csv
+    # does not change
+    import varexp.cli as cli
+
+    measure, seen = cli.good_lambda_measure, []
+
+    def mixed(*args, **kwargs):
+        gl = measure(*args, **kwargs)
+        gl.kappa_cells = [3 * ((len(seen) + i) % 2) for i in range(len(gl.rows))]
+        seen.append(gl)
+        return gl
+
+    sweep = "\n[sweep]\nrefinements = 0\nsizes = 1\namplitudes = 1 0.5\n"
+    f = cfg_file(tmp_path, BASE + sweep)
+    assert main(["sweep", "--config", str(f), "--out", str(tmp_path / "plain")]) == EXIT_OK
+    monkeypatch.setattr(cli, "good_lambda_measure", mixed)
+    assert main(["sweep", "--config", str(f), "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert len(seen) == 2 and all(len(gl.rows) == 4 for gl in seen)
+    lines = (tmp_path / "s" / "report.txt").read_text().splitlines()
+    flagged = [ln for ln in lines if ln.startswith("good-lambda-vacuous")]
+    assert len(flagged) == 1 and " = " not in flagged[0]
+    want = [(t, _fmt(e), _fmt(lam)) for t, gl in zip(("1", "0.5"), seen)
+            for (e, lam, _), n in zip(gl.rows, gl.kappa_cells) if n == 0]
+    assert re.findall(r"\(amplitude (\S+), eps (\S+), lam (\S+)\)", flagged[0]) == want
+    assert len(want) == 4
+    csv = (tmp_path / "s" / "sweep.csv").read_bytes()
+    assert csv == (tmp_path / "plain" / "sweep.csv").read_bytes()
+    assert b"vacuous" not in csv
 
 
 def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):

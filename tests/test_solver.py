@@ -239,14 +239,15 @@ def _random_lattice_system(cells, N, rng):
 
 @pytest.mark.parametrize("cells", [
     (2,), (9,), (67,), (70,), (131,), (3, 3), (8, 11), (12, 11), (17, 16), (24, 25),
-    (2, 2, 2), (3, 4, 5), (7, 6, 6), (9, 8, 9),
+    (2, 2, 2), (3, 4, 5), (7, 6, 6), (9, 8, 9), (5, 7, 11), (10, 4, 7),
 ])
 @pytest.mark.parametrize("N", [1, 2])
 def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
     # odd and even sides, single leaves and trees several depths deep (a
     # leaf holds at most _LEAF nodes), with leaves at one depth or, for
-    # (67,), (8, 11) and (9, 8, 9), at two: the multifrontal solve is
-    # SuperLU's and dense Cholesky's to 1e-12
+    # (67,), (8, 11), (9, 8, 9), (5, 7, 11) and (10, 4, 7), at two; the
+    # anisotropic boxes have 3 to 6 front shapes, hence groups, at a depth:
+    # the multifrontal solve is SuperLU's and dense Cholesky's to 1e-12
     from scipy import sparse
 
     rng = np.random.default_rng(sum(cells) * 10 + N)
@@ -261,6 +262,68 @@ def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
     np.testing.assert_array_equal(elim.diagonal(E), np.diagonal(H))
     # nnz(L) counts each front's pivot triangle and update rows, no padding
     assert np.count_nonzero(L) <= elim.nnz <= len(H) * (len(H) + 1) // 2
+    if cells in ((9, 8, 9), (5, 7, 11), (10, 4, 7)):
+        assert max(len(d.groups) for d in elim.depths) >= 3
+
+
+@pytest.mark.parametrize("cells, N", [
+    ((67,), 1), ((24, 25), 2), ((9, 8, 9), 1), ((5, 7, 11), 2), ((10, 4, 7), 2),
+])
+def test_shape_groups_hold_real_fronts_only(cells, N):
+    # no front is padded: a depth's groups hold each of its fronts once, in
+    # groups of distinct shapes; every pivot and update entry is a free dof,
+    # each free dof is the pivot of one front, a front's update dofs are
+    # distinct and come after its pivots; and the factor's blocks hold
+    # exactly (pivots + halo) x pivots entries per front, the halo counted
+    # from the tree's boxes: the free nodes of the box grown by one node
+    # per side, less the box's own
+    d = len(cells)
+    interior = tuple(c - 1 for c in cells)
+    g = Grid(d, (0.0,) * d, (1.0,) * d, cells)
+    elim = solver._Elimination(g, N)
+    tree = _dissection(interior)
+    assert [sum(len(gr.piv) for gr in dp.groups) for dp in elim.depths] == \
+        list(np.diff(tree.first)[::-1])
+    piv = np.concatenate([dp.piv for dp in elim.depths])
+    assert np.array_equal(np.sort(piv), np.arange(elim.n))
+    for dp in elim.depths:
+        assert len({(gr.p, gr.m) for gr in dp.groups}) == len(dp.groups)
+        for gr in dp.groups:
+            assert gr.piv.shape[1] == gr.p > 0 and gr.upd.shape[1] == gr.m - gr.p
+            assert (gr.upd >= 0).all() and (gr.upd < elim.n).all()
+            assert all(len(set(row)) == len(row) for row in gr.upd.tolist())
+            if gr.m > gr.p:
+                assert (gr.upd.min(axis=1) > gr.piv.max(axis=1)).all()
+    grown = np.prod(np.minimum(tree.hi + 1, interior) - np.maximum(tree.lo - 1, 0), axis=1)
+    halo = grown - np.prod(tree.hi - tree.lo, axis=1)
+    want = int(np.sum((tree.size + halo) * N * tree.size * N))
+    E = np.broadcast_to(np.eye(2**d * N), (g.num_cells, 2**d * N, 2**d * N))
+    assert sum(W.size for W in elim.factor(E).blocks) == want
+
+
+@pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2), ((131,), 1)])
+def test_packed_update_gather_matches_row_loop(cells, N, monkeypatch):
+    # each front's update triangle is gathered from its frontal matrix by
+    # one np.take over a flat index table; it must be the row-by-row copy of
+    # the lower triangle that the table replaced, bit for bit
+    rng = np.random.default_rng(sum(cells) * 3 + N)
+    elim, E, _ = _random_lattice_system(cells, N, rng)
+    eliminate, packed = solver._Elimination._eliminate, []
+
+    def checked(g, F, W, U, pack):
+        eliminate(g, F, W, U, pack)
+        if U is None:
+            return
+        want, at = np.empty_like(U), 0
+        for r in range(g.m - g.p):  # row r of the lower triangle
+            want[:, at:at + r + 1] = F[:, g.p + r, g.p:g.p + r + 1]
+            at += r + 1
+        packed.append(U.size)
+        assert U.tobytes() == want.tobytes()
+
+    monkeypatch.setattr(solver._Elimination, "_eliminate", staticmethod(checked))
+    elim.factor(E)
+    assert len(packed) >= sum(len(d.groups) for d in elim.depths) - 1 and sum(packed) > 0
 
 
 @pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2)])
@@ -275,24 +338,26 @@ def test_fronts_form_no_product_they_do_not_read(cells, N, monkeypatch):
     elim, E, H = _random_lattice_system(cells, N, rng)
     eliminate, seen = solver._Elimination._eliminate, []
 
-    def poisoned(lv, s, F, W, U):
-        p, h = lv.p, (lv.m - lv.p) // 2
-        upper = F[:, p:p + h, p + h:lv.m]
+    def poisoned(g, F, W, U, pack):
+        p, h = g.p, (g.m - g.p) // 2
+        upper = F[:, p:p + h, p + h:g.m]
         upper[...] = 7.0
-        if U is None:
-            F[:, p:lv.m, :p] = 7.0
-        eliminate(lv, s, F, W, U)
+        if U is None:  # the root's dummy row and column, past its pivots
+            F[:, p:, :] = F[:, :, p:] = 7.0
+            past = F[:, p:].copy()
+        eliminate(g, F, W, U, pack)
         seen.append((U is None, upper.size, bool(np.all(upper == 7.0))))
+        if U is None:  # no Schur product touched them
+            assert np.array_equal(F[:, p:], past)
 
     monkeypatch.setattr(solver._Elimination, "_eliminate", staticmethod(poisoned))
     factor = elim.factor(E)
     assert [root for root, _, _ in seen].count(True) == 1 and seen[-1][0]
     assert sum(size for _, size, _ in seen) > 0
     assert all(kept for _, _, kept in seen), seen
-    root = elim.levels[-1]
-    assert root.upd.size and np.all(root.upd == elim.n)  # the root's update set is padding
-    past = factor.blocks[-1][:, root.p:]
-    assert past.size and np.array_equal(past, np.zeros_like(past))
+    (root,) = elim.depths[-1].groups  # the root has no update set: its W is L11^-1 alone
+    assert root.m == root.p and root.upd.size == 0
+    assert factor.blocks[-1].shape == (1, root.p, root.p)
     b = rng.normal(size=len(H))
     L = np.linalg.cholesky(H)
     want = np.linalg.solve(L.T, np.linalg.solve(L, b))
@@ -330,15 +395,18 @@ def test_streamed_element_matrices_give_the_formed_bytes(dim, N, gamma, monkeypa
 def test_factor_holds_fronts_not_every_element_matrix():
     # a cold 16^3 solve's traced peak stays within the complete factor W,
     # the two largest adjacent update stacks, one frontal batch buffer and
-    # the Hessian coefficients, with 15 % slack; holding the element
-    # matrices of every cell (2.1 MB here) or a 2^20-entry buffer breaks it
+    # the Hessian coefficients, with 15 % slack, all of them counted
+    # unpadded; holding the element matrices of every cell (2.1 MB here),
+    # a 2^20-entry buffer or fronts padded to their depth's largest breaks it
     g = Grid(3, (0.0,) * 3, (1.0,) * 3, (16, 16, 16))
     p = constant_exponent(g, 1.5)
     _, G, bnd = manufactured_instance("bump", g)
-    levels = solver._Elimination(g, 1).levels  # deepest first; the root has no update
-    W = sum(len(lv.piv) * lv.m * lv.p for lv in levels)
-    U = [len(lv.piv) * (lv.m - lv.p) * (lv.m - lv.p + 1) // 2 for lv in levels[:-1]] + [0]
-    buffer = max(solver._BATCH, max((lv.m + 1) ** 2 for lv in levels))
+    depths = solver._Elimination(g, 1).depths  # deepest first; the root has no update
+    groups = [gr for d in depths for gr in d.groups]
+    W = sum(len(gr.piv) * gr.m * gr.p for gr in groups)
+    U = [sum(len(gr.piv) * (gr.m - gr.p) * (gr.m - gr.p + 1) // 2 for gr in d.groups)
+         for d in depths]
+    buffer = max(solver._BATCH, max((gr.m + 1) ** 2 for gr in groups))
     coefficients = g.num_cells * (2**3 + 2)  # w, s1 and s2
     bound = 1.15 * 8 * (W + max(a + b for a, b in zip(U, U[1:])) + buffer + coefficients)
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -140,6 +141,26 @@ def test_import_loads_no_scipy(tmp_path):
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]", name
+
+
+def test_config_digest_loads_no_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, 3.5 MB of resident memory, for one
+    # sha256 of the config file: load_config and a solve take the digest
+    # from the interpreter's builtin sha256 module and never import
+    # _hashlib, and the digest in the config and the report is hashlib's
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(_SOLVE_2D)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(varexp.__file__).parents[1]))
+    code = (f"import sys; from varexp.cli import load_config, main; "
+            f"print(load_config('solve', {str(cfg)!r}).config_hash); "
+            f"assert main(['solve', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0; "
+            f"print('_hashlib' in sys.modules)")
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    want = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert got == [want, "False"]
+    assert f"config_sha256 = {want}" in (out / "report.txt").read_text().splitlines()
 
 
 def test_third_party_imports_are_declared_dependencies():
