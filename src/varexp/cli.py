@@ -40,13 +40,11 @@ residual, then one line per gamma stage with Newton steps, fallbacks,
 backtracks, guarded steps, factor reuses and CG iterations,
 factorization seconds and fill (the nonzero count of the Cholesky factor
 L), residual and stop reason).
-A cold solve of a grid with even cell counts, at least 8 per axis after
-halving, first solves the half grid, and a half grid of at least 4096
-cells its own half grid in turn (see ``_solve``); denoise stays one cold
-solve, since it starts from the image.  A closed-form instance (matched,
-linear, bump) starts from its boundary trace and a zero interior, never
-from u*; a files instance starts from its boundary file.  Columns per
-command:
+A cold solve runs a ladder of nested grids (``solver.solve_pxlaplace``),
+whose coarsest level starts from the injected interior: the image for
+denoise, its boundary trace and a zero interior for a closed-form instance
+(matched, linear, bump), never u*, and the boundary file's for a files
+instance.  Columns per command:
 
     solve.csv      metric,value
     records.csv    name,cube,resolution,lhs,rhs_sum,constant,components,flags
@@ -63,7 +61,6 @@ import configparser
 import csv
 import importlib
 import sys
-import time
 import warnings
 from dataclasses import Field, dataclass, field, fields
 from datetime import datetime, timezone
@@ -499,8 +496,8 @@ def _record_text(rec: EstimateRecord) -> str:
             f"  rhs components: {comps}\n{flags}")
 
 
-def _cells_str(grid: Grid) -> str:
-    return "x".join(str(c) for c in grid.cells)
+def _cells_str(cells: tuple[int, ...]) -> str:
+    return "x".join(str(c) for c in cells)
 
 
 def _cube_str(cube: Box | None) -> str:
@@ -586,106 +583,39 @@ def _build_instance(cfg: ExperimentConfig, grid: Grid):
     return manufactured_instance(cfg.instance, grid)
 
 
-def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):
-    """The instance on the half-resolution nested grid, by one route for
-    every instance kind: nodal p and boundary values by injection (coarse
-    nodes are fine nodes), G as the mean of each coarse cell's 2^d
-    children.  Returns (G, p, boundary) there; cell counts must be even."""
-    fine = G.grid
-    grid = Grid(fine.dim, fine.origin, fine.extent, tuple(c // 2 for c in fine.cells))
-    even = (slice(None, None, 2),) * fine.dim
-
-    def inject(values: np.ndarray) -> np.ndarray:
-        tail = values.shape[1:]
-        return values.reshape(fine.nodes_per_axis + tail)[even].reshape(grid.num_nodes, *tail)
-
-    shape = G.component_shape
-    children = G.values.reshape(sum(((c, 2) for c in grid.cells), ()) + shape)
-    Gc = children.mean(axis=tuple(range(1, 2 * fine.dim, 2))).reshape(grid.num_cells, *shape)
-    return (CellField(grid, Gc), ExponentField(GridFunction(grid, inject(p.values)), p.p_infinity),
-            GridFunction(grid, inject(boundary.values)))
-
-
-_COARSE_CELLS = 8  # least cells per axis of the half grid a cold solve starts on
-_NEST_CELLS = 4096  # least cells of a coarse level that halves again (64^2, 16^3)
-
-
-def _ladder(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cell counts of the levels a cold solve of ``cells`` runs, coarsest
-    first.  A grid halves while its cell counts are all even and at least
-    2 * _COARSE_CELLS: the requested grid whenever it can, a coarse level
-    only while it has at least _NEST_CELLS cells (below that, the extra
-    level cost more than it saved on the benchmark workloads)."""
-    ladder = [tuple(cells)]
-    while (all(c % 2 == 0 and c >= 2 * _COARSE_CELLS for c in ladder[-1])
-           and (len(ladder) == 1 or int(np.prod(ladder[-1])) >= _NEST_CELLS)):
-        ladder.append(tuple(c // 2 for c in ladder[-1]))
-    return ladder[::-1]
-
-
 def _solve(cfg: ExperimentConfig, rep: Report, grid: Grid | None = None,
            p: ExponentField | None = None, coarse: GridFunction | None = None,
            label: str = ""):
     """Solve the configured instance, on the configured grid and exponent
-    unless given; returns (grid, p, u_star or None, G, result, steps), with
-    ``result`` the fine level's and ``steps`` the Newton steps of every level.
-
-    Nested iteration: a level given the solution on the next coarser nested
-    grid warm-starts from its Q1 prolongation (exact on nested grids) with
-    its own boundary values, and runs the final gamma stage only.  Given no
-    ``coarse``, the solve runs the ladder of ``_ladder``: the instance is
-    restricted (``_restrict``) once per halving, the coarsest level is solved
-    cold through the full gamma schedule, and each finer level warm from the
-    one below.  No coarse-level object outlives its prolongation.  A grid
-    that does not halve is one cold solve.
-    """
+    unless given, cold or from ``coarse`` (see ``solve_pxlaplace``); returns
+    (grid, p, u_star or None, G, result)."""
     if grid is None:
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
         p = _build_exponent(cfg, grid)
     u_star, G, boundary = _build_instance(cfg, grid)
-    levels = [(G, p, boundary)]  # finest first
-    if coarse is None:
-        for _ in _ladder(grid.cells)[1:]:
-            levels.append(_restrict(*levels[-1]))
-    steps = 0
-    while levels:
-        Gl, pl, bl = levels.pop()
-        start = "cold"
-        if coarse is not None:
-            start = f"warm from {_cells_str(coarse.grid)}"
-            # the level's node coordinates are computed, not cached on its
-            # grid, so they stay out of its solve's peak memory (0.4 MB at 128^2)
-            guess = coarse.grid.interpolate(coarse.values, Grid.node_coords.func(Gl.grid))
-            mask = Gl.grid.boundary_node_mask
-            guess[mask] = bl.values[mask]
-            bl = GridFunction(Gl.grid, guess)
-            coarse = res = None  # drop the coarser level before this solve
-        res = _level(cfg, rep, Gl, pl, bl, start, label)
-        steps += res.iterations
-        coarse = res.u
-    return grid, p, u_star, G, res, steps
+    res = solve_pxlaplace(G, p, boundary, opts=cfg.solve_options(), coarse=coarse)
+    _report_solve(rep, res, label)
+    return grid, p, u_star, G, res
 
 
-def _level(cfg: ExperimentConfig, rep: Report, G: CellField, p: ExponentField,
-           boundary: GridFunction, start: str = "cold", label: str = "") -> SolverResult:
-    """One solve, warm (final gamma stage only) unless ``start`` is cold.
-    The report gets a head naming its grid (and ``label``), start, Newton
-    steps, wall seconds and residual, then one line per gamma stage; these lines hold no ' = ', so the scalar
-    block parses alone.  A miss raises NonConvergence naming the grid."""
-    what = _cells_str(G.grid) + label
-    t0 = time.perf_counter()
-    res = solve_pxlaplace(G, p, boundary, opts=cfg.solve_options(),
-                          warm_start=start != "cold")
-    rep.lines.append(f"solve {what}, {start}: {res.iterations} steps, "
-                     f"wall {time.perf_counter() - t0:.3g} s, residual {_fmt(res.residual)}")
-    rep.lines += [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
-                  f"{s.backtracks} backtracks, {s.guarded} guarded, "
-                  f"{s.reuses} reuses, {s.cg_iterations} cg iterations, "
-                  f"factor {s.factor_s:.3g} s, fill {s.fill}, "
-                  f"residual {_fmt(s.residual)}, stop {s.reason}" for s in res.stages]
-    if not res.converged:
+def _report_solve(rep: Report, res: SolverResult, label: str = "") -> None:
+    """For each level of a solve, a report head naming its grid (and
+    ``label``), start, Newton steps, wall seconds and residual, then one
+    line per gamma stage; these lines hold no ' = ', so the scalar block
+    parses alone.  A miss raises NonConvergence naming the last level's
+    grid."""
+    for level in res.levels:
+        what = _cells_str(level.cells) + label
+        start = "cold" if level.start is None else f"warm from {_cells_str(level.start)}"
+        rep.lines.append(f"solve {what}, {start}: {level.iterations} steps, wall "
+                         f"{level.wall_s:.3g} s, residual {_fmt(level.stages[-1].residual)}")
+        rep.lines += [f"stage gamma {s.gamma:g}: {s.steps} steps, {s.fallbacks} fallbacks, "
+                      f"{s.backtracks} backtracks, {s.guarded} guarded, "
+                      f"{s.reuses} reuses, {s.cg_iterations} cg iterations, "
+                      f"factor {s.factor_s:.3g} s, fill {s.fill}, "
+                      f"residual {_fmt(s.residual)}, stop {s.reason}" for s in level.stages]
+    if not res.converged:  # the last level is the one that missed
         raise NonConvergence(f"solve {what}: {res.message or 'solver did not converge'}")
-    return res
 
 
 def _resolve_kappa(cfg: ExperimentConfig, p: ExponentField) -> float:
@@ -708,11 +638,11 @@ def _size_root(domain: Box, size: float) -> Box:
 # commands
 
 def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, u_star, G, res, steps = _solve(cfg, rep)
+    grid, p, u_star, G, res = _solve(cfg, rep)
     write_field(cfg.out / "solution.vxf", res.u)
     write_field(cfg.out / "exponent.vxf", p.field)
     ed = energy_density(res.u, p)
-    rep.scalars += [("residual", res.residual), ("iterations", steps),
+    rep.scalars += [("residual", res.residual), ("iterations", res.iterations),
                     ("converged", 1.0), ("gamma_final", res.gamma_final),
                     ("energy_mean", mean_over(ed, grid.domain))]
     if u_star is not None:
@@ -723,7 +653,7 @@ def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, _, G, res = _solve(cfg, rep)[:5]
+    grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
 
@@ -743,20 +673,24 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, _, G, res = _solve(cfg, rep)[:5]
+    grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     gr = gehring_scan(res.u, G, p, root, mu_max=cfg.mu_max, steps=cfg.steps,
                       cap=cfg.cap, m=cfg.m)
     rep.scalars = [("m0", gr.m0), ("m1", gr.m1), ("sigma", gr.sigma),
                    ("cap", gr.cap), ("cubes_tested", gr.cubes_tested)]
     rep.records = list(gr.records)
+    if gr.m0 == gr.mu_grid[-1]:  # the solve lines stay last
+        rep.lines[:0] = [f"gehring-censored: the worst constant at mu_max {_fmt(gr.mu_grid[-1])}, "
+                         f"the top of the scan, is at or below cap {_fmt(gr.cap)}, so m0, m1 "
+                         f"(equal to m0) and sigma are only lower bounds"]
     _write_csv(cfg.out / "gehring.csv", ["mu", "lhs", "rhs", "constant"],
                [[_fmt(mu), _fmt(lhs), _fmt(rhs), _fmt(c)]
                 for mu, lhs, rhs, c in gr.ratio_table])
 
 
 def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
-    grid, p, _, G, res = _solve(cfg, rep)[:5]
+    grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
     F = energy_density(res.u, p)
@@ -765,20 +699,24 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
                              [f * lam0 for f in cfg.lambda_factors], cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
     head = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}" for e, l, d in gl.rows]
-    rep.lines[:0] = head + _vacuous_line([("", gl)])  # the solve lines stay last
+    rep.lines[:0] = head + _good_lambda_flags([("", gl)])  # the solve lines stay last
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 
 
-def _vacuous_line(measures) -> list[str]:
-    """The ``good-lambda-vacuous`` report line naming the rows whose
-    {M*F > kappa lam} has no cell, of each (prefix, good-lambda result) of
-    ``measures``; no line when there is none.  It has no " = ": it is no
-    scalar."""
-    vacuous = [f"({where}eps {_fmt(e)}, lam {_fmt(l)})" for where, gl in measures
-               for (e, l, _), n in zip(gl.rows, gl.kappa_cells) if n == 0]
-    return ([f"good-lambda-vacuous: no cell has M*F > kappa lam in {', '.join(vacuous)}"]
-            if vacuous else [])
+def _good_lambda_flags(measures) -> list[str]:
+    """Of each (prefix, good-lambda result) of ``measures``, one report line
+    naming the rows whose {M*F > kappa lam} has no cell, and one naming the
+    rows where it has cells but U has none; no line names no row.  They
+    have no " = ": they are no scalars."""
+    lines = []
+    for flag, empty in (("good-lambda-vacuous: no cell has M*F > kappa lam", lambda k, u: k == 0),
+                        ("good-lambda-u-empty: cells have M*F > kappa lam, but none has "
+                         "M*G <= eps lam, so U is empty,", lambda k, u: k > 0 and u == 0)):
+        rows = [f"({where}eps {_fmt(e)}, lam {_fmt(l)})" for where, gl in measures
+                for (e, l, _), k, u in zip(gl.rows, gl.kappa_cells, gl.u_cells) if empty(k, u)]
+        lines += [f"{flag} in {', '.join(rows)}"] if rows else []
+    return lines
 
 
 def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
@@ -814,7 +752,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     coarse = None
     for level in range(cfg.refinements + 1):
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, tuple(c * 2**level for c in cfg.cells))
-        coarse = add("refinement", _cells_str(grid), grid, _build_exponent(cfg, grid),
+        coarse = add("refinement", _cells_str(grid.cells), grid, _build_exponent(cfg, grid),
                      _root(cfg, grid), coarse)
 
     for size in cfg.sizes:
@@ -833,7 +771,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
         for e, _, d in gl.rows:
             rows.append(["amplitude", _fmt(t), f"delta(eps={_fmt(e)})", _fmt(d), "", ""])
         measures.append((f"amplitude {_fmt(t)}, ", gl))
-    rep.lines[:0] = _vacuous_line(measures)  # the solve lines stay last
+    rep.lines[:0] = _good_lambda_flags(measures)  # the solve lines stay last
 
     _write_csv(cfg.out / "sweep.csv",
                ["axis", "setting", "name", "lhs", "rhs_sum", "constant"], rows)
@@ -889,9 +827,10 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     else:
         target = u0.values[:, 0].copy()
     G = gradient(GridFunction(grid, target))
-    # one cold solve: its interior starts from the image, not from a zero
-    # interior, so no half grid is solved first
-    res = _level(cfg, rep, G, p, u0)
+    # a cold solve whose interior starts from the image, not from a zero
+    # interior: on each half grid, from the injected image
+    res = solve_pxlaplace(G, p, u0, opts=cfg.solve_options())
+    _report_solve(rep, res)
 
     out_img = np.clip(np.rint(res.u.values.reshape(rows, cols) * maxval),
                       0, maxval).astype(np.uint8)

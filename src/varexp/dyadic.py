@@ -249,8 +249,9 @@ class GoodLambdaResult:
     m0: float
     lambda0: float
     rows: list[tuple[float, float, float]]  # (epsilon, lam, delta)
-    # per row, the cells of {M*F > kappa lam}; a row where it is 0 tested nothing
+    # per row, the cells of {M*F > kappa lam} (a row where it is 0 tested nothing) and of U
     kappa_cells: list[int]
+    u_cells: list[int]
 
     def delta(self, epsilon: float) -> float:
         vals = [d for (e, _, d) in self.rows if e == epsilon]
@@ -267,7 +268,8 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     O_lam is empty, and also when U is: when {M*F > kappa lam} or
     {M*_{m0}(Gh) <= eps lam} misses O_lam.  A zero row may therefore have
     tested nothing; ``kappa_cells`` counts, per row, the cells of
-    {M*F > kappa lam}, and a row where it is 0 is vacuous.
+    {M*F > kappa lam}, and a row where it is 0 is vacuous; ``u_cells``
+    counts the cells of U.
     """
     g = F.grid
     _require_root(g, root)
@@ -289,7 +291,7 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
         raise ValueError("below covering threshold")
 
     vol = g.cell_volume
-    rows, kappa_cells = [], []
+    rows, kappa_cells, u_cells = [], [], []
     for eps in epsilons:
         for lam in lambdas:
             o_mask = mf > lam
@@ -299,4 +301,5 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
             delta = float(u_mask.sum()) * vol / o_measure if o_measure > 0 else 0.0
             rows.append((eps, lam, delta))
             kappa_cells.append(int(high.sum()))
-    return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows, kappa_cells)
+            u_cells.append(int(u_mask.sum()))
+    return GoodLambdaResult(float(kappa), float(m0), float(lam0), rows, kappa_cells, u_cells)

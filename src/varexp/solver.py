@@ -63,12 +63,13 @@ factorization seconds and fill and stop reason are reported in
 StageStats.  Convergence means the final stage's residual is at or below
 the tolerance; non-convergence is reported, never raised.
 
-A warm start (nested iteration: Hackbusch, Multi-Grid Methods and
-Applications, 1985) takes the initial interior as a near-solution, such as
-a coarser solution prolonged onto the grid, and runs the final stage only.
-The full schedule would throw the start away, because the gamma = 1 stage
-pulls the field far from the answer: on a 128^2 bump instance with p in
-[1.3, 3], started from its 64^2 solution, the whole schedule took 19
+A cold solve is a nested iteration (Hackbusch, Multi-Grid Methods and
+Applications, 1985) over the grids of _ladder, restricted by _restrict: the
+coarsest runs the whole schedule, and each finer level, like a warm call,
+starts from the Q1 prolongation of a coarser solution and runs the final
+stage only.  The whole schedule would throw that start away, because the
+gamma = 1 stage pulls the field far from the answer: on a 128^2 bump
+instance with p in [1.3, 3], started from its 64^2 solution, it took 19
 Newton steps, as many as a cold start, and the final stage alone took 4.
 """
 
@@ -86,6 +87,7 @@ from .operator import (FluxParams, _ElementMatrices, _energy, _energy_gradient, 
                        _hessian_coefficients, _iterate)
 
 __all__ = [
+    "LevelStats",
     "SolveOptions",
     "SolverResult",
     "StageStats",
@@ -130,12 +132,31 @@ class StageStats:
 
 
 @dataclass
+class LevelStats:
+    """One grid of a solve: its cells, the cells of the grid whose solution
+    started it (None when cold), its wall seconds and its gamma stages."""
+    cells: tuple[int, ...]
+    start: tuple[int, ...] | None
+    wall_s: float
+    stages: list[StageStats]
+
+    @property
+    def iterations(self) -> int:
+        return sum(s.steps for s in self.stages)
+
+
+@dataclass
 class SolverResult:
-    u: GridFunction
+    u: GridFunction  # on the last level's grid
     converged: bool
-    energy_history: list[tuple[float, float]]  # (gamma, J)
-    stages: list[StageStats]  # one per gamma of the schedule
+    energy_history: list[tuple[float, float]]  # (gamma, J), over every level
+    levels: list[LevelStats]  # coarsest first
     message: str = ""
+
+    @property
+    def stages(self) -> list[StageStats]:
+        """The gamma stages of every level, in order."""
+        return [s for level in self.levels for s in level.stages]
 
     @property
     def iterations(self) -> int:
@@ -166,6 +187,8 @@ _ROUNDING_ULPS = 4  # |J(trial) - J| within this many ulps of J is unresolved
 _CG_CAP = 25  # CG iterations on the held factor before it is refactored
 _FORCING_MAX = 1e-3  # largest CG relative residual eta, and eta on the first CG step
 _FORCING_SCALE = 0.9  # eta = _FORCING_SCALE (res_k / res_{k-1})^2 below that
+_COARSE_CELLS = 8  # least cells per axis of the half grid a cold solve starts on
+_NEST_CELLS = 4096  # least cells of a coarse level that halves again (64^2, 16^3)
 
 
 def _schedule(p_minus: float) -> tuple[float, ...]:
@@ -632,18 +655,18 @@ def _cg_solve(factor, matvec, g_free: np.ndarray, eta: float,
 
 def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
                     opts: SolveOptions | None = None, *,
-                    warm_start: bool = False) -> SolverResult:
+                    coarse: GridFunction | None = None) -> SolverResult:
     """Minimize the p(x)-energy with Dirichlet data on the domain boundary.
 
     ``boundary`` supplies the trace on the topological boundary nodes and
     the initial guess on the interior; G, p and boundary must share a grid.
     G is the flux data, an (N, d) cell field matching the gradient shape.
-    With ``warm_start`` the interior is taken as a near-solution and only
-    the final gamma stage runs; the whole schedule would discard it (its
-    gamma = 1 stage moves far from the answer).  The free nodes are the
-    interior lattice, whose elimination tree is built once per call.  The
-    held factor lives for this call only, and at most one factor is alive
-    at a time.
+    A cold call solves the ladder of grids (module docstring).  Given
+    ``coarse``, a solution on this grid or a coarser nested grid of its
+    domain, only the final gamma stage runs, from its prolongation.  The
+    result has one LevelStats per level solved, coarsest first; a level
+    that misses the tolerance ends the ladder, and ``u`` is its field.  No
+    coarser level's field outlives its prolongation.
     """
     opts = opts or SolveOptions()
     grid = boundary.grid
@@ -653,14 +676,84 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
     N = boundary.codomain_dim
     if G.values.shape != (grid.num_cells, N, grid.dim):
         raise ValueError(f"G must have shape (cells, {N}, {grid.dim})")
-    elim = _Elimination(grid, N)
+    if coarse is not None and (coarse.grid.domain != grid.domain or coarse.codomain_dim != N):
+        raise ValueError("coarse must be a field on the domain and codomain of boundary")
+    ladder = [(G, p, boundary)]  # finest first
+    if coarse is None:
+        for _ in _ladder(grid.cells)[1:]:
+            ladder.append(_restrict(*ladder[-1]))
+    levels, history = [], []
+    while ladder:
+        Gl, pl, bl = ladder.pop()
+        start = None if coarse is None else coarse.grid.cells
+        if coarse is not None:
+            # the level's node coordinates are computed, not cached on its
+            # grid, so they stay out of its solve's peak memory (0.4 MB at 128^2)
+            guess = coarse.grid.interpolate(coarse.values, Grid.node_coords.func(Gl.grid))
+            mask = Gl.grid.boundary_node_mask
+            guess[mask] = bl.values[mask]
+            bl = GridFunction(Gl.grid, guess)
+            coarse = res = None  # drop the coarser level before this solve
+        res = _solve_level(Gl, pl, bl, opts, final_only=start is not None)
+        res.levels[0].start = start
+        levels += res.levels
+        history += res.energy_history
+        if not res.converged:
+            break
+        coarse = res.u
+    return SolverResult(res.u, res.converged, history, levels, res.message)
+
+
+def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):
+    """The instance on the half-resolution nested grid, by one route for
+    every instance kind: nodal p and boundary values by injection (coarse
+    nodes are fine nodes), G as the mean of each coarse cell's 2^d
+    children.  Returns (G, p, boundary) there; cell counts must be even."""
+    fine = G.grid
+    grid = Grid(fine.dim, fine.origin, fine.extent, tuple(c // 2 for c in fine.cells))
+    even = (slice(None, None, 2),) * fine.dim
+
+    def inject(values: np.ndarray) -> np.ndarray:
+        tail = values.shape[1:]
+        return values.reshape(fine.nodes_per_axis + tail)[even].reshape(grid.num_nodes, *tail)
+
+    shape = G.component_shape
+    children = G.values.reshape(sum(((c, 2) for c in grid.cells), ()) + shape)
+    Gc = children.mean(axis=tuple(range(1, 2 * fine.dim, 2))).reshape(grid.num_cells, *shape)
+    return (CellField(grid, Gc), ExponentField(GridFunction(grid, inject(p.values)), p.p_infinity),
+            GridFunction(grid, inject(boundary.values)))
+
+
+def _ladder(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cell counts of the levels a cold solve of ``cells`` runs, coarsest
+    first.  A grid halves while its cell counts are all even and at least
+    2 * _COARSE_CELLS: the requested grid whenever it can, a coarse level
+    only while it has at least _NEST_CELLS cells (below that, the extra
+    level cost more than it saved on the benchmark workloads)."""
+    ladder = [tuple(cells)]
+    while (all(c % 2 == 0 and c >= 2 * _COARSE_CELLS for c in ladder[-1])
+           and (len(ladder) == 1 or int(np.prod(ladder[-1])) >= _NEST_CELLS)):
+        ladder.append(tuple(c // 2 for c in ladder[-1]))
+    return ladder[::-1]
+
+
+def _solve_level(G: CellField, p: ExponentField, boundary: GridFunction,
+                 opts: SolveOptions, final_only: bool) -> SolverResult:
+    """One grid's solve from ``boundary``'s interior, through the whole
+    gamma schedule or, when ``final_only``, its final stage; one level,
+    marked cold.  The elimination tree of the interior nodes is built once
+    per call; the held factor lives for this call only, and at most one
+    factor is alive at a time."""
+    t0 = time.perf_counter()
+    grid = boundary.grid
+    elim = _Elimination(grid, boundary.codomain_dim)
     sel = elim.sel
     u = boundary.values.copy()
     history: list[tuple[float, float]] = []
     stages: list[StageStats] = []
     message = ""
     schedule = _schedule(p.p_minus)
-    if warm_start:
+    if final_only:
         schedule = schedule[-1:]
 
     def free_gradient(it, ag: np.ndarray, params: FluxParams) -> tuple[np.ndarray, float]:
@@ -746,7 +839,8 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
     converged = res <= opts.tolerance
     if not converged and not message:
         message = f"residual {res:.3e} above tolerance {opts.tolerance:g}"
-    return SolverResult(GridFunction(grid, u), converged, history, stages, message)
+    level = LevelStats(grid.cells, None, time.perf_counter() - t0, stages)
+    return SolverResult(GridFunction(grid, u), converged, history, [level], message)
 
 
 def _separable(grid: Grid, factors) -> tuple[GridFunction, CellField]:

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varexp
+from varexp import solver
 from varexp.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -497,6 +498,21 @@ def test_denoise_zero_strength_is_identity(tmp_path):
     np.testing.assert_array_equal(back, img)
 
 
+def test_denoise_runs_the_ladder(tmp_path):
+    # 33 x 33 pixels are 32 x 32 cells, which halve: the 16 x 16 level starts
+    # from the injected image, the fine level from its prolongation, and a
+    # zero-strength image still comes back exactly
+    img = np.random.default_rng(12).integers(0, 256, size=(33, 33))
+    write_pgm(tmp_path / "in.pgm", img)
+    f = cfg_file(tmp_path, "[denoise]\nimage = in.pgm\nstrength = 0\n")
+    out = tmp_path / "d"
+    assert main(["denoise", "--config", str(f), "--out", str(out)]) == EXIT_OK
+    np.testing.assert_array_equal(read_pgm(out / "denoised.pgm")[0], img)
+    heads = [ln.split(":")[0] for ln in (out / "report.txt").read_text().splitlines()
+             if ln.startswith("solve ")]
+    assert heads == ["solve 16x16, cold", "solve 32x32, warm from 16x16"]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(rows=st.integers(3, 64), cols=st.integers(3, 48),
        sigma=st.sampled_from([1.5, 0.5, 1.0, 2.5]), seed=st.integers(0, 2**32 - 1))
@@ -579,6 +595,61 @@ def test_goodlambda_flags_vacuous_rows(tmp_path):
     assert mf.values.max() / float(scalars["lambda0"]) < float(scalars["kappa"])
 
 
+def test_goodlambda_flags_rows_with_an_empty_u(tmp_path, monkeypatch):
+    # a row whose {M*F > kappa lam} has cells but whose U has none tested the
+    # eps-condition alone: one good-lambda-u-empty line with no " = " names
+    # exactly those rows, the vacuous line the rows with no such cell, and
+    # goodlambda.csv does not change.  The measure's counts are set to a mix
+    import varexp.cli as cli
+
+    measure, seen = cli.good_lambda_measure, []
+
+    def mixed(*args, **kwargs):
+        gl = measure(*args, **kwargs)
+        gl.kappa_cells = [i % 3 for i in range(len(gl.rows))]
+        gl.u_cells = [i % 2 for i in range(len(gl.rows))]
+        seen.append(gl)
+        return gl
+
+    f = cfg_file(tmp_path, BASE.replace("instance = matched", "instance = bump"))
+    assert main(["goodlambda", "--config", str(f), "--out", str(tmp_path / "plain")]) == EXIT_OK
+    monkeypatch.setattr(cli, "good_lambda_measure", mixed)
+    assert main(["goodlambda", "--config", str(f), "--out", str(tmp_path / "g")]) == EXIT_OK
+    lines = (tmp_path / "g" / "report.txt").read_text().splitlines()
+    (gl,) = seen
+    for flag, hit in (("good-lambda-vacuous", lambda k, u: k == 0),
+                      ("good-lambda-u-empty", lambda k, u: k > 0 and u == 0)):
+        flagged = [ln for ln in lines if ln.startswith(flag)]
+        assert len(flagged) == 1 and " = " not in flagged[0]
+        want = [(_fmt(e), _fmt(lam)) for (e, lam, _), k, u
+                in zip(gl.rows, gl.kappa_cells, gl.u_cells) if hit(k, u)]
+        assert re.findall(r"\(eps (\S+), lam (\S+)\)", flagged[0]) == want and len(want) == 4
+    csv = (tmp_path / "g" / "goodlambda.csv").read_bytes()
+    assert csv == (tmp_path / "plain" / "goodlambda.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cap, censored", [(None, True), (0.1, False)])
+def test_gehring_flags_a_censored_scan(tmp_path, cap, censored):
+    # on a small bump instance the worst constant at mu_max is about 0.12,
+    # far below the default cap, so m0 is the top of the scan and only a
+    # lower bound: one gehring-censored line, with no " = ", ahead of the
+    # solve lines.  Below every constant, the cap leaves m0 = 1 and no line
+    text = BASE.replace("instance = matched", "instance = bump").replace("value = 2.0", "value = 1.7")
+    if cap is not None:
+        text += f"[estimates]\ncap = {cap}\n"
+    out = tmp_path / "g"
+    assert main(["gehring", "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    scalars = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
+    flagged = [i for i, ln in enumerate(lines) if ln.startswith("gehring-censored")]
+    if censored:
+        assert len(flagged) == 1 and " = " not in lines[flagged[0]]
+        assert lines[flagged[0] + 1].startswith("solve ")
+        assert float(scalars["m0"]) == 2.0
+    else:
+        assert not flagged and float(scalars["m0"]) == 1.0
+
+
 def test_sweep_flags_vacuous_amplitude_rows(tmp_path, monkeypatch):
     # the sweep's amplitude rows are good-lambda measures too: its report
     # names, on one good-lambda-vacuous line with no " = ", exactly the
@@ -621,7 +692,7 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
 
     def counting(G, p, boundary, **kwargs):
         solved.append((boundary.grid, p.values.tobytes()))
-        warm.append(kwargs.get("warm_start", False))
+        warm.append(kwargs.get("coarse") is not None)
         return solve(G, p, boundary, **kwargs)
 
     solve = cli.solve_pxlaplace
@@ -653,8 +724,7 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("instance, cells", [("matched", "8 8"), ("linear", "16 16")])
 def test_manufactured_solves_start_from_boundary_data(tmp_path, monkeypatch, instance, cells):
-    # u* is the boundary data of a cold solve, not its starting interior;
-    # at 16^2 the cold solve is the half grid's
+    # u* is the boundary data of a cold solve, not its starting interior
     import varexp.cli as cli
 
     starts = []
@@ -745,7 +815,8 @@ def _steps(line):
 
 
 def _cold_library_solve(p, G, boundary):
-    res = solve_pxlaplace(G, p, boundary, SolveOptions(tolerance=1e-8))
+    """One level through the full schedule: the oracle of the ladder."""
+    res = solver._solve_level(G, p, boundary, SolveOptions(tolerance=1e-8), final_only=False)
     assert res.converged and len(res.stages) == 5  # the full schedule
     return res
 
@@ -757,8 +828,6 @@ def _sup_rel(a, b):
 @pytest.mark.parametrize("cells", [(4,), (6, 4), (2, 4, 6)])
 @pytest.mark.parametrize("N", [1, 2])
 def test_restriction_matches_cell_loop(cells, N):
-    import varexp.cli as cli
-
     rng = np.random.default_rng(sum(cells) + N)
     dim = len(cells)
     fine = Grid(dim, tuple(rng.uniform(-1, 1, dim)), tuple(rng.uniform(1, 3, dim)),
@@ -766,7 +835,7 @@ def test_restriction_matches_cell_loop(cells, N):
     G = CellField(fine, rng.normal(size=(fine.num_cells, N, dim)))
     p = ExponentField(GridFunction(fine, rng.uniform(1.2, 3.0, fine.num_nodes)), 2.5)
     bnd = GridFunction(fine, rng.normal(size=(fine.num_nodes, N)))
-    Gc, pc, bc = cli._restrict(G, p, bnd)
+    Gc, pc, bc = solver._restrict(G, p, bnd)
     coarse = Gc.grid
     assert pc.grid == bc.grid == coarse
     assert coarse == Grid(dim, fine.origin, fine.extent, cells)
@@ -800,9 +869,7 @@ def test_restriction_matches_cell_loop(cells, N):
 def test_ladder_rule(cells, ladder):
     # the requested grid halves when its cell counts are even and at least
     # 16; a coarser level halves again only from 4096 cells on
-    import varexp.cli as cli
-
-    assert cli._ladder(cells) == ladder
+    assert solver._ladder(cells) == ladder
 
 
 @pytest.mark.parametrize("cells", ["17 16", "14 14"])
@@ -838,6 +905,13 @@ def test_nested_bump_solve_matches_cold(tmp_path):
     _, G, bnd = manufactured_instance("bump", grid)
     cold = _cold_library_solve(p, G, bnd)
     assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
+    # the library's cold solve is the command's: the same levels and bytes
+    lib = solve_pxlaplace(G, p, bnd, SolveOptions(tolerance=1e-8))
+    assert [(lv.cells, lv.start) for lv in lib.levels] == [((16, 16), None),
+                                                           ((32, 32), (16, 16))]
+    assert [_steps(h) for h in heads] == [lv.iterations for lv in lib.levels]
+    write_field(tmp_path / "lib.vxf", lib.u)
+    assert (out / "solution.vxf").read_bytes() == (tmp_path / "lib.vxf").read_bytes()
 
 
 def test_three_level_solve_matches_cold(tmp_path):

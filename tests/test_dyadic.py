@@ -276,8 +276,10 @@ def test_good_lambda_epsilon_monotone_and_bounds():
         assert all(0.0 <= d <= 1.0 for d in deltas)
         # U shrinks as epsilon decreases
         assert all(a >= b - 1e-15 for a, b in zip(deltas, deltas[1:]))
-        for _, _, d in res.rows:
+        for (_, _, d), k, u in zip(res.rows, res.kappa_cells, res.u_cells):
             assert 0.0 <= d <= 1.0
+            # U lies in {M*F > kappa lam}, and delta is 0 exactly where U is empty
+            assert 0 <= u <= k and (u == 0) == (d == 0.0)
 
 
 def test_good_lambda_empty_superlevel_reports_zero():

@@ -446,19 +446,20 @@ def test_rounding_floor_stall_is_resolved():
     # J is about 1e6 here, so near the minimizer J + c t slope rounds to J
     # and the Armijo test cannot see a decrease; without the residual guard
     # the final stage backtracks to steps that change nothing until its cap
-    res = solve_pxlaplace(*constriction(0.6), SolveOptions())
+    # one level: the cold ladder would solve the 256-cell half grid first
+    res = solver._solve_level(*constriction(0.6), SolveOptions(), final_only=False)
     assert res.converged and res.iterations <= 8, res.stages
     assert any(s.guarded for s in res.stages), res.stages
 
 
 @pytest.mark.parametrize("p_value, budget", [(1.7, 7), (1.3, 21)])
 def test_intermediate_stages_are_inexact(p_value, budget):
-    # zero data on the boundary, a cold start; only the last stage runs to
-    # the tolerance, the earlier ones stop at a residual reduction
+    # zero data on the boundary, a cold start of one level; only the last
+    # stage runs to the tolerance, the earlier ones stop at a residual reduction
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
     p = constant_exponent(g, p_value)
     _, G, bnd = manufactured_instance("bump", g)
-    res = solve_pxlaplace(G, p, bnd, SolveOptions())
+    res = solver._solve_level(G, p, bnd, SolveOptions(), final_only=False)
     assert res.converged and res.residual <= 1e-8, res.message
     assert res.iterations <= budget, res.stages
     assert [s.gamma for s in res.stages] == list(solver._schedule(p_value))
@@ -478,6 +479,9 @@ def test_solve_validation():
         solve_pxlaplace(CellField(g, np.zeros((g.num_cells, 1, 1))), p, bnd)
     with pytest.raises(ValueError, match="p- > 1"):
         solve_pxlaplace(G, constant_exponent(g, 1.0), bnd)
+    wide = Grid(2, (0.0, 0.0), (2.0, 1.0), (4, 4))
+    with pytest.raises(ValueError, match="coarse"):
+        solve_pxlaplace(G, p, bnd, coarse=GridFunction(wide, np.zeros(wide.num_nodes)))
 
 
 def test_nonconvergence_reported_honestly():
@@ -490,6 +494,8 @@ def test_nonconvergence_reported_honestly():
     assert not res.converged
     assert res.residual > 1e-8
     assert res.message
+    # the ladder stops at its first level, the 8^2 half grid, which is last
+    assert [lv.cells for lv in res.levels] == [(8, 8)] and res.u.grid.cells == (8, 8)
 
 
 def test_manufactured_matched_consistency(grid32):
@@ -594,17 +600,20 @@ def test_manufactured_boundary_field_starts_cold(kind, dim):
     assert kind == "bump" or trace[~mask].all()  # u* is not zero inside
 
 
-def _bump_solve(cells, p_of, start=None, warm_start=False):
-    """The bump instance on [-2, 2]^d with p = p_of(grid); from a zero
-    interior, or from the Q1 prolongation of the solved coarser ``start``."""
+def _bump_instance(cells):
+    """The bump instance on [-2, 2]^d: (grid, G, boundary), zero interior."""
     d = len(cells)
     g = Grid(d, (-2.0,) * d, (4.0,) * d, cells)
-    p = p_of(g)
     _, G, bnd = manufactured_instance("bump", g)
-    if start is not None:
-        guess = start.u.grid.interpolate(start.u.values, g.node_coords)
-        bnd = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, guess))
-    return solve_pxlaplace(G, p, bnd, SolveOptions(), warm_start=warm_start), p
+    return g, G, bnd
+
+
+def _bump_solve(cells, p_of, coarse=None):
+    """The bump instance with p = p_of(grid), solved cold, or warm from the
+    solution ``coarse`` on a coarser nested grid."""
+    g, G, bnd = _bump_instance(cells)
+    p = p_of(g)
+    return solve_pxlaplace(G, p, bnd, SolveOptions(), coarse=coarse), p
 
 
 # a nodal exponent table in [1.3, 3] on a 4 x 4-cell grid, read by Q1
@@ -624,21 +633,27 @@ def test_warm_start_runs_final_stage_to_the_cold_answer(cells, p_of):
     # nested iteration: the coarse grid is solved cold, its solution is
     # prolonged onto the doubled grid, and the fine solve runs the final
     # gamma stage only.  The zero interior of the bump instance is far from
-    # its solution, so neither fine solve starts at the answer.
+    # its solution, so neither fine solve starts at the answer.  The cold
+    # reference is one level through the whole schedule.
     coarse, _ = _bump_solve(cells, p_of)
     fine = tuple(2 * c for c in cells)
-    cold, p = _bump_solve(fine, p_of)
-    warm, _ = _bump_solve(fine, p_of, start=coarse, warm_start=True)
+    g, G, bnd = _bump_instance(fine)
+    p = p_of(g)
+    cold = solver._solve_level(G, p, bnd, SolveOptions(), final_only=False)
+    warm, _ = _bump_solve(fine, p_of, coarse=coarse.u)
     assert coarse.converged and cold.converged, (coarse.message, cold.message)
     assert warm.converged and warm.residual <= 1e-8, warm.message
+    assert [(lv.cells, lv.start) for lv in warm.levels] == [(fine, cells)]
     assert [s.gamma for s in warm.stages] == [solver._schedule(p.p_minus)[-1]]
     assert warm.stages[0].reason == "tolerance"
     scale = np.abs(cold.u.values).max()
     assert np.abs(warm.u.values - cold.u.values).max() <= 1e-6 * scale
     assert warm.iterations < cold.iterations, (warm.stages, cold.stages)
 
-    # without warm_start the same start runs the whole schedule
-    full, _ = _bump_solve(fine, p_of, start=coarse)
+    # one level from the same start, not final_only, runs the whole schedule
+    guess = coarse.u.grid.interpolate(coarse.u.values, g.node_coords)
+    start = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, guess))
+    full = solver._solve_level(G, p, start, SolveOptions(), final_only=False)
     assert [s.gamma for s in full.stages] == list(solver._schedule(p.p_minus))
     assert full.converged
 
@@ -743,7 +758,8 @@ def test_newton_takes_each_fields_gradient_once(monkeypatch):
     monkeypatch.setattr(operator, "gradient", counted)
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
     _, G, bnd = manufactured_instance("bump", g)
-    res = solve_pxlaplace(G, constant_exponent(g, 1.3), bnd, SolveOptions())
+    # one level: the cold ladder takes the gradient of each level's start
+    res = solver._solve_level(G, constant_exponent(g, 1.3), bnd, SolveOptions(), final_only=False)
     assert res.converged, res.message
     trials = sum(s.steps + s.backtracks for s in res.stages)
     assert sum(s.backtracks for s in res.stages) > 0 and len(res.stages) > 1

@@ -201,6 +201,28 @@ def test_every_config_key_is_read():
     assert keys and not unread, f"config keys never read in cli.py: {unread}"
 
 
+def test_cli_solves_through_the_solver_api():
+    # one route for a solve: cli.py takes from the solver only the names of
+    # solver.__all__, never the module itself, and prolongs no field (no
+    # .interpolate( call), so a second, private ladder cannot grow back there
+    pkg = Path(varexp.__file__).parent
+    tree = ast.parse((pkg / "cli.py").read_text())
+    public = set(_assigned_literal(ast.parse((pkg / "solver.py").read_text()), "__all__"))
+    imported, modules = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("solver", "varexp.solver"):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "varexp"):
+            modules += [a.name for a in node.names if a.name == "solver"]
+        elif isinstance(node, ast.Import):
+            modules += [a.name for a in node.names if a.name == "varexp.solver"]
+    assert "solve_pxlaplace" in imported and imported <= public, imported - public
+    assert not modules
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "interpolate"]
+    assert not calls, f"cli.py calls .interpolate( at lines {calls}"
+
+
 # Public functions and methods that no command, module or benchmark reaches
 # yet, kept on purpose.  An entry that becomes reached must leave this table.
 _UNREACHED_BY_DESIGN = {
