@@ -60,6 +60,7 @@ import argparse
 import configparser
 import csv
 import importlib
+import os
 import sys
 import warnings
 from dataclasses import Field, dataclass, field, fields
@@ -526,13 +527,34 @@ _RECORD_COLUMNS = ["name", "cube", "resolution", "lhs", "rhs_sum", "constant",
                    "components", "flags"]
 
 
+def _blas() -> str:
+    """The BLAS NumPy was built against and the threads it runs, by
+    OpenBLAS's rule: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the
+    CPUs this process may use.  The dense kernels round differently at
+    different thread counts, so the bytes of a solve depend on both."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # no build record in this NumPy
+        name = "unknown"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            threads = int(value)
+            break
+    else:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count())
+    return f"blas {name}, threads {threads}"
+
+
 def _provenance(cfg: ExperimentConfig) -> dict[str, str]:
     return {
         "config": str(cfg.config_path),
         "config_sha256": cfg.config_hash,
         "command": cfg.command,
         "seed": str(cfg.seed),
-        "versions": f"varexp {__version__}, numpy {np.__version__}",
+        "versions": f"varexp {__version__}, numpy {np.__version__}, {_blas()}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 

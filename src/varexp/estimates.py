@@ -128,10 +128,12 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
     (mean_Q |Du|^{p mu})^{1/mu}  vs  mean_{2Q} |Du|^p
                                      + (mean_{2Q} (|G|^{p mu} + h^mu))^{1/mu}
 
-    over the dyadic cubes of the root with 2Q inside the root.  m0 is the
-    largest sampled mu whose worst-cube constant stays at or below the cap;
-    sigma = m0^{1/4} is the integrability-transfer exponent (the result's
-    m1, the paper's second Gehring exponent, is m0 here).
+    over the dyadic cubes of the root with 2Q inside the root.  m0 ends the
+    leading run of sampled mu whose worst-cube constant stays at or below
+    the cap: the largest mu with every sampled mu up to it passing, or 1
+    when mu = 1 fails; sigma = m0^{1/4} is the integrability-transfer
+    exponent (the result's m1, the paper's second Gehring exponent, is m0
+    here).
     """
     g = u.grid
     n = g.dim
@@ -160,7 +162,7 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
     rhs1 = means(mag**pc, 2.0)
     table: list[tuple[float, float, float, float]] = []
     records: list[EstimateRecord] = []
-    m0 = 1.0
+    m0, passing = 1.0, True
     for mu in mu_grid:
         lhs = means(mag ** (pc * mu), 1.0) ** (1.0 / mu)
         rhs2 = means(gmag ** (pc * mu) + h**mu, 2.0) ** (1.0 / mu)
@@ -174,8 +176,9 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
         worst = rec.empirical_constant
         table.append((float(mu), rec.lhs, rec.rhs_sum, worst))
         records.append(rec)
-        if worst <= cap:
-            m0 = max(m0, float(mu))
+        passing = passing and worst <= cap
+        if passing:
+            m0 = float(mu)
     return GehringResult(m0, m0, m0 ** 0.25, [float(x) for x in mu_grid], table,
                          cap, len(index), records)
 

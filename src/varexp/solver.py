@@ -25,17 +25,23 @@ plane, or the whole block at a leaf, against the block's one-node halo, and
 is assembled from the element matrices of its cells and the update
 matrices of its children.  The fronts of one dissection depth fall into
 shape groups, the fronts with equal pivot and update counts, so no front
-is padded; a group is factored in batches of at most _BATCH frontal
-entries, one batched NumPy call per kernel and batch; each batch's element
-matrices are formed from the Hessian coefficients as it is assembled, so
-the matrices of all cells are never held at once.  A front passes on only
-the lower triangle of its update matrix, gathered by one np.take per batch,
-so it forms the Schur product on the diagonal blocks of its update rows
-split in two halves and on the block below them; the root, which has no
-update set, forms none.  A depth drops its children's update matrices once
-its last batch has summed them.  A depth is solved by one gather, one
-batched product per group and one scatter; the tree is built once per
-solve.
+is padded.  A front is held as its pivot columns and then the lower
+triangle of its update block, both column by column, so an entry's place
+is its row plus an offset of its column, the extend-add is two gathers
+and one np.add.at, and no square frontal matrix is formed.  A group is
+factored in batches whose fronts and Schur blocks hold at most _BATCH
+entries (or one front), one batched NumPy call per kernel and batch; one
+buffer, allocated once per factorization, holds a batch's fronts and its
+temporaries.  Each batch's element matrices are formed from the Hessian
+coefficients as it is assembled, so the matrices of all cells are never
+held at once.  The pivot columns are copied row by row into the front's
+solve block, where F11 is factored and F21 read; the Schur product is
+formed on the diagonal blocks of the update rows split in two halves and
+on the block below them, and taken from the packed triangle, which is then
+the update matrix the front passes on; the root, which has no update set,
+forms none.  A depth drops its children's update matrices once its last
+batch has summed them.  A depth is solved by one gather, one batched
+product per group and one scatter; the tree is built once per solve.
 That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
 preconditioned CG (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996;
@@ -78,6 +84,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,9 +180,10 @@ class SolverResult:
 
 
 _LEAF = 32  # nodes at or below which a lattice block is not split further
-_INVERSE_BLOCK = 48  # order up to which a triangular inverse is one np.linalg.inv
-# entries of the frontal matrices or scatters formed at once: the knee of
-# peak memory against factor time, measured over 2^17 to 2^20 at 128^2 and 24^3
+_INVERSE_BLOCK = 16  # order up to which a triangular inverse is one np.linalg.inv
+# entries of the fronts and Schur blocks, or of the scatters, formed at once: the
+# knee of peak memory against factor time, measured over 2^17 to 2^20 at 128^2
+# and 24^3 with square fronts
 _BATCH = 1 << 18
 _GAMMA_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-4, 0.0)  # continuation stages
 _GAMMA_FLOOR = 1e-8  # least gamma of a stage when p- < 2
@@ -274,36 +282,43 @@ def _dissection(shape: tuple[int, ...]) -> _Dissection:
     return _Dissection(order, lo, hi, piv_start, size, parent, tuple(first))
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """The inverses of a stack of lower-triangular matrices, by halving:
-    inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  NumPy has no
-    triangular solve; this costs a fraction of np.linalg.inv's general LU
-    on large fronts."""
+def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of lower-triangular matrices, into ``out``,
+    by halving: inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+    NumPy has no triangular solve; this costs a fraction of np.linalg.inv's
+    general LU on large fronts."""
     n = L.shape[-1]
     if n <= _INVERSE_BLOCK:
-        return np.linalg.inv(L)
+        out[...] = np.linalg.inv(L)
+        return out
     h = n // 2
-    out = np.zeros_like(L)
-    out[:, :h, :h] = A = _lower_inverse(L[:, :h, :h])
-    out[:, h:, h:] = C = _lower_inverse(L[:, h:, h:])
-    out[:, h:, :h] = -(C @ (L[:, h:, :h] @ A))
+    A = _lower_inverse(L[:, :h, :h], out[:, :h, :h])
+    C = _lower_inverse(L[:, h:, h:], out[:, h:, h:])
+    out[:, :h, h:] = 0.0
+    np.negative(C @ (L[:, h:, :h] @ A), out=out[:, h:, :h])
     return out
 
 
 @dataclass
 class _Group:
     """The fronts of one dissection depth that share a shape: ``p`` pivot
-    dofs, then ``m - p`` update dofs, then one dummy row and column (index
-    m) that the boundary corners of their cells point at.
+    dofs, then ``u = m - p`` update dofs; the boundary corners of their
+    cells point at a dummy place m.
 
-    ``piv`` and ``upd`` are the (fronts, p) and (fronts, m - p) dof
-    positions in elimination order; ``cells`` are the cells whose element
-    matrices the group assembles, ``cell_slot`` the front of each and
-    ``cell_local`` the place of each of its dofs in that front, sorted by
-    front.  ``children`` has, for each group one depth deeper with fronts
-    whose parents are here, its index in its depth, those fronts' rows in
-    it, the slot of each one's parent here and the place of each of its
-    update dofs here, sorted by parent.
+    ``piv`` and ``upd`` are the (fronts, p) and (fronts, u) dof positions in
+    elimination order; ``cells`` are the cells whose element matrices the
+    group assembles, ``cell_slot`` the front of each and ``cell_local`` the
+    place of each of its dofs in that front, sorted by front.  ``children``
+    has, for each group one depth deeper with fronts whose parents are
+    here, its index in its depth, those fronts' rows in it, the slot of
+    each one's parent here, the place of each of their update dofs here and
+    the place in this group's batch of the column of each, sorted by
+    parent.
+
+    In a batch a front is ``size`` entries: its p pivot columns of m rows,
+    column by column, then the ``tri`` entries of the lower triangle of its
+    u x u update block, packed column by column.  Entry (r, c), r >= c,
+    sits at r + col[c].
     """
     p: int
     m: int
@@ -312,7 +327,53 @@ class _Group:
     cells: np.ndarray
     cell_slot: np.ndarray
     cell_local: np.ndarray
-    children: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
+    children: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=list)
+
+    @property
+    def tri(self) -> int:
+        return (self.m - self.p) * (self.m - self.p + 1) // 2
+
+    @property
+    def size(self) -> int:
+        return self.m * self.p + self.tri
+
+    @property
+    def schur(self) -> int:
+        """Entries of a front's Schur blocks, h x h and (u - h) x u, h = u // 2."""
+        u = self.m - self.p
+        return (u // 2) ** 2 + (u - u // 2) * u
+
+    @cached_property
+    def col(self) -> np.ndarray:
+        """int32 ``col``, 0 at the dummy m."""
+        p, m = self.p, self.m
+        c = np.arange(m + 1)
+        t = c - p  # the column in the update triangle
+        col = np.where(c < p, c * m, m * p + t * (m - p) - t * (t - 1) // 2 - c)
+        col[m] = 0
+        return col.astype(np.int32)
+
+    @property
+    def batch(self) -> int:
+        """Fronts factored at once: _BATCH over a front's entries and its
+        Schur blocks', or one."""
+        return max(1, _BATCH // (self.size + self.schur))
+
+    @property
+    def workspace(self) -> int:
+        """The entries a batch writes past its fronts: the int32 places and
+        bool mask of its cells' element entries, the int32 places and
+        gathered values of its children's update triangles, and F11^-1 or
+        the Schur blocks."""
+        p, u, b = self.p, self.m - self.p, min(self.batch, len(self.piv))
+        cells = b * self.cell_local.shape[1] ** 2 * (
+            int(np.bincount(self.cell_slot).max()) if len(self.cells) else 0)
+        need = [(cells * 5 + 7) // 8, b * max(p * p, self.schur) if u else 0]
+        for _, rows, _, local, _ in self.children:
+            tri = local.shape[1] * (local.shape[1] + 1) // 2  # a child's packed update entries
+            need.append(3 * tri * min(len(rows), max(1, _BATCH // (2 * tri))) // 2 + 1)
+        return max(need)
 
 
 @dataclass
@@ -372,7 +433,7 @@ class _Elimination:
         owner = by_start[np.searchsorted(tree.start[by_start], corners.min(axis=1), "right") - 1]
         self.element_dofs = dofs(corners, self.n)
 
-        self.depths, self.nnz = [], 0
+        self.depths, self.nnz, self._sized = [], 0, None
         above = None  # (pivot starts, sizes, halos, groups, slots) of the fronts one depth up
         for a, b in zip(tree.first, tree.first[1:]):  # root first
             start, size, halo = tree.start[a:b], tree.size[a:b], self._halos(pos, n, tree, a, b)
@@ -403,8 +464,9 @@ class _Elimination:
                     for j in sorted(set(up_group[up].tolist())):
                         there = np.flatnonzero(up_group[up] == j)
                         there = there[np.argsort(up_slot[up[there]], kind="stable")]
-                        self.depths[-1].groups[j].children.append(
-                            (k, there, up_slot[up[there]].astype(np.int32), local[there]))
+                        parent, to = self.depths[-1].groups[j], up_slot[up[there]].astype(np.int32)
+                        column = parent.col[local[there]] + to[:, None] * parent.size
+                        parent.children.append((k, there, to, local[there], column))
             self.depths.append(_Depth(
                 groups, np.concatenate([g.piv.reshape(-1) for g in groups]),
                 np.concatenate([np.concatenate([g.piv, g.upd], axis=1).reshape(-1)
@@ -461,93 +523,124 @@ class _Elimination:
         """Factor the sum of the element matrices E over the free dofs; E is
         read one batch of cells at a time, as ``E[cells]``.  Raises
         LinAlgError when a front's pivot block is not positive definite.
-        Each group hands its update matrices, packed lower triangles, with
-        the row and column of each packed entry, to the groups one depth
-        up.  A depth's blocks W sit in one buffer, and so do its update
-        matrices, dropped once the depth above has summed them.  The
-        frontal matrices are formed _BATCH entries at a time."""
-        buffer = np.empty(max(_BATCH, max((g.m + 1) ** 2 for d in self.depths for g in d.groups)))
+        Each group hands its update matrices, lower triangles packed column
+        by column, with the row and column of each packed entry, to the
+        groups one depth up.  A depth's blocks W sit in one buffer, and so
+        do its update triangles, dropped once the depth above has summed
+        them.  A group is factored ``_Group.batch`` fronts at a time; one
+        buffer, allocated once per factorization, holds the batch's fronts
+        and then its workspace: the index arrays, the gathered update
+        values, F11^-1 and the Schur blocks."""
+        if self._sized != _BATCH:  # the buffer's entries, once for the batch size in force
+            self._sized, self._entries = _BATCH, max(
+                min(g.batch, len(g.piv)) * g.size + 1 + g.workspace
+                for d in self.depths for g in d.groups)
+        buffer = np.empty(self._entries)
         blocks, below = [], None  # below: per group one depth down, (updates, (rows, columns))
         for depth in self.depths:
             here, last = [], depth.groups[-1]
             held = np.empty(sum(len(g.piv) * g.m * g.p for g in depth.groups))
-            flat = np.empty(sum(len(g.piv) * (g.m - g.p) * (g.m - g.p + 1) // 2
-                                for g in depth.groups))
+            flat = np.empty(sum(len(g.piv) * g.tri for g in depth.groups))
             for g in depth.groups:
-                nf, p, m = len(g.piv), g.p, g.m
+                nf, p, m, u = len(g.piv), g.p, g.m, g.m - g.p
                 W, held = held[:nf * m * p].reshape(nf, m, p), held[nf * m * p:]
-                tri = _tril(m - p)
-                U, flat = flat[:nf * len(tri[0])].reshape(nf, -1), flat[nf * len(tri[0]):]
-                pack = (tri[0] + p).astype(np.intp) * (m + 1) + (tri[1] + p)
-                for s in _batches(nf, (m + 1) ** 2):
-                    F = self._assemble(g, s, E, below, buffer)
+                U, flat = flat[:nf * g.tri].reshape(nf, g.tri), flat[nf * g.tri:]
+                tri = _tril(u)
+                # the Schur blocks, rows [0, h) x [0, h) and [h, u) x [0, u) for h = u // 2,
+                # one after the other: the place in them of each packed entry
+                r, h = np.arange(u), u // 2
+                schur = np.where(r < h, r * h, r * u - h * (u - h))[tri[0]] + tri[1]
+                for s in _batches(nf, g.size + g.schur):
+                    n = (s.stop - s.start) * g.size + 1  # the fronts and one junk entry
+                    F, work = buffer[:n], buffer[n:]
+                    self._assemble(g, s, E, below, F, work)
                     if g is last and s.stop == nf:  # summed in full: dropped before the last
                         below = None  # elimination
-                    self._eliminate(g, F, W[s], U[s] if m > p else None, pack)
+                    self._eliminate(g, F[:-1].reshape(-1, g.size), W[s], U[s] if u else None,
+                                    schur, work)
                 blocks.append(W)
                 here.append((U, tri))
-                del pack  # before the next group's table is built
+                del schur  # before the next group's table is built
             below = here
         return _Factor(self, blocks)
 
     @staticmethod
-    def _assemble(g: _Group, s: slice, E, below: list, buffer: np.ndarray) -> np.ndarray:
-        """The (fronts, m + 1, m + 1) frontal matrices of the fronts ``s`` of
-        a group: their cells' element matrices plus their children's update
-        matrices, from ``below`` (extend-add).  Only the lower triangles are
-        complete: a child's variables keep their order among the parent's,
-        so its lower triangle lands in the parent's.  ``buffer`` holds the
-        result."""
-        M = g.m + 1
-        F = buffer[:(s.stop - s.start) * M * M]
+    def _assemble(g: _Group, s: slice, E, below: list, F: np.ndarray, work: np.ndarray) -> None:
+        """Into F the fronts ``s`` of a group, laid out as ``_Group`` says,
+        and one junk entry: their cells' element matrices plus their
+        children's update triangles, from ``below`` (extend-add).  Only
+        lower triangles are summed: a child's variables keep their order
+        among the parent's, so its triangle lands in the parent's, and an
+        element entry above the diagonal, or in the row or column of a
+        boundary dof, goes to the junk entry.  ``work`` holds the index
+        arrays and the gathered update values."""
+        m, size, col = g.m, g.size, g.col
+        junk = len(F) - 1
         F[:] = 0.0
-        # int32 places: a batch holds at most max(_BATCH, M^2) entries
+        # int32 places: a batch holds at most max(_BATCH, g.size) + 1 entries
         lo, hi = np.searchsorted(g.cell_slot, (s.start, s.stop))
         if hi > lo:
             local = g.cell_local[lo:hi]
-            at = (((g.cell_slot[lo:hi] - s.start) * (M * M))[:, None] + local * M)[:, :, None]
-            np.add.at(F, (at + local[:, None, :]).reshape(-1), E[g.cells[lo:hi]].reshape(-1))
-        for j, rows, slot, local in g.children:
+            n = local.size * local.shape[1]
+            column = col[local] + ((g.cell_slot[lo:hi] - s.start) * size)[:, None]
+            at = work.view(np.int32)[:n].reshape(*local.shape, -1)
+            np.add(local[:, :, None], column[:, None, :], out=at)
+            upper = work.view(np.bool_)[4 * n:5 * n].reshape(at.shape)
+            row = np.where(local < m, local, -1)  # no entry lies in a boundary dof's row
+            np.less(row[:, :, None], local[:, None, :], out=upper)
+            np.copyto(at, junk, where=upper)
+            np.add.at(F, at.reshape(-1), E[g.cells[lo:hi]].reshape(-1))
+        for j, rows, slot, local, column in g.children:
             U, (i, k) = below[j]
             lo, hi = np.searchsorted(slot, (s.start, s.stop))
-            row = ((slot[lo:hi] - s.start) * (M * M))[:, None] + local[lo:hi] * M
+            local, column = local[lo:hi], column[lo:hi] - s.start * size
             for t in _batches(hi - lo, 2 * len(i)):  # two index arrays at a time
-                at = np.take(row[t], i, axis=1)
-                at += np.take(local[lo:hi][t], k, axis=1)
-                np.add.at(F, at.reshape(-1), U[rows[lo:hi][t]].reshape(-1))
-        return F.reshape(-1, M, M)
+                n = (t.stop - t.start) * len(i)
+                h = (n + 1) // 2  # the int32 places fill h entries; the values come after
+                at = work.view(np.int32)[:n].reshape(-1, len(i))
+                by = work[h:h + n].view(np.int32)[:n].reshape(at.shape)  # in the values' room
+                np.take(local[t], i, axis=1, out=at, mode="clip")  # in range: unbuffered
+                at += np.take(column[t], k, axis=1, out=by, mode="clip")
+                values = np.take(U, rows[lo:hi][t], axis=0, out=work[h:h + n].reshape(at.shape),
+                                 mode="clip")
+                np.add.at(F, at.reshape(-1), values.reshape(-1))
 
     @staticmethod
     def _eliminate(g: _Group, F: np.ndarray, W: np.ndarray, U: np.ndarray | None,
-                   pack: np.ndarray) -> None:
-        """Partial Cholesky factorization of a batch of fronts of a group:
+                   schur: np.ndarray, work: np.ndarray) -> None:
+        """Partial Cholesky factorization of a batch of fronts F of a group:
         into W the solve blocks [L11^-1; -L21 L11^-1], and into U, when
         given, the packed lower triangles of the update matrices
-        F22 - L21 L21^T, formed in F and gathered at the flat places
-        ``pack``.  With the update rows split in two halves, the product is
-        formed on the two diagonal blocks and the block below them; F22's
-        strict upper block, which the packing never reads, is left as it
-        is.  Without U (the root, which has no update set) neither F11^-1
-        nor L21 is formed."""
-        p, m = g.p, g.m
-        L_inv = _lower_inverse(np.linalg.cholesky(F[:, :p, :p]))
-        W[:, :p] = L_inv
+        F22 - L21 L21^T.  The pivot columns are copied into W row by row
+        first, for F11 and F21.  With the update rows split in two halves,
+        the product K F21^T (K = L21 L11^-1, formed in the pivot columns'
+        room) is formed on the two diagonal blocks and the block below
+        them, in ``work``, and subtracted from the assembled triangle at
+        its entries' places ``schur`` there.  Without U (the root, which has
+        no update set) neither F11^-1 nor K is formed."""
+        p, m, nb = g.p, g.m, len(F)
+        np.copyto(W, F[:, :m * p].reshape(nb, p, m).transpose(0, 2, 1))
+        L_inv = _lower_inverse(np.linalg.cholesky(W[:, :p]), W[:, :p])
         if U is None:
             return
-        F21 = F[:, p:m, :p]
-        K = F21 @ (L_inv.transpose(0, 2, 1) @ L_inv)  # L21 L11^-1 = F21 F11^-1
-        np.negative(K, out=W[:, p:])
-        h = (m - p) // 2
-        F[:, p:p + h, p:p + h] -= K[:, :h] @ F21[:, :h].transpose(0, 2, 1)
-        F[:, p + h:m, p:m] -= K[:, h:] @ F21.transpose(0, 2, 1)
-        np.take(F.reshape(len(F), -1), pack, axis=1, out=U, mode="clip")  # in range: unbuffered
+        u, h = m - p, (m - p) // 2
+        F21 = W[:, p:]
+        F11_inv = work[:nb * p * p].reshape(nb, p, p)
+        np.matmul(L_inv.transpose(0, 2, 1), L_inv, out=F11_inv)
+        K = np.matmul(F21, F11_inv, out=F[:, :u * p].reshape(nb, u, p))  # L21 L11^-1 = F21 F11^-1
+        S = work[:nb * g.schur].reshape(nb, -1)
+        np.matmul(K[:, :h], F21[:, :h].transpose(0, 2, 1), out=S[:, :h * h].reshape(nb, h, h))
+        np.matmul(K[:, h:], F21.transpose(0, 2, 1), out=S[:, h * h:].reshape(nb, u - h, u))
+        np.negative(K, out=F21)
+        np.take(S, schur, axis=1, out=U, mode="clip")  # in range: unbuffered
+        np.subtract(F[:, m * p:], U, out=U)
 
 
 def _tril(u: int) -> tuple[np.ndarray, np.ndarray]:
     """The int32 rows and columns of the lower triangle of a u x u matrix,
-    row by row (np.tril_indices, in a third of its time)."""
-    i = np.repeat(np.arange(u, dtype=np.int32), np.arange(1, u + 1))
-    return i, np.arange(len(i), dtype=np.int32) - i * (i + 1) // 2
+    column by column."""
+    k = np.repeat(np.arange(u, dtype=np.int32), np.arange(u, 0, -1))
+    return np.arange(len(k), dtype=np.int32) - k * (2 * u - k - 1) // 2, k
 
 
 def _batches(count: int, size: int):

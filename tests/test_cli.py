@@ -167,6 +167,31 @@ def test_solve_bytes_under_threaded_blas(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("env, threads", [
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({}, None),  # the CPUs the process may use
+])
+def test_report_records_blas_and_its_threads(tmp_path, env, threads):
+    # the bytes of a solve hang on the BLAS build and its thread count, so
+    # the versions line of report.txt names both, the count read by
+    # OpenBLAS's rule in the child process; the CSV and VXF outputs do not
+    env = {**{k: v for k, v in os.environ.items()
+              if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+           **env, "PYTHONPATH": str(Path(varexp.__file__).parents[1])}
+    out = tmp_path / "o"
+    subprocess.run([sys.executable, "-m", "varexp", "solve", "--config",
+                    str(cfg_file(tmp_path, BASE)), "--out", str(out)], env=env, check=True)
+    lines = (out / "report.txt").read_text().splitlines()
+    versions = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)["versions"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    want = threads or len(os.sched_getaffinity(0))
+    assert versions.endswith(f"blas {blas['name']} {blas['version']}, threads {want}")
+    for f in out.iterdir():
+        if f.suffix in (".csv", ".vxf"):
+            assert b"blas" not in f.read_bytes() and b"threads" not in f.read_bytes()
+
+
 def test_vxf_round_trip_exact(tmp_path):
     g = Grid(2, (-1.0, 0.5), (2.0, 1.5), (5, 3))
     rng = np.random.default_rng(3)
@@ -628,12 +653,15 @@ def test_goodlambda_flags_rows_with_an_empty_u(tmp_path, monkeypatch):
     assert csv == (tmp_path / "plain" / "goodlambda.csv").read_bytes()
 
 
-@pytest.mark.parametrize("cap, censored", [(None, True), (0.1, False)])
+@pytest.mark.parametrize("cap, censored", [(None, True), (0.1, False), (0.13, False)])
 def test_gehring_flags_a_censored_scan(tmp_path, cap, censored):
     # on a small bump instance the worst constant at mu_max is about 0.12,
     # far below the default cap, so m0 is the top of the scan and only a
     # lower bound: one gehring-censored line, with no " = ", ahead of the
-    # solve lines.  Below every constant, the cap leaves m0 = 1 and no line
+    # solve lines.  Below every constant, the cap leaves m0 = 1 and no line.
+    # At 0.13 the constants up to mu = 1.57 fail (0.153 at mu = 1) and the
+    # larger ones pass: m0 ends the leading run of passing mu, so it is 1
+    # with no line, not the top of the scan
     text = BASE.replace("instance = matched", "instance = bump").replace("value = 2.0", "value = 1.7")
     if cap is not None:
         text += f"[estimates]\ncap = {cap}\n"

@@ -303,21 +303,30 @@ def test_shape_groups_hold_real_fronts_only(cells, N):
 
 @pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2), ((131,), 1)])
 def test_packed_update_gather_matches_row_loop(cells, N, monkeypatch):
-    # each front's update triangle is gathered from its frontal matrix by
-    # one np.take over a flat index table; it must be the row-by-row copy of
-    # the lower triangle that the table replaced, bit for bit
+    # each front's update triangle is its assembled triangle less the two
+    # Schur blocks gathered by one np.take over a flat index table; it must
+    # be, bit for bit, the row-by-row difference it replaced: row r of the
+    # update block, columns 0 to r, at their column-by-column packed
+    # places, less row r of K F21^T from the diagonal block or the block
+    # below it
     rng = np.random.default_rng(sum(cells) * 3 + N)
     elim, E, _ = _random_lattice_system(cells, N, rng)
     eliminate, packed = solver._Elimination._eliminate, []
 
-    def checked(g, F, W, U, pack):
-        eliminate(g, F, W, U, pack)
+    def checked(g, F, W, U, schur, work):
+        p, u, h = g.p, g.m - g.p, (g.m - g.p) // 2
+        assembled = F[:, g.m * p:].copy()
+        F21 = F[:, :g.m * p].reshape(len(F), p, g.m)[:, :, p:].transpose(0, 2, 1).copy()
+        eliminate(g, F, W, U, schur, work)
         if U is None:
             return
-        want, at = np.empty_like(U), 0
-        for r in range(g.m - g.p):  # row r of the lower triangle
-            want[:, at:at + r + 1] = F[:, g.p + r, g.p:g.p + r + 1]
-            at += r + 1
+        K = -W[:, p:]
+        S1, S2 = K[:, :h] @ F21[:, :h].transpose(0, 2, 1), K[:, h:] @ F21.transpose(0, 2, 1)
+        first = np.cumsum([0] + [u - c for c in range(u - 1)])  # each column's diagonal place
+        want = np.empty_like(U)
+        for r in range(u):
+            at = first[:r + 1] + r - np.arange(r + 1)
+            want[:, at] = assembled[:, at] - (S1[:, r, :r + 1] if r < h else S2[:, r - h, :r + 1])
         packed.append(U.size)
         assert U.tobytes() == want.tobytes()
 
@@ -328,27 +337,22 @@ def test_packed_update_gather_matches_row_loop(cells, N, monkeypatch):
 
 @pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2)])
 def test_fronts_form_no_product_they_do_not_read(cells, N, monkeypatch):
-    # each front's Schur update F22 - K F21^T is formed on and below its two
-    # diagonal blocks only: the strict upper block, poisoned before the
-    # elimination, keeps its poison.  The root, whose update rows are
-    # padding, forms no K: its W is exact zeros past the pivots even when
-    # those rows of its frontal matrices are poisoned too.  The packing and
-    # the solve read neither, so the direction is dense Cholesky's
+    # each front forms its Schur update K F21^T on its two diagonal blocks
+    # and the block below them only, in the first g.schur workspace entries
+    # per front, after F11^-1 in the first p^2: the rest of the workspace,
+    # poisoned before the elimination, keeps its poison.  The root, which
+    # has no update set, forms neither F11^-1 nor K and writes no workspace
+    # entry; its W is L11^-1 alone.  The solve reads no poison, so the
+    # direction is dense Cholesky's
     rng = np.random.default_rng(sum(cells) + N)
     elim, E, H = _random_lattice_system(cells, N, rng)
     eliminate, seen = solver._Elimination._eliminate, []
 
-    def poisoned(g, F, W, U, pack):
-        p, h = g.p, (g.m - g.p) // 2
-        upper = F[:, p:p + h, p + h:g.m]
-        upper[...] = 7.0
-        if U is None:  # the root's dummy row and column, past its pivots
-            F[:, p:, :] = F[:, :, p:] = 7.0
-            past = F[:, p:].copy()
-        eliminate(g, F, W, U, pack)
-        seen.append((U is None, upper.size, bool(np.all(upper == 7.0))))
-        if U is None:  # no Schur product touched them
-            assert np.array_equal(F[:, p:], past)
+    def poisoned(g, F, W, U, schur, work):
+        used = 0 if U is None else len(F) * max(g.p * g.p, g.schur)
+        work[:] = 7.0
+        eliminate(g, F, W, U, schur, work)
+        seen.append((U is None, work.size - used, bool(np.all(work[used:] == 7.0))))
 
     monkeypatch.setattr(solver._Elimination, "_eliminate", staticmethod(poisoned))
     factor = elim.factor(E)
@@ -362,6 +366,31 @@ def test_fronts_form_no_product_they_do_not_read(cells, N, monkeypatch):
     L = np.linalg.cholesky(H)
     want = np.linalg.solve(L.T, np.linalg.solve(L, b))
     assert np.abs(factor.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("batch", [64, 1 << 16])
+def test_small_batches_with_twin_children_match_splu(batch, monkeypatch):
+    # with _BATCH monkeypatched small each front is a batch of its own (64)
+    # or one of a few (2^16), and a child's update triangle is scattered
+    # apart from its sibling's or together with it; on 7^3 interior nodes
+    # every split is symmetric, so a parent's two children sit in one
+    # group, and N = 3 gives each node three dofs.  The multifrontal solve
+    # is SuperLU's and dense Cholesky's to 1e-12
+    from scipy import sparse
+
+    monkeypatch.setattr(solver, "_BATCH", batch)
+    rng = np.random.default_rng(batch)
+    elim, E, H = _random_lattice_system((8, 8, 8), 3, rng)
+    twins = [len(set(slot.tolist())) < len(slot)
+             for d in elim.depths for g in d.groups for _, _, slot, _, _ in g.children]
+    assert any(twins)
+    assert (max(g.batch for d in elim.depths for g in d.groups) > 1) == (batch > 64)
+    b = rng.normal(size=len(H))
+    got = elim.factor(E).solve(b)
+    L = np.linalg.cholesky(H)
+    dense = np.linalg.solve(L.T, np.linalg.solve(L, b))
+    for want in (splu(sparse.csc_matrix(H)).solve(b), dense):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1e-8, 0.0])
@@ -392,23 +421,20 @@ def test_streamed_element_matrices_give_the_formed_bytes(dim, N, gamma, monkeypa
         assert got.solve(b).tobytes() == want.solve(b).tobytes()
 
 
-def test_factor_holds_fronts_not_every_element_matrix():
-    # a cold 16^3 solve's traced peak stays within the complete factor W,
-    # the two largest adjacent update stacks, one frontal batch buffer and
-    # the Hessian coefficients, with 15 % slack, all of them counted
-    # unpadded; holding the element matrices of every cell (2.1 MB here),
-    # a 2^20-entry buffer or fronts padded to their depth's largest breaks it
-    g = Grid(3, (0.0,) * 3, (1.0,) * 3, (16, 16, 16))
+def _cold_solve_peak_and_bound(side: int, buffer, slack: float) -> tuple[int, float]:
+    """The traced peak of a cold side^3 bump solve at p = 1.5, and the bound
+    ``slack`` x (the complete factor W, the two largest adjacent update
+    stacks, ``buffer(groups)`` entries and the Hessian coefficients), all
+    of them counted unpadded, in bytes."""
+    g = Grid(3, (0.0,) * 3, (1.0,) * 3, (side,) * 3)
     p = constant_exponent(g, 1.5)
     _, G, bnd = manufactured_instance("bump", g)
     depths = solver._Elimination(g, 1).depths  # deepest first; the root has no update
     groups = [gr for d in depths for gr in d.groups]
     W = sum(len(gr.piv) * gr.m * gr.p for gr in groups)
-    U = [sum(len(gr.piv) * (gr.m - gr.p) * (gr.m - gr.p + 1) // 2 for gr in d.groups)
-         for d in depths]
-    buffer = max(solver._BATCH, max((gr.m + 1) ** 2 for gr in groups))
+    U = [sum(len(gr.piv) * gr.tri for gr in d.groups) for d in depths]
     coefficients = g.num_cells * (2**3 + 2)  # w, s1 and s2
-    bound = 1.15 * 8 * (W + max(a + b for a, b in zip(U, U[1:])) + buffer + coefficients)
+    bound = slack * 8 * (W + max(a + b for a, b in zip(U, U[1:])) + buffer(groups) + coefficients)
     tracemalloc.start()
     try:
         res = solve_pxlaplace(G, p, bnd, SolveOptions())
@@ -416,6 +442,28 @@ def test_factor_holds_fronts_not_every_element_matrix():
     finally:
         tracemalloc.stop()
     assert res.converged, res.message
+    return peak, bound
+
+
+def test_factor_holds_fronts_not_every_element_matrix():
+    # a cold 16^3 solve's traced peak stays within the complete factor W,
+    # the two largest adjacent update stacks, one frontal batch buffer and
+    # the Hessian coefficients, with 15 % slack, all of them counted
+    # unpadded; holding the element matrices of every cell (2.1 MB here),
+    # a 2^20-entry buffer or fronts padded to their depth's largest breaks it
+    peak, bound = _cold_solve_peak_and_bound(
+        16, lambda groups: max(solver._BATCH, max((gr.m + 1) ** 2 for gr in groups)), 1.15)
+    assert peak <= bound, (peak, bound)
+
+
+def test_factor_holds_pivot_columns_not_square_fronts():
+    # at 24^3 the widest fronts pass _BATCH (the depth-1 fronts have 253
+    # pivots and 782 rows), so the batch buffer binds: the traced peak stays
+    # within the bound above with the pivot columns of the widest front
+    # (m p entries) for the buffer and 5 % slack.  A frontal buffer of
+    # (m + 1)^2 entries, 4.9 MB here, breaks it
+    peak, bound = _cold_solve_peak_and_bound(
+        24, lambda groups: max(gr.m * gr.p for gr in groups if gr.m * gr.p > solver._BATCH), 1.05)
     assert peak <= bound, (peak, bound)
 
 
