@@ -699,16 +699,16 @@ def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
     root = _root(cfg, grid)
     gr = gehring_scan(res.u, G, p, root, mu_max=cfg.mu_max, steps=cfg.steps,
                       cap=cfg.cap, m=cfg.m)
-    rep.scalars = [("m0", gr.m0), ("m1", gr.m1), ("sigma", gr.sigma),
-                   ("cap", gr.cap), ("cubes_tested", gr.cubes_tested)]
+    rep.scalars = [("m0", gr.m0), ("sigma", gr.sigma), ("cap", gr.cap),
+                   ("cubes_tested", gr.cubes_tested)]
     rep.records = list(gr.records)
     if gr.m0 == gr.mu_grid[-1]:  # the solve lines stay last
         rep.lines[:0] = [f"gehring-censored: the worst constant at mu_max {_fmt(gr.mu_grid[-1])}, "
-                         f"the top of the scan, is at or below cap {_fmt(gr.cap)}, so m0, m1 "
-                         f"(equal to m0) and sigma are only lower bounds"]
+                         f"the top of the scan, is at or below cap {_fmt(gr.cap)}, so m0 and "
+                         f"sigma are only lower bounds"]
     _write_csv(cfg.out / "gehring.csv", ["mu", "lhs", "rhs", "constant"],
-               [[_fmt(mu), _fmt(lhs), _fmt(rhs), _fmt(c)]
-                for mu, lhs, rhs, c in gr.ratio_table])
+               [[_fmt(mu), _fmt(r.lhs), _fmt(r.rhs_sum), _fmt(r.empirical_constant)]
+                for mu, r in zip(gr.mu_grid, gr.records)])
 
 
 def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:

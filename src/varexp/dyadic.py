@@ -199,9 +199,9 @@ def covering_threshold(F: CellField, root: Box) -> float:
     return float(lattice_means(F.values, F.grid, root, 0, 2.0).flat[0])
 
 
-def cz_cover(F: CellField, root: Box, lam: float, lambda0: float | None = None,
-             max_level: int | None = None) -> CZCover:
-    """Maximal lattice cubes Q with mean_{2Q} F > lam, for lam >= lam0.
+def cz_cover(F: CellField, root: Box, lam: float) -> CZCover:
+    """Maximal lattice cubes Q with mean_{2Q} F > lam, for lam >= lam0, down
+    to ``default_max_level``.
 
     Walks the lattice top-down, descending only through cubes whose doubled
     average is <= lam, so every returned cube is a proper sub-cube whose
@@ -212,11 +212,9 @@ def cz_cover(F: CellField, root: Box, lam: float, lambda0: float | None = None,
     _require_root(g, root)
     if F.values.ndim != 1 or F.values.min() < 0:
         raise ValueError("covering needs a nonnegative scalar cell field")
-    if max_level is None:
-        max_level = default_max_level(root, g)
+    max_level = default_max_level(root, g)
     tables = [lattice_means(F.values, g, root, lev, 2.0) for lev in range(max_level + 1)]
-    if lambda0 is None:
-        lambda0 = float(tables[0].flat[0])
+    lambda0 = float(tables[0].flat[0])
     if lam < lambda0 * (1.0 - 1e-12):
         raise ValueError("below covering threshold")
 

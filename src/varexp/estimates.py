@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,29 +111,27 @@ def reverse_holder_check(u: GridFunction, G: CellField, p: ExponentField,
 @dataclass
 class GehringResult:
     m0: float
-    m1: float
     sigma: float
     mu_grid: list[float]
-    ratio_table: list[tuple[float, float, float, float]]  # (mu, lhs, rhs, constant) at the worst cube
     cap: float
     cubes_tested: int
-    records: list[EstimateRecord] = field(default_factory=list)
+    records: list[EstimateRecord]  # per mu of mu_grid, the worst cube's record
 
 
 def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
                  mu_max: float = 2.0, steps: int = 8, cap: float = 1e3,
-                 m: float | None = None, levels: tuple[int, ...] | None = None) -> GehringResult:
+                 m: float | None = None) -> GehringResult:
     """Scan the self-improved reverse Holder inequality over mu in (1, mu_max]:
 
     (mean_Q |Du|^{p mu})^{1/mu}  vs  mean_{2Q} |Du|^p
                                      + (mean_{2Q} (|G|^{p mu} + h^mu))^{1/mu}
 
-    over the dyadic cubes of the root with 2Q inside the root.  m0 ends the
-    leading run of sampled mu whose worst-cube constant stays at or below
-    the cap: the largest mu with every sampled mu up to it passing, or 1
-    when mu = 1 fails; sigma = m0^{1/4} is the integrability-transfer
-    exponent (the result's m1, the paper's second Gehring exponent, is m0
-    here).
+    over the dyadic cubes of the root with 2Q inside the root, down to
+    ``default_max_level`` (at least level 2).  m0 ends the leading run of
+    sampled mu whose worst-cube constant stays at or below the cap: the
+    largest mu with every sampled mu up to it passing, or 1 when mu = 1
+    fails; sigma = m0^{1/4} is the integrability-transfer exponent.  The
+    paper's second Gehring exponent m1 is m0 here, so it is not reported.
     """
     g = u.grid
     n = g.dim
@@ -144,15 +142,12 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
     gmag = G.magnitude()
     h = decay_weight(g, m).values
 
-    if levels is None:
-        levels = tuple(range(1, max(2, default_max_level(root, g)) + 1))
     # 2Q spans lattice indices (i - 1/2, i + 3/2) per axis, so it lies in
-    # the root exactly for 1 <= i <= 2^L - 2; cubes in lattice order.
-    levels = [lev for lev in sorted(set(levels)) if 2**lev >= 3]
+    # the root exactly for 1 <= i <= 2^L - 2, which no level-1 cube does;
+    # cubes in lattice order.
+    levels = range(2, max(2, default_max_level(root, g)) + 1)
     index = [(lev, idx) for lev in levels
              for idx in itertools.product(range(1, 2**lev - 1), repeat=n)]
-    if not index:
-        raise ValueError("no dyadic cubes with 2Q inside the root")
 
     def means(values: np.ndarray, scale: float) -> np.ndarray:
         return np.concatenate([lattice_means(values, g, root, lev, scale)[(slice(1, -1),) * n]
@@ -160,7 +155,6 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
 
     mu_grid = list(np.linspace(1.0, mu_max, steps))
     rhs1 = means(mag**pc, 2.0)
-    table: list[tuple[float, float, float, float]] = []
     records: list[EstimateRecord] = []
     m0, passing = 1.0, True
     for mu in mu_grid:
@@ -173,14 +167,11 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
             f"gehring-mu={mu:g}", lhs[i], {"energy": rhs1[i], "data": rhs2[i]},
             cube=DyadicCube(root, lev, idx).box, resolution=g.cells,
         )
-        worst = rec.empirical_constant
-        table.append((float(mu), rec.lhs, rec.rhs_sum, worst))
         records.append(rec)
-        passing = passing and worst <= cap
+        passing = passing and rec.empirical_constant <= cap
         if passing:
             m0 = float(mu)
-    return GehringResult(m0, m0, m0 ** 0.25, [float(x) for x in mu_grid], table,
-                         cap, len(index), records)
+    return GehringResult(m0, m0 ** 0.25, [float(x) for x in mu_grid], cap, len(index), records)
 
 
 def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
@@ -231,7 +222,6 @@ def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,
 
 def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
                                q: float, root: Box, kappa: float, sweep_points: int = 64,
-                               max_level: int | None = None,
                                m: float | None = None) -> EstimateRecord:
     """Measured higher integrability of the energy density F = |Du|^{p(.)}:
 
@@ -254,9 +244,7 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     lam0 = covering_threshold(F, root)
     lhs_direct = mean_over(CellField(g, F.values**q), root) ** (1.0 / q)
 
-    if max_level is None:
-        max_level = default_max_level(root, g)
-    mstar = maximal_function(F, root, 1.0, max_level).values
+    mstar = maximal_function(F, root, 1.0).values
     moment, head, tail = _sweep_moment(F, root, q, lam0, kappa, mstar, sweep_points)
     lhs_sweep = moment ** (1.0 / q)
     rel_gap = abs(lhs_sweep - lhs_direct) / lhs_direct if lhs_direct > 0 else 0.0

@@ -7,11 +7,12 @@ of 1/p: the smallest c with
     |1/p(x) - 1/p(y)| <= c / log(e + 1/|x - y|)
 
 together with the decay part |1/p(x) - 1/p_inf| <= c / log(e + |x|).
-This module measures that constant exactly over all node pairs of the
-grid, selects the comparison exponent p_j = p(y_j) at the farthest point
-y_j of a cube, and reports the VMO oscillation quotient over a dyadic
-family of cubes and the vanishing log-Holder profile (which epsilon is
-attained at which scales).
+On a bounded grid the far-field exponent p_inf is p at the node farthest
+from the origin.  This module measures that constant exactly over all
+node pairs of the grid, selects the comparison exponent p_j = p(y_j) at
+the farthest point y_j of a cube, and reports the VMO oscillation quotient
+over a dyadic family of cubes and the vanishing log-Holder profile (which
+epsilon is attained at which scales).
 """
 
 from __future__ import annotations
@@ -36,19 +37,18 @@ __all__ = [
 ]
 
 _E = math.e
+_EPSILONS = (0.5, 0.2, 0.1, 0.05)  # of the report's vanishing profile
+_VMO_LEVELS = 2  # lattice levels of the report's VMO quotient
 
 
 @dataclass(frozen=True, eq=False)
 class ExponentField:
-    """Nodal exponent field with optional far-field target p_inf.
-
-    When ``p_infinity`` is omitted it defaults to the value of p at the
-    node of maximal |x| (lexicographic tie-break), which makes the decay
-    part of the log-Holder measurement vacuous at that node.
+    """Nodal exponent field.  Its far-field exponent ``p_infinity`` is p at
+    the node of maximal |x| (lexicographic tie-break), which makes the
+    decay part of the log-Holder measurement vacuous at that node.
     """
 
     field: GridFunction
-    p_infinity: float | None = None
 
     def __post_init__(self):
         if self.field.codomain_dim != 1:
@@ -56,8 +56,6 @@ class ExponentField:
         vals = self.field.values[:, 0]
         if vals.min() < 1.0:
             raise ValueError("exponent values must satisfy p >= 1")
-        if self.p_infinity is not None and self.p_infinity < 1.0:
-            raise ValueError("p_infinity must be >= 1")
 
     @property
     def grid(self) -> Grid:
@@ -76,11 +74,8 @@ class ExponentField:
         return float(self.values.max())
 
     @property
-    def p_infinity_effective(self) -> float:
-        if self.p_infinity is not None:
-            return float(self.p_infinity)
-        idx = _farthest_node(self.grid.node_coords)
-        return float(self.values[idx])
+    def p_infinity(self) -> float:
+        return float(self.values[_farthest_node(self.grid.node_coords)])
 
     @functools.cached_property
     def cell_values(self) -> np.ndarray:
@@ -103,11 +98,9 @@ class ExponentField:
 class LogHolderReport:
     c_log: float
     c_log_local: float
-    c_log_decay: float | None
-    p_scale_bound: float
+    c_log_decay: float
     vanishing_profile: list[tuple[float, float | None, float | None]]
     vmo_oscillation: float
-    pair_count: int = 0
 
 
 def _farthest_node(coords: np.ndarray) -> int:
@@ -182,45 +175,39 @@ def _offset_sweep(p: ExponentField, epsilons: Sequence[float],
     return np.asarray(dist), np.asarray(top), reach
 
 
-def log_holder_constant(p: ExponentField, seed: int = 0,
-                        epsilons: Sequence[float] = (0.5, 0.2, 0.1, 0.05),
-                        vmo_levels: int = 2) -> LogHolderReport:
+def log_holder_constant(p: ExponentField, seed: int = 0) -> LogHolderReport:
     """Measure the log-Holder constant of 1/p, exact over all node pairs.
 
-    c_log_local is the pairwise maximum of |1/p(x)-1/p(y)| log(e + 1/|x-y|);
-    the decay part is measured against p_infinity (or its default).  The
-    convenience field p_scale_bound = (p+)^2 c_log bounds the constant of
-    the exponent itself rather than of 1/p.  ``seed`` is accepted and
-    ignored, since nothing is sampled; callers that pass it (the benchmark's
-    library workload among them) keep working.
+    c_log_local is the pairwise maximum of |1/p(x)-1/p(y)| log(e + 1/|x-y|),
+    c_log_decay the largest decay modulus against p_infinity, and c_log the
+    larger of the two.  The report's vanishing profile is taken at the
+    epsilons of _EPSILONS and its VMO quotient over _VMO_LEVELS lattice
+    levels.  ``seed`` is accepted and ignored, since nothing is sampled;
+    callers that pass it (the benchmark's library workload among them) keep
+    working.
     """
-    sweep = _offset_sweep(p, epsilons)
+    sweep = _offset_sweep(p, _EPSILONS)
     c_local = float(sweep[1].max())
     dec = _decay_moduli(p)
     c_decay = float(dec.max())
-
-    c_log = max(c_local, c_decay)
-    n = p.grid.num_nodes
     return LogHolderReport(
-        c_log=c_log,
+        c_log=max(c_local, c_decay),
         c_log_local=c_local,
-        c_log_decay=c_decay if p.p_infinity is not None else None,
-        p_scale_bound=p.p_plus**2 * c_log,
-        vanishing_profile=_vanishing_profile(p, epsilons, sweep, dec),
-        vmo_oscillation=_vmo_oscillation(p, vmo_levels),
-        pair_count=n * (n - 1) // 2,
+        c_log_decay=c_decay,
+        vanishing_profile=_vanishing_profile(p, _EPSILONS, sweep, dec),
+        vmo_oscillation=_vmo_oscillation(p),
     )
 
 
 def _decay_moduli(p: ExponentField) -> np.ndarray:
     """|1/p(x) - 1/p_inf| log(e + |x|) at every node."""
     norms = np.linalg.norm(p.grid.node_coords, axis=1)
-    return np.abs(1.0 / p.values - 1.0 / p.p_infinity_effective) * np.log(_E + norms)
+    return np.abs(1.0 / p.values - 1.0 / p.p_infinity) * np.log(_E + norms)
 
 
-def _vmo_oscillation(p: ExponentField, levels: int) -> float:
-    """Oscillation quotient over a small dyadic family of the domain:
-    max over cubes of  (mean over Q of |p - p_j|) * log(e + max{1/l, l, |c|}),
+def _vmo_oscillation(p: ExponentField) -> float:
+    """Oscillation quotient over the domain's lattice cubes of levels 1 to
+    _VMO_LEVELS: max over cubes of  (mean over Q of |p - p_j|) * log(e + max{1/l, l, |c|}),
     with p_j from the 2Q selection rule of ``select_comparison_exponent``.
 
     Stays comparable to (p+)^2 c_log for log-Holder exponents regardless of
@@ -228,7 +215,7 @@ def _vmo_oscillation(p: ExponentField, levels: int) -> float:
     """
     domain = p.grid.domain
     worst = 0.0
-    for q in (c.box for c in dyadic_lattice(domain, levels) if c.level >= 1):
+    for q in (c.box for c in dyadic_lattice(domain, _VMO_LEVELS) if c.level >= 1):
         _, p_j = select_comparison_exponent(q, p)
         osc = _oscillation(q, p, p_j)
         ell = q.side

@@ -101,21 +101,18 @@ class Box:
             return None
         return Box(tuple(lo), tuple(hi))
 
-    def contains_points(self, points, tol: float | None = None) -> np.ndarray:
+    def contains_points(self, points) -> np.ndarray:
         """Closure membership of each row of ``points`` (shape (..., dim)),
-        with a tolerance on each face, relative to the longest edge."""
+        with a tolerance on each face of _GEOM_RTOL times the longest edge
+        (or 1, if larger)."""
         x = np.asarray(points, dtype=float)
-        if tol is None:
-            tol = _GEOM_RTOL * max(self.side, 1.0)
+        tol = _GEOM_RTOL * max(self.side, 1.0)
         return np.all((x >= np.asarray(self.lo) - tol) & (x <= np.asarray(self.hi) + tol), axis=-1)
 
-    def contains_box(self, other: "Box", tol: float | None = None) -> bool:
-        if tol is None:
-            tol = _GEOM_RTOL * max(self.side, 1.0)
-        return bool(
-            np.all(np.asarray(other.lo) >= np.asarray(self.lo) - tol)
-            and np.all(np.asarray(other.hi) <= np.asarray(self.hi) + tol)
-        )
+    def contains_box(self, other: "Box") -> bool:
+        """Closure containment of ``other``, with the tolerance of
+        ``contains_points``."""
+        return bool(np.all(self.contains_points(np.array([other.lo, other.hi]))))
 
 
 @dataclass(frozen=True)

@@ -813,7 +813,7 @@ def _restrict(G: CellField, p: ExponentField, boundary: GridFunction):
     shape = G.component_shape
     children = G.values.reshape(sum(((c, 2) for c in grid.cells), ()) + shape)
     Gc = children.mean(axis=tuple(range(1, 2 * fine.dim, 2))).reshape(grid.num_cells, *shape)
-    return (CellField(grid, Gc), ExponentField(GridFunction(grid, inject(p.values)), p.p_infinity),
+    return (CellField(grid, Gc), ExponentField(GridFunction(grid, inject(p.values))),
             GridFunction(grid, inject(boundary.values)))
 
 

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _E = math.e
+_REL_TOL = 1e-10  # relative bracket width at which the bisection stops
 
 
 @dataclass
@@ -52,16 +53,17 @@ def modular(f: CellField, p: ExponentField, region: Box) -> float:
     return float(np.sum(w[nz] * np.abs(f.values[nz]) ** p.cell_values[nz]))
 
 
-def luxemburg_norm(f: CellField, p: ExponentField, region: Box,
-                   rel_tol: float = 1e-10) -> LuxemburgResult:
+def luxemburg_norm(f: CellField, p: ExponentField, region: Box) -> LuxemburgResult:
     """Luxemburg gauge by bracketing + bisection on lam -> modular(f/lam).
 
     The map is continuous and strictly decreasing where f is nonzero, so
     the gauge is the unique root of modular(f/lam) = 1 (or 0 for the zero
     field).  The returned norm is the upper bracket end, which keeps the
     modular at the norm on the <= 1 side of the unit sphere.  Bisection
-    stops at relative width ``rel_tol``, or sooner once the bracket ends
-    are adjacent floats.
+    stops at relative width _REL_TOL; it runs only on brackets above
+    1e-300, where that width spans about 10^6 floats.  ArithmeticError
+    when the bracket overflows, which takes a gauge above half the largest
+    float.
     """
     w = region_weights(f.grid, region)
     if w.sum() <= 0.0:
@@ -76,11 +78,11 @@ def luxemburg_norm(f: CellField, p: ExponentField, region: Box,
 
     hi = float(vals.max())
     it = 0
-    while rho(hi) > 1.0:
+    while math.isfinite(hi) and rho(hi) > 1.0:
         hi *= 2.0
         it += 1
-        if it > 2000:
-            raise ArithmeticError("luxemburg bracketing failed to expand")
+    if not math.isfinite(hi):  # rho(inf) = 0 would end the bracketing there
+        raise ArithmeticError("the Luxemburg norm's bracket overflows the float range")
     lo = hi
     while rho(lo) <= 1.0:
         lo /= 2.0
@@ -88,10 +90,8 @@ def luxemburg_norm(f: CellField, p: ExponentField, region: Box,
         if lo < 1e-300:
             # modular never reaches 1: measure of support below any lam is tiny
             return LuxemburgResult(0.0, rho(hi), it)
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: rel_tol is below one ulp
-            break
         if rho(mid) <= 1.0:
             hi = mid
         else:

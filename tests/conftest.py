@@ -14,17 +14,15 @@ from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 
 
 def constant_exponent(grid: Grid, value: float) -> ExponentField:
-    """p = value everywhere, with far-field target p_inf = value."""
-    return ExponentField(GridFunction(grid, np.full(grid.num_nodes, float(value))), float(value))
+    """p = value everywhere."""
+    return ExponentField(GridFunction(grid, np.full(grid.num_nodes, float(value))))
 
 
 def smooth_exponent(grid: Grid, amp: float = 0.12) -> ExponentField:
     """Gently oscillating exponent with measured c_log well below 0.1."""
     X = grid.node_coords.T
     return ExponentField(
-        GridFunction(grid, 2.0 + amp * np.sin(0.5 * np.pi * X[0]) * np.sin(0.5 * np.pi * X[1])),
-        p_infinity=2.0,
-    )
+        GridFunction(grid, 2.0 + amp * np.sin(0.5 * np.pi * X[0]) * np.sin(0.5 * np.pi * X[1])))
 
 
 def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction]:

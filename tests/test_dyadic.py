@@ -58,7 +58,7 @@ def offset_loop_maximal(f, root, s, max_level):
     means = [lattice_means(power, g, root, lev, 2.0) ** (1.0 / s)
              for lev in range(max_level + 1)]
     tol = 1e-12 * max(root.side, 1.0)
-    in_root = root.contains_points(g.cell_centers, tol)
+    in_root = root.contains_points(g.cell_centers)  # the same tol
     out = np.zeros(g.num_cells)
     pts = g.cell_centers[in_root]
     best = np.zeros(pts.shape[0])

@@ -27,7 +27,7 @@ def test_constant_field_basics():
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
     p = constant_exponent(g, 2.5)
     assert p.p_minus == p.p_plus == 2.5
-    assert p.p_infinity_effective == 2.5
+    assert p.p_infinity == 2.5
     np.testing.assert_allclose(p.cell_values, 2.5)
     rep = log_holder_constant(p)
     assert rep.c_log == 0.0
@@ -39,8 +39,6 @@ def test_validation():
         ExponentField(GridFunction(g, np.full(5, 0.9)))  # p < 1
     with pytest.raises(ValueError):
         ExponentField(GridFunction(g, np.full((5, 2), 2.0)))  # not scalar
-    with pytest.raises(ValueError):
-        ExponentField(GridFunction(g, np.full(5, 2.0)), p_infinity=0.5)
     p1 = ExponentField(GridFunction(g, np.full(5, 1.0)))
     with pytest.raises(ValueError, match="p- > 1"):
         p1.require_superlinear("test")
@@ -59,28 +57,27 @@ def test_cell_values_are_corner_averages():
 
 def test_three_node_log_holder_oracle():
     # 1/p = (0.5, 0.4, 0.45) at x = 0, 1, 2: the unit-distance pair (0, 1)
-    # dominates with modulus 0.1 log(e + 1); with p_inf = 2 the decay part
-    # of node 1 gives the same value.
+    # dominates with modulus 0.1 log(e + 1).  p_inf is p at the farthest
+    # node, x = 2, so the decay part peaks at node 1 with 0.05 log(e + 1)
+    # (node 0 gives 0.05 log(e))
     g = Grid(1, (0.0,), (2.0,), (2,))
-    p = ExponentField(GridFunction(g, 1.0 / np.array([0.5, 0.4, 0.45])), 2.0)
+    p = ExponentField(GridFunction(g, 1.0 / np.array([0.5, 0.4, 0.45])))
+    assert p.p_infinity == 1.0 / 0.45
     rep = log_holder_constant(p)
     want = 0.1 * math.log(E + 1.0)
     assert rep.c_log_local == pytest.approx(want, rel=1e-12)
-    assert rep.c_log_decay == pytest.approx(want, rel=1e-12)
+    assert rep.c_log_decay == pytest.approx(0.05 * math.log(E + 1.0), rel=1e-12)
     assert rep.c_log == pytest.approx(want, rel=1e-12)
-    assert rep.p_scale_bound == pytest.approx(2.5**2 * want, rel=1e-12)
-    assert rep.pair_count == 3
 
 
 @pytest.mark.parametrize("seed", [500, 100_000])  # nothing is sampled: seed is ignored
 def test_report_profile_matches_separate_call(seed):
     g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (16, 16))
     X = g.node_coords.T
-    p = ExponentField(GridFunction(g, 2.0 + 0.3 * np.sin(3.0 * X[0]) * X[1]), p_infinity=2.0)
-    eps = (0.5, 0.2, 0.1, 0.05)
-    rep = log_holder_constant(p, seed=seed, epsilons=eps)
-    assert rep.vanishing_profile == vanishing_profile(p, eps)
-    assert rep == log_holder_constant(p, epsilons=eps)
+    p = ExponentField(GridFunction(g, 2.0 + 0.3 * np.sin(3.0 * X[0]) * X[1]))
+    rep = log_holder_constant(p, seed=seed)
+    assert rep.vanishing_profile == vanishing_profile(p, (0.5, 0.2, 0.1, 0.05))
+    assert rep == log_holder_constant(p)
 
 
 def brute_log_holder(p, epsilons):
@@ -96,7 +93,7 @@ def brute_log_holder(p, epsilons):
     mod = np.abs(a[ii] - a[jj]) * np.log(E + 1.0 / d)
     norms = np.linalg.norm(g.node_coords, axis=1)
     minnorm = np.minimum(norms[ii], norms[jj])
-    dec = np.abs(a - 1.0 / p.p_infinity_effective) * np.log(E + norms)
+    dec = np.abs(a - 1.0 / p.p_infinity) * np.log(E + norms)
 
     def smallest_above(values, violators):
         if violators.size == 0:
@@ -137,8 +134,7 @@ def exponents(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = g.node_coords
     values = 2.0 + amp * np.sin(x @ freq) + noise * rng.uniform(-1.0, 1.0, g.num_nodes)
-    p_inf = draw(st.none() | st.floats(1.5, 3.0))
-    return ExponentField(GridFunction(g, values), p_inf)
+    return ExponentField(GridFunction(g, values))
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -149,12 +145,10 @@ def test_log_holder_exact_over_all_pairs(p, fractions):
     c_local = brute_log_holder(p, [])[0]
     epsilons = [f * c_local for f in fractions]
     profile = brute_log_holder(p, epsilons)[1]
-    rep = log_holder_constant(p, epsilons=epsilons)
-    assert math.isclose(rep.c_log_local, c_local, rel_tol=1e-12, abs_tol=0.0)
-    n = p.grid.num_nodes
-    assert rep.pair_count == n * (n - 1) // 2
-    assert len(rep.vanishing_profile) == len(profile)
-    for (eps, r, R), (_, r_want, R_want) in zip(rep.vanishing_profile, profile):
+    got = vanishing_profile(p, epsilons)
+    assert math.isclose(log_holder_constant(p).c_log_local, c_local, rel_tol=1e-12, abs_tol=0.0)
+    assert len(got) == len(profile)
+    for (eps, r, R), (_, r_want, R_want) in zip(got, profile):
         assert _close(r, r_want), (eps, r, r_want)
         assert _close(R, R_want), (eps, R, R_want)
 
@@ -246,13 +240,14 @@ def test_vmo_oscillation_hand_case():
     # p = 2 + x on [0, 1], level-1 cubes [0, 1/2] and [1/2, 1]: p_j is p at
     # the far end of 2Q ∩ [0, 1] (2.75 and 3), the cell means of |p - p_j|
     # are 1/2 and 1/4, and both cubes have scale log(e + max{l, 1/l, |c|})
-    # = log(e + 2)
+    # = log(e + 2).  The level-2 cubes have means of at most 1/4 and scale
+    # log(e + 4), so the first cube's 0.5 log(e + 2) stays the maximum
     g = Grid(1, (0.0,), (1.0,), (8,))
     p = ExponentField(GridFunction(g, 2.0 + g.node_coords[:, 0]))
-    assert log_holder_constant(p, vmo_levels=1).vmo_oscillation == pytest.approx(
+    assert log_holder_constant(p).vmo_oscillation == pytest.approx(
         0.5 * math.log(E + 2.0), rel=1e-14)
     const = constant_exponent(g, 2.0)
-    assert log_holder_constant(const, vmo_levels=1).vmo_oscillation == 0.0
+    assert log_holder_constant(const).vmo_oscillation == 0.0
 
 
 def test_vanishing_profile_constant_exponent():
@@ -266,7 +261,7 @@ def test_vanishing_profile_constant_exponent():
 
 def test_vanishing_profile_unattainable_epsilon():
     g = Grid(1, (0.0,), (2.0,), (2,))
-    p = ExponentField(GridFunction(g, 1.0 / np.array([0.5, 0.4, 0.45])), 2.0)
+    p = ExponentField(GridFunction(g, 1.0 / np.array([0.5, 0.4, 0.45])))
     prof = vanishing_profile(p, (0.5, 0.05))
     eps, r, R = prof[1]
     assert eps == 0.05 and r is None  # neighbour pairs already exceed 0.05

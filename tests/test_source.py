@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -332,3 +333,66 @@ def test_every_public_function_is_reached():
     assert not unreached, f"public routines nothing but tests reach: {sorted(unreached)}"
     stale = exempt - (public - _reached(loads, public, traced))
     assert not stale, f"exempt but reached or gone, drop from the table: {sorted(stale)}"
+
+
+# Optional parameters of public routines that no command, module or
+# benchmark sets, kept on purpose.  An entry that becomes set must leave
+# this table.
+_UNSET_BY_DESIGN = {
+    "good_lambda_measure.max_level": "acceptance gate 8 measures the occupancy decay at lattice "
+                                     "level 5, below the default floor of its 512-cell grid",
+}
+
+
+def _optional(node: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each parameter of ``node`` that has a default, with the position a
+    call passes it at, or None when it is keyword-only; a method's
+    positions start after self."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = {arg.arg: i - method for i, arg in enumerate(positional) if i >= first}
+    out |= {arg.arg: None for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+    return out
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, float, set[str]]]:
+    """Every call of the module: the callee, ``f`` or ``.f`` for ``x.f(``,
+    the number of positional arguments and the keyword names; a ``*``
+    argument passes every position and a ``**`` argument every keyword
+    (the name ``**``)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else "." + f.attr if isinstance(
+                f, ast.Attribute) else None
+            starred = any(isinstance(x, ast.Starred) for x in node.args)
+            out.append((name, math.inf if starred else len(node.args),
+                        {k.arg or "**" for k in node.keywords}))
+    return out
+
+
+def test_every_optional_parameter_is_set():
+    # an option that only tests set is dead surface: each parameter with a
+    # default of a public routine (as in test_every_public_function_is_reached)
+    # must be passed, at its position or by keyword, by some call in
+    # src/varexp or perfbench/*.py, or sit in _UNSET_BY_DESIGN with its reason
+    pkg = Path(varexp.__file__).parent
+    bench = pkg.parents[1] / "perfbench"
+    modules = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(pkg.glob("*.py"))]
+    scripts = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(bench.glob("*.py"))]
+    calls = [c for tree in modules + scripts for c in _calls(tree)]
+    unset = set()
+    for tree in modules:
+        for q, node in _public(tree).items():
+            method = "." in q
+            names = {"." + q.rpartition(".")[2]} if method else {q, "." + q}
+            seen = [(npos, kws) for name, npos, kws in calls if name in names]
+            unset |= {f"{q}.{param}" for param, pos in _optional(node, method).items()
+                      if not any(param in kws or "**" in kws or pos is not None and pos < npos
+                                 for npos, kws in seen)}
+    exempt = set(_UNSET_BY_DESIGN)
+    assert not unset - exempt, f"options nothing but tests set: {sorted(unset - exempt)}"
+    stale = exempt - unset
+    assert not stale, f"exempt but set or gone, drop from the table: {sorted(stale)}"
