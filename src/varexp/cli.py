@@ -774,8 +774,8 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     coarse = None
     for level in range(cfg.refinements + 1):
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, tuple(c * 2**level for c in cfg.cells))
-        coarse = add("refinement", _cells_str(grid.cells), grid, _build_exponent(cfg, grid),
-                     _root(cfg, grid), coarse)
+        p = p0 if level == 0 else _build_exponent(cfg, grid)  # level 0 is the base grid
+        coarse = add("refinement", _cells_str(grid.cells), grid, p, _root(cfg, grid), coarse)
 
     for size in cfg.sizes:
         add("size", _fmt(size), base, p0, _size_root(base.domain, size))

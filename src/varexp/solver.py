@@ -39,8 +39,15 @@ solve block, where F11 is factored and F21 read; the Schur product is
 formed on the diagonal blocks of the update rows split in two halves and
 on the block below them, and taken from the packed triangle, which is then
 the update matrix the front passes on; the root, which has no update set,
-forms none.  A depth drops its children's update matrices once its last
-batch has summed them.  A depth is solved by one gather, one batched
+forms none.  Each group lists its fronts in the order their parents sum
+them, by parent group and then parent slot, so each parent batch sums a
+run of each child group's update matrices that starts where the last run
+ended (Liu, 1992: an update matrix is needed only until its parent has
+assembled it).  A depth's update matrices sit in an anonymous mapping of
+their own: after each parent batch the whole pages of the runs it summed
+go back to the OS, and the mapping is unmapped once the depth above has
+summed it all.  On the heap they would stay resident, because glibc keeps
+the pages of a freed array.  A depth is solved by one gather, one batched
 product per group and one scatter; the tree is built once per solve.
 That first factor is reused as a CG preconditioner, refactor on a CG miss:
 each later system, across steps and gamma stages, is solved inexactly by
@@ -82,6 +89,7 @@ Newton steps, as many as a cold start, and the final stage alone took 4.
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -303,17 +311,19 @@ def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _Group:
     """The fronts of one dissection depth that share a shape: ``p`` pivot
     dofs, then ``u = m - p`` update dofs; the boundary corners of their
-    cells point at a dummy place m.
+    cells point at a dummy place m.  The fronts are listed in the order
+    their parents sum them: by the parent's group, then its slot there,
+    siblings in tree order.
 
     ``piv`` and ``upd`` are the (fronts, p) and (fronts, u) dof positions in
     elimination order; ``cells`` are the cells whose element matrices the
     group assembles, ``cell_slot`` the front of each and ``cell_local`` the
     place of each of its dofs in that front, sorted by front.  ``children``
     has, for each group one depth deeper with fronts whose parents are
-    here, its index in its depth, those fronts' rows in it, the slot of
-    each one's parent here, the place of each of their update dofs here and
-    the place in this group's batch of the column of each, sorted by
-    parent.
+    here, its index in its depth, those fronts' rows in it (one run), the
+    slot of each one's parent here, the place of each of their update dofs
+    here and the place in this group's batch of the column of each, sorted
+    by parent.
 
     In a batch a front is ``size`` entries: its p pivot columns of m rows,
     column by column, then the ``tri`` entries of the lower triangle of its
@@ -440,7 +450,12 @@ class _Elimination:
             count = (halo < n).sum(axis=1)
             self.nnz += int(np.sum(size * N * (size * N + 1) // 2 + count * N * size * N))
             shapes = sorted(set(zip(size.tolist(), count.tolist())))
-            members = [np.flatnonzero((size == P) & (count == C)) for P, C in shapes]
+            order = np.arange(b - a)  # the fronts in the order their parents sum them
+            if above is not None:
+                up_group, up_slot = above[3:]
+                up = tree.parent[a:b] - (a - len(up_group))  # each front's row in the depth above
+                order = np.lexsort((up_slot[up], up_group[up]))  # stable: siblings keep their order
+            members = [order[(size[order] == P) & (count[order] == C)] for P, C in shapes]
             group, slot = np.empty(b - a, dtype=np.intp), np.empty(b - a, dtype=np.intp)
             for k, rows in enumerate(members):
                 group[rows], slot[rows] = k, np.arange(len(rows))
@@ -457,14 +472,13 @@ class _Elimination:
                 groups.append(_Group(p, m, dofs(start[rows, None] + np.arange(P)), dofs(upd),
                                      mine, slot[owner[mine] - a].astype(np.int32), local))
                 if above is not None:  # these fronts' update matrices go to the depth above
-                    up_group, up_slot = above[3:]
-                    up = tree.parent[a + rows] - (a - len(up_group))  # row in the depth above
-                    node = place(above, np.repeat(up, C), upd.reshape(-1)).reshape(upd.shape)
+                    up_row = up[rows]
+                    node = place(above, np.repeat(up_row, C), upd.reshape(-1)).reshape(upd.shape)
                     local = dofs(node).astype(np.int32)
-                    for j in sorted(set(up_group[up].tolist())):
-                        there = np.flatnonzero(up_group[up] == j)
-                        there = there[np.argsort(up_slot[up[there]], kind="stable")]
-                        parent, to = self.depths[-1].groups[j], up_slot[up[there]].astype(np.int32)
+                    for j in sorted(set(up_group[up_row].tolist())):
+                        there = np.flatnonzero(up_group[up_row] == j)  # one run, by parent slot
+                        parent = self.depths[-1].groups[j]
+                        to = up_slot[up_row[there]].astype(np.int32)
                         column = parent.col[local[there]] + to[:, None] * parent.size
                         parent.children.append((k, there, to, local[there], column))
             self.depths.append(_Depth(
@@ -525,9 +539,11 @@ class _Elimination:
         LinAlgError when a front's pivot block is not positive definite.
         Each group hands its update matrices, lower triangles packed column
         by column, with the row and column of each packed entry, to the
-        groups one depth up.  A depth's blocks W sit in one buffer, and so
-        do its update triangles, dropped once the depth above has summed
-        them.  A group is factored ``_Group.batch`` fronts at a time; one
+        groups one depth up.  A depth's blocks W sit in one buffer, and its
+        update triangles in one mapping of their own (``_Stack``): the
+        depth above hands their pages back as its batches sum them and
+        drops the mapping once its last batch has.  A group is factored
+        ``_Group.batch`` fronts at a time; one
         buffer, allocated once per factorization, holds the batch's fronts
         and then its workspace: the index arrays, the gathered update
         values, F11^-1 and the Schur blocks."""
@@ -536,15 +552,16 @@ class _Elimination:
                 min(g.batch, len(g.piv)) * g.size + 1 + g.workspace
                 for d in self.depths for g in d.groups)
         buffer = np.empty(self._entries)
-        blocks, below = [], None  # below: per group one depth down, (updates, (rows, columns))
+        # below: per group one depth down, (updates, (rows, columns), stack, first entry in it)
+        blocks, below = [], None
         for depth in self.depths:
             here, last = [], depth.groups[-1]
             held = np.empty(sum(len(g.piv) * g.m * g.p for g in depth.groups))
-            flat = np.empty(sum(len(g.piv) * g.tri for g in depth.groups))
+            stack, at = _Stack(sum(len(g.piv) * g.tri for g in depth.groups)), 0
             for g in depth.groups:
                 nf, p, m, u = len(g.piv), g.p, g.m, g.m - g.p
                 W, held = held[:nf * m * p].reshape(nf, m, p), held[nf * m * p:]
-                U, flat = flat[:nf * g.tri].reshape(nf, g.tri), flat[nf * g.tri:]
+                U = stack.values[at:at + nf * g.tri].reshape(nf, g.tri)
                 tri = _tril(u)
                 # the Schur blocks, rows [0, h) x [0, h) and [h, u) x [0, u) for h = u // 2,
                 # one after the other: the place in them of each packed entry
@@ -559,7 +576,8 @@ class _Elimination:
                     self._eliminate(g, F[:-1].reshape(-1, g.size), W[s], U[s] if u else None,
                                     schur, work)
                 blocks.append(W)
-                here.append((U, tri))
+                here.append((U, tri, stack, at))
+                at += nf * g.tri
                 del schur  # before the next group's table is built
             below = here
         return _Factor(self, blocks)
@@ -573,7 +591,10 @@ class _Elimination:
         among the parent's, so its triangle lands in the parent's, and an
         element entry above the diagonal, or in the row or column of a
         boundary dof, goes to the junk entry.  ``work`` holds the index
-        arrays and the gathered update values."""
+        arrays and the gathered update values.  The children's rows run in
+        the order their parents sum them, so once this batch has summed a
+        child group's run, that group's rows up to the run's end are summed
+        and their whole pages go back to the OS."""
         m, size, col = g.m, g.size, g.col
         junk = len(F) - 1
         F[:] = 0.0
@@ -591,7 +612,7 @@ class _Elimination:
             np.copyto(at, junk, where=upper)
             np.add.at(F, at.reshape(-1), E[g.cells[lo:hi]].reshape(-1))
         for j, rows, slot, local, column in g.children:
-            U, (i, k) = below[j]
+            U, (i, k), stack, first = below[j]
             lo, hi = np.searchsorted(slot, (s.start, s.stop))
             local, column = local[lo:hi], column[lo:hi] - s.start * size
             for t in _batches(hi - lo, 2 * len(i)):  # two index arrays at a time
@@ -604,6 +625,8 @@ class _Elimination:
                 values = np.take(U, rows[lo:hi][t], axis=0, out=work[h:h + n].reshape(at.shape),
                                  mode="clip")
                 np.add.at(F, at.reshape(-1), values.reshape(-1))
+            if hi > lo:  # the group's rows before rows[lo] were summed by earlier batches
+                stack.release(first, first + rows[lo] * len(i), first + (rows[hi - 1] + 1) * len(i))
 
     @staticmethod
     def _eliminate(g: _Group, F: np.ndarray, W: np.ndarray, U: np.ndarray | None,
@@ -647,6 +670,30 @@ def _batches(count: int, size: int):
     """Slices of range(count) of at most _BATCH // size items (at least one)."""
     step = max(1, _BATCH // max(size, 1))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+class _Stack:
+    """``entries`` float64 ``values`` in a private anonymous mapping of
+    their own, so that the pages handed back leave the process: glibc
+    keeps the pages of a freed heap array.  The mapping is unmapped once
+    the stack and every view of ``values`` are gone."""
+
+    def __init__(self, entries: int):
+        self._map = mmap.mmap(-1, 8 * max(entries, 1), flags=mmap.MAP_PRIVATE)
+        self.values = np.frombuffer(self._map, count=entries)
+
+    def release(self, first: int, start: int, stop: int) -> None:
+        """Hand back to the OS the whole pages of entries [first, stop),
+        all summed and never read again, that hold an entry of
+        [start, stop); the pages of [first, start) went with earlier calls.
+        A page handed back reads as zeros.  Where mmap has no madvise,
+        nothing is handed back."""
+        if not hasattr(mmap, "MADV_DONTNEED"):
+            return
+        page = mmap.PAGESIZE // 8
+        lo, hi = max(-(-first // page), start // page) * page, stop // page * page
+        if hi > lo:
+            self._map.madvise(mmap.MADV_DONTNEED, 8 * lo, 8 * (hi - lo))
 
 
 class _Factor:

@@ -736,15 +736,25 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
     assert {r.split(",")[0] for r in rows} == {"refinement", "size", "amplitude"}
     assert len(rows) == 2 * 2 + 2 * 2 + 2 * 4
 
-    # varying p: amplitude 0.5 is a new instance, and no solve repeats
+    # varying p: amplitude 0.5 is a new instance, and no solve repeats; the
+    # exponent table is read once per grid, the base grid's reused at level 0
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (4, 4))
     table = GridFunction(g, 2.0 + 0.3 * np.sin(g.node_coords[:, 0]))
     write_field(tmp_path / "p.vxf", table)
     solved.clear()
     warm.clear()
+    reads = []
+
+    def reading(path):
+        reads.append(Path(path).name)
+        return read(path)
+
+    read = cli.read_field
+    monkeypatch.setattr(cli, "read_field", reading)
     text = BASE.replace("kind = constant", "kind = table\npath = p.vxf")
     f = cfg_file(tmp_path, text + sweep, name="table.cfg")
     assert main(["sweep", "--config", str(f), "--out", str(out)]) == EXIT_OK
+    assert reads == ["p.vxf", "p.vxf"]  # the 8^2 base grid and the 16^2 refinement
     assert len(solved) == len(set(solved)) >= 3
     # only the refined grid is warm; the base grid at every amplitude is cold
     assert warm == [grid.cells != (8, 8) for grid, _ in solved]

@@ -2,7 +2,9 @@
 CG linear algebra, nested warm starts, and the manufactured instances."""
 
 import math
+import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -421,11 +423,146 @@ def test_streamed_element_matrices_give_the_formed_bytes(dim, N, gamma, monkeypa
         assert got.solve(b).tobytes() == want.solve(b).tobytes()
 
 
-def _cold_solve_peak_and_bound(side: int, buffer, slack: float) -> tuple[int, float]:
-    """The traced peak of a cold side^3 bump solve at p = 1.5, and the bound
+class _Mappings:
+    """Stands in for the mmap module in ``solver`` and watches the update
+    stacks it maps: ``mapped`` counts the mappings not yet unmapped,
+    ``live`` their bytes not handed back, ``pages[id(m)]`` the pages
+    handed back from mapping m and ``handed`` all the bytes handed back.
+    ``sample`` is called just before ``live`` changes."""
+
+    PAGESIZE, MAP_PRIVATE, MADV_DONTNEED = mmap.PAGESIZE, mmap.MAP_PRIVATE, mmap.MADV_DONTNEED
+
+    def __init__(self, sample=lambda: None):
+        self.mapped = self.live = self.handed = 0
+        self.pages = {}
+        watch = self
+
+        class Mapping(mmap.mmap):
+            def __new__(cls, *args, **kwargs):
+                m = super().__new__(cls, *args, **kwargs)
+                watch.change(len(m))
+                watch.mapped += 1
+                watch.pages[id(m)] = set()
+                weakref.finalize(m, watch.unmapped, id(m), len(m))
+                return m
+
+            def madvise(self, option, start, length):
+                size = mmap.PAGESIZE
+                assert option == mmap.MADV_DONTNEED and start % size == 0 == length % size
+                new = set(range(start // size, (start + length) // size)) - watch.pages[id(self)]
+                watch.change(-size * len(new))
+                watch.handed += size * len(new)
+                watch.pages[id(self)] |= new
+                super().madvise(option, start, length)
+
+        self.mmap = Mapping
+        self.sample = sample
+
+    def change(self, size: int) -> None:
+        self.sample()
+        self.live += size
+
+    def unmapped(self, key: int, size: int) -> None:
+        self.change(mmap.PAGESIZE * len(self.pages.pop(key)) - size)
+        self.mapped -= 1
+
+
+@pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((24, 25), 2), ((5, 7, 11), 1), ((131,), 1)])
+def test_child_fronts_are_listed_in_the_order_their_parents_sum_them(cells, N):
+    # each group's fronts are sorted by parent group, then parent slot, so
+    # each parent batch sums a run of every child group's rows that starts
+    # where the runs summed before it end; siblings stay in tree order
+    d = len(cells)
+    g = Grid(d, (0.0,) * d, (1.0,) * d, cells)
+    elim = solver._Elimination(g, N)
+    tree = _dissection(tuple(c - 1 for c in cells))
+    by_start = np.argsort(tree.start)
+    several = False
+    for deeper, depth in zip(elim.depths, elim.depths[1:]):
+        runs = [[] for _ in deeper.groups]
+        for parent in depth.groups:
+            for k, rows, slot, _, _ in parent.children:
+                runs[k].append((rows, slot))
+        for gr, run in zip(deeper.groups, runs):
+            several |= len(run) > 1
+            assert np.array_equal(np.concatenate([rows for rows, _ in run]), np.arange(len(gr.piv)))
+            assert all(np.all(np.diff(slot) >= 0) for _, slot in run)
+            # front ids from the first pivot: siblings share a parent and keep their order
+            ids = by_start[np.searchsorted(tree.start[by_start], gr.piv[:, 0] // N, "right") - 1]
+            assert np.all(np.diff(ids)[np.diff(tree.parent[ids]) == 0] > 0)
+    assert several == (cells in ((9, 8, 9), (24, 25)))  # a child group under two parent groups
+
+
+@pytest.mark.parametrize("cells, N, batch", [
+    ((8, 8, 8), 3, 64), ((8, 8, 8), 3, None), ((24, 25), 2, 64), ((24, 25), 2, None),
+    ((9, 8, 9), 1, 1 << 12)])
+def test_update_pages_leave_once_their_parent_batch_has_summed_them(cells, N, batch, monkeypatch):
+    # after each parent batch's extend-add, every whole page of a child
+    # group's summed rows, which end where the batch's run ends, has been
+    # handed back, and no page that holds an entry not yet summed; at most
+    # two stacks are mapped at once (the depth being summed and the depth
+    # being formed), and none once the factor returns
+    watch = _Mappings()
+    monkeypatch.setattr(solver, "mmap", watch)
+    if batch:
+        monkeypatch.setattr(solver, "_BATCH", batch)
+    elim, E, _ = _random_lattice_system(cells, N, np.random.default_rng(len(cells) + N))
+    assemble, page, checked = solver._Elimination._assemble, mmap.PAGESIZE // 8, []
+    summed = weakref.WeakKeyDictionary()  # per stack, its entries summed so far
+
+    def watched(g, s, E, below, F, work):
+        assemble(g, s, E, below, F, work)
+        assert watch.mapped <= 2
+        runs = []  # per child group: its stack and the run of entries [first, stop) summed so far
+        for j, rows, slot, _, _ in g.children:
+            U, _, stack, first = below[j]
+            done = summed.setdefault(stack, np.zeros(stack.values.size, dtype=bool))
+            lo, hi = np.searchsorted(slot, (s.start, s.stop))
+            if hi > lo:
+                stop = first + (rows[hi - 1] + 1) * U.shape[1]
+                done[first + rows[lo] * U.shape[1]:stop] = True
+                runs.append((stack, first, stop))
+        for stack, first, stop in runs:
+            handed = watch.pages[id(stack._map)]
+            assert set(range(-(-first // page), stop // page)) <= handed
+            assert all(summed[stack][q * page:(q + 1) * page].all() for q in handed)
+            checked.append(len(handed))
+
+    monkeypatch.setattr(solver._Elimination, "_assemble", staticmethod(watched))
+    elim.factor(E)
+    assert watch.mapped == 0 and watch.live == 0
+    assert watch.handed > 0 and len(checked) >= len(elim.depths) - 1
+
+
+@pytest.mark.parametrize("cells, N, batch", [
+    ((8, 8, 8), 3, 64), ((8, 8, 8), 3, None), ((24, 25), 2, 64), ((9, 8, 9), 1, 1 << 12)])
+def test_pages_handed_back_are_never_read(cells, N, batch, monkeypatch):
+    # a page handed back reads as zeros: the factor's blocks and its solve
+    # are the bytes of a factor whose release hands nothing back
+    watch = _Mappings()
+    monkeypatch.setattr(solver, "mmap", watch)
+    if batch:
+        monkeypatch.setattr(solver, "_BATCH", batch)
+    rng = np.random.default_rng(sum(cells) + N)
+    elim, E, _ = _random_lattice_system(cells, N, rng)
+    b = rng.normal(size=elim.n)
+    released = elim.factor(E)
+    assert watch.handed > 0
+    monkeypatch.setattr(solver._Stack, "release", lambda self, first, start, stop: None)
+    kept = elim.factor(E)
+    assert [W.tobytes() for W in released.blocks] == [W.tobytes() for W in kept.blocks]
+    assert released.solve(b).tobytes() == kept.solve(b).tobytes()
+
+
+def _cold_solve_peak_and_bound(side: int, buffer, slack: float,
+                               monkeypatch) -> tuple[int, float]:
+    """The peak of a cold side^3 bump solve at p = 1.5, and the bound
     ``slack`` x (the complete factor W, the two largest adjacent update
     stacks, ``buffer(groups)`` entries and the Hessian coefficients), all
-    of them counted unpadded, in bytes."""
+    of them counted unpadded, in bytes.  The peak is of the traced bytes
+    plus the update stacks' live bytes, which tracemalloc does not see: the
+    traced peak is read, and reset, whenever the live bytes change, so the
+    peak of the sum is exact."""
     g = Grid(3, (0.0,) * 3, (1.0,) * 3, (side,) * 3)
     p = constant_exponent(g, 1.5)
     _, G, bnd = manufactured_instance("bump", g)
@@ -435,35 +572,47 @@ def _cold_solve_peak_and_bound(side: int, buffer, slack: float) -> tuple[int, fl
     U = [sum(len(gr.piv) * gr.tri for gr in d.groups) for d in depths]
     coefficients = g.num_cells * (2**3 + 2)  # w, s1 and s2
     bound = slack * 8 * (W + max(a + b for a, b in zip(U, U[1:])) + buffer(groups) + coefficients)
+    peak = 0
+
+    def sample():
+        nonlocal peak
+        peak = max(peak, tracemalloc.get_traced_memory()[1] + watch.live)
+        tracemalloc.reset_peak()
+
+    watch = _Mappings(sample)
+    monkeypatch.setattr(solver, "mmap", watch)
     tracemalloc.start()
     try:
         res = solve_pxlaplace(G, p, bnd, SolveOptions())
-        peak = tracemalloc.get_traced_memory()[1]
+        sample()
     finally:
         tracemalloc.stop()
     assert res.converged, res.message
+    assert watch.handed > 0
     return peak, bound
 
 
-def test_factor_holds_fronts_not_every_element_matrix():
-    # a cold 16^3 solve's traced peak stays within the complete factor W,
+def test_factor_holds_fronts_not_every_element_matrix(monkeypatch):
+    # a cold 16^3 solve's peak stays within the complete factor W,
     # the two largest adjacent update stacks, one frontal batch buffer and
     # the Hessian coefficients, with 15 % slack, all of them counted
     # unpadded; holding the element matrices of every cell (2.1 MB here),
     # a 2^20-entry buffer or fronts padded to their depth's largest breaks it
     peak, bound = _cold_solve_peak_and_bound(
-        16, lambda groups: max(solver._BATCH, max((gr.m + 1) ** 2 for gr in groups)), 1.15)
+        16, lambda groups: max(solver._BATCH, max((gr.m + 1) ** 2 for gr in groups)), 1.15,
+        monkeypatch)
     assert peak <= bound, (peak, bound)
 
 
-def test_factor_holds_pivot_columns_not_square_fronts():
+def test_factor_holds_pivot_columns_not_square_fronts(monkeypatch):
     # at 24^3 the widest fronts pass _BATCH (the depth-1 fronts have 253
-    # pivots and 782 rows), so the batch buffer binds: the traced peak stays
+    # pivots and 782 rows), so the batch buffer binds: the peak stays
     # within the bound above with the pivot columns of the widest front
     # (m p entries) for the buffer and 5 % slack.  A frontal buffer of
     # (m + 1)^2 entries, 4.9 MB here, breaks it
     peak, bound = _cold_solve_peak_and_bound(
-        24, lambda groups: max(gr.m * gr.p for gr in groups if gr.m * gr.p > solver._BATCH), 1.05)
+        24, lambda groups: max(gr.m * gr.p for gr in groups if gr.m * gr.p > solver._BATCH), 1.05,
+        monkeypatch)
     assert peak <= bound, (peak, bound)
 
 
