@@ -196,16 +196,15 @@ class Grid:
         b = np.arange(2**self.dim)
         return np.stack([(b >> (self.dim - 1 - k)) & 1 for k in range(self.dim)], axis=1)
 
-    @cached_property
+    @property
     def cell_corner_indices(self) -> np.ndarray:
-        """(num_cells, 2**dim) flat node indices of each cell's corners."""
-        idx_axes = [np.arange(c) for c in self.cells]
-        mesh = np.meshgrid(*idx_axes, indexing="ij")
-        cell_idx = np.stack(mesh, axis=-1).reshape(-1, self.dim)  # (nc, d)
-        corners = cell_idx[:, None, :] + self.corner_bits[None, :, :]  # (nc, 2^d, d)
-        return np.ravel_multi_index(
-            tuple(corners[..., k] for k in range(self.dim)), self.nodes_per_axis
-        )
+        """(num_cells, 2**dim) flat node indices of each cell's corners,
+        computed on each call: a cell's lowest corner plus each corner's
+        offset, both from the row-major node strides."""
+        stride = np.cumprod((1,) + self.nodes_per_axis[:0:-1])[::-1]
+        first = sum(np.arange(c).reshape((-1,) + (1,) * (self.dim - 1 - k)) * s
+                    for k, (c, s) in enumerate(zip(self.cells, stride)))
+        return first.reshape(-1, 1) + self.corner_bits @ stride
 
     @cached_property
     def grad_coefs(self) -> np.ndarray:

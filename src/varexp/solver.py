@@ -27,15 +27,20 @@ matrices of its children.  The fronts of one dissection depth fall into
 shape groups, the fronts with equal pivot and update counts, so no front
 is padded.  A front is held as its pivot columns and then the lower
 triangle of its update block, both column by column, so an entry's place
-is its row plus an offset of its column, the extend-add is two gathers
-and one np.add.at, and no square frontal matrix is formed.  A group is
-factored in batches whose fronts and Schur blocks hold at most _BATCH
+is its row plus an offset of its column, and no square frontal matrix is
+formed.  The extend-add reads a child's update triangles in place and
+sums them in steps of at most _SUM_STEP entries, two gathers and one
+np.add.at each, so no index table of a whole triangle is copied.  A group
+is factored in batches whose fronts and Schur blocks hold at most _BATCH
 entries (or one front), one batched NumPy call per kernel and batch; one
 buffer, allocated once per factorization, holds a batch's fronts and its
 temporaries.  Each batch's element matrices are formed from the Hessian
 coefficients as it is assembled, so the matrices of all cells are never
 held at once.  The pivot columns are copied row by row into the front's
-solve block, where F11 is factored and F21 read; the Schur product is
+solve block, where F21 is read and F11 is overwritten by L11^-1: a pivot
+block of more than _CHOLESKY_BLOCK rows is halved recursively in place,
+with its temporaries in the batch's workspace, or at the root in the
+front's own room, so no pivot block is copied; the Schur product is
 formed on the diagonal blocks of the update rows split in two halves and
 on the block below them, and taken from the packed triangle, which is then
 the update matrix the front passes on; the root, which has no update set,
@@ -189,10 +194,13 @@ class SolverResult:
 
 _LEAF = 32  # nodes at or below which a lattice block is not split further
 _INVERSE_BLOCK = 16  # order up to which a triangular inverse is one np.linalg.inv
+# order up to which a pivot block is factored by np.linalg.cholesky, not halved in place
+_CHOLESKY_BLOCK = 4 * _INVERSE_BLOCK
 # entries of the fronts and Schur blocks, or of the scatters, formed at once: the
 # knee of peak memory against factor time, measured over 2^17 to 2^20 at 128^2
 # and 24^3 with square fronts
 _BATCH = 1 << 18
+_SUM_STEP = _BATCH // 8  # entries of a child's update triangles summed at once
 _GAMMA_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-4, 0.0)  # continuation stages
 _GAMMA_FLOOR = 1e-8  # least gamma of a stage when p- < 2
 _STAGE_REDUCTION = 0.5  # residual factor that ends a non-final gamma stage
@@ -307,6 +315,34 @@ def _lower_inverse(L: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inverse_cholesky(X: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of each block of a stack X of
+    symmetric positive definite matrices, written over X (read from its
+    lower triangle) with zeros above the diagonal, by halving: with
+    X = [[A, .], [B, C]], A <- L_A^-1, L21 = B L_A^-T, C <- C - L21 L21^T,
+    C <- L_C^-1 in turn, and B <- -L_C^-1 L21 L_A^-1.  The temporaries sit
+    in ``room``, a flat array of at least len(X) * ceil(n / 2) * n entries
+    for blocks of order n, so no block is copied; a block of order
+    _CHOLESKY_BLOCK or less is factored by np.linalg.cholesky and inverted
+    by _lower_inverse.  Raises LinAlgError when a block is not positive
+    definite."""
+    nb, n = X.shape[0], X.shape[-1]
+    if n <= _CHOLESKY_BLOCK:
+        return _lower_inverse(np.linalg.cholesky(X), X)
+    h = n // 2
+    a = n - h
+    A, B, C = X[:, :h, :h], X[:, h:, :h], X[:, h:, h:]
+    _inverse_cholesky(A, room)
+    L21 = np.matmul(B, A.transpose(0, 2, 1), out=room[:nb * a * h].reshape(nb, a, h))
+    rest = room[nb * a * h:]  # the room after L21
+    C -= np.matmul(L21, L21.transpose(0, 2, 1), out=rest[:nb * a * a].reshape(nb, a, a))
+    _inverse_cholesky(C, rest)
+    M = np.matmul(L21, A, out=rest[:nb * a * h].reshape(nb, a, h))
+    np.negative(np.matmul(C, M, out=L21), out=B)
+    X[:, :h, h:] = 0.0
+    return X
+
+
 @dataclass
 class _Group:
     """The fronts of one dissection depth that share a shape: ``p`` pivot
@@ -315,8 +351,8 @@ class _Group:
     their parents sum them: by the parent's group, then its slot there,
     siblings in tree order.
 
-    ``piv`` and ``upd`` are the (fronts, p) and (fronts, u) dof positions in
-    elimination order; ``cells`` are the cells whose element matrices the
+    ``fronts`` counts them (their pivot and update dofs are in the
+    ``_Depth`` tables); ``cells`` are the cells whose element matrices the
     group assembles, ``cell_slot`` the front of each and ``cell_local`` the
     place of each of its dofs in that front, sorted by front.  ``children``
     has, for each group one depth deeper with fronts whose parents are
@@ -332,8 +368,7 @@ class _Group:
     """
     p: int
     m: int
-    piv: np.ndarray
-    upd: np.ndarray
+    fronts: int
     cells: np.ndarray
     cell_slot: np.ndarray
     cell_local: np.ndarray
@@ -373,16 +408,17 @@ class _Group:
     @property
     def workspace(self) -> int:
         """The entries a batch writes past its fronts: the int32 places and
-        bool mask of its cells' element entries, the int32 places and
-        gathered values of its children's update triangles, and F11^-1 or
-        the Schur blocks."""
-        p, u, b = self.p, self.m - self.p, min(self.batch, len(self.piv))
+        bool mask of its cells' element entries, the two int32 index
+        arrays of one extend-add step (``_extend_add``), and F11^-1 or the
+        Schur blocks, whose room the pivot blocks' temporaries
+        (``_inverse_cholesky``) use first."""
+        p, u, b = self.p, self.m - self.p, min(self.batch, self.fronts)
         cells = b * self.cell_local.shape[1] ** 2 * (
             int(np.bincount(self.cell_slot).max()) if len(self.cells) else 0)
         need = [(cells * 5 + 7) // 8, b * max(p * p, self.schur) if u else 0]
         for _, rows, _, local, _ in self.children:
             tri = local.shape[1] * (local.shape[1] + 1) // 2  # a child's packed update entries
-            need.append(3 * tri * min(len(rows), max(1, _BATCH // (2 * tri))) // 2 + 1)
+            need.append(min(len(rows), max(1, _SUM_STEP // tri)) * min(tri, _SUM_STEP))
         return max(need)
 
 
@@ -391,7 +427,7 @@ class _Depth:
     """The fronts of one dissection depth, in shape groups.  ``piv`` lists
     the groups' pivot dofs and ``var`` their pivot and update dofs, front
     by front, one group after the other, so the solve gathers and scatters
-    a depth at once."""
+    a depth at once; they are the only tables of a front's dofs."""
     groups: list[_Group]
     piv: np.ndarray
     var: np.ndarray
@@ -460,7 +496,7 @@ class _Elimination:
             for k, rows in enumerate(members):
                 group[rows], slot[rows] = k, np.arange(len(rows))
             cells = np.flatnonzero((owner >= a) & (owner < b))
-            groups = []
+            groups, piv, var = [], [], []  # per group its (fronts, p) and (fronts, m) dofs
             for k, ((P, C), rows) in enumerate(zip(shapes, members)):
                 p, m = P * N, (P + C) * N
                 mine = cells[group[owner[cells] - a] == k]
@@ -469,8 +505,10 @@ class _Elimination:
                              corners[mine].reshape(-1)).reshape(corners[mine].shape)
                 local = dofs(np.where(corners[mine] < n, node, n), m).astype(np.int32)
                 upd = halo[rows, :C]
-                groups.append(_Group(p, m, dofs(start[rows, None] + np.arange(P)), dofs(upd),
-                                     mine, slot[owner[mine] - a].astype(np.int32), local))
+                piv.append(dofs(start[rows, None] + np.arange(P)))
+                var.append(np.concatenate([piv[-1], dofs(upd)], axis=1))
+                groups.append(_Group(p, m, len(rows), mine, slot[owner[mine] - a].astype(np.int32),
+                                     local))
                 if above is not None:  # these fronts' update matrices go to the depth above
                     up_row = up[rows]
                     node = place(above, np.repeat(up_row, C), upd.reshape(-1)).reshape(upd.shape)
@@ -481,10 +519,8 @@ class _Elimination:
                         to = up_slot[up_row[there]].astype(np.int32)
                         column = parent.col[local[there]] + to[:, None] * parent.size
                         parent.children.append((k, there, to, local[there], column))
-            self.depths.append(_Depth(
-                groups, np.concatenate([g.piv.reshape(-1) for g in groups]),
-                np.concatenate([np.concatenate([g.piv, g.upd], axis=1).reshape(-1)
-                                for g in groups])))
+            self.depths.append(_Depth(groups, np.concatenate([d.reshape(-1) for d in piv]),
+                                      np.concatenate([d.reshape(-1) for d in var])))
             above = start, size, halo, group, slot
         self.depths.reverse()  # deepest first
 
@@ -545,21 +581,21 @@ class _Elimination:
         drops the mapping once its last batch has.  A group is factored
         ``_Group.batch`` fronts at a time; one
         buffer, allocated once per factorization, holds the batch's fronts
-        and then its workspace: the index arrays, the gathered update
-        values, F11^-1 and the Schur blocks."""
-        if self._sized != _BATCH:  # the buffer's entries, once for the batch size in force
-            self._sized, self._entries = _BATCH, max(
-                min(g.batch, len(g.piv)) * g.size + 1 + g.workspace
+        and then its workspace: the index arrays, the pivot blocks'
+        temporaries, F11^-1 and the Schur blocks."""
+        if self._sized != (_BATCH, _SUM_STEP):  # the buffer's entries, once per sizes in force
+            self._sized, self._entries = (_BATCH, _SUM_STEP), max(
+                min(g.batch, g.fronts) * g.size + 1 + g.workspace
                 for d in self.depths for g in d.groups)
         buffer = np.empty(self._entries)
         # below: per group one depth down, (updates, (rows, columns), stack, first entry in it)
         blocks, below = [], None
         for depth in self.depths:
             here, last = [], depth.groups[-1]
-            held = np.empty(sum(len(g.piv) * g.m * g.p for g in depth.groups))
-            stack, at = _Stack(sum(len(g.piv) * g.tri for g in depth.groups)), 0
+            held = np.empty(sum(g.fronts * g.m * g.p for g in depth.groups))
+            stack, at = _Stack(sum(g.fronts * g.tri for g in depth.groups)), 0
             for g in depth.groups:
-                nf, p, m, u = len(g.piv), g.p, g.m, g.m - g.p
+                nf, p, m, u = g.fronts, g.p, g.m, g.m - g.p
                 W, held = held[:nf * m * p].reshape(nf, m, p), held[nf * m * p:]
                 U = stack.values[at:at + nf * g.tri].reshape(nf, g.tri)
                 tri = _tril(u)
@@ -591,10 +627,11 @@ class _Elimination:
         among the parent's, so its triangle lands in the parent's, and an
         element entry above the diagonal, or in the row or column of a
         boundary dof, goes to the junk entry.  ``work`` holds the index
-        arrays and the gathered update values.  The children's rows run in
-        the order their parents sum them, so once this batch has summed a
-        child group's run, that group's rows up to the run's end are summed
-        and their whole pages go back to the OS."""
+        arrays.  The children's rows run in the order their parents sum
+        them, so the update triangles this batch sums from a child group are
+        a slice of its rows (``_extend_add``); once they are summed, all of
+        that group's rows up to the slice's end are, and their whole pages
+        go back to the OS."""
         m, size, col = g.m, g.size, g.col
         junk = len(F) - 1
         F[:] = 0.0
@@ -614,19 +651,12 @@ class _Elimination:
         for j, rows, slot, local, column in g.children:
             U, (i, k), stack, first = below[j]
             lo, hi = np.searchsorted(slot, (s.start, s.stop))
-            local, column = local[lo:hi], column[lo:hi] - s.start * size
-            for t in _batches(hi - lo, 2 * len(i)):  # two index arrays at a time
-                n = (t.stop - t.start) * len(i)
-                h = (n + 1) // 2  # the int32 places fill h entries; the values come after
-                at = work.view(np.int32)[:n].reshape(-1, len(i))
-                by = work[h:h + n].view(np.int32)[:n].reshape(at.shape)  # in the values' room
-                np.take(local[t], i, axis=1, out=at, mode="clip")  # in range: unbuffered
-                at += np.take(column[t], k, axis=1, out=by, mode="clip")
-                values = np.take(U, rows[lo:hi][t], axis=0, out=work[h:h + n].reshape(at.shape),
-                                 mode="clip")
-                np.add.at(F, at.reshape(-1), values.reshape(-1))
-            if hi > lo:  # the group's rows before rows[lo] were summed by earlier batches
-                stack.release(first, first + rows[lo] * len(i), first + (rows[hi - 1] + 1) * len(i))
+            if hi == lo:
+                continue
+            _extend_add(F, U[rows[lo]:rows[hi - 1] + 1], local[lo:hi],
+                        column[lo:hi] - s.start * size, i, k, work.view(np.int32))
+            # the group's rows before rows[lo] were summed by earlier batches
+            stack.release(first, first + rows[lo] * len(i), first + (rows[hi - 1] + 1) * len(i))
 
     @staticmethod
     def _eliminate(g: _Group, F: np.ndarray, W: np.ndarray, U: np.ndarray | None,
@@ -635,7 +665,10 @@ class _Elimination:
         into W the solve blocks [L11^-1; -L21 L11^-1], and into U, when
         given, the packed lower triangles of the update matrices
         F22 - L21 L21^T.  The pivot columns are copied into W row by row
-        first, for F11 and F21.  With the update rows split in two halves,
+        first, for F11 and F21, and F11 is overwritten there by L11^-1
+        (``_inverse_cholesky``), whose temporaries sit in ``work``, or at
+        the root in the fronts' own room, dead once copied.  With the
+        update rows split in two halves,
         the product K F21^T (K = L21 L11^-1, formed in the pivot columns'
         room) is formed on the two diagonal blocks and the block below
         them, in ``work``, and subtracted from the assembled triangle at
@@ -643,7 +676,7 @@ class _Elimination:
         no update set) neither F11^-1 nor K is formed."""
         p, m, nb = g.p, g.m, len(F)
         np.copyto(W, F[:, :m * p].reshape(nb, p, m).transpose(0, 2, 1))
-        L_inv = _lower_inverse(np.linalg.cholesky(W[:, :p]), W[:, :p])
+        L_inv = _inverse_cholesky(W[:, :p], work if U is not None else F.reshape(-1))
         if U is None:
             return
         u, h = m - p, (m - p) // 2
@@ -664,6 +697,27 @@ def _tril(u: int) -> tuple[np.ndarray, np.ndarray]:
     column by column."""
     k = np.repeat(np.arange(u, dtype=np.int32), np.arange(u, 0, -1))
     return np.arange(len(k), dtype=np.int32) - k * (2 * u - k - 1) // 2, k
+
+
+def _extend_add(F: np.ndarray, U: np.ndarray, local: np.ndarray, column: np.ndarray,
+                i: np.ndarray, k: np.ndarray, work: np.ndarray) -> None:
+    """Add the packed update triangles U (fronts, tri) of a run of one
+    child group's fronts into F: entry q of front f goes to
+    local[f, i[q]] + column[f, k[q]].  The entries are added in their
+    order, in steps of at most _SUM_STEP entries: whole triangles, or one
+    part of one triangle, so each step's int32 places, and their intp
+    copies that NumPy makes to index, take at most _SUM_STEP entries.  The
+    places sit in ``work``, int32, and U is read in place."""
+    fronts, tri = U.shape
+    per, part = max(1, _SUM_STEP // tri), min(tri, _SUM_STEP)
+    for f in range(0, fronts, per):
+        for q in range(0, tri, part):
+            rows, cols = slice(f, f + per), slice(q, q + part)
+            nr, nq = min(per, fronts - f), min(part, tri - q)
+            at, by = work[:2 * nr * nq].reshape(2, nr, nq)
+            np.take(local[rows], i[cols], axis=1, out=at, mode="clip")  # in range: unbuffered
+            at += np.take(column[rows], k[cols], axis=1, out=by, mode="clip")
+            np.add.at(F, at.reshape(-1), U[rows, cols].reshape(-1))  # a view: rows or one part
 
 
 def _batches(count: int, size: int):
@@ -711,7 +765,7 @@ class _Factor:
         for d in elim.depths:
             views, i, j = [], 0, 0
             for g in d.groups:
-                W, nf = next(held), len(g.piv)
+                W, nf = next(held), g.fronts
                 p, v = xp[i:i + nf * g.p], xv[j:j + nf * g.m]
                 views.append((W, p.reshape(nf, g.p, 1), v.reshape(nf, g.m, 1),
                               p.reshape(nf, 1, g.p), v.reshape(nf, 1, g.m)))

@@ -135,6 +135,28 @@ def test_gradient_vector_codomain():
     np.testing.assert_allclose(du[:, 1, 0], 2.0)
 
 
+@pytest.mark.parametrize("cells", [(2,), (7,), (3, 4), (6, 5), (2, 3, 4), (5, 4, 3), (3, 3, 3)])
+def test_cell_corner_indices_match_cell_loop(cells):
+    # the corner table, computed from the row-major node strides, is a loop
+    # over the cells that lists each corner by its per-axis node index,
+    # corner bits in order: the same int64 entries, odd and even counts
+    d = len(cells)
+    grid = Grid(d, (0.0,) * d, (1.0,) * d, cells)
+    nodes = tuple(c + 1 for c in cells)
+    want = []
+    for cell in np.ndindex(*cells):
+        row = []
+        for bits in np.ndindex(*(2,) * d):
+            flat = 0
+            for k in range(d):
+                flat = flat * nodes[k] + cell[k] + bits[k]
+            row.append(flat)
+        want.append(row)
+    got = grid.cell_corner_indices
+    assert got.dtype == np.int64 and got.shape == (grid.num_cells, 2**d)
+    assert np.array_equal(got, np.array(want, dtype=np.int64))
+
+
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("grid", [
     Grid(1, (0.5,), (1.5,), (3,)),

@@ -268,6 +268,19 @@ def test_multifrontal_direction_matches_splu_and_dense_cholesky(cells, N):
         assert max(len(d.groups) for d in elim.depths) >= 3
 
 
+def _group_dofs(depth):
+    """Each group of a depth with its (fronts, p) pivot and (fronts, m - p)
+    update dofs, read from the depth's tables, which they fill."""
+    i = j = 0
+    for gr in depth.groups:
+        piv = depth.piv[i:i + gr.fronts * gr.p].reshape(gr.fronts, gr.p)
+        var = depth.var[j:j + gr.fronts * gr.m].reshape(gr.fronts, gr.m)
+        assert np.array_equal(var[:, :gr.p], piv)
+        i, j = i + piv.size, j + var.size
+        yield gr, piv, var[:, gr.p:]
+    assert (i, j) == (depth.piv.size, depth.var.size)
+
+
 @pytest.mark.parametrize("cells, N", [
     ((67,), 1), ((24, 25), 2), ((9, 8, 9), 1), ((5, 7, 11), 2), ((10, 4, 7), 2),
 ])
@@ -284,18 +297,18 @@ def test_shape_groups_hold_real_fronts_only(cells, N):
     g = Grid(d, (0.0,) * d, (1.0,) * d, cells)
     elim = solver._Elimination(g, N)
     tree = _dissection(interior)
-    assert [sum(len(gr.piv) for gr in dp.groups) for dp in elim.depths] == \
+    assert [sum(len(piv) for _, piv, _ in _group_dofs(dp)) for dp in elim.depths] == \
         list(np.diff(tree.first)[::-1])
     piv = np.concatenate([dp.piv for dp in elim.depths])
     assert np.array_equal(np.sort(piv), np.arange(elim.n))
     for dp in elim.depths:
         assert len({(gr.p, gr.m) for gr in dp.groups}) == len(dp.groups)
-        for gr in dp.groups:
-            assert gr.piv.shape[1] == gr.p > 0 and gr.upd.shape[1] == gr.m - gr.p
-            assert (gr.upd >= 0).all() and (gr.upd < elim.n).all()
-            assert all(len(set(row)) == len(row) for row in gr.upd.tolist())
+        for gr, piv, upd in _group_dofs(dp):
+            assert piv.shape[1] == gr.p > 0 and upd.shape[1] == gr.m - gr.p
+            assert (upd >= 0).all() and (upd < elim.n).all()
+            assert all(len(set(row)) == len(row) for row in upd.tolist())
             if gr.m > gr.p:
-                assert (gr.upd.min(axis=1) > gr.piv.max(axis=1)).all()
+                assert (upd.min(axis=1) > piv.max(axis=1)).all()
     grown = np.prod(np.minimum(tree.hi + 1, interior) - np.maximum(tree.lo - 1, 0), axis=1)
     halo = grown - np.prod(tree.hi - tree.lo, axis=1)
     want = int(np.sum((tree.size + halo) * N * tree.size * N))
@@ -337,15 +350,18 @@ def test_packed_update_gather_matches_row_loop(cells, N, monkeypatch):
     assert len(packed) >= sum(len(d.groups) for d in elim.depths) - 1 and sum(packed) > 0
 
 
-@pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2)])
+@pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2), ((12, 6, 6), 3)])
 def test_fronts_form_no_product_they_do_not_read(cells, N, monkeypatch):
     # each front forms its Schur update K F21^T on its two diagonal blocks
     # and the block below them only, in the first g.schur workspace entries
-    # per front, after F11^-1 in the first p^2: the rest of the workspace,
-    # poisoned before the elimination, keeps its poison.  The root, which
-    # has no update set, forms neither F11^-1 nor K and writes no workspace
-    # entry; its W is L11^-1 alone.  The solve reads no poison, so the
-    # direction is dense Cholesky's
+    # per front, after F11^-1 in the first p^2, which the in-place pivot
+    # kernel's temporaries precede: the rest of the workspace, poisoned
+    # before the elimination, keeps its poison.  The root, which has no
+    # update set, forms neither F11^-1 nor K and writes no workspace entry,
+    # its kernel's temporaries included (they sit in the front's own room);
+    # its W is L11^-1 alone.  On (12, 6, 6) with N = 3 the root and the
+    # depth-1 fronts have 75 pivots, so the kernel halves both.  The solve
+    # reads no poison, so the direction is dense Cholesky's
     rng = np.random.default_rng(sum(cells) + N)
     elim, E, H = _random_lattice_system(cells, N, rng)
     eliminate, seen = solver._Elimination._eliminate, []
@@ -354,20 +370,130 @@ def test_fronts_form_no_product_they_do_not_read(cells, N, monkeypatch):
         used = 0 if U is None else len(F) * max(g.p * g.p, g.schur)
         work[:] = 7.0
         eliminate(g, F, W, U, schur, work)
-        seen.append((U is None, work.size - used, bool(np.all(work[used:] == 7.0))))
+        seen.append((U is None, work.size - used, bool(np.all(work[used:] == 7.0)), g.p))
 
     monkeypatch.setattr(solver._Elimination, "_eliminate", staticmethod(poisoned))
     factor = elim.factor(E)
-    assert [root for root, _, _ in seen].count(True) == 1 and seen[-1][0]
-    assert sum(size for _, size, _ in seen) > 0
-    assert all(kept for _, _, kept in seen), seen
-    (root,) = elim.depths[-1].groups  # the root has no update set: its W is L11^-1 alone
-    assert root.m == root.p and root.upd.size == 0
+    assert [root for root, _, _, _ in seen].count(True) == 1 and seen[-1][0]
+    assert sum(size for _, size, _, _ in seen) > 0
+    assert all(kept for _, _, kept, _ in seen), seen
+    if cells == (12, 6, 6):  # the kernel halves the root's pivot block and others
+        halved = [root for root, _, _, p in seen if p > solver._CHOLESKY_BLOCK]
+        assert True in halved and False in halved
+    ((root, _, upd),) = _group_dofs(elim.depths[-1])  # no update set: its W is L11^-1 alone
+    assert root.m == root.p and upd.size == 0
     assert factor.blocks[-1].shape == (1, root.p, root.p)
     b = rng.normal(size=len(H))
     L = np.linalg.cholesky(H)
     want = np.linalg.solve(L.T, np.linalg.solve(L, b))
     assert np.abs(factor.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _spd_stack(rng, blocks: int, n: int) -> np.ndarray:
+    M = rng.normal(size=(blocks, n, n))
+    return M @ M.transpose(0, 2, 1) / n + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 16, 63, 64, 65, 127, 200])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_inverse_cholesky_matches_numpy(n, blocks):
+    # the in-place kernel writes L^-1 of each block's Cholesky factor over
+    # the block, to 1e-12 relative of np.linalg.inv(np.linalg.cholesky(A)),
+    # with exact zeros above the diagonal, and reads none of its room
+    # before writing it (the room is NaN); up to _CHOLESKY_BLOCK it is
+    # np.linalg.cholesky and _lower_inverse, bit for bit
+    rng = np.random.default_rng(10 * n + blocks)
+    A = _spd_stack(rng, blocks, n)
+    X = A.copy()
+    got = solver._inverse_cholesky(X, np.full(blocks * -(-n // 2) * n, np.nan))
+    assert got is X
+    want = np.linalg.inv(np.linalg.cholesky(A))
+    assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+    above = np.triu_indices(n, 1)
+    assert np.all(X[:, above[0], above[1]] == 0.0)
+    if n <= solver._CHOLESKY_BLOCK:
+        assert X.tobytes() == solver._lower_inverse(np.linalg.cholesky(A), A.copy()).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 16, 63, 64, 65, 127, 200])
+def test_inverse_cholesky_raises_on_an_indefinite_block(n):
+    # the last block of the stack is positive definite but for its last
+    # diagonal entry, so only the trailing pivot fails
+    A = _spd_stack(np.random.default_rng(n), 3, n)
+    A[-1, -1, -1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._inverse_cholesky(A, np.empty(3 * -(-n // 2) * n))
+
+
+def test_inverse_cholesky_allocates_less_than_one_block():
+    # the 24^3 root's pivot block, 529 x 529, inverted in place allocates
+    # less than one such block beyond its room; np.linalg.cholesky, which
+    # writes a new factor, does not
+    A = _spd_stack(np.random.default_rng(529), 1, 529)
+    room = np.empty(265 * 529)
+    peaks = []
+    for invert in (lambda X: solver._inverse_cholesky(X, room),
+                   lambda X: solver._lower_inverse(np.linalg.cholesky(X), X)):
+        X = A.copy()
+        tracemalloc.start()
+        try:
+            invert(X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < A.nbytes <= peaks[1], peaks
+
+
+@pytest.mark.parametrize("cells, N", [((9, 8, 9), 1), ((12, 11), 2), ((131,), 1)])
+def test_extend_add_steps_give_the_same_bytes(cells, N, monkeypatch):
+    # with 7 entries a step, each child triangle of the 2-D and 3-D trees
+    # (210 to 1176 entries) is summed in parts, the last one short where 7
+    # does not divide it, and the 1-D tree's triangles (1 or 3 entries)
+    # several to a step, in the same order: the factor's blocks and its
+    # solve are the bytes of the default step's, and the solve is
+    # SuperLU's to 1e-12
+    from scipy import sparse
+
+    rng = np.random.default_rng(sum(cells) + 7 * N)
+    elim, E, H = _random_lattice_system(cells, N, rng)
+    tri = {len(local[0]) * (len(local[0]) + 1) // 2
+           for d in elim.depths for g in d.groups for _, _, _, local, _ in g.children}
+    assert any(t % 7 for t in tri)
+    b = rng.normal(size=elim.n)
+    whole = elim.factor(E)
+    monkeypatch.setattr(solver, "_SUM_STEP", 7)
+    stepped = elim.factor(E)
+    assert [W.tobytes() for W in stepped.blocks] == [W.tobytes() for W in whole.blocks]
+    got = stepped.solve(b)
+    assert got.tobytes() == whole.solve(b).tobytes()
+    want = splu(sparse.csc_matrix(H)).solve(b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_extend_add_allocates_one_step():
+    # summing one 529-wide child's packed update triangle (140185 entries)
+    # into its parent allocates, outside the buffer, at most 1.5 steps of
+    # float64 entries: the intp copies NumPy makes of one step's int32
+    # places, never of the child's whole index tables; the sum is that of
+    # one np.add.at over every entry, bit for bit
+    u = 529
+    parent = solver._Group(16, 16 + u, 1, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32),
+                           np.empty((0, 8), dtype=np.int32))
+    local = np.arange(16, 16 + u, dtype=np.int32)[None]
+    column = parent.col[local]
+    i, k = solver._tril(u)
+    U = np.random.default_rng(u).normal(size=(1, len(i)))
+    F, want = np.zeros(parent.size + 1), np.zeros(parent.size + 1)
+    work = np.empty(len(i)).view(np.int32)  # room for the whole triangle's places
+    tracemalloc.start()
+    try:
+        solver._extend_add(F, U, local, column, i, k, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(i) == 140185 and peak <= 1.5 * solver._SUM_STEP * 8, peak
+    np.add.at(want, local[0, i] + column[0, k], U[0])
+    assert F.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch", [64, 1 << 16])
@@ -483,12 +609,12 @@ def test_child_fronts_are_listed_in_the_order_their_parents_sum_them(cells, N):
         for parent in depth.groups:
             for k, rows, slot, _, _ in parent.children:
                 runs[k].append((rows, slot))
-        for gr, run in zip(deeper.groups, runs):
+        for (_, piv, _), run in zip(_group_dofs(deeper), runs):
             several |= len(run) > 1
-            assert np.array_equal(np.concatenate([rows for rows, _ in run]), np.arange(len(gr.piv)))
+            assert np.array_equal(np.concatenate([rows for rows, _ in run]), np.arange(len(piv)))
             assert all(np.all(np.diff(slot) >= 0) for _, slot in run)
             # front ids from the first pivot: siblings share a parent and keep their order
-            ids = by_start[np.searchsorted(tree.start[by_start], gr.piv[:, 0] // N, "right") - 1]
+            ids = by_start[np.searchsorted(tree.start[by_start], piv[:, 0] // N, "right") - 1]
             assert np.all(np.diff(ids)[np.diff(tree.parent[ids]) == 0] > 0)
     assert several == (cells in ((9, 8, 9), (24, 25)))  # a child group under two parent groups
 
@@ -568,8 +694,8 @@ def _cold_solve_peak_and_bound(side: int, buffer, slack: float,
     _, G, bnd = manufactured_instance("bump", g)
     depths = solver._Elimination(g, 1).depths  # deepest first; the root has no update
     groups = [gr for d in depths for gr in d.groups]
-    W = sum(len(gr.piv) * gr.m * gr.p for gr in groups)
-    U = [sum(len(gr.piv) * gr.tri for gr in d.groups) for d in depths]
+    W = sum(piv.size * gr.m for d in depths for gr, piv, _ in _group_dofs(d))
+    U = [sum(len(piv) * gr.tri for gr, piv, _ in _group_dofs(d)) for d in depths]
     coefficients = g.num_cells * (2**3 + 2)  # w, s1 and s2
     bound = slack * 8 * (W + max(a + b for a, b in zip(U, U[1:])) + buffer(groups) + coefficients)
     peak = 0
