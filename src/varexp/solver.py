@@ -519,8 +519,8 @@ class _Elimination:
                         to = up_slot[up_row[there]].astype(np.int32)
                         column = parent.col[local[there]] + to[:, None] * parent.size
                         parent.children.append((k, there, to, local[there], column))
-            self.depths.append(_Depth(groups, np.concatenate([d.reshape(-1) for d in piv]),
-                                      np.concatenate([d.reshape(-1) for d in var])))
+            self.depths.append(_Depth(groups, np.concatenate(piv, axis=None),
+                                      np.concatenate(var, axis=None)))
             above = start, size, halo, group, slot
         self.depths.reverse()  # deepest first
 
