@@ -7,10 +7,8 @@ Commands:
     solve       solve the configured instance, emit solution/exponent fields
     verify      Caccioppoli, reverse Holder, and higher-integrability records
     gehring     self-improvement scan, m0 and the mu ratio table
-    goodlambda  delta(epsilon, lambda) occupancy table; report.txt names
-                the vacuous rows, where no cell has M*F > kappa lambda
-    sweep       refinement / root-size / oscillation-amplitude sweeps;
-                report.txt names the vacuous good-lambda amplitude rows
+    goodlambda  delta(epsilon, lambda) occupancy table
+    sweep       refinement / root-size / oscillation-amplitude sweeps
     denoise     variable-exponent image smoothing demo (PGM in, PGM out)
 
 Exit codes: 0 success, 1 configuration or input error, 2 solver
@@ -33,13 +31,15 @@ number of values, blank lines are skipped, and there are no comments.
 Images are 8-bit PGM, both P2 (ASCII) and P5 (binary).
 
 CSV reports are deterministic for a fixed config (no timestamps;
-provenance lives in report.txt, which for every command ends with the
-lines of each solve level: a head naming its grid and how it started,
-cold or warm from a coarser grid, its Newton steps, wall seconds and
-residual, then one line per gamma stage with Newton steps, fallbacks,
-backtracks, guarded steps, factor reuses and CG iterations,
-factorization seconds and fill (the nonzero count of the Cholesky factor
-L), residual and stop reason).
+provenance lives in report.txt, written however a run ends).  Its
+``checks`` block gives each check a command ran a line: how many of its
+rows tested something, and the rows under each ``_REASONS`` entry that
+did not.  It ends with the lines of each solve level: a head naming its
+grid and how it started, cold or warm from a coarser grid, its Newton
+steps, wall seconds and residual, then one line per gamma stage with
+Newton steps, fallbacks, backtracks, guarded steps, factor reuses and CG
+iterations, factorization seconds and fill (the nonzero count of the
+Cholesky factor L), residual and stop reason.
 A cold solve runs a ladder of nested grids (``solver.solve_pxlaplace``),
 whose coarsest level starts from the injected interior: the image for
 denoise, its boundary trace and a zero interior for a closed-form instance
@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import covering_threshold, default_kappa, good_lambda_measure
+from .dyadic import GoodLambdaResult, covering_threshold, default_kappa, good_lambda_measure
 from .estimates import (EstimateRecord, caccioppoli_check, data_density,
                         energy_density, gehring_scan,
                         higher_integrability_check, reverse_holder_check)
@@ -473,19 +473,13 @@ class Report:
     lines: list[str] = field(default_factory=list)
 
     def write_text(self, path: Path) -> None:
+        scalars = [f"{k} = {_fmt(v)}\n" for k, v in self.scalars]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"varexp {self.command} report\n")
-            for k, v in self.provenance.items():
-                fh.write(f"{k} = {v}\n")
-            fh.write("\n")
-            for name, value in self.scalars:
-                fh.write(f"{name} = {_fmt(value)}\n")
-            if self.scalars:
-                fh.write("\n")
-            for rec in self.records:
-                fh.write(_record_text(rec))
-            for line in self.lines:
-                fh.write(line + "\n")
+            fh.writelines([f"{k} = {v}\n" for k, v in self.provenance.items()] + ["\n"])
+            fh.writelines(scalars + ["\n"] * bool(scalars))
+            fh.writelines([_record_text(rec) for rec in self.records]
+                          + [line + "\n" for line in self.lines])
 
 
 def _record_text(rec: EstimateRecord) -> str:
@@ -501,9 +495,7 @@ def _cells_str(cells: tuple[int, ...]) -> str:
     return "x".join(str(c) for c in cells)
 
 
-def _cube_str(cube: Box | None) -> str:
-    if cube is None:
-        return "-"
+def _cube_str(cube: Box) -> str:
     lo = " ".join(_fmt(v) for v in cube.lo)
     hi = " ".join(_fmt(v) for v in cube.hi)
     return f"({lo}) to ({hi})"
@@ -518,13 +510,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def _record_row(rec: EstimateRecord) -> list[str]:
     comps = ";".join(f"{k}={_fmt(v)}" for k, v in rec.rhs_components.items())
-    return [rec.name, _cube_str(rec.cube), "x".join(str(c) for c in rec.resolution),
+    return [rec.name, _cube_str(rec.cube), _cells_str(rec.resolution),
             _fmt(rec.lhs), _fmt(rec.rhs_sum), _fmt(rec.empirical_constant),
             comps, ";".join(rec.flags)]
-
-
-_RECORD_COLUMNS = ["name", "cube", "resolution", "lhs", "rhs_sum", "constant",
-                   "components", "flags"]
 
 
 def _blas() -> str:
@@ -557,6 +545,35 @@ def _provenance(cfg: ExperimentConfig) -> dict[str, str]:
         "versions": f"varexp {__version__}, numpy {np.__version__}, {_blas()}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+
+
+# why a check's row tested nothing; a row's status is the first that holds, else tested
+_REASONS = {
+    "vacuous": lambda row: row.get("kappa_cells") == 0,  # no cell has M*F > kappa lam
+    "u-empty": lambda row: row.get("u_cells") == 0,  # but none has M*G <= eps lam: U is empty
+    "censored": lambda row: "mu_grid" in row and row["m0"] == row["mu_grid"][-1],  # m0 is a floor
+    "tail-unused": lambda row: "level-set-tail-unused" in row.get("flags", ()),
+    "route-mismatch": lambda row: "level-set-route-mismatch" in row.get("flags", ()),
+}
+
+
+def _checks_block(checks: list[tuple[str, object]]) -> list[str]:
+    """The checks block of report.txt: of each (name, result) a command ran,
+    a good-lambda table, Gehring scan or estimate record, one line that counts
+    the rows tested and lists the rest under their reasons.  No " = " in it."""
+    lines = ["checks"]
+    for name, res in checks:
+        rows = [("", vars(res))]  # (label, facts); one row's facts are its result's fields
+        if isinstance(res, GoodLambdaResult):
+            rows = [(f"(eps {_fmt(e)}, lam {_fmt(lam)})", {"kappa_cells": k, "u_cells": u})
+                    for (e, lam, _), k, u in zip(res.rows, res.kappa_cells, res.u_cells)]
+        status = [next((why for why, holds in _REASONS.items() if holds(facts)), "tested")
+                  for _, facts in rows]
+        reasons = [f"{why} in {', '.join(lab for (lab, _), s in zip(rows, status) if s == why)}"
+                   if rows[0][0] else why for why in _REASONS if why in status]
+        lines.append(f"  {name}: {status.count('tested')} of {len(rows)} rows tested; "
+                     f"{'; '.join(reasons or ['tested'])}")
+    return lines if checks else []
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +676,7 @@ def _size_root(domain: Box, size: float) -> Box:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
+def _cmd_solve(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     grid, p, u_star, G, res = _solve(cfg, rep)
     write_field(cfg.out / "solution.vxf", res.u)
     write_field(cfg.out / "exponent.vxf", p.field)
@@ -674,27 +691,26 @@ def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
                [[k, _fmt(v)] for k, v in rep.scalars])
 
 
-def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
+def _cmd_verify(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
-
-    pc = p.cell_values
-    n = grid.dim
-    s_cap = min(n / (n - 1.0) if n > 1 else np.inf, float(pc.min()))
-    s = 0.5 * (1.0 + s_cap)
+    n = grid.dim  # s halfway between 1 and its cap min(n / (n - 1), p-)
+    s = 0.5 * (1.0 + min(n / (n - 1.0) if n > 1 else np.inf, float(p.cell_values.min())))
     rep.records = [
         caccioppoli_check(res.u, G, p, root),
         reverse_holder_check(res.u, G, p, root, s, m=cfg.m),
         higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
                                    sweep_points=cfg.lambda_count, m=cfg.m),
     ]
+    checks += [(r.name, r) for r in rep.records]
     rep.scalars = [("kappa", kappa), ("s", s), ("residual", res.residual)]
-    _write_csv(cfg.out / "records.csv", _RECORD_COLUMNS,
+    _write_csv(cfg.out / "records.csv", ["name", "cube", "resolution", "lhs", "rhs_sum",
+                                         "constant", "components", "flags"],
                [_record_row(r) for r in rep.records])
 
 
-def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
+def _cmd_gehring(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     gr = gehring_scan(res.u, G, p, root, mu_max=cfg.mu_max, steps=cfg.steps,
@@ -702,16 +718,13 @@ def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
     rep.scalars = [("m0", gr.m0), ("sigma", gr.sigma), ("cap", gr.cap),
                    ("cubes_tested", gr.cubes_tested)]
     rep.records = list(gr.records)
-    if gr.m0 == gr.mu_grid[-1]:  # the solve lines stay last
-        rep.lines[:0] = [f"gehring-censored: the worst constant at mu_max {_fmt(gr.mu_grid[-1])}, "
-                         f"the top of the scan, is at or below cap {_fmt(gr.cap)}, so m0 and "
-                         f"sigma are only lower bounds"]
+    checks.append(("gehring", gr))
     _write_csv(cfg.out / "gehring.csv", ["mu", "lhs", "rhs", "constant"],
                [[_fmt(mu), _fmt(r.lhs), _fmt(r.rhs_sum), _fmt(r.empirical_constant)]
                 for mu, r in zip(gr.mu_grid, gr.records)])
 
 
-def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
+def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
@@ -719,29 +732,14 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
     lam0 = covering_threshold(F, root)
     gl = good_lambda_measure(F, data_density(G, p, cfg.m), root, kappa, cfg.epsilons,
                              [f * lam0 for f in cfg.lambda_factors], cfg.m0)
-    rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)]
-    head = [f"delta(eps = {_fmt(e)}, lam = {_fmt(l)}) = {_fmt(d)}" for e, l, d in gl.rows]
-    rep.lines[:0] = head + _good_lambda_flags([("", gl)])  # the solve lines stay last
+    rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)] + [
+        (f"delta(eps = {_fmt(e)}, lam = {_fmt(l)})", d) for e, l, d in gl.rows]
+    checks.append(("good-lambda", gl))
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 
 
-def _good_lambda_flags(measures) -> list[str]:
-    """Of each (prefix, good-lambda result) of ``measures``, one report line
-    naming the rows whose {M*F > kappa lam} has no cell, and one naming the
-    rows where it has cells but U has none; no line names no row.  They
-    have no " = ": they are no scalars."""
-    lines = []
-    for flag, empty in (("good-lambda-vacuous: no cell has M*F > kappa lam", lambda k, u: k == 0),
-                        ("good-lambda-u-empty: cells have M*F > kappa lam, but none has "
-                         "M*G <= eps lam, so U is empty,", lambda k, u: k > 0 and u == 0)):
-        rows = [f"({where}eps {_fmt(e)}, lam {_fmt(l)})" for where, gl in measures
-                for (e, l, _), k, u in zip(gl.rows, gl.kappa_cells, gl.u_cells) if empty(k, u)]
-        lines += [f"{flag} in {', '.join(rows)}"] if rows else []
-    return lines
-
-
-def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
+def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     base = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
     p0 = _build_exponent(cfg, base)
     kappa = _resolve_kappa(cfg, p0)
@@ -766,6 +764,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
         for r in recs:
             rows.append([axis, setting, r.name, _fmt(r.lhs), _fmt(r.rhs_sum),
                          _fmt(r.empirical_constant)])
+            checks.append((f"{axis} {setting} {r.name}", r))
         rep.records.extend(recs)
         return res.u
 
@@ -782,7 +781,6 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
 
     mean_p = float(p0.values.mean())
     root = _root(cfg, base)
-    measures = []
     for t in cfg.amplitudes:
         pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)))
         G, res = solve(base, pt, f" at amplitude {_fmt(t)}")
@@ -792,8 +790,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
                                  cfg.epsilons, [lam], cfg.m0)
         for e, _, d in gl.rows:
             rows.append(["amplitude", _fmt(t), f"delta(eps={_fmt(e)})", _fmt(d), "", ""])
-        measures.append((f"amplitude {_fmt(t)}, ", gl))
-    rep.lines[:0] = _good_lambda_flags(measures)  # the solve lines stay last
+        checks.append((f"amplitude {_fmt(t)} good-lambda", gl))
 
     _write_csv(cfg.out / "sweep.csv",
                ["axis", "setting", "name", "lhs", "rhs_sum", "constant"], rows)
@@ -824,7 +821,7 @@ def _gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
+def _cmd_denoise(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     img, maxval, magic = read_pgm(cfg.image)
     rows, cols = img.shape
     if rows < 3 or cols < 3:
@@ -882,13 +879,15 @@ _COMMANDS = tuple(_RUNNERS)
 def run(cfg: ExperimentConfig) -> Report:
     """Execute the configured command; writes reports under cfg.out."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    rep = Report(cfg.command, _provenance(cfg))
+    rep, checks = Report(cfg.command, _provenance(cfg)), []
     try:
-        _RUNNERS[cfg.command](cfg, rep)
+        _RUNNERS[cfg.command](cfg, rep, checks)
     except ValueError as exc:
         # library-level precondition violations are configuration errors
         raise ConfigError(str(exc)) from exc
-    rep.write_text(cfg.out / "report.txt")
+    finally:  # however the run ends: a missed solve's lines show where it stalled
+        rep.lines[:0] = _checks_block(checks)  # ahead of the solve lines
+        rep.write_text(cfg.out / "report.txt")
     return rep
 
 

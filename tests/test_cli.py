@@ -130,6 +130,7 @@ def test_solve_outputs_and_determinism(tmp_path):
     scalars = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
     steps = sum(int(ln.split(": ", 1)[1].split(" steps")[0]) for ln in stages)
     assert steps == int(float(scalars["iterations"]))
+    assert "checks" not in lines  # solve runs no check
 
 
 _CUBE_16 = """
@@ -422,9 +423,16 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     text = BASE.replace("tolerance = 1e-9", "tolerance = 1e-9\nmax_iterations = 1")
     text = text.replace("value = 2.0", "value = 1.3").replace("matched", "bump")
     f = cfg_file(tmp_path, text)
-    rc = main(["solve", "--config", str(f), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", str(f), "--out", str(out)])
     assert rc == EXIT_NO_CONVERGENCE
     assert "converge" in capsys.readouterr().err
+    # the report is still written, with the stage lines of the level that
+    # missed; the solution is not
+    lines = (out / "report.txt").read_text().splitlines()
+    (head,) = [ln for ln in lines if ln.startswith("solve 8x8")]
+    assert head.startswith("solve 8x8, cold: ") and lines[-1].startswith("stage gamma ")
+    assert not (out / "solution.vxf").exists()
 
 
 def test_verify_records(tmp_path):
@@ -595,10 +603,28 @@ def test_goodlambda_first_lambda_is_lambda0(tmp_path):
     assert float(first) == float(report["lambda0"])
 
 
+def _checks(lines):
+    """Of each line of a report's checks block: check name -> (rows tested,
+    rows, {reason: its rows' labels, (eps, lam) pairs if any})."""
+    block = list(itertools.takewhile(lambda ln: ln.startswith("  "),
+                                     lines[lines.index("checks") + 1:]))
+    assert block and not any(" = " in ln for ln in block)
+    checks = {}
+    for ln in block:
+        name, rest = ln[2:].split(": ", 1)
+        count, *reasons = rest.split("; ")
+        k, n = map(int, re.fullmatch(r"(\d+) of (\d+) rows tested", count).groups())
+        assert (reasons == ["tested"]) == (k == n)
+        checks[name] = (k, n, {why: re.findall(r"\(eps (\S+), lam (\S+)\)", labels)
+                               for why, _, labels in (r.partition(" in ") for r in reasons)
+                               if why != "tested"})
+    return checks
+
+
 def test_goodlambda_flags_vacuous_rows(tmp_path):
     # on a small bump instance M*F stays below kappa lambda0, so no row's
-    # {M*F > kappa lam} has a cell: the report's good-lambda-vacuous line
-    # names every row of goodlambda.csv, and carries no " = "
+    # {M*F > kappa lam} has a cell: the checks block names every row of
+    # goodlambda.csv as vacuous, ahead of the solve lines
     text = BASE.replace("instance = matched", "instance = bump").replace(
         "value = 2.0", "value = 1.7").replace("cells = 8 8", "cells = 16 16")
     f = cfg_file(tmp_path, text)
@@ -607,11 +633,10 @@ def test_goodlambda_flags_vacuous_rows(tmp_path):
     lines = (tmp_path / "goodlambda" / "report.txt").read_text().splitlines()
     scalars = dict(ln.split(" = ", 1) for ln in lines
                    if " = " in ln and not ln.startswith("delta"))
-    flagged = [ln for ln in lines if ln.startswith("good-lambda-vacuous")]
-    assert len(flagged) == 1 and " = " not in flagged[0]
     csv_rows = (tmp_path / "goodlambda" / "goodlambda.csv").read_text().splitlines()[1:]
-    assert re.findall(r"\(eps (\S+), lam (\S+)\)", flagged[0]) == [
-        tuple(row.split(",")[:2]) for row in csv_rows]
+    want = [tuple(row.split(",")[:2]) for row in csv_rows]
+    assert _checks(lines) == {"good-lambda": (0, 12, {"vacuous": want})}
+    assert lines[lines.index("checks") + 2].startswith("solve ")
     # the solution that solve wrote, read back: max M*F / lambda0 < kappa
     u = read_field(tmp_path / "solve" / "solution.vxf")
     p = ExponentField(read_field(tmp_path / "solve" / "exponent.vxf"))
@@ -622,9 +647,10 @@ def test_goodlambda_flags_vacuous_rows(tmp_path):
 
 def test_goodlambda_flags_rows_with_an_empty_u(tmp_path, monkeypatch):
     # a row whose {M*F > kappa lam} has cells but whose U has none tested the
-    # eps-condition alone: one good-lambda-u-empty line with no " = " names
-    # exactly those rows, the vacuous line the rows with no such cell, and
-    # goodlambda.csv does not change.  The measure's counts are set to a mix
+    # eps-condition alone: the checks block lists exactly those rows as
+    # u-empty, the rows with no such cell as vacuous, counts the rest as
+    # tested, and goodlambda.csv does not change.  The measure's counts are
+    # set to a mix
     import varexp.cli as cli
 
     measure, seen = cli.good_lambda_measure, []
@@ -640,15 +666,14 @@ def test_goodlambda_flags_rows_with_an_empty_u(tmp_path, monkeypatch):
     assert main(["goodlambda", "--config", str(f), "--out", str(tmp_path / "plain")]) == EXIT_OK
     monkeypatch.setattr(cli, "good_lambda_measure", mixed)
     assert main(["goodlambda", "--config", str(f), "--out", str(tmp_path / "g")]) == EXIT_OK
-    lines = (tmp_path / "g" / "report.txt").read_text().splitlines()
     (gl,) = seen
-    for flag, hit in (("good-lambda-vacuous", lambda k, u: k == 0),
-                      ("good-lambda-u-empty", lambda k, u: k > 0 and u == 0)):
-        flagged = [ln for ln in lines if ln.startswith(flag)]
-        assert len(flagged) == 1 and " = " not in flagged[0]
-        want = [(_fmt(e), _fmt(lam)) for (e, lam, _), k, u
-                in zip(gl.rows, gl.kappa_cells, gl.u_cells) if hit(k, u)]
-        assert re.findall(r"\(eps (\S+), lam (\S+)\)", flagged[0]) == want and len(want) == 4
+    rows = [((_fmt(e), _fmt(lam)), k, u) for (e, lam, _), k, u
+            in zip(gl.rows, gl.kappa_cells, gl.u_cells)]
+    want = {"vacuous": [r for r, k, u in rows if k == 0],
+            "u-empty": [r for r, k, u in rows if k > 0 and u == 0]}
+    assert all(len(w) == 4 for w in want.values())
+    lines = (tmp_path / "g" / "report.txt").read_text().splitlines()
+    assert _checks(lines) == {"good-lambda": (4, 12, want)}
     csv = (tmp_path / "g" / "goodlambda.csv").read_bytes()
     assert csv == (tmp_path / "plain" / "goodlambda.csv").read_bytes()
 
@@ -657,11 +682,11 @@ def test_goodlambda_flags_rows_with_an_empty_u(tmp_path, monkeypatch):
 def test_gehring_flags_a_censored_scan(tmp_path, cap, censored):
     # on a small bump instance the worst constant at mu_max is about 0.12,
     # far below the default cap, so m0 is the top of the scan and only a
-    # lower bound: one gehring-censored line, with no " = ", ahead of the
-    # solve lines.  Below every constant, the cap leaves m0 = 1 and no line.
-    # At 0.13 the constants up to mu = 1.57 fail (0.153 at mu = 1) and the
-    # larger ones pass: m0 ends the leading run of passing mu, so it is 1
-    # with no line, not the top of the scan
+    # lower bound: the checks block calls the scan censored, ahead of the
+    # solve lines.  Below every constant, the cap leaves m0 = 1 and the
+    # scan tested.  At 0.13 the constants up to mu = 1.57 fail (0.153 at
+    # mu = 1) and the larger ones pass: m0 ends the leading run of passing
+    # mu, so it is 1 and the scan tested, not the top of the scan
     text = BASE.replace("instance = matched", "instance = bump").replace("value = 2.0", "value = 1.7")
     if cap is not None:
         text += f"[estimates]\ncap = {cap}\n"
@@ -669,22 +694,22 @@ def test_gehring_flags_a_censored_scan(tmp_path, cap, censored):
     assert main(["gehring", "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == EXIT_OK
     lines = (out / "report.txt").read_text().splitlines()
     scalars = dict(ln.split(" = ", 1) for ln in lines if " = " in ln)
-    flagged = [i for i, ln in enumerate(lines) if ln.startswith("gehring-censored")]
+    assert lines[lines.index("checks") + 2].startswith("solve ")
     if censored:
-        assert len(flagged) == 1 and " = " not in lines[flagged[0]]
-        assert lines[flagged[0] + 1].startswith("solve ")
+        assert _checks(lines) == {"gehring": (0, 1, {"censored": []})}
         assert float(scalars["m0"]) == 2.0
     else:
-        assert not flagged and float(scalars["m0"]) == 1.0
+        assert _checks(lines) == {"gehring": (1, 1, {})}
+        assert float(scalars["m0"]) == 1.0
 
 
 def test_sweep_flags_vacuous_amplitude_rows(tmp_path, monkeypatch):
-    # the sweep's amplitude rows are good-lambda measures too: its report
-    # names, on one good-lambda-vacuous line with no " = ", exactly the
-    # (amplitude, eps, lam) rows whose {M*F > kappa lam} has no cell.  The
-    # measure's kappa_cells is set to a mix of empty and non-empty rows, so
-    # a flag on the wrong rows, on every row or on none fails; sweep.csv
-    # does not change
+    # the sweep's amplitude rows are good-lambda measures too: the checks
+    # block lists, on each amplitude's line, exactly the (eps, lam) rows
+    # whose {M*F > kappa lam} has no cell as vacuous.  The measure's
+    # kappa_cells is set to a mix of empty and non-empty rows, so a status
+    # on the wrong rows, on every row or on none fails; every record of
+    # sweep.csv has its own line, and sweep.csv does not change
     import varexp.cli as cli
 
     measure, seen = cli.good_lambda_measure, []
@@ -701,16 +726,55 @@ def test_sweep_flags_vacuous_amplitude_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "good_lambda_measure", mixed)
     assert main(["sweep", "--config", str(f), "--out", str(tmp_path / "s")]) == EXIT_OK
     assert len(seen) == 2 and all(len(gl.rows) == 4 for gl in seen)
-    lines = (tmp_path / "s" / "report.txt").read_text().splitlines()
-    flagged = [ln for ln in lines if ln.startswith("good-lambda-vacuous")]
-    assert len(flagged) == 1 and " = " not in flagged[0]
-    want = [(t, _fmt(e), _fmt(lam)) for t, gl in zip(("1", "0.5"), seen)
-            for (e, lam, _), n in zip(gl.rows, gl.kappa_cells) if n == 0]
-    assert re.findall(r"\(amplitude (\S+), eps (\S+), lam (\S+)\)", flagged[0]) == want
-    assert len(want) == 4
+    checks = _checks((tmp_path / "s" / "report.txt").read_text().splitlines())
+    for t, gl in zip(("1", "0.5"), seen):
+        k, n, reasons = checks.pop(f"amplitude {t} good-lambda")
+        want = [(_fmt(e), _fmt(lam)) for (e, lam, _), c in zip(gl.rows, gl.kappa_cells) if c == 0]
+        assert n == 4 and reasons["vacuous"] == want and len(want) == 2
     csv = (tmp_path / "s" / "sweep.csv").read_bytes()
     assert csv == (tmp_path / "plain" / "sweep.csv").read_bytes()
     assert b"vacuous" not in csv
+    records = [ln.split(",") for ln in csv.decode().splitlines()[1:]
+               if not ln.startswith("amplitude,")]
+    assert sorted(checks) == sorted(" ".join(r[:3]) for r in records) and len(records) == 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(counts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+       mu=st.lists(st.floats(1.0, 4.0), min_size=1, max_size=6, unique=True),
+       at=st.integers(0, 6),
+       flags=st.lists(st.sets(st.sampled_from(["level-set-tail-unused",
+                                                "level-set-route-mismatch", "tail=0"])),
+                      max_size=3))
+def test_checks_block_gives_each_row_one_status(counts, mu, at, flags):
+    # every good-lambda row, Gehring scan and record gets exactly one status:
+    # tested where {M*F > kappa lam} and U both have cells, else the first
+    # reason that holds; k counts the tested rows, and no line has " = "
+    import varexp.cli as cli
+    from varexp.dyadic import GoodLambdaResult
+    from varexp.estimates import EstimateRecord, GehringResult
+
+    mu = sorted(mu)
+    m0 = ([1.0] + mu)[min(at, len(mu))]  # 1 or a mu of the scan
+    gl = GoodLambdaResult(20.0, 1.5, 0.1, [(i + 1.0, 0.1, 0.0) for i in range(len(counts))],
+                          [k for k, _ in counts], [u for _, u in counts])
+    gr = GehringResult(m0, 1.0, mu, 1e3, 1, [])
+    recs = [EstimateRecord("r", 1.0, {"a": 1.0}, 1.0, flags=list(f)) for f in flags]
+    block = cli._checks_block([("good-lambda", gl), ("gehring", gr)]
+                              + [(f"record {i}", r) for i, r in enumerate(recs)])
+    checks = _checks(block)
+    labels = [(_fmt(i + 1.0), _fmt(0.1)) for i in range(len(counts))]
+    tested = [lab for lab, (k, u) in zip(labels, counts) if k > 0 and u > 0]
+    k, n, reasons = checks["good-lambda"]
+    listed = [lab for rows in reasons.values() for lab in rows]
+    assert (k, n) == (len(tested), len(counts))
+    assert sorted(listed + tested) == sorted(labels)  # each row once
+    assert reasons.get("vacuous", []) == [lab for lab, (k, _) in zip(labels, counts) if k == 0]
+    assert checks["gehring"] == ((0, 1, {"censored": []}) if m0 == mu[-1] else (1, 1, {}))
+    for i, f in enumerate(flags):
+        why = next((w for w in ("tail-unused", "route-mismatch") if f"level-set-{w}" in f), None)
+        assert checks[f"record {i}"] == ((0, 1, {why: []}) if why else (1, 1, {}))
+    assert cli._checks_block([]) == []  # no check, no block
 
 
 def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
@@ -1014,4 +1078,6 @@ def test_coarse_nonconvergence_names_its_grid(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["solve", "--config", str(f), "--out", str(out)]) == EXIT_NO_CONVERGENCE
     assert "solve 8x8: " in capsys.readouterr().err
+    heads = [ln for ln in (out / "report.txt").read_text().splitlines() if ln.startswith("solve ")]
+    assert [h.split(":")[0] for h in heads] == ["solve 8x8, cold"]
     assert not (out / "solution.vxf").exists()

@@ -16,7 +16,8 @@ from varexp.estimates import (
 )
 from varexp.estimates import reverse_holder_check
 from varexp.exponent import ExponentField
-from varexp.grid import Box, CellField, Grid, GridFunction, gradient, mean_over, region_weights
+from varexp.grid import (Box, CellField, Grid, GridFunction, gradient, integrate, mean_over,
+                         region_weights)
 from varexp.operator import coercivity_constant
 from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
 from varexp.varlp import decay_weight
@@ -61,6 +62,33 @@ def test_caccioppoli_matches_independent_quadrature(affine32):
     assert rec.rhs_components["oscillation"] == pytest.approx(osc, rel=1e-12)
     assert rec.rhs_components["data"] == 0.0
     assert rec.empirical_constant == pytest.approx(lhs / osc, rel=1e-12)
+
+
+@pytest.mark.parametrize("cells", [(6,), (5, 4), (3, 4, 2)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_caccioppoli_takes_cell_centre_values_as_corner_means(cells, N):
+    # u at a cell centre is the mean of the cell's 2^d corner values, summed
+    # in corner order (first axis slowest): byte for byte the hand sum below,
+    # with no coordinate arithmetic to perturb the 2^-d weights
+    dim = len(cells)
+    g = Grid(dim, (-1.0,) * dim, (2.0,) * dim, cells)
+    rng = np.random.default_rng(sum(cells) + N)
+    scale = 10.0 ** rng.uniform(-3, 3, (g.num_nodes, 1))
+    u = GridFunction(g, rng.normal(size=(g.num_nodes, N)) * scale)
+    p = ExponentField(GridFunction(g, 1.5 + rng.random(g.num_nodes)))
+    Q = Box((-0.5,) * dim, (0.5,) * dim)
+    fc = np.empty((g.num_cells, N))
+    for cell, first in enumerate(itertools.product(*map(range, cells))):
+        acc = 0.0
+        for bits in itertools.product((0, 1), repeat=dim):
+            node = np.ravel_multi_index(tuple(np.add(first, bits)), g.nodes_per_axis)
+            acc = acc + u.values[node]
+        fc[cell] = acc / 2**dim
+    w = region_weights(g, Q.scaled(2.0))
+    dev = np.linalg.norm(fc - (w @ fc) / w.sum(), axis=1) / Q.side
+    want = integrate(CellField(g, dev**p.cell_values), Q.scaled(2.0))
+    rec = caccioppoli_check(u, CellField(g, np.zeros((g.num_cells, N, dim))), p, Q)
+    assert rec.rhs_components["oscillation"] == want
 
 
 def test_caccioppoli_on_solved_instance(matched32):
