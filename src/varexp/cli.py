@@ -755,12 +755,20 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
             solved[key] = _solve(cfg, rep, grid, p, coarse, label)[3:5]
         return solved[key]
 
+    measured: dict[tuple[Grid, bytes, Box], list] = {}
+
     def add(axis: str, setting: str, grid: Grid, p: ExponentField, root: Box,
             coarse: GridFunction | None = None) -> GridFunction:
         G, res = solve(grid, p, coarse=coarse)
-        recs = [caccioppoli_check(res.u, G, p, root),
+        # a size row's root can be a refinement row's on the same solve:
+        # measure each solve and root once, and report it on both rows
+        key = (grid, p.values.tobytes(), root)
+        if key not in measured:
+            measured[key] = [
+                caccioppoli_check(res.u, G, p, root),
                 higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
                                            sweep_points=cfg.lambda_count, m=cfg.m)]
+        recs = measured[key]
         for r in recs:
             rows.append([axis, setting, r.name, _fmt(r.lhs), _fmt(r.rhs_sum),
                          _fmt(r.empirical_constant)])

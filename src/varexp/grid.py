@@ -44,6 +44,9 @@ __all__ = [
 
 # Relative tolerance for "point sits exactly on a face" decisions.
 _GEOM_RTOL = 1e-12
+# entries of the (points, 2^dim, max(dim, N)) temporaries that ``Grid.interpolate``
+# forms at once
+_INTERPOLATE_STEP = 1 << 15
 
 
 def _as_floats(v, dim: int, name: str) -> tuple[float, ...]:
@@ -241,24 +244,37 @@ class Grid:
     def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the Q1 interpolant of nodal ``values`` at ``points``.
 
-        ``values`` is (num_nodes, N); ``points`` is (m, dim) and must lie in
-        the closed domain (coordinates are clamped to it).  Returns (m, N).
+        ``values`` is (num_nodes, N) or (num_nodes,); ``points`` is (m, dim)
+        or one point (dim,), and must lie in the closed domain (coordinates
+        are clamped to it).  Returns (m, N).  The points are taken a chunk
+        at a time, so the temporaries hold at most ``_INTERPOLATE_STEP``
+        entries (one point's, when that is more); each point's arithmetic
+        does not depend on the chunk.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        h = self.cell_size
-        rel = (pts - np.asarray(self.origin)) / h
-        idx = np.clip(np.floor(rel).astype(int), 0, np.asarray(self.cells) - 1)
-        t = np.clip(rel - idx, 0.0, 1.0)  # local coordinates in [0,1]
-        corners = idx[:, None, :] + self.corner_bits[None, :, :]
-        flat = np.ravel_multi_index(
-            tuple(corners[..., k] for k in range(self.dim)), self.nodes_per_axis
-        )
-        bits = self.corner_bits[None, :, :]
-        w = np.prod(np.where(bits == 1, t[:, None, :], 1.0 - t[:, None, :]), axis=2)
+        pts = np.asarray(points, dtype=float)
+        if pts.shape == (self.dim,):
+            pts = pts[None, :]
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points must be (m, {self.dim}) or ({self.dim},), "
+                             f"got {np.shape(points)}")
         vals = np.asarray(values)
         if vals.ndim == 1:
             vals = vals[:, None]
-        return np.einsum("mc,mcn->mn", w, vals[flat])
+        origin, h, top = np.asarray(self.origin), self.cell_size, np.asarray(self.cells) - 1
+        bits = self.corner_bits[None, :, :]
+        out = np.empty((len(pts), vals.shape[1]))
+        step = max(1, _INTERPOLATE_STEP // (2**self.dim * max(self.dim, vals.shape[1])))
+        for lo in range(0, len(pts), step):
+            rel = (pts[lo:lo + step] - origin) / h
+            idx = np.clip(np.floor(rel).astype(int), 0, top)
+            t = np.clip(rel - idx, 0.0, 1.0)  # local coordinates in [0,1]
+            corners = idx[:, None, :] + bits
+            flat = np.ravel_multi_index(
+                tuple(corners[..., k] for k in range(self.dim)), self.nodes_per_axis
+            )
+            w = np.prod(np.where(bits == 1, t[:, None, :], 1.0 - t[:, None, :]), axis=2)
+            out[lo:lo + step] = np.einsum("mc,mcn->mn", w, vals[flat])
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -557,14 +557,18 @@ class _Elimination:
     def matvec(self, C: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray):
         """The map x -> H x for the free-dof Hessian H whose element
         matrices are s1 C + s2 w w^T (``operator._hessian_coefficients``),
-        x and H x in elimination order, without forming the matrices."""
+        x and H x in elimination order, without forming the matrices.  It
+        holds two (cells, 2^dim N) arrays at once: the rank-one term is
+        written into the room of the gathered x once C has read it."""
         xe = np.zeros(self.n + 1)  # xe[n] stays 0: boundary dofs read it
 
         def apply(x: np.ndarray) -> np.ndarray:
             xe[:self.n] = x
             x_cell = xe[self.element_dofs]
-            y = s1[:, None] * (x_cell @ C)
-            y += (s2 * np.einsum("ci,ci->c", x_cell, w))[:, None] * w
+            t = s2 * np.einsum("ci,ci->c", x_cell, w)
+            y = x_cell @ C
+            y *= s1[:, None]
+            y += np.multiply(t[:, None], w, out=x_cell)
             return self._sum_cells(y)
 
         return apply

@@ -824,6 +824,40 @@ def test_sweep_solves_each_instance_once(tmp_path, monkeypatch):
     assert warm == [grid.cells != (8, 8) for grid, _ in solved]
 
 
+def test_sweep_measures_each_solve_and_root_once(tmp_path, monkeypatch):
+    # at root scale 0.5 the size-2 root of the 8^2 base grid is the
+    # refinement 8x8 root: its checks run once and fill both rows, both
+    # report blocks and both check lines
+    import varexp.cli as cli
+
+    calls = {"caccioppoli": 0, "higher": 0}
+
+    def counted(name, check):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "caccioppoli_check", counted("caccioppoli", cli.caccioppoli_check))
+    monkeypatch.setattr(cli, "higher_integrability_check",
+                        counted("higher", cli.higher_integrability_check))
+    sweep = "\n[sweep]\nrefinements = 1\nsizes = 1 2\namplitudes = 1\n"
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg_file(tmp_path, BASE + sweep)),
+                 "--out", str(out)]) == EXIT_OK
+    # roots: 8x8 and 16x16 refinements, size 1; size 2 is the 8x8 one
+    assert calls == {"caccioppoli": 3, "higher": 3}
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[2:] for r in rows if r[:2] == ["size", "2"]] \
+        == [r[2:] for r in rows if r[:2] == ["refinement", "8x8"]] != []
+    report = (out / "report.txt").read_text()
+    blocks = re.findall(r"^\[caccioppoli\] cube \(-1 -1\) to \(1 1\) at \(8, 8\)\n.*\n.*\n",
+                        report, re.M)
+    assert len(blocks) == 2 and blocks[0] == blocks[1]
+    for setting in ("refinement 8x8", "size 2"):
+        assert f"  {setting} caccioppoli: 1 of 1 rows tested; tested\n" in report
+
+
 @pytest.mark.parametrize("instance, cells", [("matched", "8 8"), ("linear", "16 16")])
 def test_manufactured_solves_start_from_boundary_data(tmp_path, monkeypatch, instance, cells):
     # u* is the boundary data of a cold solve, not its starting interior

@@ -1,8 +1,11 @@
 """Geometry layer: boxes, grids, interpolation, gradients, quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from varexp import grid as grid_module
 from varexp.grid import (
     Box,
     CellField,
@@ -104,6 +107,56 @@ def test_interpolate_exact_on_multilinear():
         pts = np.column_stack([rng.uniform(-1, 1, 30), rng.uniform(0, 3, 30)])
         want = a + b * pts[:, 0] + c * pts[:, 1] + d * pts[:, 0] * pts[:, 1]
         np.testing.assert_allclose(u.at(pts)[:, 0], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interpolate_chunks_give_the_same_bytes(dim, monkeypatch):
+    # one point a chunk and the default chunk evaluate every point alike
+    rng = np.random.default_rng(dim)
+    g = Grid(dim, (-1.0,) * dim, (2.0,) * dim, (5, 4, 3)[:dim])
+    values = rng.normal(size=(g.num_nodes, 2))
+    pts = np.concatenate([g.node_coords, rng.uniform(-1.1, 1.1, (200, dim))])
+    whole = g.interpolate(values, pts)
+    monkeypatch.setattr(grid_module, "_INTERPOLATE_STEP", 1)
+    assert g.interpolate(values, pts).tobytes() == whole.tobytes()
+
+
+def test_interpolate_temporaries_do_not_grow_with_the_points():
+    # beyond its (m, N) result, evaluating 10^5 points allocates a few
+    # chunks' temporaries, not arrays of 2^dim entries per point
+    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (16, 16))
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=g.num_nodes)
+    pts = rng.random((10**5, 2))
+    tracemalloc.start()
+    try:
+        out = g.interpolate(values, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10**5, 1)
+    assert peak - out.nbytes <= 6 * 8 * grid_module._INTERPOLATE_STEP, peak
+
+
+@pytest.mark.parametrize("dim, shape", [(1, (2,)), (1, (3, 2)), (1, (1, 1, 1)), (2, (3,)),
+                                        (2, (4, 3)), (2, (2, 2, 2)), (2, ())])
+def test_interpolate_rejects_malformed_points(dim, shape):
+    # (m, dim) or one point (dim,) only: in 1-D, two points (2,) read as one
+    # 2-D point used to give one wrong value
+    g = Grid(dim, (0.0,) * dim, (1.0,) * dim, (4,) * dim)
+    values = np.arange(g.num_nodes, dtype=float) ** 2
+    with pytest.raises(ValueError, match="points must be"):
+        g.interpolate(values, np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolate_takes_one_point_or_rows_of_points(dim):
+    g = Grid(dim, (0.0,) * dim, (1.0,) * dim, (4,) * dim)
+    values = np.arange(g.num_nodes, dtype=float) ** 2
+    rows = np.full((3, dim), 0.25)
+    assert g.interpolate(values, rows).shape == (3, 1)
+    assert g.interpolate(values, rows[0]).tobytes() == g.interpolate(values, rows)[:1].tobytes()
+    assert g.interpolate(values, np.empty((0, dim))).shape == (0, 1)
 
 
 def test_gradient_bilinear_cell_oracle():

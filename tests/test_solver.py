@@ -1017,6 +1017,56 @@ def test_matrix_free_hessian_matches_assembled(dim, N, gamma, data):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def _matvec_reference(elim, C, w, s1, s2, x):
+    # the matvec as one expression: four (cells, 2^dim N) arrays at once
+    xe = np.zeros(elim.n + 1)
+    xe[:elim.n] = x
+    x_cell = xe[elim.element_dofs]
+    y = s1[:, None] * (x_cell @ C)
+    y += (s2 * np.einsum("ci,ci->c", x_cell, w))[:, None] * w
+    return elim._sum_cells(y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 3), N=st.integers(1, 3), data=st.data())
+def test_matvec_gives_the_bytes_of_one_expression(dim, N, data):
+    # the matvec writes the rank-one term into the room of the gathered x;
+    # each entry goes through the same operations as in the one expression
+    cells = data.draw(st.tuples(*[st.integers(2, 6)] * dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = Grid(dim, (0.0,) * dim, tuple(rng.uniform(0.5, 2.0, dim)), cells)
+    p = ExponentField(GridFunction(g, rng.uniform(1.1, 3.0, g.num_nodes)))
+    u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
+    coefficients = _hessian_coefficients(_iterate(u), p, FluxParams(1e-2))
+    elim = solver._Elimination(g, N)
+    apply = elim.matvec(*coefficients)
+    for _ in range(2):  # the gathered x's room is fresh on every call
+        x = rng.normal(size=elim.n)
+        assert apply(x).tobytes() == _matvec_reference(elim, *coefficients, x).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_matvec_holds_two_cell_arrays(N):
+    # at 128^2 one (cells, 4 N) array is 0.5 N MB: a CG matvec allocates
+    # two of them plus vectors of cells or dofs, where the one expression
+    # takes four
+    g = Grid(2, (0.0, 0.0), (1.0, 1.0), (128, 128))
+    rng = np.random.default_rng(N)
+    p = ExponentField(GridFunction(g, rng.uniform(1.3, 2.8, g.num_nodes)))
+    u = GridFunction(g, rng.normal(size=(g.num_nodes, N)))
+    C, w, s1, s2 = _hessian_coefficients(_iterate(u), p, FluxParams(1e-2))
+    elim = solver._Elimination(g, N)
+    apply = elim.matvec(C, w, s1, s2)
+    x = rng.normal(size=elim.n)
+    tracemalloc.start()
+    try:
+        apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * w.nbytes + 2 * 8 * (g.num_cells + elim.n), peak
+
+
 def test_held_factor_preconditions_cg():
     # preconditioned by the factor of the very matrix it solves, CG meets
     # any forcing term in one iteration, at the direct solve's answer
