@@ -77,7 +77,7 @@ from .estimates import (EstimateRecord, caccioppoli_check, data_density,
 from .exponent import ExponentField
 from .grid import Box, CellField, Grid, GridFunction, gradient, mean_over
 from .operator import coercivity_constant
-from .solver import SolveOptions, SolverResult, manufactured_instance, solve_pxlaplace
+from .solver import SolverResult, manufactured_instance, solve_pxlaplace
 
 __all__ = [
     "ConfigError",
@@ -203,15 +203,13 @@ class ExperimentConfig:
     sizes: tuple[float, ...] = _key("sweep", "floats", (0.5, 1.0),
                                     "absolute root side lengths; doubled roots must fit the domain",
                                     _above(0))
-    amplitudes: tuple[float, ...] = _key("sweep", "floats", (1.0, 0.5), "t in mean p + t (p - mean p)")
+    amplitudes: tuple[float, ...] = _key("sweep", "floats", (1.0, 0.5),
+                                         "t in mean p + t (p - mean p); p- must stay above 1")
     image: str | None = _key("denoise", "path", None, "input PGM; required by denoise")
     strength: float = _key("denoise", "float", 3.0, "smoothing strength; 0 keeps the input",
                            _at_least(0))
     p_min: float = _key("denoise", "float", 1.4, "exponent at strong edges", _above(1))
     p_max: float = _key("denoise", "float", 2.0, "exponent on flat regions")
-
-    def solve_options(self) -> SolveOptions:
-        return SolveOptions(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
 
 def _config_keys() -> dict[tuple[str, str], Field]:
@@ -591,7 +589,10 @@ def _build_exponent(cfg: ExperimentConfig, grid: Grid) -> ExponentField:
             raise ConfigError("[exponent] path: field grid does not match [grid] "
                               "(use kind = table for interpolation)")
         nodal = fld.values[:, 0]
-    else:  # table: multilinear interpolation onto the target nodes
+    else:  # table: multilinear interpolation onto the target nodes, which it must cover
+        if not fld.grid.domain.contains_box(grid.domain):
+            raise ConfigError(f"[exponent] path: the table {cfg.exponent_path} must cover the "
+                              "[grid] domain, since interpolation does not extrapolate")
         nodal = fld.at(grid.node_coords)[:, 0]
     if nodal.min() <= 1.0:
         raise ConfigError("[exponent] values must exceed 1 everywhere")
@@ -632,7 +633,8 @@ def _solve(cfg: ExperimentConfig, rep: Report, grid: Grid | None = None,
         grid = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
         p = _build_exponent(cfg, grid)
     u_star, G, boundary = _build_instance(cfg, grid)
-    res = solve_pxlaplace(G, p, boundary, opts=cfg.solve_options(), coarse=coarse)
+    res = solve_pxlaplace(G, p, boundary, tolerance=cfg.tolerance,
+                          max_iterations=cfg.max_iterations, coarse=coarse)
     _report_solve(rep, res, label)
     return grid, p, u_star, G, res
 
@@ -742,6 +744,14 @@ def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
 def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     base = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
     p0 = _build_exponent(cfg, base)
+    mean_p = float(p0.values.mean())
+    amplitudes = []  # (t, mean p + t (p - mean p)), each checked before the first solve
+    for t in cfg.amplitudes:
+        values = mean_p + t * (p0.values - mean_p)
+        if values.min() <= 1.0:
+            raise ConfigError(f"[sweep] amplitudes: t = {_fmt(t)} gives p- = "
+                              f"{_fmt(values.min())}, which must exceed 1")
+        amplitudes.append((t, ExponentField(GridFunction(base, values))))
     kappa = _resolve_kappa(cfg, p0)
     rows: list[list[str]] = []
     solved: dict[tuple[Grid, bytes], tuple[CellField, SolverResult]] = {}
@@ -787,10 +797,8 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     for size in cfg.sizes:
         add("size", _fmt(size), base, p0, _size_root(base.domain, size))
 
-    mean_p = float(p0.values.mean())
     root = _root(cfg, base)
-    for t in cfg.amplitudes:
-        pt = ExponentField(GridFunction(base, mean_p + t * (p0.values - mean_p)))
+    for t, pt in amplitudes:
         G, res = solve(base, pt, f" at amplitude {_fmt(t)}")
         F = energy_density(res.u, pt)
         lam = cfg.lambda_factors[0] * covering_threshold(F, root)
@@ -856,7 +864,7 @@ def _cmd_denoise(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     G = gradient(GridFunction(grid, target))
     # a cold solve whose interior starts from the image, not from a zero
     # interior: on each half grid, from the injected image
-    res = solve_pxlaplace(G, p, u0, opts=cfg.solve_options())
+    res = solve_pxlaplace(G, p, u0, tolerance=cfg.tolerance, max_iterations=cfg.max_iterations)
     _report_solve(rep, res)
 
     out_img = np.clip(np.rint(res.u.values.reshape(rows, cols) * maxval),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Box, CellField, Grid, _interval_overlaps
+from .grid import _GEOM_RTOL, Box, CellField, Grid, _interval_overlaps
 
 __all__ = [
     "DyadicCube",
@@ -160,7 +160,7 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
         max_level = default_max_level(root, g)
     power = np.abs(f.values) ** s
 
-    tol = 1e-12 * max(root.side, 1.0)
+    tol = _GEOM_RTOL * max(root.side, 1.0)  # Box.contains_points' face tolerance
     centers = [g.origin[k] + g.cell_size[k] * (np.arange(g.cells[k]) + 0.5)
                for k in range(g.dim)]
     inside = [np.flatnonzero((x >= root.lo[k] - tol) & (x <= root.hi[k] + tol))

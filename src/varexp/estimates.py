@@ -2,21 +2,23 @@
 self-improvement and higher integrability.
 
 Each check evaluates both sides of an inequality on concrete solved
-instances by quadrature and records the empirical constant lhs/sum(rhs)
-in an EstimateRecord.  The higher-integrability check additionally
-recomputes its left-hand side through the proof's level-set route: the
-q-th moment reconstructed from a lambda-sweep of superlevel-set measures,
-split at the threshold kappa * lambda0 where the covering argument takes
-over from the raw density (below it the set of the density itself, above
-it the maximal function's).  The two routes must agree to sweep accuracy,
-which is the strongest internal consistency test in the package.
+instances by quadrature and records the same shape of evidence in an
+EstimateRecord: the left-hand side, the named right-hand-side components
+and the empirical constant lhs/sum(rhs).  The higher-integrability check
+additionally recomputes its left-hand side through the proof's level-set
+route: the q-th moment reconstructed from a lambda-sweep of superlevel-set
+measures, split at the threshold kappa * lambda0 where the covering
+argument takes over from the raw density (below it the set of the density
+itself, above it the maximal function's).  The two routes must agree to
+sweep accuracy, which is the strongest internal consistency test in the
+package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .dyadic import (DyadicCube, covering_threshold, default_max_level, lattice_
 from .exponent import ExponentField
 from .grid import (Box, CellField, GridFunction, gradient, integrate, mean_over,
                    region_weights)
-from .records import EstimateRecord
 from .varlp import decay_weight
 
 __all__ = [
@@ -38,6 +39,30 @@ __all__ = [
     "gehring_scan",
     "higher_integrability_check",
 ]
+
+
+@dataclass
+class EstimateRecord:
+    name: str
+    lhs: float
+    rhs_components: dict[str, float]
+    empirical_constant: float
+    cube: Box | None = None
+    resolution: tuple[int, ...] = ()
+    flags: list[str] = field(default_factory=list)
+
+    @classmethod
+    def build(cls, name: str, lhs: float, rhs: dict[str, float], *,
+              cube: Box | None = None, resolution: tuple[int, ...] = (),
+              flags: list[str] | None = None) -> "EstimateRecord":
+        total = float(sum(rhs.values()))
+        const = float(lhs) / total if total > 0 else float("inf") if lhs > 0 else 0.0
+        return cls(name, float(lhs), {k: float(v) for k, v in rhs.items()},
+                   const, cube, tuple(resolution), list(flags or []))
+
+    @property
+    def rhs_sum(self) -> float:
+        return float(sum(self.rhs_components.values()))
 
 
 def energy_density(u: GridFunction, p: ExponentField) -> CellField:

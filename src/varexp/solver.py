@@ -108,18 +108,11 @@ from .operator import (FluxParams, _ElementMatrices, _energy, _energy_gradient, 
 
 __all__ = [
     "LevelStats",
-    "SolveOptions",
     "SolverResult",
     "StageStats",
     "solve_pxlaplace",
     "manufactured_instance",
 ]
-
-
-@dataclass
-class SolveOptions:
-    tolerance: float = 1e-8
-    max_iterations: int = 200  # Newton steps per gamma stage
 
 
 @dataclass
@@ -399,6 +392,11 @@ class _Group:
         col[m] = 0
         return col.astype(np.int32)
 
+    @cached_property
+    def front_cells(self) -> int:
+        """The most cells any one front assembles."""
+        return int(np.bincount(self.cell_slot).max()) if len(self.cells) else 0
+
     @property
     def batch(self) -> int:
         """Fronts factored at once: _BATCH over a front's entries and its
@@ -413,8 +411,7 @@ class _Group:
         Schur blocks, whose room the pivot blocks' temporaries
         (``_inverse_cholesky``) use first."""
         p, u, b = self.p, self.m - self.p, min(self.batch, self.fronts)
-        cells = b * self.cell_local.shape[1] ** 2 * (
-            int(np.bincount(self.cell_slot).max()) if len(self.cells) else 0)
+        cells = b * self.cell_local.shape[1] ** 2 * self.front_cells
         need = [(cells * 5 + 7) // 8, b * max(p * p, self.schur) if u else 0]
         for _, rows, _, local, _ in self.children:
             tri = local.shape[1] * (local.shape[1] + 1) // 2  # a child's packed update entries
@@ -479,7 +476,7 @@ class _Elimination:
         owner = by_start[np.searchsorted(tree.start[by_start], corners.min(axis=1), "right") - 1]
         self.element_dofs = dofs(corners, self.n)
 
-        self.depths, self.nnz, self._sized = [], 0, None
+        self.depths, self.nnz = [], 0
         above = None  # (pivot starts, sizes, halos, groups, slots) of the fronts one depth up
         for a, b in zip(tree.first, tree.first[1:]):  # root first
             start, size, halo = tree.start[a:b], tree.size[a:b], self._halos(pos, n, tree, a, b)
@@ -587,11 +584,8 @@ class _Elimination:
         buffer, allocated once per factorization, holds the batch's fronts
         and then its workspace: the index arrays, the pivot blocks'
         temporaries, F11^-1 and the Schur blocks."""
-        if self._sized != (_BATCH, _SUM_STEP):  # the buffer's entries, once per sizes in force
-            self._sized, self._entries = (_BATCH, _SUM_STEP), max(
-                min(g.batch, g.fronts) * g.size + 1 + g.workspace
-                for d in self.depths for g in d.groups)
-        buffer = np.empty(self._entries)
+        buffer = np.empty(max(min(g.batch, g.fronts) * g.size + 1 + g.workspace
+                              for d in self.depths for g in d.groups))
         # below: per group one depth down, (updates, (rows, columns), stack, first entry in it)
         blocks, below = [], None
         for depth in self.depths:
@@ -607,7 +601,8 @@ class _Elimination:
                 # one after the other: the place in them of each packed entry
                 r, h = np.arange(u), u // 2
                 schur = np.where(r < h, r * h, r * u - h * (u - h))[tri[0]] + tri[1]
-                for s in _batches(nf, g.size + g.schur):
+                for f in range(0, nf, g.batch):
+                    s = slice(f, min(f + g.batch, nf))
                     n = (s.stop - s.start) * g.size + 1  # the fronts and one junk entry
                     F, work = buffer[:n], buffer[n:]
                     self._assemble(g, s, E, below, F, work)
@@ -724,12 +719,6 @@ def _extend_add(F: np.ndarray, U: np.ndarray, local: np.ndarray, column: np.ndar
             np.add.at(F, at.reshape(-1), U[rows, cols].reshape(-1))  # a view: rows or one part
 
 
-def _batches(count: int, size: int):
-    """Slices of range(count) of at most _BATCH // size items (at least one)."""
-    step = max(1, _BATCH // max(size, 1))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
 class _Stack:
     """``entries`` float64 ``values`` in a private anonymous mapping of
     their own, so that the pages handed back leave the process: glibc
@@ -760,7 +749,6 @@ class _Factor:
     gather, one batched product per group and one scatter per depth."""
 
     def __init__(self, elim: _Elimination, blocks: list[np.ndarray]):
-        self.elim = elim
         self.blocks = blocks
         # each depth's pivot and variable values, front by front, as views per group
         xp = np.empty(max(d.piv.size for d in elim.depths))
@@ -851,14 +839,16 @@ def _cg_solve(factor, matvec, g_free: np.ndarray, eta: float,
     return None
 
 
-def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
-                    opts: SolveOptions | None = None, *,
+def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction, *,
+                    tolerance: float = 1e-8, max_iterations: int = 200,
                     coarse: GridFunction | None = None) -> SolverResult:
     """Minimize the p(x)-energy with Dirichlet data on the domain boundary.
 
     ``boundary`` supplies the trace on the topological boundary nodes and
     the initial guess on the interior; G, p and boundary must share a grid.
     G is the flux data, an (N, d) cell field matching the gradient shape.
+    The final gamma stage stops at residual ``tolerance``, and every stage
+    after ``max_iterations`` Newton steps.
     A cold call solves the ladder of grids (module docstring).  Given
     ``coarse``, a solution on this grid or a coarser nested grid of its
     domain, only the final gamma stage runs, from its prolongation.  The
@@ -866,7 +856,6 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
     that misses the tolerance ends the ladder, and ``u`` is its field.  No
     coarser level's field outlives its prolongation.
     """
-    opts = opts or SolveOptions()
     grid = boundary.grid
     if G.grid != grid or p.grid != grid:
         raise ValueError("grid mismatch between data, exponent, and boundary")
@@ -892,7 +881,7 @@ def solve_pxlaplace(G: CellField, p: ExponentField, boundary: GridFunction,
             guess[mask] = bl.values[mask]
             bl = GridFunction(Gl.grid, guess)
             coarse = res = None  # drop the coarser level before this solve
-        res = _solve_level(Gl, pl, bl, opts, final_only=start is not None)
+        res = _solve_level(Gl, pl, bl, tolerance, max_iterations, final_only=start is not None)
         res.levels[0].start = start
         levels += res.levels
         history += res.energy_history
@@ -936,7 +925,7 @@ def _ladder(cells: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _solve_level(G: CellField, p: ExponentField, boundary: GridFunction,
-                 opts: SolveOptions, final_only: bool) -> SolverResult:
+                 tolerance: float, max_iterations: int, final_only: bool) -> SolverResult:
     """One grid's solve from ``boundary``'s interior, through the whole
     gamma schedule or, when ``final_only``, its final stage; one level,
     marked cold.  The elimination tree of the interior nodes is built once
@@ -972,14 +961,14 @@ def _solve_level(G: CellField, p: ExponentField, boundary: GridFunction,
         history.append((gam, J))
         g_free, res = free_gradient(it, ag, params)
         last = k == len(schedule) - 1
-        target = opts.tolerance if last else max(opts.tolerance, _STAGE_REDUCTION * res)
+        target = tolerance if last else max(tolerance, _STAGE_REDUCTION * res)
         stage = StageStats(gam)
         stages.append(stage)
         while True:
             if res <= target:
-                stage.reason = "tolerance" if res <= opts.tolerance else "reduction"
+                stage.reason = "tolerance" if res <= tolerance else "reduction"
                 break
-            if stage.steps >= opts.max_iterations:
+            if stage.steps >= max_iterations:
                 stage.reason = "cap"
                 break
             # one set of coefficients for CG and, on a miss, the refactor
@@ -1034,9 +1023,9 @@ def _solve_level(G: CellField, p: ExponentField, boundary: GridFunction,
             history.append((gam, J))
         stage.residual = res
 
-    converged = res <= opts.tolerance
+    converged = res <= tolerance
     if not converged and not message:
-        message = f"residual {res:.3e} above tolerance {opts.tolerance:g}"
+        message = f"residual {res:.3e} above tolerance {tolerance:g}"
     level = LevelStats(grid.cells, None, time.perf_counter() - t0, stages)
     return SolverResult(GridFunction(grid, u), converged, history, [level], message)
 

@@ -10,7 +10,7 @@ import pytest
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction
 from varexp.operator import FluxParams, energy_hessian
-from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
+from varexp.solver import manufactured_instance, solve_pxlaplace
 
 
 def constant_exponent(grid: Grid, value: float) -> ExponentField:
@@ -59,7 +59,7 @@ def solved_matched(n: int) -> dict:
     grid = Grid(2, (-2.0, -2.0), (4.0, 4.0), (n, n))
     p = smooth_exponent(grid)
     u_star, G, boundary = manufactured_instance("matched", grid)
-    result = solve_pxlaplace(G, p, boundary, SolveOptions())
+    result = solve_pxlaplace(G, p, boundary)
     assert result.converged, result.message
     return {"grid": grid, "p": p, "u_star": u_star, "G": G,
             "boundary": boundary, "result": result}

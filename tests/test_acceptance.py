@@ -40,7 +40,7 @@ from varexp.grid import (
     region_weights,
 )
 from varexp.operator import FluxParams, coercivity_constant, energy, energy_gradient, flux
-from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
+from varexp.solver import manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
 from conftest import constant_exponent, constriction, solved_matched
@@ -150,7 +150,7 @@ def test_acceptance_solver_recovery(matched32, matched64):
         g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
         p = constant_exponent(g, 2.0)
         u_star, G, boundary = manufactured_instance("linear", g)
-        res = solve_pxlaplace(G, p, boundary, SolveOptions())
+        res = solve_pxlaplace(G, p, boundary)
         assert res.converged
         B = np.zeros((g.num_cells, g.dim, g.num_nodes))
         coefs = g.grad_coefs
@@ -257,7 +257,7 @@ def test_acceptance_level_set_moments(matched32):
 
 def solved_constriction(amp):
     G, p, bnd = constriction(amp)
-    res = solve_pxlaplace(G, p, bnd, SolveOptions())
+    res = solve_pxlaplace(G, p, bnd)
     assert res.converged
     return bnd.grid, p, res, G
 
@@ -307,7 +307,7 @@ def test_acceptance_gehring_exponent(matched32):
     g = matched32["grid"]
     p2 = constant_exponent(g, 2.0)
     u_star, G, bnd = manufactured_instance("matched", g)
-    res = solve_pxlaplace(G, p2, bnd, SolveOptions())
+    res = solve_pxlaplace(G, p2, bnd)
     assert res.converged
     scan = gehring_scan(res.u, G, p2, g.domain.scaled(0.5))
     assert scan.m0 > 1.0

@@ -36,7 +36,7 @@ from varexp.dyadic import default_max_level, maximal_function
 from varexp.estimates import energy_density
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction
-from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
+from varexp.solver import manufactured_instance, solve_pxlaplace
 
 BASE = """
 [run]
@@ -914,6 +914,33 @@ def test_sweep_refinement_leaves_base_rows_unchanged(tmp_path):
     assert not any(" = " in ln for ln in reports[1] if ln.startswith(("solve ", "stage ")))
 
 
+def test_sweep_checks_every_amplitude_before_solving(tmp_path, capsys):
+    # amplitude 3 stretches the table's p below 1: a config error naming the
+    # key, t and p-, raised before the first solve, not after the refinement
+    # solves when the amplitude loop reaches it
+    f = _table_bump_config(tmp_path, 1)
+    f.write_text(f.read_text().replace("amplitudes = 1 0.5", "amplitudes = 1 3"))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(f), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[sweep] amplitudes: t = 3 gives p- = " in err
+    assert not any(ln.startswith("solve ") for ln in (out / "report.txt").read_text().splitlines())
+
+
+def test_table_must_cover_the_grid(tmp_path, capsys):
+    # a table is interpolated, never extrapolated: one on [0, 1]^2 under the
+    # [-2, 2]^2 grid is a config error naming the key, where the clamped
+    # interpolation would have run the solve; one on a larger domain solves
+    text = BASE.replace("kind = constant\nvalue = 2.0", "kind = table\npath = p.vxf")
+    for origin, extent, code in (((0.0, 0.0), (1.0, 1.0), EXIT_CONFIG),
+                                 ((-3.0, -2.5), (6.0, 5.0), EXIT_OK)):
+        g = Grid(2, origin, extent, (4, 4))
+        write_field(tmp_path / "p.vxf", GridFunction(g, 2.0 + 0.3 * np.sin(g.node_coords[:, 0])))
+        out = tmp_path / f"o{code}"
+        assert main(["solve", "--config", str(cfg_file(tmp_path, text)), "--out", str(out)]) == code
+    assert "[exponent] path: the table" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "gehring", "goodlambda"])
 def test_reports_end_with_stage_lines(tmp_path, command):
     text = BASE.replace("instance = matched", "instance = bump")
@@ -952,7 +979,7 @@ def _steps(line):
 
 def _cold_library_solve(p, G, boundary):
     """One level through the full schedule: the oracle of the ladder."""
-    res = solver._solve_level(G, p, boundary, SolveOptions(tolerance=1e-8), final_only=False)
+    res = solver._solve_level(G, p, boundary, 1e-8, 200, final_only=False)
     assert res.converged and len(res.stages) == 5  # the full schedule
     return res
 
@@ -1042,7 +1069,7 @@ def test_nested_bump_solve_matches_cold(tmp_path):
     cold = _cold_library_solve(p, G, bnd)
     assert _sup_rel(read_field(out / "solution.vxf").values, cold.u.values) <= 1e-6
     # the library's cold solve is the command's: the same levels and bytes
-    lib = solve_pxlaplace(G, p, bnd, SolveOptions(tolerance=1e-8))
+    lib = solve_pxlaplace(G, p, bnd, tolerance=1e-8)
     assert [(lv.cells, lv.start) for lv in lib.levels] == [((16, 16), None),
                                                            ((32, 32), (16, 16))]
     assert [_steps(h) for h in heads] == [lv.iterations for lv in lib.levels]

@@ -2,6 +2,7 @@
 per-key and cross-key validation, defaults, and the rendered key listing."""
 
 import dataclasses
+import inspect
 import math
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from varexp import cli
 from varexp.cli import EXIT_CONFIG, ConfigError, ExperimentConfig, load_config, main
+from varexp.estimates import gehring_scan, higher_integrability_check
+from varexp.solver import solve_pxlaplace
 
 # field -> (section, key) for every config key, read from the table itself
 KEYS = {f.name: (f.metadata["section"], f.metadata["key"] or f.name)
@@ -158,8 +161,6 @@ def test_every_key_parsed(tmp_path):
     for name, (_, want) in given_values.items():
         assert getattr(cfg, name) == want, name
         assert getattr(defaults, name) != want, name
-    assert cfg.solve_options().max_iterations == 17  # denoise caps by [solver] max_iterations
-    assert load_config("solve", write(tmp_path, "")).solve_options().max_iterations == 200
 
 
 # the defaults of the hand-written parser the field table replaced
@@ -186,6 +187,21 @@ def test_defaults(tmp_path, dim, text, cells):
     want = dict(PARENT_DEFAULTS, dim=dim, origin=(-1.0,) * dim, extent=(2.0,) * dim,
                 cells=cells)
     assert {name: getattr(cfg, name) for name in KEYS} == want
+
+
+@pytest.mark.parametrize("routine, parameter, key", [
+    (solve_pxlaplace, "tolerance", "tolerance"),
+    (solve_pxlaplace, "max_iterations", "max_iterations"),
+    (gehring_scan, "mu_max", "mu_max"),
+    (gehring_scan, "steps", "steps"),
+    (gehring_scan, "cap", "cap"),
+    (higher_integrability_check, "sweep_points", "lambda_count"),
+])
+def test_library_and_config_share_defaults(routine, parameter, key):
+    # a library call and a config that leaves the key out run the same
+    # experiment: each default the two share has one value
+    config = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert inspect.signature(routine).parameters[parameter].default == config[key]
 
 
 def test_cross_key_rules(tmp_path):

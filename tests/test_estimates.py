@@ -19,7 +19,7 @@ from varexp.exponent import ExponentField
 from varexp.grid import (Box, CellField, Grid, GridFunction, gradient, integrate, mean_over,
                          region_weights)
 from varexp.operator import coercivity_constant
-from varexp.solver import SolveOptions, manufactured_instance, solve_pxlaplace
+from varexp.solver import manufactured_instance, solve_pxlaplace
 from varexp.varlp import decay_weight
 
 from conftest import constant_exponent
@@ -231,7 +231,7 @@ def test_higher_integrability_flags_unused_tail():
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (64, 64))
     p = constant_exponent(g, 1.7)
     _, G, bnd = manufactured_instance("bump", g)
-    res = solve_pxlaplace(G, p, bnd, SolveOptions())
+    res = solve_pxlaplace(G, p, bnd)
     assert res.converged
     root = g.domain.scaled(0.5)
     auto = default_kappa(coercivity_constant(p), 2)  # 16.25

@@ -18,7 +18,6 @@ from varexp.grid import CellField, Grid, GridFunction, gradient
 from varexp.operator import (FluxParams, _ElementMatrices, _hessian_coefficients, _iterate,
                              energy_gradient, energy_hessian)
 from varexp.solver import (
-    SolveOptions,
     _dissection,
     _free_solve,
     manufactured_instance,
@@ -57,7 +56,7 @@ def test_p2_matches_independent_linear_solve():
     g = Grid(2, (0.0, 0.0), (1.0, 1.0), (9, 9))
     p = constant_exponent(g, 2.0)
     u_star, G, boundary = manufactured_instance("linear", g)
-    res = solve_pxlaplace(G, p, boundary, SolveOptions())
+    res = solve_pxlaplace(G, p, boundary)
     assert res.converged
 
     vol = g.cell_volume
@@ -184,7 +183,7 @@ def test_newton_step_matches_dense_solve_vector_3d(monkeypatch):
     u0 = GridFunction(g, np.where(g.boundary_node_mask[:, None],
                                   rng.normal(size=(g.num_nodes, 2)), 0.0))
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
-    res = solve_pxlaplace(G, p, u0, SolveOptions(max_iterations=1))
+    res = solve_pxlaplace(G, p, u0, max_iterations=1)
     assert res.iterations == 1
 
     params = FluxParams(1.0)
@@ -212,7 +211,7 @@ def test_singular_factor_falls_back_to_gradient_descent(monkeypatch):
     _, G, bnd = manufactured_instance("linear", g)
     monkeypatch.setattr(solver, "_ElementMatrices", lambda C, w, s1, s2: blocks)
     monkeypatch.setattr(solver, "_GAMMA_SCHEDULE", (1.0,))
-    res = solve_pxlaplace(G, p, bnd, SolveOptions(max_iterations=1))
+    res = solve_pxlaplace(G, p, bnd, max_iterations=1)
     assert res.iterations == 1 and res.stages[0].fallbacks == 1
 
     free = _free_dofs(g, 1)
@@ -709,7 +708,7 @@ def _cold_solve_peak_and_bound(side: int, buffer, slack: float,
     monkeypatch.setattr(solver, "mmap", watch)
     tracemalloc.start()
     try:
-        res = solve_pxlaplace(G, p, bnd, SolveOptions())
+        res = solve_pxlaplace(G, p, bnd)
         sample()
     finally:
         tracemalloc.stop()
@@ -758,7 +757,7 @@ def test_cold_start_recovery(dim, lo, side, p_range, p_fn):
         p = ExponentField(GridFunction(g, p_fn(g.node_coords.T)))
         assert (p.p_minus, p.p_plus) == pytest.approx(p_range, abs=1e-12)
         u_star, G, bnd = manufactured_instance("matched", g)
-        res = solve_pxlaplace(G, p, bnd, SolveOptions())
+        res = solve_pxlaplace(G, p, bnd)
         assert res.converged and res.residual <= 1e-8, res.message
         errs.append(float(np.abs(res.u.values - u_star.values).max()))
     assert errs[1] < 0.05
@@ -770,7 +769,7 @@ def test_rounding_floor_stall_is_resolved():
     # and the Armijo test cannot see a decrease; without the residual guard
     # the final stage backtracks to steps that change nothing until its cap
     # one level: the cold ladder would solve the 256-cell half grid first
-    res = solver._solve_level(*constriction(0.6), SolveOptions(), final_only=False)
+    res = solver._solve_level(*constriction(0.6), 1e-8, 200, final_only=False)
     assert res.converged and res.iterations <= 8, res.stages
     assert any(s.guarded for s in res.stages), res.stages
 
@@ -782,7 +781,7 @@ def test_intermediate_stages_are_inexact(p_value, budget):
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (32, 32))
     p = constant_exponent(g, p_value)
     _, G, bnd = manufactured_instance("bump", g)
-    res = solver._solve_level(G, p, bnd, SolveOptions(), final_only=False)
+    res = solver._solve_level(G, p, bnd, 1e-8, 200, final_only=False)
     assert res.converged and res.residual <= 1e-8, res.message
     assert res.iterations <= budget, res.stages
     assert [s.gamma for s in res.stages] == list(solver._schedule(p_value))
@@ -813,7 +812,7 @@ def test_nonconvergence_reported_honestly():
     _, G, bnd = manufactured_instance("matched", g)
     # zero Newton steps leaves the boundary extension untouched, so the
     # residual stays far above any reasonable tolerance
-    res = solve_pxlaplace(G, p, bnd, SolveOptions(tolerance=1e-8, max_iterations=0))
+    res = solve_pxlaplace(G, p, bnd, tolerance=1e-8, max_iterations=0)
     assert not res.converged
     assert res.residual > 1e-8
     assert res.message
@@ -841,7 +840,7 @@ def test_manufactured_linear_is_harmonic_on_p2(grid32):
         g = grid32 if n == 32 else Grid(2, (-2.0, -2.0), (4.0, 4.0), (n, n))
         p = constant_exponent(g, 2.0)
         u_star, G, bnd = manufactured_instance("linear", g)
-        res = solve_pxlaplace(G, p, bnd, SolveOptions())
+        res = solve_pxlaplace(G, p, bnd)
         assert res.converged
         errs[n] = np.abs(res.u.values - u_star.values).max()
         scale = np.abs(u_star.values).max()
@@ -936,7 +935,7 @@ def _bump_solve(cells, p_of, coarse=None):
     solution ``coarse`` on a coarser nested grid."""
     g, G, bnd = _bump_instance(cells)
     p = p_of(g)
-    return solve_pxlaplace(G, p, bnd, SolveOptions(), coarse=coarse), p
+    return solve_pxlaplace(G, p, bnd, coarse=coarse), p
 
 
 # a nodal exponent table in [1.3, 3] on a 4 x 4-cell grid, read by Q1
@@ -962,7 +961,7 @@ def test_warm_start_runs_final_stage_to_the_cold_answer(cells, p_of):
     fine = tuple(2 * c for c in cells)
     g, G, bnd = _bump_instance(fine)
     p = p_of(g)
-    cold = solver._solve_level(G, p, bnd, SolveOptions(), final_only=False)
+    cold = solver._solve_level(G, p, bnd, 1e-8, 200, final_only=False)
     warm, _ = _bump_solve(fine, p_of, coarse=coarse.u)
     assert coarse.converged and cold.converged, (coarse.message, cold.message)
     assert warm.converged and warm.residual <= 1e-8, warm.message
@@ -976,7 +975,7 @@ def test_warm_start_runs_final_stage_to_the_cold_answer(cells, p_of):
     # one level from the same start, not final_only, runs the whole schedule
     guess = coarse.u.grid.interpolate(coarse.u.values, g.node_coords)
     start = GridFunction(g, np.where(g.boundary_node_mask[:, None], bnd.values, guess))
-    full = solver._solve_level(G, p, start, SolveOptions(), final_only=False)
+    full = solver._solve_level(G, p, start, 1e-8, 200, final_only=False)
     assert [s.gamma for s in full.stages] == list(solver._schedule(p.p_minus))
     assert full.converged
 
@@ -1113,7 +1112,7 @@ def test_cg_cap_of_one_factors_every_newton_system(monkeypatch):
     # every step after the first tried one CG iteration on the held factor
     assert sum(s.cg_iterations for s in capped.stages) == capped.iterations - 1
     scale = np.abs(default.u.values).max()
-    assert np.abs(capped.u.values - default.u.values).max() <= SolveOptions().tolerance * scale
+    assert np.abs(capped.u.values - default.u.values).max() <= 1e-8 * scale
 
 
 def test_newton_takes_each_fields_gradient_once(monkeypatch):
@@ -1132,7 +1131,7 @@ def test_newton_takes_each_fields_gradient_once(monkeypatch):
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
     _, G, bnd = manufactured_instance("bump", g)
     # one level: the cold ladder takes the gradient of each level's start
-    res = solver._solve_level(G, constant_exponent(g, 1.3), bnd, SolveOptions(), final_only=False)
+    res = solver._solve_level(G, constant_exponent(g, 1.3), bnd, 1e-8, 200, final_only=False)
     assert res.converged, res.message
     trials = sum(s.steps + s.backtracks for s in res.stages)
     assert sum(s.backtracks for s in res.stages) > 0 and len(res.stages) > 1

@@ -2,6 +2,8 @@
 
 import ast
 import hashlib
+import importlib.util
+import json
 import math
 import os
 import re
@@ -162,6 +164,31 @@ def test_config_digest_loads_no_openssl(tmp_path):
     want = hashlib.sha256(cfg.read_bytes()).hexdigest()
     assert got == [want, "False"]
     assert f"config_sha256 = {want}" in (out / "report.txt").read_text().splitlines()
+
+
+def test_traced_benchmark_still_runs(tmp_path):
+    # perfbench/tracing.py wraps varexp's functions by module and name and
+    # reads solve_pxlaplace's arguments: a traced solve must still run, give
+    # every per-layer metric BENCHMARK.json names, and count the Newton
+    # steps solve.csv reports, as perfbench/run.py checks
+    root = Path(varexp.__file__).parents[2]
+    bench = root / "perfbench"
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(_SOLVE_2D)
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(bench)]),
+               PERFBENCH_SPANS=str(spans))
+    subprocess.run([sys.executable, str(bench / "traced_cli.py"), "solve", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")], env=env, capture_output=True, check=True)
+    spec = importlib.util.spec_from_file_location("tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    metrics = tracing.layer_metrics([json.loads(spans.read_text())], names)
+    rows = (tmp_path / "out" / "solve.csv").read_text().splitlines()
+    steps = dict(row.split(",") for row in rows[1:])["iterations"]
+    assert metrics["solver.solve_pxlaplace.calls"] == 1
+    assert metrics["solver.newton_steps"] == float(steps) > 0
 
 
 def test_third_party_imports_are_declared_dependencies():
