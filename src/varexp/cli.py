@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import GoodLambdaResult, covering_threshold, default_kappa, good_lambda_measure
+from .dyadic import GoodLambdaResult, default_kappa, good_lambda_measure
 from .estimates import (EstimateRecord, caccioppoli_check, data_density,
                         energy_density, gehring_scan,
                         higher_integrability_check, reverse_holder_check)
@@ -469,6 +469,7 @@ class Report:
     records: list = field(default_factory=list)
     scalars: list[tuple[str, float]] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
+    checks: list[tuple[str, object]] = field(default_factory=list)  # (name, result) per check
 
     def write_text(self, path: Path) -> None:
         scalars = [f"{k} = {_fmt(v)}\n" for k, v in self.scalars]
@@ -678,7 +679,7 @@ def _size_root(domain: Box, size: float) -> Box:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
+def _cmd_solve(cfg: ExperimentConfig, rep: Report) -> None:
     grid, p, u_star, G, res = _solve(cfg, rep)
     write_field(cfg.out / "solution.vxf", res.u)
     write_field(cfg.out / "exponent.vxf", p.field)
@@ -693,7 +694,7 @@ def _cmd_solve(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
                [[k, _fmt(v)] for k, v in rep.scalars])
 
 
-def _cmd_verify(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
+def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
@@ -705,14 +706,14 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
         higher_integrability_check(res.u, G, p, cfg.q, root, kappa,
                                    sweep_points=cfg.lambda_count, m=cfg.m),
     ]
-    checks += [(r.name, r) for r in rep.records]
+    rep.checks += [(r.name, r) for r in rep.records]
     rep.scalars = [("kappa", kappa), ("s", s), ("residual", res.residual)]
     _write_csv(cfg.out / "records.csv", ["name", "cube", "resolution", "lhs", "rhs_sum",
                                          "constant", "components", "flags"],
                [_record_row(r) for r in rep.records])
 
 
-def _cmd_gehring(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
+def _cmd_gehring(cfg: ExperimentConfig, rep: Report) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     gr = gehring_scan(res.u, G, p, root, mu_max=cfg.mu_max, steps=cfg.steps,
@@ -720,28 +721,26 @@ def _cmd_gehring(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     rep.scalars = [("m0", gr.m0), ("sigma", gr.sigma), ("cap", gr.cap),
                    ("cubes_tested", gr.cubes_tested)]
     rep.records = list(gr.records)
-    checks.append(("gehring", gr))
+    rep.checks.append(("gehring", gr))
     _write_csv(cfg.out / "gehring.csv", ["mu", "lhs", "rhs", "constant"],
                [[_fmt(mu), _fmt(r.lhs), _fmt(r.rhs_sum), _fmt(r.empirical_constant)]
                 for mu, r in zip(gr.mu_grid, gr.records)])
 
 
-def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
+def _cmd_goodlambda(cfg: ExperimentConfig, rep: Report) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
-    F = energy_density(res.u, p)
-    lam0 = covering_threshold(F, root)
-    gl = good_lambda_measure(F, data_density(G, p, cfg.m), root, kappa, cfg.epsilons,
-                             [f * lam0 for f in cfg.lambda_factors], cfg.m0)
+    gl = good_lambda_measure(energy_density(res.u, p), data_density(G, p, cfg.m), root,
+                             kappa, cfg.epsilons, cfg.lambda_factors, cfg.m0)
     rep.scalars = [("kappa", kappa), ("m0", cfg.m0), ("lambda0", gl.lambda0)] + [
         (f"delta(eps = {_fmt(e)}, lam = {_fmt(l)})", d) for e, l, d in gl.rows]
-    checks.append(("good-lambda", gl))
+    rep.checks.append(("good-lambda", gl))
     _write_csv(cfg.out / "goodlambda.csv", ["epsilon", "lambda", "delta"],
                [[_fmt(e), _fmt(l), _fmt(d)] for e, l, d in gl.rows])
 
 
-def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
+def _cmd_sweep(cfg: ExperimentConfig, rep: Report) -> None:
     base = Grid(cfg.dim, cfg.origin, cfg.extent, cfg.cells)
     p0 = _build_exponent(cfg, base)
     mean_p = float(p0.values.mean())
@@ -782,7 +781,7 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
         for r in recs:
             rows.append([axis, setting, r.name, _fmt(r.lhs), _fmt(r.rhs_sum),
                          _fmt(r.empirical_constant)])
-            checks.append((f"{axis} {setting} {r.name}", r))
+            rep.checks.append((f"{axis} {setting} {r.name}", r))
         rep.records.extend(recs)
         return res.u
 
@@ -800,13 +799,11 @@ def _cmd_sweep(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
     root = _root(cfg, base)
     for t, pt in amplitudes:
         G, res = solve(base, pt, f" at amplitude {_fmt(t)}")
-        F = energy_density(res.u, pt)
-        lam = cfg.lambda_factors[0] * covering_threshold(F, root)
-        gl = good_lambda_measure(F, data_density(G, pt, cfg.m), root, kappa,
-                                 cfg.epsilons, [lam], cfg.m0)
+        gl = good_lambda_measure(energy_density(res.u, pt), data_density(G, pt, cfg.m), root,
+                                 kappa, cfg.epsilons, cfg.lambda_factors[:1], cfg.m0)
         for e, _, d in gl.rows:
             rows.append(["amplitude", _fmt(t), f"delta(eps={_fmt(e)})", _fmt(d), "", ""])
-        checks.append((f"amplitude {_fmt(t)} good-lambda", gl))
+        rep.checks.append((f"amplitude {_fmt(t)} good-lambda", gl))
 
     _write_csv(cfg.out / "sweep.csv",
                ["axis", "setting", "name", "lhs", "rhs_sum", "constant"], rows)
@@ -837,7 +834,7 @@ def _gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _cmd_denoise(cfg: ExperimentConfig, rep: Report, checks: list) -> None:
+def _cmd_denoise(cfg: ExperimentConfig, rep: Report) -> None:
     img, maxval, magic = read_pgm(cfg.image)
     rows, cols = img.shape
     if rows < 3 or cols < 3:
@@ -895,14 +892,14 @@ _COMMANDS = tuple(_RUNNERS)
 def run(cfg: ExperimentConfig) -> Report:
     """Execute the configured command; writes reports under cfg.out."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    rep, checks = Report(cfg.command, _provenance(cfg)), []
+    rep = Report(cfg.command, _provenance(cfg))
     try:
-        _RUNNERS[cfg.command](cfg, rep, checks)
+        _RUNNERS[cfg.command](cfg, rep)
     except ValueError as exc:
         # library-level precondition violations are configuration errors
         raise ConfigError(str(exc)) from exc
     finally:  # however the run ends: a missed solve's lines show where it stalled
-        rep.lines[:0] = _checks_block(checks)  # ahead of the solve lines
+        rep.lines[:0] = _checks_block(rep.checks)  # ahead of the solve lines
         rep.write_text(cfg.out / "report.txt")
     return rep
 

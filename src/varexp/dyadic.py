@@ -22,12 +22,13 @@ a cell array for every cube of one level at once.  The maximal function,
 the covering and its threshold lam0, and the Gehring scan in
 ``varexp.estimates`` all read their cube means from it.
 
-A covering at height lam >= lam0 = mean_{2 root} F collects the maximal
-lattice cubes whose doubled-cube average exceeds lam; each carries the
-sandwich lam < mean_{2Q} F <= 2^n lam, obtained from the predecessor cube
-through 3Q ⊂ 2Q^pre.  Good-lambda measurement compares the super-level
-sets of M*F at kappa*lam against the smallness set of the data maximal
-function.
+A covering at height lam = factor * lam0, for a factor >= 1 of lam0 =
+mean_{2 root} F, collects the maximal lattice cubes whose doubled-cube
+average exceeds lam; each carries the sandwich lam < mean_{2Q} F <= 2^n lam,
+obtained from the predecessor cube through 3Q ⊂ 2Q^pre.  Good-lambda
+measurement takes its heights as the same factors, and compares the
+super-level sets of M*F at kappa*lam against the smallness set of the data
+maximal function.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _GEOM_RTOL, Box, CellField, Grid, _interval_overlaps
+from .grid import Box, CellField, Grid, _interval_overlaps
 
 __all__ = [
     "DyadicCube",
@@ -160,11 +161,11 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
         max_level = default_max_level(root, g)
     power = np.abs(f.values) ** s
 
-    tol = _GEOM_RTOL * max(root.side, 1.0)  # Box.contains_points' face tolerance
-    centers = [g.origin[k] + g.cell_size[k] * (np.arange(g.cells[k]) + 0.5)
-               for k in range(g.dim)]
-    inside = [np.flatnonzero((x >= root.lo[k] - tol) & (x <= root.hi[k] + tol))
-              for k, x in enumerate(centers)]
+    centers = [g.axis_coords(k, 0.5) for k in range(g.dim)]
+    # the closure is a product over the axes: on axis k, test the root's center
+    # with its coordinate k replaced by each cell center's
+    pts = [np.where(np.arange(g.dim) == k, x[:, None], root.center) for k, x in enumerate(centers)]
+    inside = [np.flatnonzero(root.contains_points(q)) for q in pts]
     best = np.zeros([i.size for i in inside])
     for lev in range(max_level + 1):
         n_side = 2**lev
@@ -174,7 +175,7 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
             rel = (centers[k][inside[k]] - root.lo[k]) / sides[k]
             base = np.clip(np.floor(rel).astype(int), 0, n_side - 1)
             frac = rel - base
-            ftol = tol / sides[k]  # face tolerance in fraction units
+            ftol = root.tolerance / sides[k]  # face tolerance in fraction units
             below = np.where((frac <= ftol) & (base > 0), base - 1, base)
             above = np.where((frac >= 1.0 - ftol) & (base < n_side - 1), base + 1, base)
             m = np.maximum.reduce([np.take(m, i, axis=k) for i in (base, below, above)])
@@ -199,9 +200,9 @@ def covering_threshold(F: CellField, root: Box) -> float:
     return float(lattice_means(F.values, F.grid, root, 0, 2.0).flat[0])
 
 
-def cz_cover(F: CellField, root: Box, lam: float) -> CZCover:
-    """Maximal lattice cubes Q with mean_{2Q} F > lam, for lam >= lam0, down
-    to ``default_max_level``.
+def cz_cover(F: CellField, root: Box, factor: float) -> CZCover:
+    """Maximal lattice cubes Q with mean_{2Q} F > lam, for lam = factor *
+    lam0 with factor >= 1, down to ``default_max_level``.
 
     Walks the lattice top-down, descending only through cubes whose doubled
     average is <= lam, so every returned cube is a proper sub-cube whose
@@ -212,11 +213,12 @@ def cz_cover(F: CellField, root: Box, lam: float) -> CZCover:
     _require_root(g, root)
     if F.values.ndim != 1 or F.values.min() < 0:
         raise ValueError("covering needs a nonnegative scalar cell field")
+    if factor < 1.0:
+        raise ValueError("below covering threshold")
     max_level = default_max_level(root, g)
     tables = [lattice_means(F.values, g, root, lev, 2.0) for lev in range(max_level + 1)]
     lambda0 = float(tables[0].flat[0])
-    if lam < lambda0 * (1.0 - 1e-12):
-        raise ValueError("below covering threshold")
+    lam = factor * lambda0
 
     cubes: list[DyadicCube] = []
     means: list[float] = []
@@ -257,9 +259,10 @@ class GoodLambdaResult:
 
 
 def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
-                        epsilons, lambdas, m0: float,
+                        epsilons, factors, m0: float,
                         max_level: int | None = None) -> GoodLambdaResult:
-    """Measure delta(eps, lam) = |U| / |O_lam| over an (eps, lam) table.
+    """Measure delta(eps, lam) = |U| / |O_lam| over an (eps, lam) table,
+    lam = factor * lam0 for each of ``factors``, all at least 1.
 
     O_lam = {M*F > lam} and U = O_lam ∩ {M*F > kappa lam} ∩ {M*_{m0}(Gh) <= eps lam}.
     kappa must be at least 2^n and every epsilon positive.  delta = 0 when
@@ -278,15 +281,14 @@ def good_lambda_measure(F: CellField, Gh: CellField, root: Box, kappa: float,
     epsilons = [float(e) for e in epsilons]
     if any(e <= 0 for e in epsilons):
         raise ValueError("need epsilon > 0")
+    if any(f < 1.0 for f in factors):
+        raise ValueError("below covering threshold")
     if max_level is None:
         max_level = default_max_level(root, g)
     mf = maximal_function(F, root, 1.0, max_level).values
     mg = maximal_function(Gh, root, m0, max_level).values
     lam0 = covering_threshold(F, root)
-
-    lambdas = [float(l) for l in lambdas]
-    if any(l < lam0 * (1.0 - 1e-12) for l in lambdas):
-        raise ValueError("below covering threshold")
+    lambdas = [float(f) * lam0 for f in factors]
 
     vol = g.cell_volume
     rows, kappa_cells, u_cells = [], [], []

@@ -122,7 +122,7 @@ def reverse_holder_check(u: GridFunction, G: CellField, p: ExponentField,
         raise ValueError(f"s must lie in [1, {s_cap}), got {s}")
 
     mag = gradient(u).magnitude()
-    lhs = mean_over(energy_density(u, p), Q)
+    lhs = mean_over(CellField(g, mag ** pc), Q)  # the energy density, Du taken once
     rhs1 = mean_over(CellField(g, mag ** (pc / s)), Q2) ** s
     rhs2 = mean_over(CellField(g, G.magnitude() ** pc), Q2)
     rhs3 = mean_over(decay_weight(g, m), Q2)

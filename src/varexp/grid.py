@@ -8,7 +8,7 @@ Cells that only partially overlap a region count by volume fraction, so
 integrals are exactly additive over disjoint regions and monotone under
 region inclusion for nonnegative integrands.  A cell's overlap with a box
 is the product of its per-axis overlap lengths: ``region_weights`` is their
-outer product, and ``integrate`` and ``mean_over`` read their sums from it.
+outer product, and ``integrate`` and ``mean_over`` contract fields with them.
 
 The cell-center gradient B is one operator on the corner table
 (``cell_corner_indices``, ``grad_coefs``), applied as 2^dim shifted slices
@@ -104,12 +104,17 @@ class Box:
             return None
         return Box(tuple(lo), tuple(hi))
 
+    @property
+    def tolerance(self) -> float:
+        """Face tolerance of closure tests: _GEOM_RTOL times the longest edge
+        (or 1, if larger)."""
+        return _GEOM_RTOL * max(self.side, 1.0)
+
     def contains_points(self, points) -> np.ndarray:
         """Closure membership of each row of ``points`` (shape (..., dim)),
-        with a tolerance on each face of _GEOM_RTOL times the longest edge
-        (or 1, if larger)."""
+        within ``tolerance`` of each face."""
         x = np.asarray(points, dtype=float)
-        tol = _GEOM_RTOL * max(self.side, 1.0)
+        tol = self.tolerance
         return np.all((x >= np.asarray(self.lo) - tol) & (x <= np.asarray(self.hi) + tol), axis=-1)
 
     def contains_box(self, other: "Box") -> bool:
@@ -173,25 +178,23 @@ class Grid:
     def domain(self) -> Box:
         return Box(self.origin, tuple(np.asarray(self.origin) + np.asarray(self.extent)))
 
+    def axis_coords(self, k: int, offset: float) -> np.ndarray:
+        """Coordinates origin + h (i + offset) along axis ``k`` for the
+        integers i >= 0 with i + offset <= cells[k]: the nodes at offset 0,
+        the cell centers at offset 1/2."""
+        return self.origin[k] + self.cell_size[k] * np.arange(offset, self.cells[k] + 0.5)
+
     @cached_property
     def node_coords(self) -> np.ndarray:
         """(num_nodes, dim) coordinates, row-major."""
-        axes = [
-            np.asarray(self.origin)[k] + self.cell_size[k] * np.arange(self.nodes_per_axis[k])
-            for k in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dim)
+        axes = [self.axis_coords(k, 0.0) for k in range(self.dim)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
         """(num_cells, dim) cell-center coordinates, row-major."""
-        axes = [
-            np.asarray(self.origin)[k] + self.cell_size[k] * (np.arange(self.cells[k]) + 0.5)
-            for k in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dim)
+        axes = [self.axis_coords(k, 0.5) for k in range(self.dim)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     @cached_property
     def corner_bits(self) -> np.ndarray:
@@ -394,7 +397,7 @@ def _interval_overlaps(grid: Grid, k: int, lo, hi) -> np.ndarray:
     """Overlap lengths of the cells along axis ``k`` with the intervals
     [lo, hi]; shape (*shape(lo), cells[k])."""
     h = grid.cell_size[k]
-    left = grid.origin[k] + h * np.arange(grid.cells[k])
+    left = grid.axis_coords(k, 0.0)[:-1]
     o = np.minimum(left + h, np.asarray(hi)[..., None]) - np.maximum(left, np.asarray(lo)[..., None])
     return np.clip(o, 0.0, h)
 
@@ -406,12 +409,9 @@ def _box_overlaps(grid: Grid, region: Box) -> list[np.ndarray]:
     return [_interval_overlaps(grid, k, region.lo[k], region.hi[k]) for k in range(grid.dim)]
 
 
-def region_weights(grid: Grid, region: Box | None) -> np.ndarray:
+def region_weights(grid: Grid, region: Box) -> np.ndarray:
     """Flat (num_cells,) quadrature weights: overlap volume of each cell
-    with the region (full cell volume when region is None), the outer
-    product of the per-axis overlap lengths."""
-    if region is None:
-        return np.full(grid.num_cells, grid.cell_volume)
+    with the region, the outer product of the per-axis overlap lengths."""
     w = np.ones(())
     for o in _box_overlaps(grid, region):
         w = np.multiply.outer(w, o)

@@ -125,9 +125,9 @@ def test_acceptance_maximal_and_covering():
         n = g.dim
         for _ in range(500):
             F = CellField(g, rng.uniform(0.0, 1.0, g.num_cells) ** rng.uniform(1, 3))
-            lam0 = mean_over(F, root.scaled(2.0))
-            lam = lam0 * float(rng.uniform(1.0, 5.0))
-            for q in cz_cover(F, root, lam).cubes:
+            cover = cz_cover(F, root, float(rng.uniform(1.0, 5.0)))  # lam = factor * lam0
+            lam = cover.lam
+            for q in cover.cubes:
                 m2 = mean_over(F, q.box.scaled(2.0))
                 assert lam < m2 <= 2.0**n * lam * (1.0 + 1e-12)
 
@@ -270,9 +270,8 @@ def test_acceptance_good_lambda_trend():
         F = energy_density(res.u, p)
         Gh = data_density(G, p)
         root = g.domain.scaled(0.5)
-        lam0 = mean_over(F, root.scaled(2.0))
         kappa = default_kappa(coercivity_constant(p), g.dim)  # 2^{n+1} c4
-        gl = good_lambda_measure(F, Gh, root, kappa, epsilons, [lam0, 2 * lam0], 1.5)
+        gl = good_lambda_measure(F, Gh, root, kappa, epsilons, [1.0, 2.0], 1.5)  # lam0, 2 lam0
         ds = [gl.delta(e) for e in epsilons]
         # non-increasing along the epsilon sweep
         assert all(a >= b - 1e-15 for a, b in zip(ds, ds[1:])), ds
@@ -289,10 +288,9 @@ def test_good_lambda_kappa_set_counted_where_delta_is_positive():
     g, p, res, G = solved_constriction(0.5)
     F = energy_density(res.u, p)
     root = g.domain.scaled(0.5)
-    lam0 = mean_over(F, root.scaled(2.0))
     kappa = default_kappa(coercivity_constant(p), g.dim)
     gl = good_lambda_measure(F, data_density(G, p), root, kappa, (0.4, 0.05),
-                             [lam0, 2 * lam0], 1.5, max_level=5)
+                             [1.0, 2.0], 1.5, max_level=5)
     mf = brute_maximal(F, root, 5)
     assert any(d > 0.0 for _, _, d in gl.rows), gl.rows
     for (_, lam, d), n in zip(gl.rows, gl.kappa_cells):

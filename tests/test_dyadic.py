@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from varexp import dyadic
 from varexp.dyadic import (
     DyadicCube,
+    covering_threshold,
     cz_cover,
     default_kappa,
     default_max_level,
@@ -57,8 +58,8 @@ def offset_loop_maximal(f, root, s, max_level):
     power = np.abs(f.values) ** s
     means = [lattice_means(power, g, root, lev, 2.0) ** (1.0 / s)
              for lev in range(max_level + 1)]
-    tol = 1e-12 * max(root.side, 1.0)
-    in_root = root.contains_points(g.cell_centers)  # the same tol
+    tol = root.tolerance
+    in_root = root.contains_points(g.cell_centers)
     out = np.zeros(g.num_cells)
     pts = g.cell_centers[in_root]
     best = np.zeros(pts.shape[0])
@@ -115,16 +116,45 @@ def test_default_max_level_resolves_to_cell_pairs():
     assert default_max_level(g8.domain.scaled(0.5), g8) == 1
 
 
+def face_roots(g: Grid) -> list[tuple[Box, np.ndarray]]:
+    """Roots on the grid [-2, 2]^dim of n cells per axis whose lower face on
+    axis 0 and upper face on the last axis sit a few tolerances from a row of
+    cell centers, each with the mask of the cells in its closure: moved
+    outward past the rows, or inward by half the tolerance, the rows are in
+    it; inward by twice the tolerance, they are not."""
+    n = g.cells[0]
+    h, i, j = 4.0 / n, n // 4, n - 1 - n // 4
+    lo, hi = [-2.0 + h * (i + 0.5)] * g.dim, [-2.0 + h * (j + 0.5)] * g.dim
+    tol = Box(tuple(lo), tuple(hi)).tolerance
+    idx = np.indices(g.cells).reshape(g.dim, -1)
+    block = np.all((idx >= i) & (idx <= j), axis=0)
+    out = []
+    for shift in (-2.0, -0.5, 0.5, 2.0):  # inward by shift tolerances
+        a, b = list(lo), list(hi)
+        a[0] += shift * tol
+        b[-1] -= shift * tol
+        out.append((Box(tuple(a), tuple(b)),
+                    block & ((shift <= 1.0) | (idx[0] != i) & (idx[-1] != j))))
+    return out
+
+
 def test_maximal_function_equals_brute_force():
+    # on the half-size root, and on roots whose faces sit within or beyond
+    # the tolerance of a row of cell centers: the maximal function is
+    # nonzero exactly on the root's closure as contains_points has it
     rng = np.random.default_rng(2)
     for dim, cells in ((1, (16,)), (2, (8, 8))):
         g = Grid(dim, (-2.0,) * dim, (4.0,) * dim, cells)
-        root = g.domain.scaled(0.5)
+        half = g.domain.scaled(0.5)
+        roots = [(half, half.contains_points(g.cell_centers))] + face_roots(g)
         for s in (1.0, 1.5):
             f = CellField(g, rng.uniform(0.0, 5.0, g.num_cells))
-            got = maximal_function(f, root, s).values
-            want = brute_maximal(f, root, s, default_max_level(root, g))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            for root, closure in roots:
+                assert np.array_equal(root.contains_points(g.cell_centers), closure)
+                got = maximal_function(f, root, s).values
+                want = brute_maximal(f, root, s, default_max_level(root, g))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                assert np.array_equal(got > 0.0, closure)
 
 
 @pytest.mark.parametrize("dim,cells", [(1, (16,)), (2, (16, 8)), (3, (8, 8, 4))])
@@ -215,9 +245,12 @@ def test_cz_cover_sandwich_disjoint_and_covers():
     n = g.dim
     for _ in range(25):
         f = CellField(g, rng.uniform(0.0, 1.0, g.num_cells) ** 2)
-        lam0 = mean_over(f, root.scaled(2.0))
-        lam = lam0 * rng.uniform(1.0, 4.0)
-        cover = cz_cover(f, root, lam)
+        factor = rng.uniform(1.0, 4.0)
+        cover = cz_cover(f, root, factor)
+        lam0 = covering_threshold(f, root)
+        assert cover.lambda0 == lam0 and cover.lam == factor * lam0  # to the byte
+        assert lam0 == pytest.approx(mean_over(f, root.scaled(2.0)), rel=1e-12)
+        lam = cover.lam
         seen = set()
         for q in cover.cubes:
             m2 = mean_over(f, q.box.scaled(2.0))
@@ -254,12 +287,17 @@ def test_cz_cover_sandwich_violation_raises(monkeypatch):
 
 
 def test_cz_cover_below_threshold_raises():
+    # heights are factors of lam0, at least 1: a factor even one ulp below 1
+    # raises, in the covering and in the good-lambda table alike
     g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (8, 8))
     f = CellField(g, np.ones(g.num_cells))
     root = g.domain.scaled(0.5)
-    lam0 = mean_over(f, root.scaled(2.0))
-    with pytest.raises(ValueError, match="covering threshold"):
-        cz_cover(f, root, 0.5 * lam0)
+    for factor in (0.5, np.nextafter(1.0, 0.0)):
+        with pytest.raises(ValueError, match="below covering threshold"):
+            cz_cover(f, root, factor)
+        with pytest.raises(ValueError, match="below covering threshold"):
+            good_lambda_measure(f, f, root, 4.0, (0.1,), [2.0, factor], 1.5)
+    assert cz_cover(f, root, 1.0).lam == covering_threshold(f, root)
 
 
 def test_good_lambda_epsilon_monotone_and_bounds():
@@ -270,8 +308,11 @@ def test_good_lambda_epsilon_monotone_and_bounds():
     for _ in range(10):
         F = CellField(g, rng.uniform(0, 1, g.num_cells) ** 4)
         Gh = CellField(g, rng.uniform(0, 1, g.num_cells) ** 4)
-        lam0 = mean_over(F, root.scaled(2.0))
-        res = good_lambda_measure(F, Gh, root, 4.5, eps, [lam0, 2 * lam0], 1.5)
+        res = good_lambda_measure(F, Gh, root, 4.5, eps, [1.0, 2.0], 1.5)
+        # the rows report absolute heights: factor * lam0, to the byte
+        lam0 = covering_threshold(F, root)
+        assert res.lambda0 == lam0
+        assert [lam for _, lam, _ in res.rows] == [1.0 * lam0, 2.0 * lam0] * len(eps)
         deltas = [res.delta(e) for e in eps]
         assert all(0.0 <= d <= 1.0 for d in deltas)
         # U shrinks as epsilon decreases

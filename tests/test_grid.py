@@ -250,8 +250,6 @@ def test_region_weights_clip_partial_cells():
     w = region_weights(g, Box((0.125,), (0.5,)))
     np.testing.assert_allclose(w, [0.125, 0.25, 0.0, 0.0])
     assert region_weights(g, Box((0.9,), (2.0,))).sum() == pytest.approx(0.1)
-    # None means the whole domain
-    np.testing.assert_allclose(region_weights(g, None), 0.25)
 
 
 def test_integrate_and_mean_closed_forms():

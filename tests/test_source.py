@@ -251,6 +251,34 @@ def test_cli_solves_through_the_solver_api():
     assert not calls, f"cli.py calls .interpolate( at lines {calls}"
 
 
+def _uses(tree: ast.Module, name: str) -> list[int]:
+    """Lines of the module that load ``name``, as a name or an attribute,
+    or import it."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)]
+
+
+def test_only_grid_reads_the_face_tolerance():
+    # the closure tolerance has one owner: modules outside grid.py take it
+    # from Box.tolerance, so a maximal function cannot drift from
+    # contains_points on which cell centers lie in the root
+    found = []
+    for path in sorted(Path(varexp.__file__).parent.glob("*.py")):
+        if path.name != "grid.py":
+            found += [f"{path.name}:{n}" for n in _uses(ast.parse(path.read_text()), "_GEOM_RTOL")]
+    assert not found, f"_GEOM_RTOL read outside grid.py: {found}"
+
+
+def test_cli_leaves_lambda0_to_the_dyadic_layer():
+    # good-lambda heights are factors of lambda0, which good_lambda_measure
+    # and cz_cover form themselves: cli.py never computes lambda0
+    path = Path(varexp.__file__).parent / "cli.py"
+    found = _uses(ast.parse(path.read_text()), "covering_threshold")
+    assert not found, f"cli.py uses covering_threshold at lines {found}"
+
+
 # Public functions and methods that no command, module or benchmark reaches
 # yet, kept on purpose.  An entry that becomes reached must leave this table.
 _UNREACHED_BY_DESIGN = {
