@@ -444,19 +444,25 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int, str]:
 
 def write_pgm(path: str | Path, img: np.ndarray, maxval: int = 255,
               magic: str = "P5") -> None:
-    img = np.asarray(img, dtype=np.uint8)
+    img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
+    # read_pgm's checks, before the file is opened and the uint8 cast wraps 300 to 44
+    if magic not in ("P2", "P5"):
+        raise ValueError(f"unsupported magic {magic!r}")
+    if not (0 < maxval <= 255):
+        raise ValueError(f"maxval {maxval} outside 8-bit range")
+    if img.min() < 0 or img.max() > maxval:
+        raise ValueError("pixel outside [0, maxval]")
+    img = img.astype(np.uint8)
     head = f"{magic}\n{img.shape[1]} {img.shape[0]}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
         if magic == "P5":
             fh.write(img.tobytes())
-        elif magic == "P2":
+        else:
             fh.write("\n".join(" ".join(str(v) for v in row) for row in img).encode("ascii"))
             fh.write(b"\n")
-        else:
-            raise ValueError(f"unsupported magic {magic!r}")
 
 
 # ---------------------------------------------------------------------------

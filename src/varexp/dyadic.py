@@ -1,6 +1,8 @@
 """Dyadic lattice, localized maximal operators, and coverings.
 
-The lattice of a root box splits every axis in two per level.  All
+The lattice of a root box splits every axis in two per level.  A lattice
+cube is a (level, index) pair: cell ``index`` of that level's table, with
+one entry per axis in 0..2^level - 1, and ``lattice_box`` gives its box.  All
 estimates run on doubled cubes, so the root must satisfy 2*root inside the
 grid domain; then 2Q stays inside the domain for every lattice cube Q.
 
@@ -24,8 +26,9 @@ the covering and its threshold lam0, and the Gehring scan in
 
 A covering at height lam = factor * lam0, for a factor >= 1 of lam0 =
 mean_{2 root} F, collects the maximal lattice cubes whose doubled-cube
-average exceeds lam; each carries the sandwich lam < mean_{2Q} F <= 2^n lam,
-obtained from the predecessor cube through 3Q ⊂ 2Q^pre.  Good-lambda
+average exceeds lam, as a boolean mask over each level's table of doubled
+means; each carries the sandwich lam < mean_{2Q} F <= 2^n lam, obtained
+from the predecessor cube through 3Q ⊂ 2Q^pre.  Good-lambda
 measurement takes its heights as the same factors, and compares the
 super-level sets of M*F at kappa*lam against the smallness set of the data
 maximal function.
@@ -33,7 +36,6 @@ maximal function.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,10 +44,9 @@ import numpy as np
 from .grid import Box, CellField, Grid, _interval_overlaps
 
 __all__ = [
-    "DyadicCube",
     "CZCover",
     "GoodLambdaResult",
-    "dyadic_lattice",
+    "lattice_box",
     "lattice_means",
     "default_max_level",
     "default_kappa",
@@ -56,43 +57,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    root: Box
-    level: int
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if len(self.index) != self.root.dim:
-            raise ValueError("index dimension mismatch")
-        if any(not (0 <= i < 2**self.level) for i in self.index):
-            raise ValueError("index out of range for level")
-
-    @property
-    def box(self) -> Box:
-        sides = self.root.sides / 2**self.level
-        lo = np.asarray(self.root.lo) + np.asarray(self.index) * sides
-        return Box(tuple(lo), tuple(lo + sides))
-
-    def children(self) -> list["DyadicCube"]:
-        out = []
-        for bits in itertools.product((0, 1), repeat=self.root.dim):
-            idx = tuple(2 * i + b for i, b in zip(self.index, bits))
-            out.append(DyadicCube(self.root, self.level + 1, idx))
-        return out
-
-
-def dyadic_lattice(root: Box, max_level: int) -> list[DyadicCube]:
-    """All lattice cubes of levels 0..max_level (root first, row-major)."""
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
-    cubes = []
-    for lev in range(max_level + 1):
-        for idx in np.ndindex(*([2**lev] * root.dim)):
-            cubes.append(DyadicCube(root, lev, tuple(int(i) for i in idx)))
-    return cubes
+def lattice_box(root: Box, level: int, index: tuple[int, ...]) -> Box:
+    """The cube of cell ``index`` in the level's ``lattice_means`` table."""
+    if level < 0 or len(index) != root.dim or any(not 0 <= i < 2**level for i in index):
+        raise ValueError(f"no lattice cube at level {level}, index {index}")
+    sides = root.sides / 2**level
+    lo = np.asarray(root.lo) + np.asarray(index) * sides
+    return Box(tuple(lo), tuple(lo + sides))
 
 
 def default_max_level(root: Box, grid: Grid) -> int:
@@ -120,7 +91,8 @@ def _require_root(grid: Grid, root: Box) -> None:
 def lattice_means(values: np.ndarray, grid: Grid, root: Box, level: int,
                   scale: float) -> np.ndarray:
     """Mean of a scalar cell array over scale*Q ∩ domain for every lattice
-    cube Q of one level; shape (2^level,)*dim, indexed like ``DyadicCube``.
+    cube Q of one level; shape (2^level,)*dim, cell ``index`` holding
+    ``lattice_box(root, level, index)``.
 
     Cells count by overlap volume, as in ``grid.integrate``.  The overlap
     weights factor per axis, so the cube sums are one ``tensordot`` per
@@ -189,10 +161,10 @@ def maximal_function(f: CellField, root: Box, s: float = 1.0,
 class CZCover:
     lam: float
     lambda0: float
-    cubes: list[DyadicCube]
+    cubes: list[tuple[int, tuple[int, ...]]]  # (level, index) cells of the lattice tables
     means: list[float]
     max_level: int
-    truncated: bool  # some branch hit max_level while still above lam
+    truncated: bool  # some cube sits at max_level, where selection stops
 
 
 def covering_threshold(F: CellField, root: Box) -> float:
@@ -204,10 +176,12 @@ def cz_cover(F: CellField, root: Box, factor: float) -> CZCover:
     """Maximal lattice cubes Q with mean_{2Q} F > lam, for lam = factor *
     lam0 with factor >= 1, down to ``default_max_level``.
 
-    Walks the lattice top-down, descending only through cubes whose doubled
-    average is <= lam, so every returned cube is a proper sub-cube whose
-    predecessor average is <= lam.  Each cube's average then satisfies the
-    sandwich lam < mean_{2Q} F <= 2^n lam, which is checked (RuntimeError).
+    A proper sub-cube is reached when the doubled average of every ancestor
+    is <= lam, and selected where its own exceeds lam; one boolean mask per
+    level over the ``lattice_means`` tables carries reach down the levels.
+    Each cube's average then satisfies the sandwich lam < mean_{2Q} F <=
+    2^n lam, whose upper bound, from 3Q ⊂ 2Q^pre, is checked (RuntimeError).
+    Cubes come level by level, row-major within a level.
     """
     g = F.grid
     _require_root(g, root)
@@ -219,27 +193,22 @@ def cz_cover(F: CellField, root: Box, factor: float) -> CZCover:
     tables = [lattice_means(F.values, g, root, lev, 2.0) for lev in range(max_level + 1)]
     lambda0 = float(tables[0].flat[0])
     lam = factor * lambda0
-
-    cubes: list[DyadicCube] = []
-    means: list[float] = []
-    stack = [DyadicCube(root, 0, (0,) * root.dim)]
-    while stack:
-        q = stack.pop()
-        if q.level >= max_level:
-            continue
-        for child in q.children():
-            m = float(tables[child.level][child.index])
-            if m > lam:
-                cubes.append(child)
-                means.append(m)
-            else:
-                stack.append(child)
-
     bound = 2.0**g.dim * lam
+
+    cubes: list[tuple[int, tuple[int, ...]]] = []
+    means: list[float] = []
+    reached = np.ones((1,) * g.dim, dtype=bool)
+    for lev in range(1, max_level + 1):
+        for k in range(g.dim):
+            reached = reached.repeat(2, axis=k)
+        hit = reached & (tables[lev] > lam)
+        cubes += [(lev, tuple(int(i) for i in idx)) for idx in np.argwhere(hit)]
+        means += tables[lev][hit].tolist()
+        reached &= ~hit
     for m in means:
-        if not lam * (1.0 - 1e-12) < m <= bound * (1.0 + 1e-12):
+        if m > bound * (1.0 + 1e-12):
             raise RuntimeError(f"covering cube mean {m} outside (lam, 2^n lam] = ({lam}, {bound}]")
-    truncated = any(q.level == max_level for q in cubes)
+    truncated = any(lev == max_level for lev, _ in cubes)
     return CZCover(float(lam), float(lambda0), cubes, means, max_level, truncated)
 
 

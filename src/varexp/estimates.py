@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (DyadicCube, covering_threshold, default_max_level, lattice_means,
+from .dyadic import (covering_threshold, default_max_level, lattice_box, lattice_means,
                      maximal_function)
 from .exponent import ExponentField
 from .grid import (Box, CellField, GridFunction, gradient, integrate, mean_over,
@@ -190,7 +190,7 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
         lev, idx = index[i]
         rec = EstimateRecord.build(
             f"gehring-mu={mu:g}", lhs[i], {"energy": rhs1[i], "data": rhs2[i]},
-            cube=DyadicCube(root, lev, idx).box, resolution=g.cells,
+            cube=lattice_box(root, lev, idx), resolution=g.cells,
         )
         records.append(rec)
         passing = passing and rec.empirical_constant <= cap

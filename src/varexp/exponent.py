@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import dyadic_lattice
+from .dyadic import lattice_box
 from .grid import Box, CellField, Grid, GridFunction, mean_over
 
 __all__ = [
@@ -215,7 +215,8 @@ def _vmo_oscillation(p: ExponentField) -> float:
     """
     domain = p.grid.domain
     worst = 0.0
-    for q in (c.box for c in dyadic_lattice(domain, _VMO_LEVELS) if c.level >= 1):
+    for q in (lattice_box(domain, lev, idx) for lev in range(1, _VMO_LEVELS + 1)
+              for idx in np.ndindex(*(2**lev,) * domain.dim)):
         _, p_j = select_comparison_exponent(q, p)
         osc = _oscillation(q, p, p_j)
         ell = q.side

@@ -143,7 +143,10 @@ class Grid:
         extent = _as_floats(self.extent, self.dim, "extent")
         if any(e <= 0 for e in extent):
             raise ValueError("extent components must be positive")
-        cells = tuple(int(c) for c in np.asarray(self.cells).reshape(-1))
+        raw = np.asarray(self.cells).reshape(-1)
+        cells = tuple(int(c) for c in raw)
+        if any(c != r for c, r in zip(cells, raw)):
+            raise ValueError(f"cell counts must be integers, got {tuple(raw.tolist())}")
         if len(cells) != self.dim:
             raise ValueError(f"cells must have {self.dim} components")
         if any(c < 2 for c in cells):

@@ -4,11 +4,13 @@ The session-scoped fixtures hold solved instances that several modules
 measure against; solving them once keeps the suite fast.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from varexp.exponent import ExponentField
-from varexp.grid import CellField, Grid, GridFunction
+from varexp.grid import Box, CellField, Grid, GridFunction
 from varexp.operator import FluxParams, energy_hessian
 from varexp.solver import manufactured_instance, solve_pxlaplace
 
@@ -23,6 +25,22 @@ def smooth_exponent(grid: Grid, amp: float = 0.12) -> ExponentField:
     X = grid.node_coords.T
     return ExponentField(
         GridFunction(grid, 2.0 + amp * np.sin(0.5 * np.pi * X[0]) * np.sin(0.5 * np.pi * X[1])))
+
+
+def cube_box(root: Box, level: int, index: tuple[int, ...]) -> Box:
+    """Cube ``index`` of the level-``level`` dyadic lattice of ``root``: on
+    each axis it starts ``index`` edges past the root's lower face, with an
+    edge of the root's edge over 2^level."""
+    edges = [(b - a) / 2**level for a, b in zip(root.lo, root.hi)]
+    lo = [a + i * e for a, i, e in zip(root.lo, index, edges)]
+    return Box(tuple(lo), tuple(x + e for x, e in zip(lo, edges)))
+
+
+def lattice_cubes(root: Box, max_level: int) -> list[tuple[int, tuple[int, ...], Box]]:
+    """(level, index, box) of every dyadic cube of ``root`` down to
+    ``max_level``: levels in order, each level's indices row-major."""
+    return [(lev, idx, cube_box(root, lev, idx)) for lev in range(max_level + 1)
+            for idx in itertools.product(range(2**lev), repeat=root.dim)]
 
 
 def constriction(amp: float) -> tuple[CellField, ExponentField, GridFunction]:

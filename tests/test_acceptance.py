@@ -17,7 +17,6 @@ from varexp.cli import main, read_field, read_pgm, write_field, write_pgm
 from varexp.dyadic import (
     cz_cover,
     default_kappa,
-    dyadic_lattice,
     good_lambda_measure,
     maximal_function,
 )
@@ -43,7 +42,7 @@ from varexp.operator import FluxParams, coercivity_constant, energy, energy_grad
 from varexp.solver import manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
-from conftest import constant_exponent, constriction, solved_matched
+from conftest import constant_exponent, constriction, cube_box, lattice_cubes, solved_matched
 
 
 @contextmanager
@@ -89,7 +88,7 @@ def test_acceptance_luxemburg_norms():
 def brute_maximal(f, root, max_level):
     g = f.grid
     tol = 1e-12 * max(root.side, 1.0)
-    boxes = [q.box for q in dyadic_lattice(root, max_level)]
+    boxes = [b for _, _, b in lattice_cubes(root, max_level)]
     absf = CellField(g, np.abs(f.values))
     means = np.array([
         integrate(absf, b2) / region_weights(g, b2).sum()
@@ -127,8 +126,8 @@ def test_acceptance_maximal_and_covering():
             F = CellField(g, rng.uniform(0.0, 1.0, g.num_cells) ** rng.uniform(1, 3))
             cover = cz_cover(F, root, float(rng.uniform(1.0, 5.0)))  # lam = factor * lam0
             lam = cover.lam
-            for q in cover.cubes:
-                m2 = mean_over(F, q.box.scaled(2.0))
+            for lev, idx in cover.cubes:
+                m2 = mean_over(F, cube_box(root, lev, idx).scaled(2.0))
                 assert lam < m2 <= 2.0**n * lam * (1.0 + 1e-12)
 
 

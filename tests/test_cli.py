@@ -286,6 +286,16 @@ def test_pgm_round_trips(tmp_path):
         read_pgm(bad)
 
 
+def test_write_pgm_checks_before_opening(tmp_path):
+    # an image read_pgm would reject raises, and leaves no file behind
+    for pixel, kw in ((200, {"magic": "P3"}), (200, {"maxval": 300}), (200, {"maxval": 0}),
+                      (200, {"maxval": 100}), (300, {}), (-1, {})):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError):
+            write_pgm(path, np.full((3, 3), pixel), **kw)
+        assert not path.exists()
+
+
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 

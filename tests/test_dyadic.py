@@ -1,7 +1,9 @@
 """Dyadic lattice, localized maximal operator, covering, and good-lambda.
 
 The maximal/covering oracles here are independent brute-force loops over
-all lattice cubes, compared against the production implementations.
+all lattice cubes, compared against the production implementations.  The
+maximal oracle lists its cubes through conftest's own lattice arithmetic;
+the covering's reference is the stopping-time walk down the cube tree.
 """
 
 import itertools
@@ -13,23 +15,24 @@ from hypothesis import strategies as st
 
 from varexp import dyadic
 from varexp.dyadic import (
-    DyadicCube,
     covering_threshold,
     cz_cover,
     default_kappa,
     default_max_level,
-    dyadic_lattice,
     good_lambda_measure,
+    lattice_box,
     lattice_means,
     maximal_function,
 )
 from varexp.grid import Box, CellField, Grid, integrate, mean_over, region_weights
 
+from conftest import cube_box, lattice_cubes
+
 
 def brute_maximal(f, root, s, max_level):
     """Reference maximal function: loop over all cubes per cell center."""
     g = f.grid
-    cubes = dyadic_lattice(root, max_level)
+    cubes = [b for _, _, b in lattice_cubes(root, max_level)]
     tol = 1e-12 * max(root.side, 1.0)
     out = np.zeros(g.num_cells)
     lo, hi = np.asarray(root.lo), np.asarray(root.hi)
@@ -38,8 +41,7 @@ def brute_maximal(f, root, s, max_level):
         if not (np.all(x >= lo - tol) and np.all(x <= hi + tol)):
             continue
         best = 0.0
-        for q in cubes:
-            b = q.box
+        for b in cubes:
             if np.all(x >= np.asarray(b.lo) - tol) and np.all(x <= np.asarray(b.hi) + tol):
                 b2 = b.scaled(2.0)
                 m = integrate(CellField(g, power), b2) / region_weights(g, b2).sum()
@@ -85,27 +87,42 @@ def offset_loop_maximal(f, root, s, max_level):
 
 
 def test_lattice_counts():
-    root2 = Box((0.0, 0.0), (1.0, 1.0))
-    assert [len(dyadic_lattice(root2, d)) for d in (0, 1, 3)] == [1, 5, 85]
-    root1 = Box((0.0,), (1.0,))
-    assert [len(dyadic_lattice(root1, d)) for d in (0, 1, 3)] == [1, 3, 15]
+    # the 2^{level n} cubes of a level tile the root: every point of the
+    # root's interior lies inside exactly one of them
+    rng = np.random.default_rng(3)
+    for root in (Box((0.0,), (1.0,)), Box((-0.7, 0.2), (0.5, 1.4)),
+                 Box((-0.93, -0.71, 0.1), (0.61, 0.83, 1.64))):
+        pts = np.asarray(root.lo) + rng.uniform(0.0, 1.0, (200, root.dim)) * root.sides
+        for lev in range(4):
+            boxes = [lattice_box(root, lev, idx)
+                     for idx in itertools.product(range(2**lev), repeat=root.dim)]
+            assert len(boxes) == 2 ** (lev * root.dim)
+            assert all(root.contains_box(b) for b in boxes)
+            assert sum(np.prod(b.sides) for b in boxes) == pytest.approx(np.prod(root.sides))
+            inside = [(pts > b.lo) & (pts < b.hi) for b in boxes]
+            np.testing.assert_array_equal(sum(np.all(m, axis=1) for m in inside), 1)
 
 
 def test_cube_geometry_and_children():
     root = Box((0.0, 0.0), (2.0, 2.0))
-    q = DyadicCube(root, 1, (1, 0))
-    assert q.box.lo == (1.0, 0.0) and q.box.hi == (2.0, 1.0)
-    kids = q.children()
-    assert len(kids) == 4
-    assert sum(np.prod(k.box.sides) for k in kids) == pytest.approx(np.prod(q.box.sides))
-    for k in kids:
-        assert k.level == 2 and tuple(i // 2 for i in k.index) == q.index
+    q = lattice_box(root, 1, (1, 0))
+    assert q.lo == (1.0, 0.0) and q.hi == (2.0, 1.0)
+    # cell (level + 1, 2 index + bits) of the next table nests in cell
+    # (level, index): the 2^n children tile their parent
+    kids = [lattice_box(root, 2, (2 + a, b)) for a, b in itertools.product((0, 1), repeat=2)]
+    assert all(q.contains_box(k) for k in kids)
+    assert sum(np.prod(k.sides) for k in kids) == pytest.approx(np.prod(q.sides))
+    # the lattice's arithmetic, cube by cube, to the byte
+    root = Box((-0.93, -0.71, 0.1), (0.61, 0.83, 1.64))
+    for lev, idx, box in lattice_cubes(root, 3):
+        assert lattice_box(root, lev, idx) == box
 
 
 def test_cube_validation():
     root = Box((0.0,), (1.0,))
-    with pytest.raises(ValueError):
-        DyadicCube(root, 1, (2,))  # index out of range
+    for level, index in ((1, (2,)), (1, (-1,)), (0, (0, 0)), (-1, (0,))):
+        with pytest.raises(ValueError, match="no lattice cube"):
+            lattice_box(root, level, index)
 
 
 def test_default_max_level_resolves_to_cell_pairs():
@@ -190,7 +207,7 @@ def test_lattice_means_match_mean_over():
             for lev in range(levels + 1):
                 got = lattice_means(f.values, g, root, lev, scale)
                 assert got.shape == (2**lev,) * dim
-                want = [mean_over(f, DyadicCube(root, lev, idx).box.scaled(scale))
+                want = [mean_over(f, lattice_box(root, lev, idx).scaled(scale))
                         for idx in np.ndindex(got.shape)]
                 np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
     with pytest.raises(ValueError, match="outside domain"):
@@ -238,35 +255,75 @@ def test_maximal_function_validation():
         maximal_function(f, g.domain.scaled(0.5), 0.0)
 
 
+def walk_cover(F, root, factor):
+    """Reference covering: the stopping-time walk from the root, descending
+    through cubes whose doubled mean is <= lam down to the default level.
+    Returns lam, the selected (level, index, mean) and whether one of them
+    sits at the deepest level."""
+    g = F.grid
+    max_level = default_max_level(root, g)
+    tables = [lattice_means(F.values, g, root, lev, 2.0) for lev in range(max_level + 1)]
+    lam = factor * float(tables[0].flat[0])
+    found, stack = [], [(0, (0,) * g.dim)]
+    while stack:
+        lev, idx = stack.pop()
+        if lev == max_level:
+            continue
+        for bits in itertools.product((0, 1), repeat=g.dim):
+            child = tuple(2 * i + b for i, b in zip(idx, bits))
+            m = float(tables[lev + 1][child])
+            if m > lam:
+                found.append((lev + 1, child, m))
+            else:
+                stack.append((lev + 1, child))
+    return lam, found, any(lev == max_level for lev, _, _ in found)
+
+
 def test_cz_cover_sandwich_disjoint_and_covers():
     rng = np.random.default_rng(9)
-    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
-    root = g.domain.scaled(0.5)
-    n = g.dim
-    for _ in range(25):
-        f = CellField(g, rng.uniform(0.0, 1.0, g.num_cells) ** 2)
-        factor = rng.uniform(1.0, 4.0)
-        cover = cz_cover(f, root, factor)
-        lam0 = covering_threshold(f, root)
-        assert cover.lambda0 == lam0 and cover.lam == factor * lam0  # to the byte
-        assert lam0 == pytest.approx(mean_over(f, root.scaled(2.0)), rel=1e-12)
-        lam = cover.lam
-        seen = set()
-        for q in cover.cubes:
-            m2 = mean_over(f, q.box.scaled(2.0))
-            assert lam < m2 <= 2.0**n * lam * (1 + 1e-12)
-            assert q.level > 0  # proper sub-cubes
-            # disjoint: dyadic cubes of one tree intersect only by nesting
-            for lev, idx in seen:
-                if lev <= q.level:
-                    assert tuple(i >> (q.level - lev) for i in q.index) != idx
-            seen.add((q.level, q.index))
-        # the cover catches the superlevel set of the maximal function
-        mf = maximal_function(f, root, 1.0).values
-        hot = np.flatnonzero(mf > lam * (1 + 1e-9))
-        for i in hot:
-            x = g.cell_centers[i]
-            assert any(q.box.scaled(1.0 + 1e-12).contains_points(x) for q in cover.cubes)
+    # a few hot cells on three draws of four, so that covers stop above the
+    # deepest level as well as at it
+    hot = np.random.default_rng(10)
+    for cells in ((16, 16), (64,), (16, 16, 16)):
+        n = len(cells)
+        g = Grid(n, (-2.0,) * n, (4.0,) * n, cells)
+        root = g.domain.scaled(0.5)
+        truncated = set()
+        for draw in range(25):
+            v = rng.uniform(0.0, 1.0, g.num_cells) ** 2
+            factor = rng.uniform(1.0, 4.0)
+            v[hot.integers(0, g.num_cells, draw % 4)] += hot.uniform(0.0, 8.0 * 4.0**n)
+            f = CellField(g, v)
+            cover = cz_cover(f, root, factor)
+            lam0 = covering_threshold(f, root)
+            assert cover.lambda0 == lam0 and cover.lam == factor * lam0  # to the byte
+            assert lam0 == pytest.approx(mean_over(f, root.scaled(2.0)), rel=1e-12)
+            lam = cover.lam
+            # the stopping-time walk selects the same cubes, means and truncation
+            walk_lam, walked, walk_truncated = walk_cover(f, root, factor)
+            assert walk_lam == lam and cover.max_level == default_max_level(root, g)
+            got = sorted((lev, idx, m) for (lev, idx), m in zip(cover.cubes, cover.means))
+            assert got == sorted(walked) and cover.truncated == walk_truncated
+            if cover.cubes:
+                truncated.add(cover.truncated)
+            seen = set()
+            for lev, idx in cover.cubes:
+                m2 = mean_over(f, cube_box(root, lev, idx).scaled(2.0))
+                assert lam < m2 <= 2.0**n * lam * (1 + 1e-12)
+                assert lev > 0  # proper sub-cubes
+                # disjoint: dyadic cubes of one tree intersect only by nesting
+                for lev2, idx2 in seen:
+                    if lev2 <= lev:
+                        assert tuple(i >> (lev - lev2) for i in idx) != idx2
+                seen.add((lev, idx))
+            # the cover catches the superlevel set of the maximal function
+            mf = maximal_function(f, root, 1.0).values
+            x = g.cell_centers[mf > lam * (1 + 1e-9)]
+            caught = np.zeros(len(x), dtype=bool)
+            for lev, idx in cover.cubes:
+                caught |= cube_box(root, lev, idx).scaled(1.0 + 1e-12).contains_points(x)
+            assert caught.all()
+        assert truncated == {False, True}
 
 
 def test_cz_cover_sandwich_violation_raises(monkeypatch):

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from varexp.dyadic import covering_threshold, default_kappa, default_max_level, dyadic_lattice
+from varexp.dyadic import covering_threshold, default_kappa, default_max_level
 from varexp.estimates import (
     caccioppoli_check,
     data_density,
@@ -22,7 +22,7 @@ from varexp.operator import coercivity_constant
 from varexp.solver import manufactured_instance, solve_pxlaplace
 from varexp.varlp import decay_weight
 
-from conftest import constant_exponent
+from conftest import constant_exponent, lattice_cubes
 
 
 def flag_value(record, key):
@@ -163,8 +163,8 @@ def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None):
     pc, mag, gmag = p.cell_values, gradient(u).magnitude(), G.magnitude()
     h = decay_weight(g, m).values
     levels = range(1, max(2, default_max_level(root, g)) + 1)
-    cubes = [q.box for q in dyadic_lattice(root, max(levels))
-             if q.level in levels and root.contains_box(q.box.scaled(2.0))]
+    cubes = [b for lev, _, b in lattice_cubes(root, max(levels))
+             if lev in levels and root.contains_box(b.scaled(2.0))]
     energy = CellField(g, mag**pc)
     table, worst_cubes = [], []
     for mu in np.linspace(1.0, mu_max, steps):

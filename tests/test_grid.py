@@ -82,6 +82,10 @@ def test_grid_validation():
         Grid(2, (0.0, 0.0), (1.0, 1.0), (1, 4))  # too few cells
     with pytest.raises(ValueError):
         Grid(2, (0.0,), (1.0, 1.0), (4, 4))  # origin length
+    for cells in ((2.5,), (3.9, 4)):  # cell counts are not truncated
+        with pytest.raises(ValueError, match="cell counts must be integers"):
+            Grid(len(cells), (0.0,) * len(cells), (1.0,) * len(cells), cells)
+    assert Grid(1, (0.0,), (1.0,), (4.0,)).cells == (4,)
 
 
 def test_grid_field_equality_and_hash():
