@@ -71,7 +71,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import GoodLambdaResult, default_kappa, good_lambda_measure
-from .estimates import (EstimateRecord, caccioppoli_check, data_density,
+from .estimates import (EstimateRecord, _s_cap, caccioppoli_check, data_density,
                         energy_density, gehring_scan,
                         higher_integrability_check, reverse_holder_check)
 from .exponent import ExponentField
@@ -704,8 +704,7 @@ def _cmd_verify(cfg: ExperimentConfig, rep: Report) -> None:
     grid, p, _, G, res = _solve(cfg, rep)
     root = _root(cfg, grid)
     kappa = _resolve_kappa(cfg, p)
-    n = grid.dim  # s halfway between 1 and its cap min(n / (n - 1), p-)
-    s = 0.5 * (1.0 + min(n / (n - 1.0) if n > 1 else np.inf, float(p.cell_values.min())))
+    s = 0.5 * (1.0 + _s_cap(grid.dim, float(p.cell_values.min())))  # halfway to its cap
     rep.records = [
         caccioppoli_check(res.u, G, p, root),
         reverse_holder_check(res.u, G, p, root, s, m=cfg.m),

@@ -12,6 +12,15 @@ argument takes over from the raw density (below it the set of the density
 itself, above it the maximal function's).  The two routes must agree to
 sweep accuracy, which is the strongest internal consistency test in the
 package.
+
+Reverse Holder and Gehring are one inequality at (s, mu), whose sides one
+routine reads from the ``lattice_means`` tables:
+
+    (mean_Q |Du|^{p mu})^{1/mu}  vs  (mean_{2Q} |Du|^{p/s})^s + data,
+    data = (mean_{2Q} (|G|^{p mu} + h^mu))^{1/mu},
+
+with h the decay weight; at mu = 1, data is the mean over 2Q of the data
+density |G|^p + h.
 """
 
 from __future__ import annotations
@@ -103,34 +112,52 @@ def caccioppoli_check(u: GridFunction, G: CellField, p: ExponentField,
     )
 
 
+def _s_cap(n: int, p_minus: float) -> float:
+    """The bound min{n/(n-1), p-} of the reverse Holder s; none from n in 1-D."""
+    return min(n / (n - 1.0) if n > 1 else math.inf, p_minus)
+
+
+def _reverse_holder_tables(u: GridFunction, G: CellField, p: ExponentField, root: Box,
+                           levels, margin: int, s: float, mus, m: float | None = None):
+    """Both sides of the module's inequality at s and each mu of ``mus`` on
+    the cubes of ``levels``, less ``margin`` cells at each table edge (1: the
+    cubes with 2Q in the root; 0 at level 0: the root).  Returns (cubes,
+    energy, [(lhs, data) per mu]): (level, index) pairs, arrays over them."""
+    g = u.grid
+    pc = p.cell_values
+    mag = gradient(u).magnitude()
+    gmag = G.magnitude()
+    h = decay_weight(g, m).values
+    cubes = [(lev, idx) for lev in levels
+             for idx in itertools.product(range(margin, 2**lev - margin), repeat=g.dim)]
+
+    def means(values: np.ndarray, scale: float) -> np.ndarray:
+        return np.concatenate([lattice_means(values, g, root, lev, scale)
+                               [(slice(margin, 2**lev - margin),) * g.dim].reshape(-1)
+                               for lev in levels])
+
+    energy = means(mag ** (pc / s), 2.0) ** s
+    return cubes, energy, [(means(mag ** (pc * mu), 1.0) ** (1.0 / mu),
+                            means(gmag ** (pc * mu) + h**mu, 2.0) ** (1.0 / mu)) for mu in mus]
+
+
 def reverse_holder_check(u: GridFunction, G: CellField, p: ExponentField,
                          Q: Box, s: float, m: float | None = None) -> EstimateRecord:
-    """Mean energy on Q against the s-lowered mean on 2Q plus data terms:
+    """Mean energy on Q against the s-lowered mean on 2Q plus the data:
 
-    mean_Q |Du|^p  vs  (mean_{2Q} |Du|^{p/s})^s + mean_{2Q} |G|^p + mean_{2Q} h.
+    mean_Q |Du|^p  vs  (mean_{2Q} |Du|^{p/s})^s + mean_{2Q} (|G|^p + h),
 
-    requires 1 <= s < min{n/(n-1), p^- on 2Q}.
+    over 2Q ∩ domain; Q is level 0 of its own lattice.  Requires
+    1 <= s < min{n/(n-1), p^- on 2Q}.
     """
     g = u.grid
-    n = g.dim
-    pc = p.cell_values
-    Q2 = Q.scaled(2.0)
-    w2 = region_weights(g, Q2)
-    p_minus_2q = float(pc[w2 > 0].min())
-    s_cap = min(n / (n - 1.0) if n > 1 else math.inf, p_minus_2q)
+    w2 = region_weights(g, Q.scaled(2.0))
+    s_cap = _s_cap(g.dim, float(p.cell_values[w2 > 0].min()))
     if not (1.0 <= s < s_cap):
         raise ValueError(f"s must lie in [1, {s_cap}), got {s}")
-
-    mag = gradient(u).magnitude()
-    lhs = mean_over(CellField(g, mag ** pc), Q)  # the energy density, Du taken once
-    rhs1 = mean_over(CellField(g, mag ** (pc / s)), Q2) ** s
-    rhs2 = mean_over(CellField(g, G.magnitude() ** pc), Q2)
-    rhs3 = mean_over(decay_weight(g, m), Q2)
-    return EstimateRecord.build(
-        "reverse-holder", lhs,
-        {"lowered_energy": rhs1, "data": rhs2, "decay": rhs3},
-        cube=Q, resolution=g.cells,
-    )
+    _, energy, [(lhs, data)] = _reverse_holder_tables(u, G, p, Q, [0], 0, s, [1.0], m)
+    rhs = {"lowered_energy": energy[0], "data": data[0]}
+    return EstimateRecord.build("reverse-holder", lhs[0], rhs, cube=Q, resolution=g.cells)
 
 
 @dataclass
@@ -146,57 +173,36 @@ class GehringResult:
 def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
                  mu_max: float = 2.0, steps: int = 8, cap: float = 1e3,
                  m: float | None = None) -> GehringResult:
-    """Scan the self-improved reverse Holder inequality over mu in (1, mu_max]:
-
-    (mean_Q |Du|^{p mu})^{1/mu}  vs  mean_{2Q} |Du|^p
-                                     + (mean_{2Q} (|G|^{p mu} + h^mu))^{1/mu}
-
-    over the dyadic cubes of the root with 2Q inside the root, down to
-    ``default_max_level`` (at least level 2).  m0 ends the leading run of
-    sampled mu whose worst-cube constant stays at or below the cap: the
-    largest mu with every sampled mu up to it passing, or 1 when mu = 1
+    """Scan the module's reverse Holder inequality at s = 1 over mu in
+    [1, mu_max], on the dyadic cubes of the root with 2Q inside the root,
+    down to ``default_max_level`` (at least level 2).  m0 ends the leading
+    run of sampled mu whose worst-cube constant stays at or below the cap:
+    the largest mu with every sampled mu up to it passing, or 1 when mu = 1
     fails; sigma = m0^{1/4} is the integrability-transfer exponent.  The
     paper's second Gehring exponent m1 is m0 here, so it is not reported.
     """
-    g = u.grid
-    n = g.dim
     if mu_max <= 1.0:
         raise ValueError("mu_max must exceed 1")
-    pc = p.cell_values
-    mag = gradient(u).magnitude()
-    gmag = G.magnitude()
-    h = decay_weight(g, m).values
-
+    g = u.grid
     # 2Q spans lattice indices (i - 1/2, i + 3/2) per axis, so it lies in
-    # the root exactly for 1 <= i <= 2^L - 2, which no level-1 cube does;
-    # cubes in lattice order.
+    # the root exactly for 1 <= i <= 2^L - 2, which no level-1 cube does
     levels = range(2, max(2, default_max_level(root, g)) + 1)
-    index = [(lev, idx) for lev in levels
-             for idx in itertools.product(range(1, 2**lev - 1), repeat=n)]
-
-    def means(values: np.ndarray, scale: float) -> np.ndarray:
-        return np.concatenate([lattice_means(values, g, root, lev, scale)[(slice(1, -1),) * n]
-                               .reshape(-1) for lev in levels])
-
     mu_grid = list(np.linspace(1.0, mu_max, steps))
-    rhs1 = means(mag**pc, 2.0)
+    cubes, energy, sides = _reverse_holder_tables(u, G, p, root, levels, 1, 1.0, mu_grid, m)
     records: list[EstimateRecord] = []
     m0, passing = 1.0, True
-    for mu in mu_grid:
-        lhs = means(mag ** (pc * mu), 1.0) ** (1.0 / mu)
-        rhs2 = means(gmag ** (pc * mu) + h**mu, 2.0) ** (1.0 / mu)
-        # rhs2 > 0 because h > 0; argmax takes the first of equal maxima
-        i = int(np.argmax(lhs / (rhs1 + rhs2)))
-        lev, idx = index[i]
+    for mu, (lhs, data) in zip(mu_grid, sides):
+        # data > 0 because h > 0; argmax takes the first of equal maxima
+        i = int(np.argmax(lhs / (energy + data)))
         rec = EstimateRecord.build(
-            f"gehring-mu={mu:g}", lhs[i], {"energy": rhs1[i], "data": rhs2[i]},
-            cube=lattice_box(root, lev, idx), resolution=g.cells,
+            f"gehring-mu={mu:g}", lhs[i], {"energy": energy[i], "data": data[i]},
+            cube=lattice_box(root, *cubes[i]), resolution=g.cells,
         )
         records.append(rec)
         passing = passing and rec.empirical_constant <= cap
         if passing:
             m0 = float(mu)
-    return GehringResult(m0, m0 ** 0.25, [float(x) for x in mu_grid], cap, len(index), records)
+    return GehringResult(m0, m0 ** 0.25, [float(x) for x in mu_grid], cap, len(cubes), records)
 
 
 def _sweep_moment(F: CellField, root: Box, q: float, lam0: float, kappa: float,

@@ -17,7 +17,9 @@ from varexp.cli import main, read_field, read_pgm, write_field, write_pgm
 from varexp.dyadic import (
     cz_cover,
     default_kappa,
+    default_max_level,
     good_lambda_measure,
+    lattice_means,
     maximal_function,
 )
 from varexp.estimates import (
@@ -118,17 +120,26 @@ def test_acceptance_maximal_and_covering():
             want = brute_maximal(f, root, 5)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-        # covering sandwich on 500 random (F, lambda) pairs
+        # covering sandwich on 500 random (F, lambda) pairs, each factor
+        # drawn in [1, r), r the largest doubled lattice mean over lam0, so
+        # that every cover selects at least one cube
         g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
         root = g.domain.scaled(0.5)
         n = g.dim
+        levels = range(default_max_level(root, g) + 1)
+        checked = 0
         for _ in range(500):
             F = CellField(g, rng.uniform(0.0, 1.0, g.num_cells) ** rng.uniform(1, 3))
-            cover = cz_cover(F, root, float(rng.uniform(1.0, 5.0)))  # lam = factor * lam0
+            lam0, *tables = [lattice_means(F.values, g, root, lev, 2.0) for lev in levels]
+            r = max(t.max() for t in tables) / lam0.item()
+            cover = cz_cover(F, root, float(rng.uniform(1.0, r)))  # lam = factor * lam0
             lam = cover.lam
+            assert cover.cubes
             for lev, idx in cover.cubes:
                 m2 = mean_over(F, cube_box(root, lev, idx).scaled(2.0))
                 assert lam < m2 <= 2.0**n * lam * (1.0 + 1e-12)
+            checked += len(cover.cubes)
+        assert checked >= 1500, checked  # 1540; 114 with factors in [1, 5]
 
 
 # -- 3: solver recovery, convergence order, and the linear oracle -----------

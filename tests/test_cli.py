@@ -10,6 +10,8 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from varexp.cli import (
     write_pgm,
 )
 from varexp.dyadic import default_max_level, maximal_function
-from varexp.estimates import energy_density
+from varexp.estimates import energy_density, reverse_holder_check
 from varexp.exponent import ExponentField
 from varexp.grid import CellField, Grid, GridFunction
 from varexp.solver import manufactured_instance, solve_pxlaplace
@@ -455,6 +457,35 @@ def test_verify_records(tmp_path):
     assert "caccioppoli" in names
     assert any(n.startswith("reverse-holder") for n in names)
     assert any(n.startswith("higher-integrability") for n in names)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 3), cells=st.integers(2, 5), root_scale=st.floats(0.05, 0.5),
+       p_lo=st.floats(1.0, 3.0, exclude_min=True), spread=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**16))
+@example(dim=2, cells=4, root_scale=0.5, p_lo=2.0, spread=0.0, seed=0)  # p- = n / (n - 1)
+@example(dim=1, cells=2, root_scale=0.05, p_lo=1.0 + 1e-12, spread=2.0, seed=1)
+def test_verify_s_is_accepted_by_reverse_holder(tmp_path_factory, dim, cells, root_scale,
+                                                 p_lo, spread, seed):
+    # verify caps its s by p- over the whole grid, reverse_holder_check by
+    # p- over 2 root, both through the one cap min{n/(n-1), p-}: the s that
+    # verify picks passes reverse_holder_check on verify's root, whatever p
+    import varexp.cli as cli
+
+    rng = np.random.default_rng(seed)
+    g = Grid(dim, (-1.0,) * dim, (2.0,) * dim, (cells,) * dim)
+    p = ExponentField(GridFunction(g, p_lo + spread * rng.random(g.num_nodes)))
+    u = GridFunction(g, rng.normal(size=g.num_nodes))
+    G = CellField(g, rng.normal(size=(g.num_cells, 1, dim)))
+    tmp = tmp_path_factory.mktemp("verify")
+    text = f"[grid]\ndim = {dim}\n[estimates]\nkappa = 8\nroot_scale = {root_scale!r}\n"
+    cfg = load_config("verify", cfg_file(tmp, text), out=str(tmp))
+    rep = cli.Report("verify", {})
+    solved = (g, p, None, G, SimpleNamespace(u=u, residual=0.0))
+    with mock.patch.object(cli, "_solve", lambda *args: solved):
+        cli._cmd_verify(cfg, rep)
+    s = dict(rep.scalars)["s"]
+    assert reverse_holder_check(u, G, p, cli._root(cfg, g), s) == rep.records[1]
 
 
 def test_gehring_command(tmp_path):

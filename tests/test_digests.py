@@ -159,7 +159,7 @@ def digest(out: Path) -> tuple[str, dict]:
 def measure(work: Path) -> dict:
     """The digest table of every run, made in ``work``."""
     write_inputs(work)
-    with ThreadPoolExecutor(max_workers=max(2, min(4, os.cpu_count() or 1))) as pool:
+    with ThreadPoolExecutor(max_workers=4) as pool:
         outs = list(pool.map(lambda run: _run(work, *run), RUNS))
     builds, runs = set(), {}
     for (name, _, _), out in zip(RUNS, outs):

@@ -155,17 +155,20 @@ def test_gehring_table_monotone_without_data(affine32):
     assert all(b >= a - 1e-9 for a, b in zip(consts, consts[1:]))
 
 
-def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None):
-    """Reference scan: one mean_over per cube, mu and term; the worst cube
-    is the first whose constant strictly exceeds every earlier one."""
+def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None, s=1.0, cubes=None):
+    """Reference reverse Holder scan at s: one mean_over per cube, mu and
+    term, over ``cubes`` (by default the lattice cubes of the root with 2Q
+    in the root).  Rows (mu, lhs, energy, data, constant) of the worst
+    cube, the first whose constant strictly exceeds every earlier one."""
     g = u.grid
     m = 2.0 * g.dim if m is None else m
     pc, mag, gmag = p.cell_values, gradient(u).magnitude(), G.magnitude()
     h = decay_weight(g, m).values
-    levels = range(1, max(2, default_max_level(root, g)) + 1)
-    cubes = [b for lev, _, b in lattice_cubes(root, max(levels))
-             if lev in levels and root.contains_box(b.scaled(2.0))]
-    energy = CellField(g, mag**pc)
+    if cubes is None:
+        levels = range(1, max(2, default_max_level(root, g)) + 1)
+        cubes = [b for lev, _, b in lattice_cubes(root, max(levels))
+                 if lev in levels and root.contains_box(b.scaled(2.0))]
+    lowered = CellField(g, mag ** (pc / s))
     table, worst_cubes = [], []
     for mu in np.linspace(1.0, mu_max, steps):
         lhs_f = CellField(g, mag ** (pc * mu))
@@ -173,9 +176,11 @@ def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None):
         worst, row, cube = -1.0, None, None
         for qb in cubes:
             lhs = mean_over(lhs_f, qb) ** (1.0 / mu)
-            rhs = mean_over(energy, qb.scaled(2.0)) + mean_over(data_f, qb.scaled(2.0)) ** (1.0 / mu)
-            if lhs / rhs > worst:
-                worst, row, cube = lhs / rhs, (float(mu), lhs, rhs, lhs / rhs), qb
+            energy = mean_over(lowered, qb.scaled(2.0)) ** s
+            data = mean_over(data_f, qb.scaled(2.0)) ** (1.0 / mu)
+            if lhs / (energy + data) > worst:
+                worst, cube = lhs / (energy + data), qb
+                row = (float(mu), lhs, energy, data, worst)
         table.append(row)
         worst_cubes.append(cube)
     return table, worst_cubes, len(cubes)
@@ -188,24 +193,49 @@ def test_gehring_scan_matches_per_cube_oracle(matched32):
     p3 = ExponentField(GridFunction(g3, 1.8 + 0.3 * X3[0] * X3[1]))
     u3 = GridFunction(g3, rng.normal(size=g3.num_nodes))
     G3 = CellField(g3, rng.normal(size=(g3.num_cells, 1, 3)))
+    u2, G2, p2 = matched32["result"].u, matched32["G"], matched32["p"]
     # roots off the symmetry axes of the instances: symmetric cubes tie
     # in exact arithmetic, and rounding would pick the worst one
     cases = [
-        (matched32["result"].u, matched32["G"], matched32["p"],
-         Box((-0.83, -0.61), (1.17, 1.39)), {}),
+        (u2, G2, p2, Box((-0.83, -0.61), (1.17, 1.39)), {}),
         (u3, G3, p3, Box((-0.45,) * 3, (0.55,) * 3), {"steps": 4}),
     ]
     for u, G, p, root, kw in cases:
         res = gehring_scan(u, G, p, root, cap=1.5, **kw)
         table, worst_cubes, count = brute_gehring(u, G, p, root, **kw)
-        got = [(mu, r.lhs, r.rhs_sum, r.empirical_constant)
-               for mu, r in zip(res.mu_grid, res.records)]
+        got = [(mu, r.lhs, r.rhs_components["energy"], r.rhs_components["data"],
+                r.empirical_constant) for mu, r in zip(res.mu_grid, res.records)]
         np.testing.assert_allclose(got, table, rtol=1e-12, atol=0)
         assert [r.cube for r in res.records] == worst_cubes
         assert res.cubes_tested == count
         # m0 ends the leading run of passing mu
-        lead = list(itertools.takewhile(lambda row: row[3] <= 1.5, table))
+        lead = list(itertools.takewhile(lambda row: row[4] <= 1.5, table))
         assert res.m0 == (lead[-1][0] if lead else 1.0)
+
+    # the same routine through reverse_holder_check: one cube at mu = 1 and
+    # s up to the cap, min{2, p-} = 1.88 in 2-D and min{1.5, p-} in 3-D.
+    # Gate 6's side-2 cube has 2Q equal to the domain; the whole domain and
+    # at least one more cube per dimension have 2Q leaving it, and then
+    # every mean runs over 2Q ∩ domain
+    cubes = [
+        (u2, G2, p2, (1.0, 1.4, 1.85), [Box((-0.83, -0.61), (1.17, 1.39)),
+                                         Box((-1.0, -1.0), (1.0, 1.0)),
+                                         Box((0.3, -1.6), (1.5, -0.4)),
+                                         matched32["grid"].domain]),
+        (u3, G3, p3, (1.0, 1.25, 1.45), [Box((-0.2, -0.3, 0.1), (0.3, 0.2, 0.6)),
+                                          Box((-0.45,) * 3, (0.55,) * 3),
+                                          g3.domain]),
+    ]
+    for u, G, p, s_values, boxes in cubes:
+        assert sum(not u.grid.domain.contains_box(Q.scaled(2.0)) for Q in boxes) >= 2
+        for Q in boxes:
+            for s in s_values:
+                rec = reverse_holder_check(u, G, p, Q, s)
+                (row,), (cube,), _ = brute_gehring(u, G, p, Q, steps=1, s=s, cubes=[Q])
+                got = (1.0, rec.lhs, rec.rhs_components["lowered_energy"],
+                       rec.rhs_components["data"], rec.empirical_constant)
+                np.testing.assert_allclose(got, row, rtol=1e-12, atol=0)
+                assert rec.cube == cube == Q
 
 
 def test_higher_integrability_level_set_route(matched32):
