@@ -35,6 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
+from varexp.cli import write_field, write_pgm
+from varexp.grid import Grid, GridFunction
+from varexp.solver import manufactured_instance
+
 TABLE = Path(__file__).with_name("digests.json")
 REGENERATE = "PYTHONPATH=src python tests/test_digests.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -109,10 +113,6 @@ RUNS = [
 
 def write_inputs(work: Path) -> None:
     """The configs and the VXF and PGM inputs they read."""
-    from varexp.cli import write_field, write_pgm
-    from varexp.grid import Grid, GridFunction
-    from varexp.solver import manufactured_instance
-
     for name, text in (("bump.cfg", _BUMP), ("sweep.cfg", _TABLE_SWEEP),
                        ("files3d.cfg", _FILES_3D), ("denoise.cfg", _DENOISE)):
         (work / name).write_text(text)
