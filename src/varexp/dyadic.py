@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Box, CellField, Grid, _interval_overlaps
+from .grid import Box, CellField, Grid, _box_integrals
 
 __all__ = [
     "CZCover",
@@ -94,23 +94,15 @@ def lattice_means(values: np.ndarray, grid: Grid, root: Box, level: int,
     cube Q of one level; shape (2^level,)*dim, cell ``index`` holding
     ``lattice_box(root, level, index)``.
 
-    Cells count by overlap volume, as in ``grid.integrate``.  The overlap
-    weights factor per axis, so the cube sums are one ``tensordot`` per
-    axis.
+    Cells count by overlap volume: the cubes are a product family of boxes,
+    averaged by the quadrature of ``grid.mean_over``.
     """
-    n_side = 2**level
-    sides = root.sides / n_side
-    F = np.asarray(values, dtype=float).reshape(grid.cells)
-    den = np.ones(())
-    for k in range(grid.dim):
-        centers = root.lo[k] + sides[k] * (np.arange(n_side) + 0.5)
-        half = sides[k] * (scale / 2.0)
-        W = _interval_overlaps(grid, k, centers - half, centers + half)
-        F = np.tensordot(F, W, axes=([0], [1]))  # cube axis k moves last
-        den = np.multiply.outer(den, W.sum(axis=1))
-    if np.any(den <= 0.0):
-        raise ValueError("region outside domain")
-    return F / den
+    sides = root.sides / 2**level
+    centers = [root.lo[k] + sides[k] * (np.arange(2**level) + 0.5) for k in range(root.dim)]
+    half = sides * (scale / 2.0)
+    total, measure = _box_integrals(values, grid, [c - r for c, r in zip(centers, half)],
+                                    [c + r for c, r in zip(centers, half)])
+    return total / measure
 
 
 def maximal_function(f: CellField, root: Box, s: float = 1.0,

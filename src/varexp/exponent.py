@@ -218,7 +218,7 @@ def _vmo_oscillation(p: ExponentField) -> float:
     for q in (lattice_box(domain, lev, idx) for lev in range(1, _VMO_LEVELS + 1)
               for idx in np.ndindex(*(2**lev,) * domain.dim)):
         _, p_j = select_comparison_exponent(q, p)
-        osc = _oscillation(q, p, p_j)
+        osc = mean_over(CellField(p.grid, np.abs(p.cell_values - p_j)), q)
         ell = q.side
         scale = math.log(_E + max(ell, 1.0 / ell, float(np.linalg.norm(q.center))))
         worst = max(worst, osc * scale)
@@ -241,11 +241,6 @@ def select_comparison_exponent(Q: Box, p: ExponentField) -> tuple[np.ndarray, fl
     local = _farthest_node(coords[idx])
     node = idx[local]
     return coords[node].copy(), float(p.values[node])
-
-
-def _oscillation(Q: Box, p: ExponentField, p_j: float) -> float:
-    """Mean over Q of |p - p_j|."""
-    return mean_over(CellField(p.grid, np.abs(p.cell_values - p_j)), Q)
 
 
 def vanishing_profile(p: ExponentField, epsilons: Sequence[float],

@@ -8,7 +8,10 @@ Cells that only partially overlap a region count by volume fraction, so
 integrals are exactly additive over disjoint regions and monotone under
 region inclusion for nonnegative integrands.  A cell's overlap with a box
 is the product of its per-axis overlap lengths: ``region_weights`` is their
-outer product, and ``integrate`` and ``mean_over`` contract fields with them.
+outer product.  ``integrate``, ``mean_over`` and ``dyadic.lattice_means``
+are one routine, which contracts a cell array with the lengths one axis at
+a time and takes the boxes' measures from their sums.  A box that meets no
+cell, or touches the domain only on a face, raises "region outside domain".
 
 The cell-center gradient B is one operator on the corner table
 (``cell_corner_indices``, ``grad_coefs``), applied as 2^dim shifted slices
@@ -396,27 +399,43 @@ def apply_gradient_transpose(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out.reshape(grid.num_nodes, N)
 
 
-def _interval_overlaps(grid: Grid, k: int, lo, hi) -> np.ndarray:
-    """Overlap lengths of the cells along axis ``k`` with the intervals
-    [lo, hi]; shape (*shape(lo), cells[k])."""
-    h = grid.cell_size[k]
-    left = grid.axis_coords(k, 0.0)[:-1]
-    o = np.minimum(left + h, np.asarray(hi)[..., None]) - np.maximum(left, np.asarray(lo)[..., None])
-    return np.clip(o, 0.0, h)
-
-
-def _box_overlaps(grid: Grid, region: Box) -> list[np.ndarray]:
-    """Overlap lengths of the cells along each axis with ``region``."""
-    if region.dim != grid.dim:
+def _interval_overlaps(grid: Grid, lo, hi) -> list[np.ndarray]:
+    """Per axis k, the overlap lengths of the cells along axis k with the
+    intervals [lo[k], hi[k]]; shape (*shape(lo[k]), cells[k]).  An interval
+    that meets no cell, or touches one only on a face, raises
+    ValueError("region outside domain")."""
+    if len(lo) != grid.dim:
         raise ValueError("region dimension does not match grid")
-    return [_interval_overlaps(grid, k, region.lo[k], region.hi[k]) for k in range(grid.dim)]
+    out = []
+    for k, h in enumerate(grid.cell_size):
+        left = grid.axis_coords(k, 0.0)[:-1]
+        a, b = np.asarray(lo[k])[..., None], np.asarray(hi[k])[..., None]
+        out.append(np.clip(np.minimum(left + h, b) - np.maximum(left, a), 0.0, h))
+        if not out[-1].any(axis=-1).all():
+            raise ValueError("region outside domain")
+    return out
+
+
+def _box_integrals(values, grid: Grid, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of a scalar cell array over the product family of boxes with
+    axis-k sides [lo[k], hi[k]], and the boxes' measures in the domain; both
+    of shape (*shape(lo[0]), ..., *shape(lo[-1])).  One ``tensordot`` per
+    axis contracts the cells with that axis's overlap lengths."""
+    if np.shape(values) != (grid.num_cells,):
+        raise ValueError("box quadrature expects a scalar cell field")
+    F = np.asarray(values, dtype=float).reshape(grid.cells)
+    measure = np.ones(())
+    for W in _interval_overlaps(grid, lo, hi):
+        F = np.tensordot(F, W, axes=([0], [-1]))  # box axis k moves last
+        measure = np.multiply.outer(measure, W.sum(axis=-1))
+    return F, measure
 
 
 def region_weights(grid: Grid, region: Box) -> np.ndarray:
     """Flat (num_cells,) quadrature weights: overlap volume of each cell
     with the region, the outer product of the per-axis overlap lengths."""
     w = np.ones(())
-    for o in _box_overlaps(grid, region):
+    for o in _interval_overlaps(grid, region.lo, region.hi):
         w = np.multiply.outer(w, o)
     return w.reshape(-1)
 
@@ -427,18 +446,10 @@ def integrate(f: CellField, region: Box) -> float:
 
     Raises ValueError("region outside domain") when the overlap is empty.
     """
-    vals = f.values
-    if vals.ndim != 1:
-        raise ValueError("integrate expects a scalar cell field")
-    overlaps = _box_overlaps(f.grid, region)
-    if not all(o.any() for o in overlaps):
-        raise ValueError("region outside domain")
-    letters = "ijk"[: f.grid.dim]
-    spec = ",".join([letters] + list(letters)) + "->"
-    return float(np.einsum(spec, vals.reshape(f.grid.cells), *overlaps))
+    return float(_box_integrals(f.values, f.grid, region.lo, region.hi)[0])
 
 
 def mean_over(f: CellField, region: Box) -> float:
     """Average of a scalar cell field over region ∩ grid domain."""
-    measure = np.prod([o.sum() for o in _box_overlaps(f.grid, region)])
-    return integrate(f, region) / float(measure)
+    total, measure = _box_integrals(f.values, f.grid, region.lo, region.hi)
+    return float(total / measure)
