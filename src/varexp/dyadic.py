@@ -20,9 +20,11 @@ on both sides), so the supremum is a per-axis max over the level's table.
 
 Means of one field over the lattice cubes, whether over Q, (3/2)Q or 2Q,
 come from one kernel, ``lattice_means``: the mean over scale*Q ∩ domain of
-a cell array for every cube of one level at once.  The maximal function,
-the covering and its threshold lam0, and the reverse Holder and Gehring
-measurements in ``varexp.estimates`` all read their cube means from it.
+a cell array for every cube of one level at once, from the box contraction
+that ``grid.integrate`` and ``grid.mean_over`` also call.  The maximal
+function, the covering and its threshold lam0, and the reverse Holder and
+Gehring measurements in ``varexp.estimates`` all read their cube means
+from it.
 
 A covering at height lam = factor * lam0, for a factor >= 1 of lam0 =
 mean_{2 root} F, collects the maximal lattice cubes whose doubled-cube

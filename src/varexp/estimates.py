@@ -34,7 +34,7 @@ import numpy as np
 from .dyadic import (covering_threshold, default_max_level, lattice_box, lattice_means,
                      maximal_function)
 from .exponent import ExponentField
-from .grid import (Box, CellField, GridFunction, gradient, integrate, mean_over,
+from .grid import (Box, CellField, Grid, GridFunction, gradient, integrate, mean_over,
                    region_weights)
 from .varlp import decay_weight
 
@@ -88,6 +88,13 @@ def data_density(G: CellField, p: ExponentField, m: float | None = None) -> Cell
     return CellField(G.grid, mag ** p.cell_values + h.values)
 
 
+def _common_grid(u: GridFunction, G: CellField, p: ExponentField) -> Grid:
+    """The grid of u, which G and p must share."""
+    if G.grid != u.grid or p.grid != u.grid:
+        raise ValueError("grid mismatch between solution, data, and exponent")
+    return u.grid
+
+
 def caccioppoli_check(u: GridFunction, G: CellField, p: ExponentField,
                       Q: Box) -> EstimateRecord:
     """Energy on Q against the scaled oscillation of u and the data on 2Q:
@@ -95,7 +102,7 @@ def caccioppoli_check(u: GridFunction, G: CellField, p: ExponentField,
     integral_Q |Du|^p  vs  integral_{2Q} (|u - <u>_{2Q}| / R)^p
                           + integral_{2Q} |G|^p,   R = side of Q.
     """
-    g = u.grid
+    g = _common_grid(u, G, p)
     pc = p.cell_values
     Q2 = Q.scaled(2.0)
     lhs = integrate(energy_density(u, p), Q)
@@ -150,7 +157,7 @@ def reverse_holder_check(u: GridFunction, G: CellField, p: ExponentField,
     over 2Q ∩ domain; Q is level 0 of its own lattice.  Requires
     1 <= s < min{n/(n-1), p^- on 2Q}.
     """
-    g = u.grid
+    g = _common_grid(u, G, p)
     w2 = region_weights(g, Q.scaled(2.0))
     s_cap = _s_cap(g.dim, float(p.cell_values[w2 > 0].min()))
     if not (1.0 <= s < s_cap):
@@ -183,7 +190,7 @@ def gehring_scan(u: GridFunction, G: CellField, p: ExponentField, root: Box,
     """
     if mu_max <= 1.0:
         raise ValueError("mu_max must exceed 1")
-    g = u.grid
+    g = _common_grid(u, G, p)
     # 2Q spans lattice indices (i - 1/2, i + 3/2) per axis, so it lies in
     # the root exactly for 1 <= i <= 2^L - 2, which no level-1 cube does
     levels = range(2, max(2, default_max_level(root, g)) + 1)
@@ -268,7 +275,7 @@ def higher_integrability_check(u: GridFunction, G: CellField, p: ExponentField,
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
-    g = u.grid
+    g = _common_grid(u, G, p)
     p.require_superlinear("higher_integrability_check")
     F = energy_density(u, p)
     root2 = root.scaled(2.0)

@@ -40,13 +40,19 @@ class LuxemburgResult:
     bisection_iterations: int
 
 
-def modular(f: CellField, p: ExponentField, region: Box) -> float:
-    """Integral of |f(x)|^{p(x)} over region ∩ domain (midpoint quadrature)."""
+def _checked_weights(f: CellField, p: ExponentField, region: Box) -> np.ndarray:
+    """``region_weights`` of the region, for a scalar field f and an
+    exponent p on one grid."""
     if f.values.ndim != 1:
         raise ValueError("modular expects a scalar cell field")
     if f.grid != p.grid:
         raise ValueError("field and exponent live on different grids")
-    w = region_weights(f.grid, region)
+    return region_weights(f.grid, region)
+
+
+def modular(f: CellField, p: ExponentField, region: Box) -> float:
+    """Integral of |f(x)|^{p(x)} over region ∩ domain (midpoint quadrature)."""
+    w = _checked_weights(f, p, region)
     nz = w > 0
     return float(np.sum(w[nz] * np.abs(f.values[nz]) ** p.cell_values[nz]))
 
@@ -63,7 +69,7 @@ def luxemburg_norm(f: CellField, p: ExponentField, region: Box) -> LuxemburgResu
     when the bracket overflows, which takes a gauge above half the largest
     float.
     """
-    w = region_weights(f.grid, region)
+    w = _checked_weights(f, p, region)
     nz = (w > 0) & (np.abs(f.values) > 0)
     if not nz.any():
         return LuxemburgResult(0.0, 0.0, 0)

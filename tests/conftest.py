@@ -36,6 +36,16 @@ def cube_box(root: Box, level: int, index: tuple[int, ...]) -> Box:
     return Box(tuple(lo), tuple(x + e for x, e in zip(lo, edges)))
 
 
+def box_mean(f: CellField, box: Box) -> float:
+    """Mean of a scalar cell field over box ∩ domain, cell by cell: each
+    cell [centre - h/2, centre + h/2] weighs the volume of its intersection
+    with the box."""
+    g = f.grid
+    lo, hi = g.cell_centers - g.cell_size / 2, g.cell_centers + g.cell_size / 2
+    w = np.prod(np.clip(np.minimum(hi, box.hi) - np.maximum(lo, box.lo), 0.0, None), axis=1)
+    return float(w @ f.values / w.sum())
+
+
 def lattice_cubes(root: Box, max_level: int) -> list[tuple[int, tuple[int, ...], Box]]:
     """(level, index, box) of every dyadic cube of ``root`` down to
     ``max_level``: levels in order, each level's indices row-major."""

@@ -36,15 +36,14 @@ from varexp.grid import (
     CellField,
     Grid,
     GridFunction,
-    integrate,
-    mean_over,
     region_weights,
 )
 from varexp.operator import FluxParams, coercivity_constant, energy, energy_gradient, flux
 from varexp.solver import manufactured_instance, solve_pxlaplace
 from varexp.varlp import luxemburg_norm, modular
 
-from conftest import constant_exponent, constriction, cube_box, lattice_cubes, solved_matched
+from conftest import (box_mean, constant_exponent, constriction, cube_box, lattice_cubes,
+                      solved_matched)
 
 
 @contextmanager
@@ -92,9 +91,7 @@ def brute_maximal(f, root, max_level):
     tol = 1e-12 * max(root.side, 1.0)
     boxes = [b for _, _, b in lattice_cubes(root, max_level)]
     absf = CellField(g, np.abs(f.values))
-    means = np.array([
-        integrate(absf, b2) / region_weights(g, b2).sum()
-        for b2 in (b.scaled(2.0) for b in boxes)])
+    means = np.array([box_mean(absf, b.scaled(2.0)) for b in boxes])
     los = np.array([b.lo for b in boxes])
     his = np.array([b.hi for b in boxes])
     x = g.cell_centers
@@ -136,7 +133,7 @@ def test_acceptance_maximal_and_covering():
             lam = cover.lam
             assert cover.cubes
             for lev, idx in cover.cubes:
-                m2 = mean_over(F, cube_box(root, lev, idx).scaled(2.0))
+                m2 = box_mean(F, cube_box(root, lev, idx).scaled(2.0))
                 assert lam < m2 <= 2.0**n * lam * (1.0 + 1e-12)
             checked += len(cover.cubes)
         assert checked >= 1500, checked  # 1540; 114 with factors in [1, 5]

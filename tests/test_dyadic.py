@@ -2,8 +2,9 @@
 
 The maximal/covering oracles here are independent brute-force loops over
 all lattice cubes, compared against the production implementations.  The
-maximal oracle lists its cubes through conftest's own lattice arithmetic;
-the covering's reference is the stopping-time walk down the cube tree.
+maximal oracle lists its cubes through conftest's own lattice arithmetic
+and averages over them with conftest's cell-by-cell box mean; the
+covering's reference is the stopping-time walk down the cube tree.
 """
 
 import itertools
@@ -24,9 +25,9 @@ from varexp.dyadic import (
     lattice_means,
     maximal_function,
 )
-from varexp.grid import Box, CellField, Grid, integrate, mean_over, region_weights
+from varexp.grid import Box, CellField, Grid, mean_over
 
-from conftest import cube_box, lattice_cubes
+from conftest import box_mean, cube_box, lattice_cubes
 
 
 def brute_maximal(f, root, s, max_level):
@@ -44,7 +45,7 @@ def brute_maximal(f, root, s, max_level):
         for b in cubes:
             if np.all(x >= np.asarray(b.lo) - tol) and np.all(x <= np.asarray(b.hi) + tol):
                 b2 = b.scaled(2.0)
-                m = integrate(CellField(g, power), b2) / region_weights(g, b2).sum()
+                m = box_mean(CellField(g, power), b2)
                 best = max(best, m ** (1.0 / s))
         out[i] = best
     return out
@@ -197,7 +198,9 @@ def test_maximal_function_equals_offset_loop(dim, cells):
 
 def test_lattice_means_match_mean_over():
     # roots off the cell lattice, so every cube edge cuts cells; at scale 2
-    # some doubled cubes leave the domain and are averaged over the overlap
+    # some doubled cubes leave the domain and are averaged over the overlap.
+    # Both routines share grid's contraction, so each is held to conftest's
+    # cell-by-cell box mean.
     rng = np.random.default_rng(5)
     for dim, cells, levels in ((1, (19,), 4), (2, (12, 10), 3), (3, (7, 6, 5), 2)):
         g = Grid(dim, (-1.0,) * dim, (2.0,) * dim, cells)
@@ -207,9 +210,12 @@ def test_lattice_means_match_mean_over():
             for lev in range(levels + 1):
                 got = lattice_means(f.values, g, root, lev, scale)
                 assert got.shape == (2**lev,) * dim
-                want = [mean_over(f, lattice_box(root, lev, idx).scaled(scale))
-                        for idx in np.ndindex(got.shape)]
+                boxes = [lattice_box(root, lev, idx).scaled(scale)
+                         for idx in np.ndindex(got.shape)]
+                want = [box_mean(f, b) for b in boxes]
                 np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose([mean_over(f, b) for b in boxes], want,
+                                           rtol=1e-12, atol=0)
     with pytest.raises(ValueError, match="outside domain"):
         lattice_means(f.values, g, Box((5.0,) * 3, (6.0,) * 3), 0, 1.0)
 
@@ -297,7 +303,7 @@ def test_cz_cover_sandwich_disjoint_and_covers():
             cover = cz_cover(f, root, factor)
             lam0 = covering_threshold(f, root)
             assert cover.lambda0 == lam0 and cover.lam == factor * lam0  # to the byte
-            assert lam0 == pytest.approx(mean_over(f, root.scaled(2.0)), rel=1e-12)
+            assert lam0 == pytest.approx(box_mean(f, root.scaled(2.0)), rel=1e-12)
             lam = cover.lam
             # the stopping-time walk selects the same cubes, means and truncation
             walk_lam, walked, walk_truncated = walk_cover(f, root, factor)
@@ -308,7 +314,7 @@ def test_cz_cover_sandwich_disjoint_and_covers():
                 truncated.add(cover.truncated)
             seen = set()
             for lev, idx in cover.cubes:
-                m2 = mean_over(f, cube_box(root, lev, idx).scaled(2.0))
+                m2 = box_mean(f, cube_box(root, lev, idx).scaled(2.0))
                 assert lam < m2 <= 2.0**n * lam * (1 + 1e-12)
                 assert lev > 0  # proper sub-cubes
                 # disjoint: dyadic cubes of one tree intersect only by nesting

@@ -16,13 +16,12 @@ from varexp.estimates import (
 )
 from varexp.estimates import reverse_holder_check
 from varexp.exponent import ExponentField
-from varexp.grid import (Box, CellField, Grid, GridFunction, gradient, integrate, mean_over,
-                         region_weights)
+from varexp.grid import Box, CellField, Grid, GridFunction, gradient, integrate, region_weights
 from varexp.operator import coercivity_constant
 from varexp.solver import manufactured_instance, solve_pxlaplace
 from varexp.varlp import decay_weight
 
-from conftest import constant_exponent, lattice_cubes
+from conftest import box_mean, constant_exponent, lattice_cubes
 
 
 def flag_value(record, key):
@@ -111,6 +110,27 @@ def test_reverse_holder_validation_and_affine(affine32):
     assert rec.empirical_constant <= 1.0
 
 
+@pytest.mark.parametrize("check", [
+    lambda u, G, p, Q: caccioppoli_check(u, G, p, Q),
+    lambda u, G, p, Q: reverse_holder_check(u, G, p, Q, 1.0),
+    lambda u, G, p, Q: gehring_scan(u, G, p, Q),
+    lambda u, G, p, Q: higher_integrability_check(u, G, p, 2.0, Q, 8.0),
+], ids=["caccioppoli", "reverse-holder", "gehring", "higher-integrability"])
+def test_estimates_refuse_fields_on_another_grid(check):
+    # a field on a shifted grid with the same cell count reads, cell by
+    # cell, values of other points
+    g = Grid(2, (-2.0, -2.0), (4.0, 4.0), (16, 16))
+    shifted = Grid(2, (-1.75, -2.0), (4.0, 4.0), (16, 16))
+    u = GridFunction(g, np.sin(g.node_coords[:, 0]) * g.node_coords[:, 1])
+    Q = Box((-1.0, -1.0), (1.0, 1.0))
+    G = {h: CellField(h, np.ones((h.num_cells, 1, 2))) for h in (g, shifted)}
+    p = {h: constant_exponent(h, 1.7) for h in (g, shifted)}
+    check(u, G[g], p[g], Q)
+    for G_at, p_at in ((shifted, g), (g, shifted)):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            check(u, G[G_at], p[p_at], Q)
+
+
 def test_gehring_constant_field_unit_constant(affine32):
     # constant energy density: lhs equals the energy term of the rhs at
     # every mu, so the worst constant sits at (or just below) 1.
@@ -156,9 +176,9 @@ def test_gehring_table_monotone_without_data(affine32):
 
 
 def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None, s=1.0, cubes=None):
-    """Reference reverse Holder scan at s: one mean_over per cube, mu and
-    term, over ``cubes`` (by default the lattice cubes of the root with 2Q
-    in the root).  Rows (mu, lhs, energy, data, constant) of the worst
+    """Reference reverse Holder scan at s: one conftest box mean per cube,
+    mu and term, over ``cubes`` (by default the lattice cubes of the root
+    with 2Q in the root).  Rows (mu, lhs, energy, data, constant) of the worst
     cube, the first whose constant strictly exceeds every earlier one."""
     g = u.grid
     m = 2.0 * g.dim if m is None else m
@@ -175,9 +195,9 @@ def brute_gehring(u, G, p, root, mu_max=2.0, steps=8, m=None, s=1.0, cubes=None)
         data_f = CellField(g, gmag ** (pc * mu) + h**mu)
         worst, row, cube = -1.0, None, None
         for qb in cubes:
-            lhs = mean_over(lhs_f, qb) ** (1.0 / mu)
-            energy = mean_over(lowered, qb.scaled(2.0)) ** s
-            data = mean_over(data_f, qb.scaled(2.0)) ** (1.0 / mu)
+            lhs = box_mean(lhs_f, qb) ** (1.0 / mu)
+            energy = box_mean(lowered, qb.scaled(2.0)) ** s
+            data = box_mean(data_f, qb.scaled(2.0)) ** (1.0 / mu)
             if lhs / (energy + data) > worst:
                 worst, cube = lhs / (energy + data), qb
                 row = (float(mu), lhs, energy, data, worst)

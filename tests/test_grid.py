@@ -17,6 +17,11 @@ from varexp.grid import (
     mean_over,
     region_weights,
 )
+from varexp.dyadic import lattice_means
+from varexp.estimates import reverse_holder_check
+from varexp.varlp import luxemburg_norm, modular
+
+from conftest import constant_exponent
 
 
 def test_box_geometry():
@@ -264,6 +269,28 @@ def test_integrate_and_mean_closed_forms():
     assert mean_over(f, Box((0.0,), (0.5,))) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ValueError):
         mean_over(f, Box((5.0,), (6.0,)))  # region misses the domain
+
+
+@pytest.mark.parametrize("miss", ["outside", "upper-face", "lower-face"])
+def test_every_box_query_refuses_a_miss_with_one_message(miss):
+    # on axis 0 the last cell's right edge rounds 4.4e-16 past the domain's
+    # face, so a box on that face overlaps it by a sliver
+    g = Grid(2, (-2.1, -2.0), (4.0, 4.0), (11, 16))
+    (x0, y0), (x1, _) = g.domain.lo, g.domain.hi
+    box = {"outside": Box((5.0, 5.0), (6.0, 6.0)),
+           "upper-face": Box((x1, -1.0), (x1 + 1.0, 1.0)),
+           "lower-face": Box((-1.0, y0 - 1.0), (1.0, y0))}[miss]
+    f = CellField(g, np.ones(g.num_cells))
+    p = constant_exponent(g, 2.0)
+    u = GridFunction(g, g.node_coords[:, 0])
+    G = CellField(g, np.zeros((g.num_cells, 1, 2)))
+    queries = [lambda: integrate(f, box), lambda: mean_over(f, box),
+               lambda: region_weights(g, box), lambda: lattice_means(f.values, g, box, 0, 1.0),
+               lambda: modular(f, p, box), lambda: luxemburg_norm(f, p, box),
+               lambda: reverse_holder_check(u, G, p, box, 1.0)]
+    for query in queries:
+        with pytest.raises(ValueError, match="region outside domain"):
+            query()
 
 
 def test_grid_function_shapes():

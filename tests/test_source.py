@@ -271,6 +271,28 @@ def test_only_grid_reads_the_face_tolerance():
     assert not found, f"_GEOM_RTOL read outside grid.py: {found}"
 
 
+def test_one_box_quadrature_contraction():
+    # every mean over a box, Q, 2Q or (3/2)Q alike, comes from one
+    # contraction: only grid.py reads the per-axis overlaps, and besides
+    # region_weights' outer product only _box_integrals reads them, which
+    # integrate, mean_over and lattice_means call
+    package = Path(varexp.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "grid.py":
+            found += [f"{path.name}:{n}" for n in _uses(ast.parse(path.read_text()),
+                                                         "_interval_overlaps")]
+    assert not found, f"_interval_overlaps read outside grid.py: {found}"
+    funcs = {node.name: node for path in ("grid.py", "dyadic.py")
+             for node in ast.walk(ast.parse((package / path).read_text()))
+             if isinstance(node, ast.FunctionDef)}
+    readers = {name for name, fn in funcs.items() if _uses(fn, "_interval_overlaps")}
+    assert readers == {"_box_integrals", "region_weights"}, readers
+    assert not _uses(funcs["region_weights"], "tensordot")
+    for name in ("integrate", "mean_over", "lattice_means"):
+        assert _uses(funcs[name], "_box_integrals"), name
+
+
 def test_cli_leaves_lambda0_to_the_dyadic_layer():
     # good-lambda heights are factors of lambda0, which good_lambda_measure
     # and cz_cover form themselves: cli.py never computes lambda0

@@ -160,6 +160,17 @@ def test_luxemburg_region_outside_domain_raises():
         luxemburg_norm(CellField(g, np.ones(4)), p, Box((5.0,), (6.0,)))
 
 
+def test_luxemburg_norm_takes_the_modulars_input_checks():
+    g = Grid(2, (-1.0, -1.0), (2.0, 2.0), (8, 8))
+    shifted = Grid(2, (-0.5, -1.0), (2.0, 2.0), (8, 8))
+    f = CellField(g, np.linspace(0.1, 1.0, g.num_cells))
+    for routine in (modular, luxemburg_norm):
+        with pytest.raises(ValueError, match="different grids"):
+            routine(f, constant_exponent(shifted, 2.0), g.domain)
+        with pytest.raises(ValueError, match="scalar cell field"):
+            routine(CellField(g, f.values[:, None]), constant_exponent(g, 2.0), g.domain)
+
+
 def test_decay_weight_oracle():
     # cell center placed at |x| = e^2 - e gives (e + |x|)^{-4} = e^{-8}
     x0 = E**2 - E
